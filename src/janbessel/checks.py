@@ -65,6 +65,8 @@ MODE_CONSERVATIVE = "conservative"
 MODE_AS_PRINTED = "as-printed"
 MODES = (MODE_CONSERVATIVE, MODE_AS_PRINTED)
 
+THEOREM_NAMES = ("subordination", "derivative", "convexity", "starlike")
+
 PSI_SUBORDINATION = "subordination"
 PSI_CONVEXITY = "convexity"
 PSI_FORMS = (PSI_SUBORDINATION, PSI_CONVEXITY)
@@ -300,6 +302,25 @@ def check_starlike_theorem(
     return CheckOutcome(satisfied=satisfied, branch=mode, slacks=slacks)
 
 
+def check_theorem(
+    name: str, pair: JanowskiPair, kappa: float, c: float, mode: str = MODE_CONSERVATIVE
+) -> CheckOutcome:
+    """Run the theorem checker `name` (one of THEOREM_NAMES).
+
+    mode is passed to the convexity and starlike checkers and ignored by
+    the other two.
+    """
+    if name == "subordination":
+        return check_subordination_theorem(pair, kappa, c)
+    if name == "derivative":
+        return check_derivative_theorem(pair, kappa, c)
+    if name == "convexity":
+        return check_convexity_theorem(pair, kappa, c, mode=mode)
+    if name == "starlike":
+        return check_starlike_theorem(pair, kappa, c, mode=mode)
+    raise ValueError(f"unknown theorem {name!r}; expected one of {THEOREM_NAMES}")
+
+
 def check_corollary(which: str, kappa: float, c: float) -> CheckOutcome:
     """Evaluate one of the four ready-made half-plane specializations.
 
@@ -435,6 +456,10 @@ def mccarty_bounds(
     expression (2 Re i_p(z) - 1); it is positive because Re i_p > 1/2 on the
     disk for p >= -1/2.  Equality within BOUNDARY_EQUALITY_TOL counts as
     holding (all three are equalities at z = 0 when p = 0).
+
+    The bounds are claimed for p >= 0.  For -1/2 <= p < 0 the real-part
+    bound exceeds Re i_p(0) = 1, so a note says it is not claimed there;
+    `holds` still reports what was observed.
     """
     p = float(p)
     if p < -0.5:
@@ -460,12 +485,38 @@ def mccarty_bounds(
     )
     obs3 = abs(dip)
 
+    notes = ["derivative bound numerator read as the balanced (2 Re i_p(z) - 1)"]
+    if p < 0.0:
+        notes.append(
+            "real-part bound exceeds Re i_p(0) = 1 for -1/2 <= p < 0 and is not claimed there"
+        )
     return McCartyBounds(
         modulus=BoundCheck("modulus-upper", bound1, obs1, obs1 <= bound1 + BOUNDARY_EQUALITY_TOL),
         real_part=BoundCheck("real-part-lower", bound2, obs2, obs2 >= bound2 - BOUNDARY_EQUALITY_TOL),
         derivative=BoundCheck("derivative-upper", bound3, obs3, obs3 <= bound3 + BOUNDARY_EQUALITY_TOL),
-        notes=["derivative bound numerator read as the balanced (2 Re i_p(z) - 1)"],
+        notes=notes,
     )
+
+
+def _psi_formula(which: str, A: float, B: float, kappa: float, c: float, r, s, t, z):
+    """Psi at r = i rho, s = sigma, t = mu + i nu and the disk point z.
+
+    Written with plain arithmetic operators only, so the same expression
+    serves Python scalars and numpy arrays that broadcast together.  The
+    convexity form ignores t.  Callers validate `which`.
+    """
+    if which == PSI_SUBORDINATION:
+        den = (1.0 - B) + (1.0 + B) * r
+        return (
+            t
+            - 2.0 * (1.0 + B) * s * s / den
+            + kappa * s
+            + den * ((1.0 - A) + (1.0 + A) * r) * c * z / (8.0 * (A - B))
+        )
+    f1 = (A - B) / 2.0 + kappa * (1.0 + B) / 2.0 + c * z * (1.0 + B) ** 2 / (8.0 * (A - B))
+    f2 = -(A - B) - kappa * B + c * (1.0 - B * B) * z / (4.0 * (A - B))
+    f3 = (A - B) / 2.0 - kappa * (1.0 - B) / 2.0 + c * z * (1.0 - B) ** 2 / (8.0 * (A - B))
+    return s + f1 * r * r + f2 * r + f3
 
 
 def eval_psi(
@@ -493,28 +544,13 @@ def eval_psi(
     at r = i rho, s = sigma (mu and nu unused).  Membership conclusions rest
     on Re Psi < 0 across the whole admissible set.
     """
-    kappa = float(kappa)
-    c = float(c)
+    if which not in PSI_FORMS:
+        raise ValueError(f"unknown functional {which!r}; expected one of {PSI_FORMS}")
     A, B = pair.A, pair.B
     r = 1j * probe.rho
-    z = probe.z
-    if which == PSI_SUBORDINATION:
-        den = (1.0 - B) + (1.0 + B) * r
-        if abs(den) < 1e-14:
-            raise DegenerateDenominator(
-                f"subordination form has a pole at rho = {probe.rho} for B = {B}"
-            )
-        t = probe.mu + 1j * probe.nu
-        s = probe.sigma
-        return (
-            t
-            - 2.0 * (1.0 + B) * s * s / den
-            + kappa * s
-            + den * ((1.0 - A) + (1.0 + A) * r) * c * z / (8.0 * (A - B))
+    if which == PSI_SUBORDINATION and abs((1.0 - B) + (1.0 + B) * r) < 1e-14:
+        raise DegenerateDenominator(
+            f"subordination form has a pole at rho = {probe.rho} for B = {B}"
         )
-    if which == PSI_CONVEXITY:
-        f1 = (A - B) / 2.0 + kappa * (1.0 + B) / 2.0 + c * z * (1.0 + B) ** 2 / (8.0 * (A - B))
-        f2 = -(A - B) - kappa * B + c * (1.0 - B * B) * z / (4.0 * (A - B))
-        f3 = (A - B) / 2.0 - kappa * (1.0 - B) / 2.0 + c * z * (1.0 - B) ** 2 / (8.0 * (A - B))
-        return probe.sigma + f1 * r * r + f2 * r + f3
-    raise ValueError(f"unknown functional {which!r}; expected one of {PSI_FORMS}")
+    t = probe.mu + 1j * probe.nu
+    return _psi_formula(which, A, B, float(kappa), float(c), r, probe.sigma, t, probe.z)

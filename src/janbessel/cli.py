@@ -49,15 +49,13 @@ from .checks import (
     COROLLARY_IDS,
     MODE_CONSERVATIVE,
     MODES,
+    THEOREM_NAMES,
     CheckOutcome,
     McCartyBounds,
     UnknownCorollary,
     ZeroC,
-    check_convexity_theorem,
     check_corollary,
-    check_derivative_theorem,
-    check_starlike_theorem,
-    check_subordination_theorem,
+    check_theorem,
     mccarty_bounds,
 )
 from .geometry import DegenerateDenominator, JanowskiPair, OrderOutOfRange
@@ -74,8 +72,6 @@ from .verify import (
 )
 
 SCHEMA_VERSION = "1"
-
-THEOREM_NAMES = ("subordination", "derivative", "convexity", "starlike")
 
 CSV_HEADER = "kappa,c,checker,branch,corollary,numeric,min_margin,witness_re,witness_im"
 
@@ -322,7 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="'lo:hi:steps'")
     _add_grid_flags(p_scan)
     _add_eval_config_flags(p_scan)
-    p_scan.add_argument("--workers", type=int, default=1)
+    p_scan.add_argument("--workers", type=int, default=1,
+                        help="accepted for compatibility and echoed in the report; has no effect")
     p_scan.add_argument("--mode", choices=MODES, default=MODE_CONSERVATIVE)
     p_scan.add_argument("--format", choices=("json", "csv"), default="json")
     p_scan.add_argument("--output", default=None)
@@ -375,14 +372,7 @@ def _cmd_check(ns: argparse.Namespace) -> tuple[dict, int]:
     if ns.A is None or ns.B is None:
         raise UsageError("theorem checks need --A and --B")
     pair = JanowskiPair(A=ns.A, B=ns.B)
-    if ns.theorem == "subordination":
-        outcome = check_subordination_theorem(pair, ns.kappa, ns.c)
-    elif ns.theorem == "derivative":
-        outcome = check_derivative_theorem(pair, ns.kappa, ns.c)
-    elif ns.theorem == "convexity":
-        outcome = check_convexity_theorem(pair, ns.kappa, ns.c, mode=ns.mode)
-    else:
-        outcome = check_starlike_theorem(pair, ns.kappa, ns.c, mode=ns.mode)
+    outcome = check_theorem(ns.theorem, pair, ns.kappa, ns.c, ns.mode)
     payload = {
         "check": ns.theorem,
         "pair": _pair_list(pair),
@@ -428,6 +418,8 @@ def _cmd_radius(ns: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _cmd_scan(ns: argparse.Namespace) -> tuple[dict | str, int]:
+    if ns.workers < 1:
+        raise UsageError(f"--workers must be >= 1, got {ns.workers}")
     pair = JanowskiPair(A=ns.A, B=ns.B)
     rows = region_scan(
         ns.selector,
@@ -436,7 +428,6 @@ def _cmd_scan(ns: argparse.Namespace) -> tuple[dict | str, int]:
         ns.c_range,
         grid=_grid_from_flags(ns),
         cfg=_eval_config(ns),
-        workers=ns.workers,
         mode=ns.mode,
     )
     conflicts = scan_conflicts(rows)

@@ -96,20 +96,17 @@ def target_region(pair: JanowskiPair) -> TargetRegion:
     )
 
 
-def region_margin(region: TargetRegion, w: complex) -> float:
-    """Signed distance into the region: positive strictly inside, negative outside."""
-    w = complex(w)
-    if region.kind == HALF_PLANE:
-        return w.real - region.re_bound
-    return region.radius - abs(w - region.center)
-
-
 def region_margin_many(region: TargetRegion, ws: np.ndarray) -> np.ndarray:
-    """Vectorized region_margin over an array of points."""
+    """Signed distance into the region: positive strictly inside, negative outside."""
     ws = np.asarray(ws, dtype=complex)
     if region.kind == HALF_PLANE:
         return ws.real - region.re_bound
     return region.radius - np.abs(ws - region.center)
+
+
+def region_margin(region: TargetRegion, w: complex) -> float:
+    """region_margin_many for a single point."""
+    return float(region_margin_many(region, w))
 
 
 def contains(region: TargetRegion, w: complex) -> tuple[bool, float]:

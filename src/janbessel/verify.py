@@ -18,9 +18,11 @@ does, are recorded as degeneracy hits and excluded from the margin; any hit
 makes the verdict "counterexample" because a nondegeneracy hypothesis failed.
 
 property_radius bisects for the largest sampled radius on which membership
-holds.  Testing one circle per radius suffices: over a closed sub-disk the
-margin's minimum is attained on the bounding circle (Re w is harmonic and
-|w - center| is subharmonic), so the circle is the binding set.
+holds, testing one circle per radius.  That suffices only when the
+functional's denominator (u' for convexity, u for starlike-zu) has no zero
+inside the circle: w is then analytic on the closed sub-disk, where Re w is
+harmonic and |w - center| subharmonic, so the margin's minimum lies on the
+circle.  The precondition is not checked yet (a known defect).
 
 admissibility_scan maximizes Re Psi over a grid of the admissible set
 (sigma at depth multiples of its bound, mu between 0 and -sigma, nu = 0
@@ -29,15 +31,14 @@ conditions' engine.  region_scan sweeps a (kappa, c) rectangle and pairs the
 checker verdict, any applicable corollary verdict, and the sampled verdict
 cell by cell.
 
-Determinism: grids are fixed by their parameters, ties resolve to the first
-grid point in radius-major order, and thread workers only partition whole
-cells, so identical inputs give bit-identical results at any worker count.
+Determinism: grids are fixed by their parameters and ties resolve to the
+first grid point in radius-major order, so identical inputs give
+bit-identical results.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,14 +52,13 @@ from .checks import (
     MODE_CONSERVATIVE,
     PSI_FORMS,
     PSI_SUBORDINATION,
+    THEOREM_NAMES,
     AdmissibilityProbe,
     CheckOutcome,
     ZeroC,
-    check_convexity_theorem,
+    _psi_formula,
     check_corollary,
-    check_derivative_theorem,
-    check_starlike_theorem,
-    check_subordination_theorem,
+    check_theorem,
 )
 from .geometry import JanowskiPair, TargetRegion, region_margin_many, target_region
 
@@ -67,6 +67,17 @@ SELECTOR_DERIV = "deriv-normalized"
 SELECTOR_CONVEXITY = "convexity"
 SELECTOR_STARLIKE = "starlike-zu"
 SELECTORS = (SELECTOR_U, SELECTOR_DERIV, SELECTOR_CONVEXITY, SELECTOR_STARLIKE)
+
+# The theorem whose conclusion each selector samples: both tuples list the
+# same four properties in the same order.
+_SELECTOR_THEOREMS = dict(zip(SELECTORS, THEOREM_NAMES))
+
+# Selectors of the form 1 + z u^(k) / u^(k-1): (k, reason recorded where the
+# denominator u^(k-1) vanishes).
+_QUOTIENT_ORDERS = {
+    SELECTOR_CONVEXITY: (2, "zero-derivative"),
+    SELECTOR_STARLIKE: (1, "zero-value"),
+}
 
 VERDICT_HOLDS = "holds-on-grid"
 VERDICT_COUNTEREXAMPLE = "counterexample"
@@ -151,20 +162,14 @@ def _functional_values(
             raise ZeroC("the deriv-normalized functional is undefined at c = 0")
         values, _ = eval_u_many(params, zs, order=1, cfg=cfg)
         return (-4.0 * params.kappa / params.c) * values[1], np.zeros(zs.size, dtype=bool), ""
-    if selector == SELECTOR_CONVEXITY:
-        values, _ = eval_u_many(params, zs, order=2, cfg=cfg)
-        den = values[1]
+    if selector in _QUOTIENT_ORDERS:
+        k, reason = _QUOTIENT_ORDERS[selector]
+        values, _ = eval_u_many(params, zs, order=k, cfg=cfg)
+        den = values[k - 1]
         mask = np.abs(den) < DEGENERACY_TOL
         safe = np.where(mask, 1.0, den)
-        w = np.where(mask, 1.0, 1.0 + zs * values[2] / safe)
-        return w, mask, "zero-derivative"
-    if selector == SELECTOR_STARLIKE:
-        values, _ = eval_u_many(params, zs, order=1, cfg=cfg)
-        den = values[0]
-        mask = np.abs(den) < DEGENERACY_TOL
-        safe = np.where(mask, 1.0, den)
-        w = np.where(mask, 1.0, 1.0 + zs * values[1] / safe)
-        return w, mask, "zero-value"
+        w = np.where(mask, 1.0, 1.0 + zs * values[k] / safe)
+        return w, mask, reason
     raise ValueError(f"unknown selector {selector!r}; expected one of {SELECTORS}")
 
 
@@ -263,6 +268,9 @@ def property_radius(
     Bisects on the circle radius; a circle is feasible when no sample is
     degenerate and every margin is strictly positive.  Returns 0.0 when even
     r = 0.01 fails and max_radius when the cap itself is feasible.
+
+    Precondition, not checked: the functional's denominator has no zero
+    inside the circles tested; past such a zero the radius can be unsound.
     """
     if grid_density < 8:
         raise ValueError(f"need at least 8 angles per circle, got {grid_density}")
@@ -322,7 +330,6 @@ def admissibility_scan(
 
     kappa = float(kappa)
     c = float(c)
-    A, B = pair.A, pair.B
     rhos = np.linspace(-rho_max, rho_max, 201)
     zs = np.concatenate([np.zeros(1, dtype=complex), z_grid.points()])
     R = 1j * rhos[:, None]
@@ -336,20 +343,7 @@ def admissibility_scan(
         sigma = -s_fac * (1.0 + rhos**2) / 2.0
         S = sigma[:, None]
         for m_fac in m_factors:
-            if which == PSI_SUBORDINATION:
-                den = (1.0 - B) + (1.0 + B) * R
-                psi = (
-                    (-m_fac) * S
-                    - 2.0 * (1.0 + B) * S * S / den
-                    + kappa * S
-                    + den * ((1.0 - A) + (1.0 + A) * R) * c * Z / (8.0 * (A - B))
-                )
-            else:
-                f1 = (A - B) / 2.0 + kappa * (1.0 + B) / 2.0 + c * Z * (1.0 + B) ** 2 / (8.0 * (A - B))
-                f2 = -(A - B) - kappa * B + c * (1.0 - B * B) * Z / (4.0 * (A - B))
-                f3 = (A - B) / 2.0 - kappa * (1.0 - B) / 2.0 + c * Z * (1.0 - B) ** 2 / (8.0 * (A - B))
-                psi = S + f1 * R * R + f2 * R + f3
-            re = np.real(psi)
+            re = np.real(_psi_formula(which, pair.A, pair.B, kappa, c, R, S, (-m_fac) * S, Z))
             flat = int(np.argmax(re))
             value = float(re.flat[flat])
             if value > best:
@@ -408,20 +402,6 @@ def _matching_corollary(selector: str, pair: JanowskiPair, c: float) -> str | No
     return None
 
 
-def _checker_outcome(
-    selector: str, pair: JanowskiPair, kappa: float, c: float, mode: str
-) -> CheckOutcome:
-    if selector == SELECTOR_U:
-        return check_subordination_theorem(pair, kappa, c)
-    if selector == SELECTOR_DERIV:
-        return check_derivative_theorem(pair, kappa, c)
-    if selector == SELECTOR_CONVEXITY:
-        return check_convexity_theorem(pair, kappa, c, mode=mode)
-    if selector == SELECTOR_STARLIKE:
-        return check_starlike_theorem(pair, kappa, c, mode=mode)
-    raise ValueError(f"unknown selector {selector!r}; expected one of {SELECTORS}")
-
-
 def region_scan(
     selector: str,
     pair: JanowskiPair,
@@ -429,14 +409,12 @@ def region_scan(
     c_range: tuple[float, float, int],
     grid: SampleGrid | None = None,
     cfg: EvalConfig = DEFAULT_CONFIG,
-    workers: int = 1,
     mode: str = MODE_CONSERVATIVE,
 ) -> list[ScanRow]:
     """Sweep a (kappa, c) rectangle; rows are row-major (kappa outer, c inner).
 
-    Each range is (lo, hi, steps) mapped to numpy.linspace.  Worker threads
-    partition whole cells and results are collected in submission order, so
-    the row list is identical at any worker count.
+    Each range is (lo, hi, steps) mapped to numpy.linspace.  Cells run in
+    order in the calling thread.
     """
     if grid is None:
         grid = SampleGrid.default()
@@ -444,35 +422,29 @@ def region_scan(
     c_lo, c_hi, c_steps = c_range
     if int(k_steps) < 2 or int(c_steps) < 2:
         raise ValueError("ranges need at least two steps per axis")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    if selector not in _SELECTOR_THEOREMS:
+        raise ValueError(f"unknown selector {selector!r}; expected one of {SELECTORS}")
+    theorem = _SELECTOR_THEOREMS[selector]
     kappas = np.linspace(float(k_lo), float(k_hi), int(k_steps))
     cs = np.linspace(float(c_lo), float(c_hi), int(c_steps))
-    cells = [(float(k), float(c)) for k in kappas for c in cs]
-
-    def run_cell(cell: tuple[float, float]) -> ScanRow:
-        kappa, c = cell
-        checker = _checker_outcome(selector, pair, kappa, c, mode)
+    rows = []
+    for kappa, c in [(float(k), float(c)) for k in kappas for c in cs]:
         corollary_id = _matching_corollary(selector, pair, c)
-        corollary = (
-            check_corollary(corollary_id, kappa, c) if corollary_id is not None else None
+        rows.append(
+            ScanRow(
+                kappa=kappa,
+                c=c,
+                checker=check_theorem(theorem, pair, kappa, c, mode),
+                corollary_id=corollary_id,
+                corollary=(
+                    check_corollary(corollary_id, kappa, c) if corollary_id is not None else None
+                ),
+                report=verify_membership(
+                    selector, pair, _params_for_kappa(kappa, c), grid=grid, cfg=cfg
+                ),
+            )
         )
-        report = verify_membership(
-            selector, pair, _params_for_kappa(kappa, c), grid=grid, cfg=cfg
-        )
-        return ScanRow(
-            kappa=kappa,
-            c=c,
-            checker=checker,
-            corollary_id=corollary_id,
-            corollary=corollary,
-            report=report,
-        )
-
-    if workers == 1:
-        return [run_cell(cell) for cell in cells]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_cell, cells))
+    return rows
 
 
 def scan_conflicts(rows: list[ScanRow]) -> list[ScanRow]:

@@ -153,9 +153,7 @@ def test_criterion_07_soundness_sweeps():
     with criterion(7, "six 500+-cell soundness sweeps report zero conflicts"):
         for name, selector, pair, kappa_range, c_range in sweeps:
             start = time.perf_counter()
-            rows = region_scan(
-                selector, pair, kappa_range, c_range, SWEEP_GRID, workers=4
-            )
+            rows = region_scan(selector, pair, kappa_range, c_range, SWEEP_GRID)
             elapsed = time.perf_counter() - start
             assert len(rows) >= 500, name
             conflicts = scan_conflicts(rows)
@@ -221,7 +219,7 @@ def test_criterion_10_cli_determinism(capsys):
         ["admissibility", "--which", "subordination", "--A", "0", "--B=-1", "--kappa", "2", "--c=-1"],
         ["bounds", "--p", "1", "--z", "0.5,0"],
     ]
-    with criterion(10, "every verb is run-to-run deterministic; scans thread-stable"):
+    with criterion(10, "every verb is run-to-run deterministic; --workers changes nothing"):
         for argv in verbs:
             code_a, first = payload_of(argv)
             code_b, second = payload_of(argv)

@@ -23,6 +23,7 @@ from janbessel import (
     eval_psi,
     mccarty_bounds,
 )
+from janbessel.checks import MODES, THEOREM_NAMES, check_theorem
 
 
 def slack_map(outcome):
@@ -331,6 +332,29 @@ def test_deriv_re_half_corollary():
     assert not zero.satisfied and zero.branch == "out-of-range"
 
 
+def test_check_theorem_dispatches_to_each_checker():
+    direct = {
+        "subordination": lambda pair, kappa, c, mode: check_subordination_theorem(pair, kappa, c),
+        "derivative": lambda pair, kappa, c, mode: check_derivative_theorem(pair, kappa, c),
+        "convexity": lambda pair, kappa, c, mode: check_convexity_theorem(pair, kappa, c, mode=mode),
+        "starlike": lambda pair, kappa, c, mode: check_starlike_theorem(pair, kappa, c, mode=mode),
+    }
+    assert tuple(direct) == THEOREM_NAMES
+    rng = np.random.default_rng(97)
+    for _ in range(40):
+        pair = rand_pair(rng)
+        kappa = rng.uniform(-0.5, 6.0)
+        c = rng.uniform(-4.0, 4.0)
+        for name, checker in direct.items():
+            for mode in MODES:
+                assert check_theorem(name, pair, kappa, c, mode) == checker(pair, kappa, c, mode)
+
+
+def test_check_theorem_unknown_name():
+    with pytest.raises(ValueError):
+        check_theorem("starlike-zu", JanowskiPair(0.0, -1.0), 2.0, -1.0)
+
+
 def test_unknown_corollary():
     with pytest.raises(UnknownCorollary):
         check_corollary("re-quarter", 1.0, 1.0)
@@ -382,6 +406,16 @@ def test_mccarty_lower_bound_fails_as_printed_for_negative_orders():
     assert not mb.real_part.holds
     assert not mb.all_hold()
     assert mb.modulus.holds
+
+
+def test_mccarty_negative_order_note():
+    note = "real-part bound exceeds Re i_p(0) = 1 for -1/2 <= p < 0 and is not claimed there"
+    negative = mccarty_bounds(-0.25, 0j, DEFAULT_CONFIG)
+    assert note in negative.notes
+    assert abs(negative.real_part.bound - 1.15) < 1e-12
+    assert negative.real_part.observed == 1.0
+    assert not negative.real_part.holds
+    assert note not in mccarty_bounds(0.0, 0j, DEFAULT_CONFIG).notes
 
 
 def test_mccarty_preconditions():

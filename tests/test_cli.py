@@ -103,6 +103,13 @@ def test_check_verdict_exit_codes(capsys):
     assert doc["payload"]["outcome"]["satisfied"] is False
 
 
+def test_scan_rejects_nonpositive_workers(capsys):
+    argv = ["scan", "--selector", "u", "--A", "0", "--B=-1", "--kappa-range", "1:2:2",
+            "--c-range=-2:-1:2", "--radii", "2", "--angles", "8", "--workers", "0"]
+    assert run(argv) == 2
+    assert "--workers" in capsys.readouterr().err
+
+
 def test_check_corollary_payload(capsys):
     code, doc = run_json(capsys, ["check", "--corollary", "re-half", "--kappa", "1", "--c=-1"])
     assert code == 0
