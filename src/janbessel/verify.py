@@ -38,6 +38,7 @@ bit-identical results.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -117,11 +118,15 @@ class SampleGrid:
     def default() -> "SampleGrid":
         return SampleGrid(radii=tuple(np.geomspace(0.05, 0.999, 24)), angles=256)
 
+    # Cached by value, not stored on the grid: every report keeps its grid.
+    @functools.lru_cache(maxsize=8)
     def points(self) -> np.ndarray:
-        """All grid points, radius-major (all angles of radii[0] first)."""
+        """All grid points, radius-major (all angles of radii[0] first); read-only."""
         theta = 2.0 * np.pi * np.arange(self.angles) / self.angles
         ring = np.exp(1j * theta)
-        return (np.asarray(self.radii)[:, None] * ring[None, :]).ravel()
+        points = (np.asarray(self.radii)[:, None] * ring[None, :]).ravel()
+        points.flags.writeable = False
+        return points
 
 
 @dataclass

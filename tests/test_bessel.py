@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -101,6 +102,10 @@ def test_c_zero_is_constant_one():
     res = eval_u(params, 0.3 + 0.4j, order=3)
     assert res.values[0] == 1.0
     assert res.values[1] == 0.0 and res.values[2] == 0.0 and res.values[3] == 0.0
+    zs = np.array([0.0, 0.3 + 0.4j, -0.999, 1j])
+    for kappa in (0.2, 1.5, -0.5, -2.7):
+        values, _ = eval_u_many(make_params(kappa - 1.5, 2.0, 0.0), zs, order=3)
+        assert np.all(values[0] == 1.0) and np.all(values[1:] == 0.0)
 
 
 def test_normalization_at_origin():
@@ -218,13 +223,17 @@ def test_outside_disk_rejected():
 
 
 def test_no_convergence_with_tiny_term_budget():
+    params = make_params(-1.0, 2.0, 4.0)
+    cfg = EvalConfig(max_terms=4)
     with pytest.raises(NoConvergence):
-        eval_u(make_params(-1.0, 2.0, 4.0), 0.999, order=0, cfg=EvalConfig(max_terms=4))
+        eval_u(params, 0.999, order=0, cfg=cfg)
+    with pytest.raises(NoConvergence):
+        eval_u_many(params, np.array([0.999, 0.1j]), order=0, cfg=cfg)
 
 
 def test_batch_agrees_with_scalar_and_is_deterministic():
-    # The batch path shares one truncation index across all points, so it
-    # may differ from the adaptive scalar path in the last bit; it must be
+    # The batch path truncates a priori and sums by Horner's rule, so it may
+    # differ from the adaptive scalar path in the last bits; it must be
     # bit-identical to itself on a repeated call.
     rng = np.random.default_rng(23)
     params = make_params(0.3, 1.2, -2.5)
@@ -239,6 +248,63 @@ def test_batch_agrees_with_scalar_and_is_deterministic():
     again, terms_again = eval_u_many(params, zs, order=2)
     assert terms_again == terms
     assert np.array_equal(values, again)
+
+
+def test_batch_values_do_not_depend_on_the_batch():
+    # The truncation index depends on (kappa, c, order) only and Horner's
+    # rule is elementwise, so a point's values are the same to the bit alone,
+    # in a batch, and at another position of a permuted batch.
+    rng = np.random.default_rng(37)
+    params = make_params(-2.2, 2.0, 3.5)
+    zs = np.concatenate([rand_disk(rng, 17), np.exp(2j * math.pi * rng.uniform(size=4))])
+    perm = rng.permutation(zs.size)
+    for order in range(4):
+        values, terms = eval_u_many(params, zs, order=order)
+        shuffled, shuffled_terms = eval_u_many(params, zs[perm], order=order)
+        assert shuffled_terms == terms
+        assert np.array_equal(shuffled, values[:, perm])
+        for i in range(zs.size):
+            alone, alone_terms = eval_u_many(params, zs[i : i + 1], order=order)
+            assert alone_terms == terms
+            assert np.array_equal(alone[:, 0], values[:, i])
+
+
+def _abs_term_sum(kappa, c, r, j):
+    """sum_k |a_k| k!/(k-j)! r^(k-j): the scale of rounding error in u^(j) on |z| = r."""
+    coef, total = 1.0, 0.0
+    for k in range(400):
+        if k > 0:
+            coef *= (-c / 4.0) / ((kappa + k - 1.0) * k)
+        if k >= j:
+            total += abs(coef) * math.perm(k, j) * r ** (k - j)
+    return total
+
+
+@pytest.mark.parametrize("kappa", [0.2, 1.5, -0.5, -2.7])
+@pytest.mark.parametrize("c_abs", [1.0, 4.0, 60.0, 150.0])
+def test_batch_matches_mpmath_hyp0f1(kappa, c_abs):
+    # u^(j)(z) = x^j / (kappa)_j * 0F1(; kappa+j; x z) with x = -c/4.  The
+    # error is at most the truncation tolerance plus terms * eps * sum|t_k|
+    # (cancellation grows with |c|), and below 1e-12 relative for |c| <= 4.
+    eps = np.finfo(float).eps
+    angles = np.exp(2j * math.pi * np.arange(8) / 8 + 0.1j)
+    for c in (c_abs, -c_abs):
+        params = make_params(kappa - 1.5, 2.0, c)
+        k = params.kappa
+        for r in (0.999, 1.0):
+            zs = r * angles
+            values, terms = eval_u_many(params, zs, order=3)
+            for j in range(4):
+                bound = DEFAULT_CONFIG.rel_tol + terms * eps * _abs_term_sum(k, c, r, j)
+                with mpmath.workdps(40):
+                    x = mpmath.mpf(-c) / 4
+                    scale = x**j / mpmath.rf(k, j)
+                    exact = [complex(scale * mpmath.hyp0f1(k + j, x * complex(z))) for z in zs]
+                for got, want in zip(values[j], exact):
+                    err = abs(got - want)
+                    assert err <= bound
+                    if c_abs <= 4.0:
+                        assert err <= 1e-12 * abs(want)
 
 
 @pytest.mark.parametrize(
