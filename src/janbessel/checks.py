@@ -498,21 +498,28 @@ def mccarty_bounds(
     )
 
 
+def _subordination_head(B: float, kappa: float, r, s, t):
+    """The part of the subordination Psi that holds sigma and mu: t - 2(1+B) s^2/den + kappa s."""
+    den = (1.0 - B) + (1.0 + B) * r
+    return t - 2.0 * (1.0 + B) * s * s / den + kappa * s
+
+
+def _subordination_z_term(A: float, B: float, c: float, r, z):
+    """The only part of the subordination Psi that holds z: den ((1-A)+(1+A) r) c z / (8 (A-B))."""
+    den = (1.0 - B) + (1.0 + B) * r
+    return den * ((1.0 - A) + (1.0 + A) * r) * c * z / (8.0 * (A - B))
+
+
 def _psi_formula(which: str, A: float, B: float, kappa: float, c: float, r, s, t, z):
     """Psi at r = i rho, s = sigma, t = mu + i nu and the disk point z.
 
     Written with plain arithmetic operators only, so the same expression
     serves Python scalars and numpy arrays that broadcast together.  The
-    convexity form ignores t.  Callers validate `which`.
+    convexity form ignores t.  Callers validate `which`.  The subordination
+    form is head + z-term, summed in that order.
     """
     if which == PSI_SUBORDINATION:
-        den = (1.0 - B) + (1.0 + B) * r
-        return (
-            t
-            - 2.0 * (1.0 + B) * s * s / den
-            + kappa * s
-            + den * ((1.0 - A) + (1.0 + A) * r) * c * z / (8.0 * (A - B))
-        )
+        return _subordination_head(B, kappa, r, s, t) + _subordination_z_term(A, B, c, r, z)
     f1 = (A - B) / 2.0 + kappa * (1.0 + B) / 2.0 + c * z * (1.0 + B) ** 2 / (8.0 * (A - B))
     f2 = -(A - B) - kappa * B + c * (1.0 - B * B) * z / (4.0 * (A - B))
     f3 = (A - B) / 2.0 - kappa * (1.0 - B) / 2.0 + c * z * (1.0 - B) ** 2 / (8.0 * (A - B))

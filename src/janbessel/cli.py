@@ -18,7 +18,8 @@ Values starting with a dash need the --flag=value form.
 Exit codes: 0 success with a holding/satisfied verdict (or no verdict);
 1 clean completion with a negative verdict (not satisfied, counterexample,
 scan soundness conflicts, nonnegative admissibility maximum, zero radius);
-2 usage errors; 3 numeric failures (invalid kappa, series non-convergence).
+2 usage errors (including admissibility inputs on which Re Psi is not
+finite); 3 numeric failures (invalid kappa, series non-convergence).
 
 The payload for fixed flags is deterministic: reruns differ only in the
 timestamp field.

@@ -27,13 +27,21 @@ circle.  The precondition is not checked yet (a known defect).
 admissibility_scan maximizes Re Psi over a grid of the admissible set
 (sigma at depth multiples of its bound, mu between 0 and -sigma, nu = 0
 since Re Psi never depends on nu); a negative maximum corroborates the sufficient
-conditions' engine.  region_scan sweeps a (kappa, c) rectangle and pairs the
-checker verdict, any applicable corollary verdict, and the sampled verdict
-cell by cell.
+conditions' engine.  It returns the full grid's maximum bit for bit while
+evaluating little of the grid.  In the subordination form z enters only
+through a last summand free of sigma and mu, so, rounding being monotone,
+the maximum over z is taken once per rho.  In the convexity form the
+shallowest sigma slice dominates every deeper one elementwise.
+region_scan sweeps a (kappa, c) rectangle and pairs the checker verdict, any
+applicable corollary verdict, and the sampled verdict cell by cell.
 
-Determinism: grids are fixed by their parameters and ties resolve to the
-first grid point in radius-major order, so identical inputs give
-bit-identical results.
+Determinism: grids are fixed by their parameters, so identical inputs give
+bit-identical results.  Exact ties go to the first grid point in
+radius-major order.  u has real coefficients, so w(conj z) = conj w(z) in
+exact arithmetic, but the mirror points at angles theta and 2 pi - theta are
+not exact conjugates in floating point: between mirror twins the argmin is
+decided by last-bit rounding, and any last-bit change to the series can
+move a witness to its mirror.
 """
 
 from __future__ import annotations
@@ -58,6 +66,8 @@ from .checks import (
     CheckOutcome,
     ZeroC,
     _psi_formula,
+    _subordination_head,
+    _subordination_z_term,
     check_corollary,
     check_theorem,
 )
@@ -207,10 +217,14 @@ def verify_membership(
 ) -> VerificationReport:
     """Test the functional's region membership on a polar sample of the disk.
 
-    The minimum margin and its witness come from the base grid (ties resolve
-    to the first point in radius-major order); one angular refinement pass
-    then resamples the witness circle at 1/REFINE_FACTOR of the angular step
-    and keeps whatever smaller margin it finds.
+    The minimum margin and its witness come from the base grid; one angular
+    refinement pass then resamples the witness circle at 1/REFINE_FACTOR of
+    the angular step and keeps whatever smaller margin it finds (only if
+    strictly smaller).  Exact ties go to the first point in radius-major
+    order, on the grid and on the refinement arc.  Mirror points (angles
+    theta and 2 pi - theta) are not exact conjugates in floating point, so
+    which of two mirror twins becomes the witness is decided by last-bit
+    rounding.
     """
     if grid is None:
         grid = SampleGrid.default()
@@ -306,6 +320,19 @@ def property_radius(
     return lo
 
 
+def _require_finite(values: np.ndarray) -> None:
+    if not np.isfinite(values).all():
+        raise ValueError("Re Psi is not finite on the admissibility grid")
+
+
+# The admissibility scan's 65 z samples: the origin, then radii
+# 0.25/0.5/0.75/0.95 with 16 angles each (radius-major).
+ADMISSIBILITY_Z = np.concatenate(
+    [np.zeros(1, dtype=complex), SampleGrid(radii=(0.25, 0.5, 0.75, 0.95), angles=16).points()]
+)
+ADMISSIBILITY_Z.flags.writeable = False
+
+
 def admissibility_scan(
     which: str,
     pair: JanowskiPair,
@@ -313,56 +340,91 @@ def admissibility_scan(
     c: float,
     rho_max: float = 8.0,
     sigma_depth: int = 4,
-    z_grid: SampleGrid | None = None,
 ) -> tuple[float, AdmissibilityProbe]:
     """Maximize Re Psi over a grid of the admissible set.
 
     rho runs over 201 uniform points of [-rho_max, rho_max]; sigma takes the
     values -s (1 + rho^2)/2 for s = 1, 1.5, ..., (sigma_depth values); for the
     subordination form mu runs over {0, -sigma/2, -sigma}; nu is fixed at 0
-    since Re Psi does not involve it.  The z samples are the origin plus the
-    points of z_grid (default: radii 0.25/0.5/0.75/0.95 with 16 angles).
-    Returns (max Re Psi, probe attaining it).
+    since Re Psi does not involve it.  z runs over ADMISSIBILITY_Z.
+    Returns (max Re Psi, probe attaining it): the first maximum over the
+    slices in (sigma, mu) order, and within a slice the first in (rho, z)
+    order.
+
+    The result is bit-equal to evaluating every grid point, with less work:
+
+    * subordination: Psi = head(rho, sigma, mu) + L(rho, z), where only the
+      last summand L holds z.  Floating-point addition rounds monotonically,
+      so fl(h + max_j Re L_j) = max_j fl(h + Re L_j).  Re L and its row maxima
+      are computed once; each (sigma, mu) slice then costs one 201-vector of
+      heads.  Only a slice's best row is summed over z again, for the probe z.
+    * convexity: Psi = ((sigma + F1 r^2) + F2 r) + F3, and the s = 1 sigma is
+      the largest at every rho, so that slice is elementwise >= every deeper
+      one and is the only one evaluated.
+
+    Raises ValueError for an unknown form, a non-finite or non-positive
+    rho_max, a non-finite kappa or c, sigma_depth < 2, or when Re Psi is not
+    finite on what is evaluated (the subordination z-term and row maxima, or
+    the convexity slice).
     """
     if which not in PSI_FORMS:
         raise ValueError(f"unknown functional {which!r}; expected one of {PSI_FORMS}")
-    if not (rho_max > 0.0):
-        raise ValueError(f"rho_max must be positive, got {rho_max}")
+    if not (math.isfinite(rho_max) and rho_max > 0.0):
+        raise ValueError(f"rho_max must be positive and finite, got {rho_max}")
     if sigma_depth < 2:
         raise ValueError(f"sigma_depth must be at least 2, got {sigma_depth}")
-    if z_grid is None:
-        z_grid = SampleGrid(radii=(0.25, 0.5, 0.75, 0.95), angles=16)
-
     kappa = float(kappa)
     c = float(c)
-    rhos = np.linspace(-rho_max, rho_max, 201)
-    zs = np.concatenate([np.zeros(1, dtype=complex), z_grid.points()])
-    R = 1j * rhos[:, None]
-    Z = zs[None, :]
-    s_factors = [1.0 + 0.5 * i for i in range(sigma_depth)]
-    m_factors = [0.0, 0.5, 1.0] if which == PSI_SUBORDINATION else [0.0]
+    if not (math.isfinite(kappa) and math.isfinite(c)):
+        raise ValueError(f"kappa and c must be finite, got kappa = {kappa}, c = {c}")
 
-    best = -math.inf
-    best_probe: AdmissibilityProbe | None = None
-    for s_fac in s_factors:
-        sigma = -s_fac * (1.0 + rhos**2) / 2.0
-        S = sigma[:, None]
-        for m_fac in m_factors:
-            re = np.real(_psi_formula(which, pair.A, pair.B, kappa, c, R, S, (-m_fac) * S, Z))
-            flat = int(np.argmax(re))
-            value = float(re.flat[flat])
-            if value > best:
-                i, j = divmod(flat, re.shape[1])
-                best = value
-                best_probe = AdmissibilityProbe(
-                    rho=float(rhos[i]),
-                    sigma=float(sigma[i]),
-                    mu=float(-m_fac * sigma[i]),
-                    nu=0.0,
-                    z=complex(zs[j]),
-                )
-    assert best_probe is not None
-    return best, best_probe
+    A, B = pair.A, pair.B
+    # Overflow and NaN are reported below as a ValueError, not as warnings.
+    with np.errstate(all="ignore"):
+        rhos = np.linspace(-rho_max, rho_max, 201)
+        R = 1j * rhos[:, None]
+        Z = ADMISSIBILITY_Z[None, :]
+        if which == PSI_SUBORDINATION:
+            s_factors = [1.0 + 0.5 * i for i in range(sigma_depth)]
+            m_factors = [0.0, 0.5, 1.0]
+            tail = np.real(_subordination_z_term(A, B, c, R, Z))
+            _require_finite(tail)
+            tail_max = tail.max(axis=1)
+        else:
+            # sigma = -s (1 + rho^2)/2 is largest at s = 1 (rounding is
+            # monotone), and Re Psi is nondecreasing in its first summand sigma,
+            # so deeper slices can never beat this one under the strict ">".
+            s_factors = [1.0]
+            m_factors = [0.0]
+
+        best = -math.inf
+        for s_fac in s_factors:
+            sigma = -s_fac * (1.0 + rhos**2) / 2.0
+            S = sigma[:, None]
+            for m_fac in m_factors:
+                if which == PSI_SUBORDINATION:
+                    head = np.real(_subordination_head(B, kappa, R, S, (-m_fac) * S))[:, 0]
+                    rows = head + tail_max
+                    _require_finite(rows)
+                else:
+                    values = np.real(_psi_formula(which, A, B, kappa, c, R, S, (-m_fac) * S, Z))
+                    _require_finite(values)
+                    rows = values.max(axis=1)
+                i = int(np.argmax(rows))
+                if rows[i] > best:
+                    best = rows[i]
+                    win_i, win_sigma, win_m = i, sigma, m_fac
+                    win_row = head[i] + tail[i] if which == PSI_SUBORDINATION else values[i]
+
+    # Every slice is finite, so the first one set the winner.
+    j = int(np.argmax(win_row))
+    return float(win_row[j]), AdmissibilityProbe(
+        rho=float(rhos[win_i]),
+        sigma=float(win_sigma[win_i]),
+        mu=float(-win_m * win_sigma[win_i]),
+        nu=0.0,
+        z=complex(ADMISSIBILITY_Z[j]),
+    )
 
 
 @dataclass

@@ -172,6 +172,22 @@ def test_admissibility_verb(capsys):
     assert probe["rho"] == 0.0 and probe["sigma"] == -0.5 and probe["mu"] == 0.5
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--kappa", "inf", "--c=-1"],
+        ["--kappa", "2", "--c", "nan"],
+        ["--kappa", "2", "--c=-1", "--rho-max", "inf"],
+        ["--kappa", "2", "--c=-1", "--rho-max", "1e200"],
+    ],
+)
+def test_admissibility_non_finite_input_exits_two(capsys, flags):
+    argv = ["admissibility", "--which", "subordination", "--A", "0", "--B=-1"] + flags
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+
+
 def test_bounds_verb(capsys):
     code, doc = run_json(capsys, ["bounds", "--p", "1", "--z", "0.5,0"])
     assert code == 0

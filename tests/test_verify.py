@@ -22,6 +22,7 @@ from janbessel import (
     scan_conflicts,
     verify_membership,
 )
+from janbessel.checks import _psi_formula
 
 HALF_PAIR = JanowskiPair(0.0, -1.0)
 SMALL_GRID = SampleGrid(radii=tuple(np.geomspace(0.05, 0.999, 6)), angles=16)
@@ -279,11 +280,85 @@ def test_admissibility_scan_maximum_is_eval_psi_at_its_probe():
             assert abs(at_probe - mx) <= 1e-12 * max(1.0, abs(mx)), (which, pair, kappa, c)
 
 
+def _reference_admissibility_scan(which, pair, kappa, c, rho_max=8.0, sigma_depth=4):
+    # The full-grid loop: every (sigma, mu) slice over every (rho, z) pair,
+    # strict ">" across slices, first flat argmax within one.
+    rhos = np.linspace(-rho_max, rho_max, 201)
+    z_grid = SampleGrid(radii=(0.25, 0.5, 0.75, 0.95), angles=16)
+    zs = np.concatenate([np.zeros(1, dtype=complex), z_grid.points()])
+    R = 1j * rhos[:, None]
+    Z = zs[None, :]
+    s_factors = [1.0 + 0.5 * i for i in range(sigma_depth)]
+    m_factors = [0.0, 0.5, 1.0] if which == "subordination" else [0.0]
+    best = -math.inf
+    best_probe = None
+    for s_fac in s_factors:
+        sigma = -s_fac * (1.0 + rhos**2) / 2.0
+        S = sigma[:, None]
+        for m_fac in m_factors:
+            re = np.real(_psi_formula(which, pair.A, pair.B, kappa, c, R, S, (-m_fac) * S, Z))
+            flat = int(np.argmax(re))
+            value = float(re.flat[flat])
+            if value > best:
+                i, j = divmod(flat, re.shape[1])
+                best = value
+                best_probe = AdmissibilityProbe(
+                    rho=float(rhos[i]),
+                    sigma=float(sigma[i]),
+                    mu=float(-m_fac * sigma[i]),
+                    nu=0.0,
+                    z=complex(zs[j]),
+                )
+    return best, best_probe
+
+
+def _same_bits(x, y):
+    return x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
+
+
+def test_admissibility_scan_equals_full_grid_reference():
+    rng = np.random.default_rng(211)
+    # At B = -1 and kappa = 1 the head is sigma (1 - mu factor), so the
+    # mu = -sigma slices tie exactly across sigma and the strict ">" decides.
+    cases = [
+        (JanowskiPair(0.0, -1.0), 2.0, -1.0),
+        (JanowskiPair(0.0, -1.0), 1.0, -1.0),
+        (JanowskiPair(1.0, 0.999999), 60.0, 200.0),
+    ]
+    for k in range(24):
+        B = (-1.0, 0.999999, rng.uniform(-1.0, 0.9))[k % 3]
+        A = 1.0 if B == 0.999999 else rng.uniform(B + 0.01, 1.0)
+        kappa = rng.uniform(0.0, 60.0)
+        c = (0.0, rng.uniform(-200.0, 200.0), rng.uniform(-4.0, 4.0), -200.0)[k % 4]
+        cases.append((JanowskiPair(A, B), kappa, c))
+    for pair, kappa, c in cases:
+        for which in ("subordination", "convexity"):
+            for kwargs in ({}, {"rho_max": 3.0, "sigma_depth": 2}):
+                mx, probe = admissibility_scan(which, pair, kappa, c, **kwargs)
+                ref_mx, ref = _reference_admissibility_scan(which, pair, kappa, c, **kwargs)
+                where = (which, pair, kappa, c, kwargs)
+                assert _same_bits(mx, ref_mx), where
+                assert probe == ref, where
+                for field in ("rho", "sigma", "mu", "nu"):
+                    assert _same_bits(getattr(probe, field), getattr(ref, field)), where
+
+
 def test_admissibility_scan_validation():
     with pytest.raises(ValueError):
         admissibility_scan("subordination", HALF_PAIR, 2.0, -1.0, rho_max=0.0)
     with pytest.raises(ValueError):
         admissibility_scan("subordination", HALF_PAIR, 2.0, -1.0, sigma_depth=1)
+
+
+@pytest.mark.parametrize("which", ["subordination", "convexity"])
+@pytest.mark.parametrize(
+    "kappa, c, rho_max",
+    [(math.inf, -1.0, 8.0), (2.0, math.nan, 8.0), (2.0, -1.0, math.inf), (2.0, -1.0, 1e200)],
+)
+def test_admissibility_scan_rejects_non_finite(which, kappa, c, rho_max):
+    # 1e200 is finite, but rho^2 overflows, so Re Psi is not finite on the grid.
+    with pytest.raises(ValueError):
+        admissibility_scan(which, HALF_PAIR, kappa, c, rho_max=rho_max)
 
 
 def test_satisfied_tuples_are_admissible():
