@@ -21,15 +21,14 @@ the series equals sin(sqrt(z))/sqrt(z) at p = 0, and for b = 2, c = -1 it
 equals sinh(sqrt(z))/sqrt(z).  The parameter b enters only through kappa,
 so triples with equal (kappa, c) define the same function.
 
-Derivatives up to third order come from term-wise differentiation.
-eval_u_many truncates a priori: on |z| <= R = 1 + DISK_SLACK the j-th
+Derivatives up to third order come from term-wise differentiation, and
+eval_u and eval_u_many sum the same truncated series by Horner's rule.  The
+term count is fixed a priori: on |z| <= R = 1 + DISK_SLACK the j-th
 derivative's term k is at most |a_k| k!/(k-j)! R^(k-j), and once kappa + k > 0
 later terms shrink by at most rho = |c| R / (4 (kappa+k)(k+1-order)) per step.
-It sums through the first such k with rho < 1/2 and max_j |a_k| k!/(k-j)!
-R^(k-j) / (1-rho) <= rel_tol, so the omitted tail is below rel_tol absolutely
-at every point, or raises NoConvergence at max_terms.  eval_u keeps its adaptive
-rule, stopping after two successive terms below rel_tol * max(1, |partial
-sum|): for one point at order 0 it took 14-15 us against 22-24 us on the rows.
+The sum runs through the first such k with rho < 1/2 and max_j |a_k| k!/(k-j)!
+R^(k-j) / (1-rho) <= rel_tol, so the omitted tail is below rel_tol / 2
+absolutely at every point, or raises NoConvergence at max_terms.
 """
 
 from __future__ import annotations
@@ -105,9 +104,10 @@ def make_params(p: float, b: float, c: float) -> BesselParams:
 class EvalConfig:
     """Series truncation policy.
 
-    rel_tol bounds eval_u_many's truncated tail absolutely and eval_u's last
-    terms against max(1, |partial sum|).  max_terms caps the summation; hitting
-    the cap raises NoConvergence rather than returning a silent truncation.
+    rel_tol bounds the last summed term and the omitted tail together,
+    absolutely on |z| <= 1 + DISK_SLACK (see the module docstring).  max_terms
+    caps the summation; hitting the cap raises NoConvergence rather than
+    returning a silent truncation.
     """
 
     rel_tol: float = 1e-14
@@ -125,7 +125,11 @@ DEFAULT_CONFIG = EvalConfig()
 
 @dataclass
 class EvalResult:
-    """values[j] is the j-th derivative at z; terms_used counts summed terms."""
+    """values[j] is the j-th derivative at z; terms_used counts summed terms.
+
+    truncation_estimate is the a-priori bound on the omitted tail of every
+    returned derivative on |z| <= 1 + DISK_SLACK, at most rel_tol / 2.
+    """
 
     values: list[complex]
     terms_used: int
@@ -139,72 +143,10 @@ def _check_disk(z: complex) -> complex:
     return z
 
 
-def eval_u(
-    params: BesselParams,
-    z: complex,
-    order: int = 0,
-    cfg: EvalConfig = DEFAULT_CONFIG,
-) -> EvalResult:
-    """Evaluate u and its derivatives up to `order` (0..3) at a disk point.
+def _coefficients(kappa: float, c: float, order: int, rel_tol: float, max_terms: int):
+    """(a, tail): Taylor coefficients a_0..a_{n-1} of u and the omitted tail's bound.
 
-    A single pass accumulates all requested series; the term for the j-th
-    derivative at index k is k(k-1)...(k-j+1) * a_k * z^(k-j) with a_k the
-    series coefficient.  Stops after two consecutive indices whose terms are
-    all below tolerance; raises NoConvergence at the term cap.
-    """
-    if order not in range(MAX_ORDER + 1):
-        raise ValueError(f"order must be one of 0..{MAX_ORDER}, got {order}")
-    z = _check_disk(z)
-    kappa = params.kappa
-    ratio_num = -params.c / 4.0
-
-    sums = [0j] * (order + 1)
-    # zpow[j] holds z^(k-j); entries are only read once k >= j.
-    zpow = [1.0 + 0j, 0j, 0j, 0j]
-    coef = 1.0
-    below_streak = 0
-    last_term0 = 1.0
-
-    for k in range(cfg.max_terms):
-        if k > 0:
-            coef *= ratio_num / ((kappa + k - 1.0) * k)
-            zpow[3] = zpow[2]
-            zpow[2] = zpow[1]
-            zpow[1] = zpow[0]
-            zpow[0] = zpow[0] * z
-        all_below = True
-        for j in range(order + 1):
-            if k < j:
-                continue
-            fall = 1.0
-            for i in range(j):
-                fall *= k - i
-            term = (fall * coef) * zpow[j]
-            sums[j] += term
-            mag = abs(term)
-            if j == 0:
-                last_term0 = mag
-            if mag > cfg.rel_tol * max(1.0, abs(sums[j])):
-                all_below = False
-        below_streak = below_streak + 1 if all_below else 0
-        if below_streak >= 2:
-            return EvalResult(
-                values=list(sums),
-                terms_used=k + 1,
-                truncation_estimate=last_term0,
-            )
-    raise NoConvergence(
-        f"series did not settle within {cfg.max_terms} terms "
-        f"(kappa={kappa}, c={params.c}, |z|={abs(z)})"
-    )
-
-
-# verify_membership asks twice for one (kappa, c, order), property_radius once a circle.
-@functools.lru_cache(maxsize=128)
-def _series_rows(kappa: float, c: float, order: int, rel_tol: float, max_terms: int):
-    """(columns, n): Taylor coefficients of u, ..., u^(order), truncated a priori.
-
-    Read-only columns[m] has shape (order+1, 1); row j is a_{m+j} (m+j)!/m!.
+    n and tail follow the a-priori rule of the module docstring.
     """
     radius = 1.0 + DISK_SLACK
     coefs = [1.0]
@@ -215,18 +157,49 @@ def _series_rows(kappa: float, c: float, order: int, rel_tol: float, max_terms: 
             # perm(k, order) R^k bounds k!/(k-j)! R^(k-j) for every j <= order.
             bound = abs(coefs[-1]) * math.perm(k, order) * radius**k
             if rho < 0.5 and bound <= rel_tol * (1.0 - rho):
-                break
-    else:
-        raise NoConvergence(f"no tail bound within {max_terms} terms (kappa={kappa}, c={c})")
-    a = np.array(coefs)
-    n = a.size
-    rows = np.zeros((order + 1, n), dtype=complex)
-    fall = np.ones(n)  # fall[m] = (m+j)!/m!, exact in floating point
+                return coefs, bound * rho / (1.0 - rho)
+    raise NoConvergence(f"no tail bound within {max_terms} terms (kappa={kappa}, c={c})")
+
+
+def eval_u(
+    params: BesselParams,
+    z: complex,
+    order: int = 0,
+    cfg: EvalConfig = DEFAULT_CONFIG,
+) -> EvalResult:
+    """Evaluate u and its derivatives up to `order` (0..3) at a disk point.
+
+    The j-th derivative is sum_k k!/(k-j)! a_k z^(k-j) over the coefficients
+    a_0..a_{n-1} that eval_u_many sums, by Horner's rule; terms_used is n and
+    truncation_estimate the tail bound.  Raises NoConvergence at the term cap.
+    """
+    if order not in range(MAX_ORDER + 1):
+        raise ValueError(f"order must be one of 0..{MAX_ORDER}, got {order}")
+    z = _check_disk(z)
+    a, tail = _coefficients(params.kappa, params.c, order, cfg.rel_tol, cfg.max_terms)
+    values = []
     for j in range(order + 1):
-        rows[j, : n - j] = fall * a[j:]
-        fall = fall[:-1] * np.arange(j + 1, n)
+        s = 0j
+        for k in range(len(a) - 1, j - 1, -1):
+            s = s * z + math.perm(k, j) * a[k]
+        values.append(s)
+    return EvalResult(values=values, terms_used=len(a), truncation_estimate=tail)
+
+
+# verify_membership asks twice for one (kappa, c, order), property_radius once a circle.
+@functools.lru_cache(maxsize=128)
+def _series_rows(kappa: float, c: float, order: int, rel_tol: float, max_terms: int):
+    """Columns of the Taylor coefficients of u, ..., u^(order), truncated a priori.
+
+    Read-only columns[m] has shape (order+1, 1); row j is a_{m+j} (m+j)!/m!.
+    """
+    a, _ = _coefficients(kappa, c, order, rel_tol, max_terms)
+    n = len(a)
+    rows = np.zeros((order + 1, n), dtype=complex)
+    for j in range(order + 1):
+        rows[j, : n - j] = [math.perm(k, j) * a[k] for k in range(j, n)]
     rows.flags.writeable = False
-    return tuple(rows[:, m : m + 1] for m in range(n)), n
+    return tuple(rows[:, m : m + 1] for m in range(n))
 
 
 def eval_u_many(
@@ -251,7 +224,7 @@ def eval_u_many(
     if np.any(np.abs(zs) > 1.0 + DISK_SLACK):
         raise ValueError("evaluation is restricted to |z| <= 1")
 
-    columns, terms = _series_rows(params.kappa, params.c, order, cfg.rel_tol, cfg.max_terms)
+    columns = _series_rows(params.kappa, params.c, order, cfg.rel_tol, cfg.max_terms)
     # numpy rounds a one-element complex product taken in place or broadcast
     # differently; a row of zs and a second buffer keep every batch on one loop.
     row = zs[None, :]
@@ -260,7 +233,7 @@ def eval_u_many(
     for column in reversed(columns):
         np.multiply(values, row, out=products)
         np.add(products, column, out=values)
-    return values, terms
+    return values, len(columns)
 
 
 def ode_residual(

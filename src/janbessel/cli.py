@@ -18,8 +18,9 @@ Values starting with a dash need the --flag=value form.
 Exit codes: 0 success with a holding/satisfied verdict (or no verdict);
 1 clean completion with a negative verdict (not satisfied, counterexample,
 scan soundness conflicts, nonnegative admissibility maximum, zero radius);
-2 usage errors (including admissibility inputs on which Re Psi is not
-finite); 3 numeric failures (invalid kappa, series non-convergence).
+2 usage errors (including a --sigma-depth above MAX_SIGMA_DEPTH and
+admissibility inputs on which Re Psi is not finite); 3 numeric failures
+(invalid kappa, series non-convergence).
 
 The payload for fixed flags is deterministic: reruns differ only in the
 timestamp field.
@@ -61,6 +62,7 @@ from .checks import (
 )
 from .geometry import DegenerateDenominator, JanowskiPair, OrderOutOfRange
 from .verify import (
+    MAX_SIGMA_DEPTH,
     SELECTORS,
     SampleGrid,
     ScanRow,
@@ -331,7 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_adm.add_argument("--kappa", type=float, required=True)
     p_adm.add_argument("--c", type=float, required=True)
     p_adm.add_argument("--rho-max", type=float, default=8.0)
-    p_adm.add_argument("--sigma-depth", type=int, default=4)
+    p_adm.add_argument("--sigma-depth", type=int, default=4,
+                       help=f"sigma slices, 2..{MAX_SIGMA_DEPTH}; --which convexity "
+                       "ignores it, since only its s = 1 slice can attain the maximum")
     p_adm.add_argument("--output", default=None)
 
     p_bounds = sub.add_parser("bounds", help="pointwise bounds for i_p")

@@ -331,6 +331,8 @@ ADMISSIBILITY_Z = np.concatenate(
     [np.zeros(1, dtype=complex), SampleGrid(radii=(0.25, 0.5, 0.75, 0.95), angles=16).points()]
 )
 ADMISSIBILITY_Z.flags.writeable = False
+# The deepest sigma grid admissibility_scan accepts (about 0.1 s at the limit).
+MAX_SIGMA_DEPTH = 1000
 
 
 def admissibility_scan(
@@ -346,7 +348,9 @@ def admissibility_scan(
     rho runs over 201 uniform points of [-rho_max, rho_max]; sigma takes the
     values -s (1 + rho^2)/2 for s = 1, 1.5, ..., (sigma_depth values); for the
     subordination form mu runs over {0, -sigma/2, -sigma}; nu is fixed at 0
-    since Re Psi does not involve it.  z runs over ADMISSIBILITY_Z.
+    since Re Psi does not involve it.  z runs over ADMISSIBILITY_Z.  The
+    convexity form's answer does not depend on sigma_depth: only its s = 1
+    slice can win (see below), so sigma_depth is only validated there.
     Returns (max Re Psi, probe attaining it): the first maximum over the
     slices in (sigma, mu) order, and within a slice the first in (rho, z)
     order.
@@ -363,16 +367,16 @@ def admissibility_scan(
       one and is the only one evaluated.
 
     Raises ValueError for an unknown form, a non-finite or non-positive
-    rho_max, a non-finite kappa or c, sigma_depth < 2, or when Re Psi is not
-    finite on what is evaluated (the subordination z-term and row maxima, or
-    the convexity slice).
+    rho_max, a non-finite kappa or c, sigma_depth outside 2..MAX_SIGMA_DEPTH,
+    or when Re Psi is not finite on what is evaluated (the subordination
+    z-term and row maxima, or the convexity slice).
     """
     if which not in PSI_FORMS:
         raise ValueError(f"unknown functional {which!r}; expected one of {PSI_FORMS}")
     if not (math.isfinite(rho_max) and rho_max > 0.0):
         raise ValueError(f"rho_max must be positive and finite, got {rho_max}")
-    if sigma_depth < 2:
-        raise ValueError(f"sigma_depth must be at least 2, got {sigma_depth}")
+    if not 2 <= sigma_depth <= MAX_SIGMA_DEPTH:
+        raise ValueError(f"sigma_depth must lie in 2..{MAX_SIGMA_DEPTH}, got {sigma_depth}")
     kappa = float(kappa)
     c = float(c)
     if not (math.isfinite(kappa) and math.isfinite(c)):

@@ -198,9 +198,7 @@ def test_truncation_estimate_respects_tolerance():
         params = rand_params(rng)
         z = complex(rand_disk(rng, 1)[0])
         res = eval_u(params, z, order=0)
-        assert res.truncation_estimate <= DEFAULT_CONFIG.rel_tol * max(
-            1.0, abs(res.values[0])
-        )
+        assert res.truncation_estimate <= DEFAULT_CONFIG.rel_tol
         assert 1 <= res.terms_used <= DEFAULT_CONFIG.max_terms
 
 
@@ -232,8 +230,9 @@ def test_no_convergence_with_tiny_term_budget():
 
 
 def test_batch_agrees_with_scalar_and_is_deterministic():
-    # The batch path truncates a priori and sums by Horner's rule, so it may
-    # differ from the adaptive scalar path in the last bits; it must be
+    # Both paths sum the same a-priori truncated coefficients by Horner's
+    # rule, so they agree on the term count; numpy's complex loops may round
+    # differently from Python's in the last bits.  The batch path must be
     # bit-identical to itself on a repeated call.
     rng = np.random.default_rng(23)
     params = make_params(0.3, 1.2, -2.5)
@@ -242,6 +241,7 @@ def test_batch_agrees_with_scalar_and_is_deterministic():
     assert values.shape == (3, 20)
     for j, z in enumerate(zs):
         scalar = eval_u(params, complex(z), order=2)
+        assert scalar.terms_used == terms
         for k in range(3):
             assert abs(values[k, j] - scalar.values[k]) < 1e-13
     assert terms >= 1
@@ -284,8 +284,9 @@ def _abs_term_sum(kappa, c, r, j):
 @pytest.mark.parametrize("c_abs", [1.0, 4.0, 60.0, 150.0])
 def test_batch_matches_mpmath_hyp0f1(kappa, c_abs):
     # u^(j)(z) = x^j / (kappa)_j * 0F1(; kappa+j; x z) with x = -c/4.  The
-    # error is at most the truncation tolerance plus terms * eps * sum|t_k|
-    # (cancellation grows with |c|), and below 1e-12 relative for |c| <= 4.
+    # error of eval_u_many and of scalar eval_u is at most the truncation
+    # tolerance plus terms * eps * sum|t_k| (cancellation grows with |c|), and
+    # below 1e-12 relative for |c| <= 4.
     eps = np.finfo(float).eps
     angles = np.exp(2j * math.pi * np.arange(8) / 8 + 0.1j)
     for c in (c_abs, -c_abs):
@@ -294,17 +295,19 @@ def test_batch_matches_mpmath_hyp0f1(kappa, c_abs):
         for r in (0.999, 1.0):
             zs = r * angles
             values, terms = eval_u_many(params, zs, order=3)
+            scalar = np.array([eval_u(params, complex(z), order=3).values for z in zs]).T
             for j in range(4):
                 bound = DEFAULT_CONFIG.rel_tol + terms * eps * _abs_term_sum(k, c, r, j)
                 with mpmath.workdps(40):
                     x = mpmath.mpf(-c) / 4
                     scale = x**j / mpmath.rf(k, j)
                     exact = [complex(scale * mpmath.hyp0f1(k + j, x * complex(z))) for z in zs]
-                for got, want in zip(values[j], exact):
-                    err = abs(got - want)
-                    assert err <= bound
-                    if c_abs <= 4.0:
-                        assert err <= 1e-12 * abs(want)
+                for got in (values[j], scalar[j]):
+                    for value, want in zip(got, exact):
+                        err = abs(value - want)
+                        assert err <= bound
+                        if c_abs <= 4.0:
+                            assert err <= 1e-12 * abs(want)
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from janbessel import ScanRow
+from janbessel import ScanRow, verify
 from janbessel.cli import CSV_HEADER, emit_scan_csv, run
 
 TIMESTAMP_RE = re.compile(r"^\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}Z$")
@@ -183,6 +183,16 @@ def test_admissibility_verb(capsys):
 )
 def test_admissibility_non_finite_input_exits_two(capsys, flags):
     argv = ["admissibility", "--which", "subordination", "--A", "0", "--B=-1"] + flags
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+
+
+def test_admissibility_sigma_depth_above_limit_exits_two(capsys, monkeypatch):
+    # As in test_verify: no grid may be built before the depth is rejected.
+    monkeypatch.setattr(verify, "np", None)
+    argv = ["admissibility", "--which", "subordination", "--A", "0", "--B=-1",
+            "--kappa", "2", "--c=-1", "--sigma-depth", "1000000000"]
     assert run(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ")

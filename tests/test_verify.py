@@ -22,6 +22,7 @@ from janbessel import (
     scan_conflicts,
     verify_membership,
 )
+from janbessel import verify
 from janbessel.checks import _psi_formula
 
 HALF_PAIR = JanowskiPair(0.0, -1.0)
@@ -359,6 +360,15 @@ def test_admissibility_scan_rejects_non_finite(which, kappa, c, rho_max):
     # 1e200 is finite, but rho^2 overflows, so Re Psi is not finite on the grid.
     with pytest.raises(ValueError):
         admissibility_scan(which, HALF_PAIR, kappa, c, rho_max=rho_max)
+
+
+@pytest.mark.parametrize("which", ["subordination", "convexity"])
+def test_admissibility_scan_rejects_sigma_depth_above_limit(which, monkeypatch):
+    # With numpy out of reach, a check that came after the grid would fail
+    # here with AttributeError instead of allocating 10**9 sigma factors.
+    monkeypatch.setattr(verify, "np", None)
+    with pytest.raises(ValueError):
+        admissibility_scan(which, HALF_PAIR, 2.0, -1.0, sigma_depth=10**9)
 
 
 def test_satisfied_tuples_are_admissible():
