@@ -29,6 +29,10 @@ later terms shrink by at most rho = |c| R / (4 (kappa+k)(k+1-order)) per step.
 The sum runs through the first such k with rho < 1/2 and max_j |a_k| k!/(k-j)!
 R^(k-j) / (1-rho) <= rel_tol, so the omitted tail is below rel_tol / 2
 absolutely at every point, or raises NoConvergence at max_terms.
+
+Only the array path, eval_u_many and the _series_rows it sums, imports numpy,
+and it does so when first called: the scalar functions (eval_u, the residuals)
+run on the standard library alone.
 """
 
 from __future__ import annotations
@@ -36,8 +40,10 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # Constructor rejects kappa this close to a non-positive integer (series poles).
 KAPPA_EXCLUSION_TOL = 1e-9
@@ -138,7 +144,8 @@ class EvalResult:
 
 def _check_disk(z: complex) -> complex:
     z = complex(z)
-    if abs(z) > 1.0 + DISK_SLACK:
+    # Written so that a NaN modulus fails the test too.
+    if not abs(z) <= 1.0 + DISK_SLACK:
         raise ValueError(f"evaluation is restricted to |z| <= 1, got |z| = {abs(z)}")
     return z
 
@@ -193,6 +200,8 @@ def _series_rows(kappa: float, c: float, order: int, rel_tol: float, max_terms: 
 
     Read-only columns[m] has shape (order+1, 1); row j is a_{m+j} (m+j)!/m!.
     """
+    import numpy as np
+
     a, _ = _coefficients(kappa, c, order, rel_tol, max_terms)
     n = len(a)
     rows = np.zeros((order + 1, n), dtype=complex)
@@ -214,6 +223,8 @@ def eval_u_many(
     of the module docstring, and Horner's rule runs elementwise, so a point's
     values do not depend on the rest of the batch.
     """
+    import numpy as np
+
     if order not in range(MAX_ORDER + 1):
         raise ValueError(f"order must be one of 0..{MAX_ORDER}, got {order}")
     zs = np.asarray(zs, dtype=complex)
@@ -221,7 +232,7 @@ def eval_u_many(
         raise ValueError("zs must be a 1-d array")
     if zs.size == 0:
         raise ValueError("zs must be non-empty")
-    if np.any(np.abs(zs) > 1.0 + DISK_SLACK):
+    if not np.all(np.abs(zs) <= 1.0 + DISK_SLACK):
         raise ValueError("evaluation is restricted to |z| <= 1")
 
     columns = _series_rows(params.kappa, params.c, order, cfg.rel_tol, cfg.max_terms)

@@ -5,7 +5,7 @@ and reports a per-inequality slack (>= 0 means the inequality holds), the
 branch of the condition set that applied, and free-form notes.  Checkers are
 sufficient conditions: `satisfied` guarantees the geometric conclusion, while
 `not satisfied` is silent, and the sampling verifier is the ground truth on
-the other side.
+the other side.  Every checker raises ValueError for a non-finite kappa or c.
 
 Condition families
 ------------------
@@ -67,9 +67,19 @@ MODES = (MODE_CONSERVATIVE, MODE_AS_PRINTED)
 
 THEOREM_NAMES = ("subordination", "derivative", "convexity", "starlike")
 
+# The property functionals the sampling verifier tests, one per theorem above
+# and in the same order (see `verify`).
+SELECTOR_U = "u"
+SELECTOR_DERIV = "deriv-normalized"
+SELECTOR_CONVEXITY = "convexity"
+SELECTOR_STARLIKE = "starlike-zu"
+SELECTORS = (SELECTOR_U, SELECTOR_DERIV, SELECTOR_CONVEXITY, SELECTOR_STARLIKE)
+
 PSI_SUBORDINATION = "subordination"
 PSI_CONVEXITY = "convexity"
 PSI_FORMS = (PSI_SUBORDINATION, PSI_CONVEXITY)
+# The deepest sigma grid verify.admissibility_scan accepts (about 0.1 s at the limit).
+MAX_SIGMA_DEPTH = 1000
 
 COROLLARY_HALFPLANE_C_RATIO = "halfplane-c-ratio"
 COROLLARY_RE_HALF = "re-half"
@@ -131,7 +141,7 @@ class AdmissibilityProbe:
                 raise ValueError(f"probe field {name} must be finite")
             object.__setattr__(self, name, value)
         z = complex(self.z)
-        if abs(z) >= 1.0:
+        if not abs(z) < 1.0:
             raise ValueError(f"probe point z must satisfy |z| < 1, got |z| = {abs(z)}")
         object.__setattr__(self, "z", z)
         if self.sigma > -(1.0 + self.rho**2) / 2.0 + PROBE_SLACK:
@@ -142,6 +152,15 @@ class AdmissibilityProbe:
             raise ValueError(
                 f"probe violates sigma + mu <= 0: sigma = {self.sigma}, mu = {self.mu}"
             )
+
+
+def _finite_kappa_c(kappa: float, c: float) -> tuple[float, float]:
+    """(kappa, c) as floats; ValueError unless both are finite."""
+    kappa = float(kappa)
+    c = float(c)
+    if not (math.isfinite(kappa) and math.isfinite(c)):
+        raise ValueError(f"kappa and c must be finite, got kappa = {kappa}, c = {c}")
+    return kappa, c
 
 
 def _two_regime_conditions(
@@ -208,7 +227,8 @@ def check_subordination_theorem(
     pair: JanowskiPair, kappa: float, c: float
 ) -> CheckOutcome:
     """Sufficient condition for u itself to map the disk into the pair's region."""
-    return _outcome_from_two_regime(pair, float(kappa) - 1.0, float(c))
+    kappa, c = _finite_kappa_c(kappa, c)
+    return _outcome_from_two_regime(pair, kappa - 1.0, c)
 
 
 def check_derivative_theorem(
@@ -220,10 +240,10 @@ def check_derivative_theorem(
     of kappa - 1: the normalized derivative is itself a series of the same
     family with order raised by one, which shifts kappa up accordingly.
     """
-    c = float(c)
+    kappa, c = _finite_kappa_c(kappa, c)
     if c == 0.0:
         raise ZeroC("the normalized derivative (-4 kappa / c) u' is undefined at c = 0")
-    return _outcome_from_two_regime(pair, float(kappa), c)
+    return _outcome_from_two_regime(pair, kappa, c)
 
 
 def _mode_guard(mode: str) -> None:
@@ -243,8 +263,7 @@ def check_convexity_theorem(
     carry the geometric conclusion.
     """
     _mode_guard(mode)
-    kappa = float(kappa)
-    c = float(c)
+    kappa, c = _finite_kappa_c(kappa, c)
     A, B = pair.A, pair.B
     if not (B <= 0.0 < A):
         return CheckOutcome(
@@ -280,8 +299,7 @@ def check_starlike_theorem(
     convexity condition produces.
     """
     _mode_guard(mode)
-    kappa = float(kappa)
-    c = float(c)
+    kappa, c = _finite_kappa_c(kappa, c)
     A, B = pair.A, pair.B
     coeff_pos = kappa * (1.0 + B) - (
         (1.0 + B) ** 2 * abs(c) / (4.0 * (A - B)) - (A - 2.0 * B)
@@ -335,8 +353,7 @@ def check_corollary(which: str, kappa: float, c: float) -> CheckOutcome:
     The implied half-plane is reported as implied_pair / conclusion_bound
     whenever it is well defined.
     """
-    kappa = float(kappa)
-    c = float(c)
+    kappa, c = _finite_kappa_c(kappa, c)
     if which == COROLLARY_HALFPLANE_C_RATIO:
         slacks = [("c-sign", -c), ("kappa-margin", 2.0 * kappa - (2.0 + c * c))]
         satisfied = all(s >= 0.0 for _, s in slacks)
@@ -466,7 +483,7 @@ def mccarty_bounds(
         raise ValueError(f"bounds require p >= -1/2, got p = {p}")
     z = complex(z)
     r = abs(z)
-    if r >= 1.0:
+    if not r < 1.0:
         raise ValueError(f"bounds require |z| < 1, got |z| = {r}")
     params = BesselParams(p=p, b=2.0, c=-1.0)
     values = eval_u(params, z, order=1, cfg=cfg).values

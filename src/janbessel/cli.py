@@ -18,12 +18,17 @@ Values starting with a dash need the --flag=value form.
 Exit codes: 0 success with a holding/satisfied verdict (or no verdict);
 1 clean completion with a negative verdict (not satisfied, counterexample,
 scan soundness conflicts, nonnegative admissibility maximum, zero radius);
-2 usage errors (including a --sigma-depth above MAX_SIGMA_DEPTH and
-admissibility inputs on which Re Psi is not finite); 3 numeric failures
+2 usage errors (including a NaN in a point, a non-finite kappa or c, a
+--sigma-depth above MAX_SIGMA_DEPTH and admissibility inputs on which Re Psi
+is not finite); 3 numeric failures
 (invalid kappa, series non-convergence).
 
 The payload for fixed flags is deterministic: reruns differ only in the
 timestamp field.
+
+`eval`, `check` and `bounds` are pure Python: this module imports `verify`,
+and with it numpy, only inside the handlers of the sampling verbs, so the
+three scalar verbs start without either.
 """
 
 from __future__ import annotations
@@ -35,13 +40,12 @@ import math
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Callable, TextIO
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, TextIO
 
 from .bessel import (
     BesselParams,
     DEFAULT_CONFIG,
+    DISK_SLACK,
     EvalConfig,
     InvalidKappa,
     NoConvergence,
@@ -49,8 +53,10 @@ from .bessel import (
 )
 from .checks import (
     COROLLARY_IDS,
+    MAX_SIGMA_DEPTH,
     MODE_CONSERVATIVE,
     MODES,
+    SELECTORS,
     THEOREM_NAMES,
     CheckOutcome,
     McCartyBounds,
@@ -61,18 +67,9 @@ from .checks import (
     mccarty_bounds,
 )
 from .geometry import DegenerateDenominator, JanowskiPair, OrderOutOfRange
-from .verify import (
-    MAX_SIGMA_DEPTH,
-    SELECTORS,
-    SampleGrid,
-    ScanRow,
-    VerificationReport,
-    admissibility_scan,
-    property_radius,
-    region_scan,
-    scan_conflicts,
-    verify_membership,
-)
+
+if TYPE_CHECKING:
+    from .verify import SampleGrid, ScanRow, VerificationReport
 
 SCHEMA_VERSION = "1"
 
@@ -228,7 +225,9 @@ def _eval_config(ns: argparse.Namespace) -> EvalConfig:
 
 def _add_eval_config_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--rel-tol", type=float, default=DEFAULT_CONFIG.rel_tol,
-                     help="series truncation tolerance")
+                     help="series truncation tolerance; despite the name an absolute, not a "
+                     "relative, bound on every value's omitted tail on "
+                     f"|z| <= 1 + {DISK_SLACK:g}")
     sub.add_argument("--max-terms", type=int, default=DEFAULT_CONFIG.max_terms,
                      help="series term budget")
 
@@ -264,6 +263,10 @@ def _grid_from_flags(ns: argparse.Namespace) -> SampleGrid:
         raise UsageError(
             f"need 0 < --min-radius <= --max-radius < 1, got {ns.min_radius}, {ns.max_radius}"
         )
+    import numpy as np
+
+    from .verify import SampleGrid
+
     radii = tuple(np.geomspace(ns.min_radius, ns.max_radius, ns.radii))
     return SampleGrid(radii=radii, angles=ns.angles, max_radius=ns.max_radius)
 
@@ -390,6 +393,8 @@ def _cmd_check(ns: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _cmd_verify(ns: argparse.Namespace) -> tuple[dict, int]:
+    from .verify import verify_membership
+
     pair = JanowskiPair(A=ns.A, B=ns.B)
     params = BesselParams(ns.p, ns.b, ns.c)
     report = verify_membership(
@@ -399,6 +404,8 @@ def _cmd_verify(ns: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _cmd_radius(ns: argparse.Namespace) -> tuple[dict, int]:
+    from .verify import property_radius
+
     pair = JanowskiPair(A=ns.A, B=ns.B)
     params = BesselParams(ns.p, ns.b, ns.c)
     radius = property_radius(
@@ -425,6 +432,8 @@ def _cmd_radius(ns: argparse.Namespace) -> tuple[dict, int]:
 def _cmd_scan(ns: argparse.Namespace) -> tuple[dict | str, int]:
     if ns.workers < 1:
         raise UsageError(f"--workers must be >= 1, got {ns.workers}")
+    from .verify import region_scan, scan_conflicts
+
     pair = JanowskiPair(A=ns.A, B=ns.B)
     rows = region_scan(
         ns.selector,
@@ -455,6 +464,8 @@ def _cmd_scan(ns: argparse.Namespace) -> tuple[dict | str, int]:
 
 
 def _cmd_admissibility(ns: argparse.Namespace) -> tuple[dict, int]:
+    from .verify import admissibility_scan
+
     pair = JanowskiPair(A=ns.A, B=ns.B)
     max_re, probe = admissibility_scan(
         ns.which, pair, ns.kappa, ns.c, rho_max=ns.rho_max, sigma_depth=ns.sigma_depth

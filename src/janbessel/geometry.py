@@ -17,13 +17,19 @@ the pair (1 - 2 beta, -1).
 Values of B within 1e-12 of -1 are snapped to exactly -1 at construction, so
 the half-plane branch is taken consistently instead of producing a disk of
 astronomical radius.
+
+region_margin_many, and the scalar region_margin and contains built on it,
+import numpy when called; the rest of the module uses the standard library
+alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # B values this close to -1 collapse to the half-plane case exactly.
 B_COLLAPSE_TOL = 1e-12
@@ -98,6 +104,8 @@ def target_region(pair: JanowskiPair) -> TargetRegion:
 
 def region_margin_many(region: TargetRegion, ws: np.ndarray) -> np.ndarray:
     """Signed distance into the region: positive strictly inside, negative outside."""
+    import numpy as np
+
     ws = np.asarray(ws, dtype=complex)
     if region.kind == HALF_PLANE:
         return ws.real - region.re_bound

@@ -58,13 +58,20 @@ from .checks import (
     COROLLARY_DERIV_RE_HALF,
     COROLLARY_HALFPLANE_C_RATIO,
     COROLLARY_RE_HALF,
+    MAX_SIGMA_DEPTH,
     MODE_CONSERVATIVE,
     PSI_FORMS,
     PSI_SUBORDINATION,
+    SELECTOR_CONVEXITY,
+    SELECTOR_DERIV,
+    SELECTOR_STARLIKE,
+    SELECTOR_U,
+    SELECTORS,
     THEOREM_NAMES,
     AdmissibilityProbe,
     CheckOutcome,
     ZeroC,
+    _finite_kappa_c,
     _psi_formula,
     _subordination_head,
     _subordination_z_term,
@@ -72,12 +79,6 @@ from .checks import (
     check_theorem,
 )
 from .geometry import JanowskiPair, TargetRegion, region_margin_many, target_region
-
-SELECTOR_U = "u"
-SELECTOR_DERIV = "deriv-normalized"
-SELECTOR_CONVEXITY = "convexity"
-SELECTOR_STARLIKE = "starlike-zu"
-SELECTORS = (SELECTOR_U, SELECTOR_DERIV, SELECTOR_CONVEXITY, SELECTOR_STARLIKE)
 
 # The theorem whose conclusion each selector samples: both tuples list the
 # same four properties in the same order.
@@ -331,8 +332,6 @@ ADMISSIBILITY_Z = np.concatenate(
     [np.zeros(1, dtype=complex), SampleGrid(radii=(0.25, 0.5, 0.75, 0.95), angles=16).points()]
 )
 ADMISSIBILITY_Z.flags.writeable = False
-# The deepest sigma grid admissibility_scan accepts (about 0.1 s at the limit).
-MAX_SIGMA_DEPTH = 1000
 
 
 def admissibility_scan(
@@ -377,10 +376,7 @@ def admissibility_scan(
         raise ValueError(f"rho_max must be positive and finite, got {rho_max}")
     if not 2 <= sigma_depth <= MAX_SIGMA_DEPTH:
         raise ValueError(f"sigma_depth must lie in 2..{MAX_SIGMA_DEPTH}, got {sigma_depth}")
-    kappa = float(kappa)
-    c = float(c)
-    if not (math.isfinite(kappa) and math.isfinite(c)):
-        raise ValueError(f"kappa and c must be finite, got kappa = {kappa}, c = {c}")
+    kappa, c = _finite_kappa_c(kappa, c)
 
     A, B = pair.A, pair.B
     # Overflow and NaN are reported below as a ValueError, not as warnings.

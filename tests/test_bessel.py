@@ -220,6 +220,16 @@ def test_outside_disk_rejected():
     assert eval_u(params, 1.0 + 1e-10, order=0).values[0] != 0.0
 
 
+@pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(0.0, math.nan)])
+def test_nan_point_rejected(z):
+    # abs(nan) > 1 is False, so a bare "> R" test would let NaN through.
+    params = make_params(0.3, 1.5, -2.0)
+    with pytest.raises(ValueError):
+        eval_u(params, z, order=1)
+    with pytest.raises(ValueError):
+        eval_u_many(params, np.array([0.5, z]), order=1)
+
+
 def test_no_convergence_with_tiny_term_budget():
     params = make_params(-1.0, 2.0, 4.0)
     cfg = EvalConfig(max_terms=4)

@@ -13,6 +13,7 @@ from janbessel import (
     MODE_AS_PRINTED,
     MODE_CONSERVATIVE,
     REGIME_SPLIT_B,
+    COROLLARY_IDS,
     UnknownCorollary,
     ZeroC,
     check_convexity_theorem,
@@ -355,6 +356,28 @@ def test_check_theorem_unknown_name():
         check_theorem("starlike-zu", JanowskiPair(0.0, -1.0), 2.0, -1.0)
 
 
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("name", THEOREM_NAMES)
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_theorem_checkers_reject_non_finite_kappa_and_c(name, bad):
+    pair = JanowskiPair(0.5, -0.5)
+    with pytest.raises(ValueError, match="must be finite"):
+        check_theorem(name, pair, bad, -1.0)
+    with pytest.raises(ValueError, match="must be finite"):
+        check_theorem(name, pair, 2.0, bad)
+
+
+@pytest.mark.parametrize("which", COROLLARY_IDS)
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_corollaries_reject_non_finite_kappa_and_c(which, bad):
+    with pytest.raises(ValueError, match="must be finite"):
+        check_corollary(which, bad, -1.0)
+    with pytest.raises(ValueError, match="must be finite"):
+        check_corollary(which, 2.0, bad)
+
+
 def test_unknown_corollary():
     with pytest.raises(UnknownCorollary):
         check_corollary("re-quarter", 1.0, 1.0)
@@ -423,6 +446,9 @@ def test_mccarty_preconditions():
         mccarty_bounds(-0.6, 0.5 + 0j, DEFAULT_CONFIG)
     with pytest.raises(ValueError):
         mccarty_bounds(0.0, 1.0 + 0j, DEFAULT_CONFIG)
+    for z in (complex(math.nan, 0.0), complex(0.0, math.nan)):
+        with pytest.raises(ValueError):
+            mccarty_bounds(1.0, z, DEFAULT_CONFIG)
 
 
 # ------------------------------------------------------------------------ Psi
@@ -482,5 +508,7 @@ def test_probe_invariants_enforced():
         probe(sigma=-0.5, mu=0.6)  # sigma + mu > 0
     with pytest.raises(ValueError):
         probe(z=1.0 + 0j)  # |z| >= 1
+    with pytest.raises(ValueError):
+        probe(z=complex(math.nan, 0.0))
     # Boundary values are allowed.
     probe(rho=1.0, sigma=-1.0, mu=1.0)

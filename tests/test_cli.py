@@ -68,6 +68,33 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("z", ["--z=nan,0", "--z=0,nan"])
+@pytest.mark.parametrize(
+    "verb", [["eval", "--p", "0.3", "--b", "1.5", "--c=-2"], ["bounds", "--p", "1"]]
+)
+def test_nan_point_exits_two(capsys, verb, z):
+    assert run(verb + [z]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--theorem", "subordination", "--A", "0", "--B=-1", "--kappa", "nan", "--c=-1"],
+        ["check", "--theorem", "derivative", "--A", "0", "--B=-1", "--kappa", "2", "--c", "inf"],
+        ["check", "--theorem", "convexity", "--A", "0.5", "--B=-0.5", "--kappa", "inf", "--c=-1"],
+        ["check", "--theorem", "starlike", "--A", "0.5", "--B=-0.5", "--kappa", "2", "--c", "nan"],
+        ["check", "--corollary", "re-half", "--kappa", "nan", "--c=-1"],
+        ["check", "--corollary", "cc-order", "--kappa", "2", "--c=-inf"],
+    ],
+)
+def test_check_non_finite_input_exits_two(capsys, argv):
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "must be finite" in err
+
+
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     capsys.readouterr()
