@@ -22,9 +22,12 @@ equals sinh(sqrt(z))/sqrt(z).  The parameter b enters only through kappa,
 so triples with equal (kappa, c) define the same function.
 
 Derivatives up to third order come from term-wise differentiation, and
-eval_u and eval_u_many sum the same truncated series by Horner's rule.  The
-term count is fixed a priori: on |z| <= R = 1 + DISK_SLACK the j-th
-derivative's term k is at most |a_k| k!/(k-j)! R^(k-j), and once kappa + k > 0
+eval_u and eval_u_many sum the same truncated series by Horner's rule.
+eval_u_many sums only the rows lowest..order that its caller reads; each
+row's sum is independent of the others, so its bits do not depend on which
+other rows are summed with it.  The term count is fixed a priori: on
+|z| <= R = 1 + DISK_SLACK the j-th derivative's term k is at most
+|a_k| k!/(k-j)! R^(k-j), and once kappa + k > 0
 later terms shrink by at most rho = |c| R / (4 (kappa+k)(k+1-order)) per step.
 The sum runs through the first such k with rho < 1/2 and max_j |a_k| k!/(k-j)!
 R^(k-j) / (1-rho) <= rel_tol, so the omitted tail is below rel_tol / 2
@@ -216,17 +219,23 @@ def eval_u_many(
     zs: np.ndarray,
     order: int = 0,
     cfg: EvalConfig = DEFAULT_CONFIG,
+    lowest: int = 0,
 ) -> tuple[np.ndarray, int]:
     """Vectorized eval_u over a 1-d array of disk points; (values, terms_used).
 
-    values has shape (order+1, len(zs)).  terms_used follows the a-priori rule
-    of the module docstring, and Horner's rule runs elementwise, so a point's
-    values do not depend on the rest of the batch.
+    values has shape (order+1-lowest, len(zs)): row i holds the derivative of
+    order lowest+i, so rows below `lowest` are neither summed nor returned.
+    terms_used follows the a-priori rule of the module docstring for `order`,
+    whatever `lowest` is, and Horner's rule runs elementwise, row by row, so a
+    value does not depend on the rest of the batch nor on the other rows
+    returned.
     """
     import numpy as np
 
     if order not in range(MAX_ORDER + 1):
         raise ValueError(f"order must be one of 0..{MAX_ORDER}, got {order}")
+    if lowest not in range(order + 1):
+        raise ValueError(f"lowest must be one of 0..{order}, got {lowest}")
     zs = np.asarray(zs, dtype=complex)
     if zs.ndim != 1:
         raise ValueError("zs must be a 1-d array")
@@ -239,11 +248,11 @@ def eval_u_many(
     # numpy rounds a one-element complex product taken in place or broadcast
     # differently; a row of zs and a second buffer keep every batch on one loop.
     row = zs[None, :]
-    values = np.zeros((order + 1, zs.size), dtype=complex)
+    values = np.zeros((order + 1 - lowest, zs.size), dtype=complex)
     products = np.empty_like(values)
     for column in reversed(columns):
         np.multiply(values, row, out=products)
-        np.add(products, column, out=values)
+        np.add(products, column[lowest:], out=values)
     return values, len(columns)
 
 

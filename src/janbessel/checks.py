@@ -521,10 +521,23 @@ def _subordination_head(B: float, kappa: float, r, s, t):
     return t - 2.0 * (1.0 + B) * s * s / den + kappa * s
 
 
-def _subordination_z_term(A: float, B: float, c: float, r, z):
-    """The only part of the subordination Psi that holds z: den ((1-A)+(1+A) r) c z / (8 (A-B))."""
+def _subordination_q(A: float, B: float, c: float, r):
+    """q = den ((1-A)+(1+A) r) c, the factor of the subordination z-term q z / (8 (A-B))."""
     den = (1.0 - B) + (1.0 + B) * r
-    return den * ((1.0 - A) + (1.0 + A) * r) * c * z / (8.0 * (A - B))
+    return den * ((1.0 - A) + (1.0 + A) * r) * c
+
+
+def _subordination_z_term(A: float, B: float, c: float, r, z):
+    """The only part of the subordination Psi that holds z: q z / (8 (A-B))."""
+    return _subordination_q(A, B, c, r) * z / (8.0 * (A - B))
+
+
+def _convexity_coefficients(A: float, B: float, kappa: float, c: float, z):
+    """(F1, F2, F3) of the convexity Psi = s + F1 r^2 + F2 r + F3 at the disk point z."""
+    f1 = (A - B) / 2.0 + kappa * (1.0 + B) / 2.0 + c * z * (1.0 + B) ** 2 / (8.0 * (A - B))
+    f2 = -(A - B) - kappa * B + c * (1.0 - B * B) * z / (4.0 * (A - B))
+    f3 = (A - B) / 2.0 - kappa * (1.0 - B) / 2.0 + c * z * (1.0 - B) ** 2 / (8.0 * (A - B))
+    return f1, f2, f3
 
 
 def _psi_formula(which: str, A: float, B: float, kappa: float, c: float, r, s, t, z):
@@ -537,9 +550,7 @@ def _psi_formula(which: str, A: float, B: float, kappa: float, c: float, r, s, t
     """
     if which == PSI_SUBORDINATION:
         return _subordination_head(B, kappa, r, s, t) + _subordination_z_term(A, B, c, r, z)
-    f1 = (A - B) / 2.0 + kappa * (1.0 + B) / 2.0 + c * z * (1.0 + B) ** 2 / (8.0 * (A - B))
-    f2 = -(A - B) - kappa * B + c * (1.0 - B * B) * z / (4.0 * (A - B))
-    f3 = (A - B) / 2.0 - kappa * (1.0 - B) / 2.0 + c * z * (1.0 - B) ** 2 / (8.0 * (A - B))
+    f1, f2, f3 = _convexity_coefficients(A, B, kappa, c, z)
     return s + f1 * r * r + f2 * r + f3
 
 

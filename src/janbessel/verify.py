@@ -30,8 +30,15 @@ since Re Psi never depends on nu); a negative maximum corroborates the sufficien
 conditions' engine.  It returns the full grid's maximum bit for bit while
 evaluating little of the grid.  In the subordination form z enters only
 through a last summand free of sigma and mu, so, rounding being monotone,
-the maximum over z is taken once per rho.  In the convexity form the
-shallowest sigma slice dominates every deeper one elementwise.
+the maximum over z is taken once per rho, and the sigma- and mu-dependent
+heads of all (sigma, mu) slices are evaluated together as one array, a
+fixed number of slices at a time.  In the convexity form the shallowest
+sigma slice dominates every deeper one elementwise.  Re Psi is formed in
+real arithmetic wherever that is exact: r = i rho has a zero real part, so
+the real part of each complex product with r is a single real product, and
+the real part of numpy's quotient of a complex value by the real 8 (A-B) is
+its real part times 1 / (8 (A-B)) up to the sign of a zero.  Re Psi keeps
+the bits of the complex forms wherever those are finite.
 region_scan sweeps a (kappa, c) rectangle and pairs the checker verdict, any
 applicable corollary verdict, and the sampled verdict cell by cell.
 
@@ -71,10 +78,10 @@ from .checks import (
     AdmissibilityProbe,
     CheckOutcome,
     ZeroC,
+    _convexity_coefficients,
     _finite_kappa_c,
-    _psi_formula,
     _subordination_head,
-    _subordination_z_term,
+    _subordination_q,
     check_corollary,
     check_theorem,
 )
@@ -101,6 +108,17 @@ DEGENERACY_TOL = 1e-13
 REFINE_FACTOR = 16
 
 
+def _count(name: str, value) -> int:
+    """value as an int: an int, or a float equal to one; ValueError otherwise."""
+    try:
+        count = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if count != value:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return count
+
+
 @dataclass(frozen=True)
 class SampleGrid:
     """Polar sampling grid: every radius crossed with equispaced angles."""
@@ -117,12 +135,13 @@ class SampleGrid:
             raise ValueError("grid radii must lie strictly inside (0, 1)")
         if any(b <= a for a, b in zip(radii, radii[1:])):
             raise ValueError("grid radii must be strictly increasing")
-        if int(self.angles) != self.angles or self.angles < 8:
-            raise ValueError(f"need at least 8 angles, got {self.angles}")
+        angles = _count("angles", self.angles)
+        if angles < 8:
+            raise ValueError(f"need at least 8 angles, got {angles}")
         if not (0.0 < self.max_radius < 1.0):
             raise ValueError(f"max_radius must lie in (0, 1), got {self.max_radius}")
         object.__setattr__(self, "radii", radii)
-        object.__setattr__(self, "angles", int(self.angles))
+        object.__setattr__(self, "angles", angles)
         object.__setattr__(self, "max_radius", float(self.max_radius))
 
     @staticmethod
@@ -168,7 +187,8 @@ def _functional_values(
     """Map samples through the selected functional.
 
     Returns (w, degenerate_mask, reason).  Degenerate entries of w carry the
-    placeholder 1 and must be ignored by the caller.
+    placeholder 1 and must be ignored by the caller.  Only the derivative
+    rows the functional reads are summed.
     """
     if selector == SELECTOR_U:
         values, _ = eval_u_many(params, zs, order=0, cfg=cfg)
@@ -176,15 +196,17 @@ def _functional_values(
     if selector == SELECTOR_DERIV:
         if params.c == 0.0:
             raise ZeroC("the deriv-normalized functional is undefined at c = 0")
-        values, _ = eval_u_many(params, zs, order=1, cfg=cfg)
-        return (-4.0 * params.kappa / params.c) * values[1], np.zeros(zs.size, dtype=bool), ""
+        values, _ = eval_u_many(params, zs, order=1, cfg=cfg, lowest=1)
+        return (-4.0 * params.kappa / params.c) * values[0], np.zeros(zs.size, dtype=bool), ""
     if selector in _QUOTIENT_ORDERS:
         k, reason = _QUOTIENT_ORDERS[selector]
-        values, _ = eval_u_many(params, zs, order=k, cfg=cfg)
-        den = values[k - 1]
+        values, _ = eval_u_many(params, zs, order=k, cfg=cfg, lowest=k - 1)
+        den, num = values
         mask = np.abs(den) < DEGENERACY_TOL
+        if not mask.any():
+            return 1.0 + zs * num / den, mask, reason
         safe = np.where(mask, 1.0, den)
-        w = np.where(mask, 1.0, 1.0 + zs * values[k] / safe)
+        w = np.where(mask, 1.0, 1.0 + zs * num / safe)
         return w, mask, reason
     raise ValueError(f"unknown selector {selector!r}; expected one of {SELECTORS}")
 
@@ -199,14 +221,16 @@ def _margins_and_hits(
 ) -> tuple[np.ndarray, list[tuple[complex, str]]]:
     """Margins with degenerate samples excluded (set to +inf) and recorded."""
     w, mask, reason = _functional_values(selector, params, zs, cfg)
-    hits = [(complex(z), reason) for z in zs[mask]]
     # Denominator of the proof-side transformed function; a zero would void
     # the nondegeneracy hypothesis behind the checkers.
     proof_mask = (np.abs((1.0 + pair.B) * w - (1.0 + pair.A)) < DEGENERACY_TOL) & ~mask
-    hits.extend((complex(z), "proof-map-pole") for z in zs[proof_mask])
     margins = region_margin_many(region, w)
-    margins = np.where(mask | proof_mask, np.inf, margins)
-    return margins, hits
+    excluded = mask | proof_mask
+    if not excluded.any():
+        return margins, []
+    hits = [(complex(z), reason) for z in zs[mask]]
+    hits.extend((complex(z), "proof-map-pole") for z in zs[proof_mask])
+    return np.where(excluded, np.inf, margins), hits
 
 
 def verify_membership(
@@ -292,6 +316,7 @@ def property_radius(
     Precondition, not checked: the functional's denominator has no zero
     inside the circles tested; past such a zero the radius can be unsound.
     """
+    grid_density = _count("grid_density", grid_density)
     if grid_density < 8:
         raise ValueError(f"need at least 8 angles per circle, got {grid_density}")
     if not (0.0 < tol < 1.0):
@@ -333,6 +358,34 @@ ADMISSIBILITY_Z = np.concatenate(
 )
 ADMISSIBILITY_Z.flags.writeable = False
 
+# Subordination (sigma, mu) slices are evaluated together, at most this many
+# at a time, so a block's heads hold at most 64 x 201 values at any depth.
+SLICE_BLOCK = 64
+
+
+def _re_convexity_psi(A: float, B: float, kappa: float, c: float, rho, sigma, z):
+    """Re of the convexity Psi at r = i rho, s = sigma and z, in real arithmetic.
+
+    Equal to np.real(_psi_formula("convexity", ..., 1j * rho, sigma, t, z)) bit
+    for bit wherever that form's products are finite: r has a zero real part,
+    so each complex product with r has a real part with one nonzero real
+    product, rounded once whether or not the product is fused.
+    """
+    f1, f2, f3 = _convexity_coefficients(A, B, kappa, c, z)
+    return ((sigma - (f1.real * rho) * rho) - f2.imag * rho) + f3.real
+
+
+def _re_subordination_z_term(A: float, B: float, c: float, rho, z):
+    """Re of the subordination z-term q z / (8 (A-B)) at r = i rho, in real arithmetic.
+
+    numpy divides x = q z by the real d = 8 (A-B) as (Re x + Im x * 0) (1/d),
+    so this equals the real part of the complex quotient except that a -0
+    may read +0 there, and that an infinite Im x makes that one NaN.  The
+    head it is added to is never -0, so Re Psi keeps its bits wherever it is
+    finite in the complex form.
+    """
+    return np.real(_subordination_q(A, B, c, 1j * rho) * z) * (1.0 / (8.0 * (A - B)))
+
 
 def admissibility_scan(
     which: str,
@@ -359,21 +412,33 @@ def admissibility_scan(
     * subordination: Psi = head(rho, sigma, mu) + L(rho, z), where only the
       last summand L holds z.  Floating-point addition rounds monotonically,
       so fl(h + max_j Re L_j) = max_j fl(h + Re L_j).  Re L and its row maxima
-      are computed once; each (sigma, mu) slice then costs one 201-vector of
-      heads.  Only a slice's best row is summed over z again, for the probe z.
+      are computed once; the heads of all (sigma, mu) slices are then one
+      (slices x rho) array, taken SLICE_BLOCK slices at a time, and the first
+      argmax over the slice maxima is the first slice whose maximum beats
+      every earlier one.  Only the winning row is summed over z again, for
+      the probe z.
     * convexity: Psi = ((sigma + F1 r^2) + F2 r) + F3, and the s = 1 sigma is
       the largest at every rho, so that slice is elementwise >= every deeper
       one and is the only one evaluated.
 
+    Re Psi is formed in real arithmetic where it can be exactly: r = i rho
+    has a zero real part, so the convexity form's real part is
+    ((sigma - (Re F1 rho) rho) - Im F2 rho) + Re F3, and the subordination
+    z-term's is Re(q z) (1 / (8 (A-B))), each bit-equal to the real part of
+    the complex form wherever that form is finite (see _re_convexity_psi and
+    _re_subordination_z_term).  The heads stay complex: their quotient by
+    (1-B) + (1+B) r has no exact real form.
+
     Raises ValueError for an unknown form, a non-finite or non-positive
-    rho_max, a non-finite kappa or c, sigma_depth outside 2..MAX_SIGMA_DEPTH,
-    or when Re Psi is not finite on what is evaluated (the subordination
-    z-term and row maxima, or the convexity slice).
+    rho_max, a non-finite kappa or c, a sigma_depth that is not an integer in
+    2..MAX_SIGMA_DEPTH, or when Re Psi is not finite on what is evaluated (the
+    subordination z-term and row maxima, or the convexity slice).
     """
     if which not in PSI_FORMS:
         raise ValueError(f"unknown functional {which!r}; expected one of {PSI_FORMS}")
     if not (math.isfinite(rho_max) and rho_max > 0.0):
         raise ValueError(f"rho_max must be positive and finite, got {rho_max}")
+    sigma_depth = _count("sigma_depth", sigma_depth)
     if not 2 <= sigma_depth <= MAX_SIGMA_DEPTH:
         raise ValueError(f"sigma_depth must lie in 2..{MAX_SIGMA_DEPTH}, got {sigma_depth}")
     kappa, c = _finite_kappa_c(kappa, c)
@@ -382,46 +447,45 @@ def admissibility_scan(
     # Overflow and NaN are reported below as a ValueError, not as warnings.
     with np.errstate(all="ignore"):
         rhos = np.linspace(-rho_max, rho_max, 201)
-        R = 1j * rhos[:, None]
-        Z = ADMISSIBILITY_Z[None, :]
+        spread = 1.0 + rhos**2
         if which == PSI_SUBORDINATION:
-            s_factors = [1.0 + 0.5 * i for i in range(sigma_depth)]
-            m_factors = [0.0, 0.5, 1.0]
-            tail = np.real(_subordination_z_term(A, B, c, R, Z))
+            tail = _re_subordination_z_term(A, B, c, rhos[:, None], ADMISSIBILITY_Z)
             _require_finite(tail)
             tail_max = tail.max(axis=1)
+            r = 1j * rhos
+            # Slice k has sigma factor s_factors[k] and mu factor m_factors[k].
+            s_factors = np.repeat(1.0 + 0.5 * np.arange(sigma_depth), 3)
+            m_factors = np.tile([0.0, 0.5, 1.0], sigma_depth)
+            best = -math.inf
+            for lo in range(0, s_factors.size, SLICE_BLOCK):
+                sigma = -s_factors[lo : lo + SLICE_BLOCK, None] * spread / 2.0
+                mu = -m_factors[lo : lo + SLICE_BLOCK, None] * sigma
+                head = np.real(_subordination_head(B, kappa, r, sigma, mu))
+                rows = head + tail_max
+                _require_finite(rows)
+                maxima = rows.max(axis=1)
+                k = int(np.argmax(maxima))
+                if maxima[k] > best:
+                    best = maxima[k]
+                    i = int(np.argmax(rows[k]))
+                    win_sigma, win_mu = sigma[k, i], mu[k, i]
+                    win_row = head[k, i] + tail[i]
         else:
             # sigma = -s (1 + rho^2)/2 is largest at s = 1 (rounding is
             # monotone), and Re Psi is nondecreasing in its first summand sigma,
             # so deeper slices can never beat this one under the strict ">".
-            s_factors = [1.0]
-            m_factors = [0.0]
+            sigma = -spread / 2.0
+            values = _re_convexity_psi(A, B, kappa, c, rhos[:, None], sigma[:, None], ADMISSIBILITY_Z)
+            _require_finite(values)
+            i = int(np.argmax(values.max(axis=1)))
+            win_sigma, win_mu = sigma[i], 0.0
+            win_row = values[i]
 
-        best = -math.inf
-        for s_fac in s_factors:
-            sigma = -s_fac * (1.0 + rhos**2) / 2.0
-            S = sigma[:, None]
-            for m_fac in m_factors:
-                if which == PSI_SUBORDINATION:
-                    head = np.real(_subordination_head(B, kappa, R, S, (-m_fac) * S))[:, 0]
-                    rows = head + tail_max
-                    _require_finite(rows)
-                else:
-                    values = np.real(_psi_formula(which, A, B, kappa, c, R, S, (-m_fac) * S, Z))
-                    _require_finite(values)
-                    rows = values.max(axis=1)
-                i = int(np.argmax(rows))
-                if rows[i] > best:
-                    best = rows[i]
-                    win_i, win_sigma, win_m = i, sigma, m_fac
-                    win_row = head[i] + tail[i] if which == PSI_SUBORDINATION else values[i]
-
-    # Every slice is finite, so the first one set the winner.
     j = int(np.argmax(win_row))
     return float(win_row[j]), AdmissibilityProbe(
-        rho=float(rhos[win_i]),
-        sigma=float(win_sigma[win_i]),
-        mu=float(-win_m * win_sigma[win_i]),
+        rho=float(rhos[i]),
+        sigma=float(win_sigma),
+        mu=float(win_mu),
         nu=0.0,
         z=complex(ADMISSIBILITY_Z[j]),
     )
@@ -487,13 +551,14 @@ def region_scan(
         grid = SampleGrid.default()
     k_lo, k_hi, k_steps = kappa_range
     c_lo, c_hi, c_steps = c_range
-    if int(k_steps) < 2 or int(c_steps) < 2:
+    k_steps, c_steps = _count("kappa steps", k_steps), _count("c steps", c_steps)
+    if k_steps < 2 or c_steps < 2:
         raise ValueError("ranges need at least two steps per axis")
     if selector not in _SELECTOR_THEOREMS:
         raise ValueError(f"unknown selector {selector!r}; expected one of {SELECTORS}")
     theorem = _SELECTOR_THEOREMS[selector]
-    kappas = np.linspace(float(k_lo), float(k_hi), int(k_steps))
-    cs = np.linspace(float(c_lo), float(c_hi), int(c_steps))
+    kappas = np.linspace(float(k_lo), float(k_hi), k_steps)
+    cs = np.linspace(float(c_lo), float(c_hi), c_steps)
     rows = []
     for kappa, c in [(float(k), float(c)) for k in kappas for c in cs]:
         corollary_id = _matching_corollary(selector, pair, c)

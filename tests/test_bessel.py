@@ -279,6 +279,33 @@ def test_batch_values_do_not_depend_on_the_batch():
             assert np.array_equal(alone[:, 0], values[:, i])
 
 
+@pytest.mark.parametrize("size", [1, 2, 640, 6144])
+def test_batch_rows_from_lowest_are_the_full_rows(size):
+    # Horner's rule runs row by row, so rows lowest..order are the same to
+    # the bit, signed zeros included, whether or not the lower rows are
+    # summed too.  numpy rounds complex products differently on some array
+    # shapes, hence the sizes: one point, two, and the grids verify uses.
+    rng = np.random.default_rng(size)
+    zs = np.concatenate([[0j, 1.0 + 0j, -1j], rand_disk(rng, size)])[:size]
+    for c in (-150.0, -2.5, 0.0, 3.5, 60.0):
+        params = make_params(rng.uniform(-2.0, 5.0), 2.0, c)
+        for order in range(4):
+            full, terms = eval_u_many(params, zs, order=order)
+            for lowest in range(order + 1):
+                rows, rows_terms = eval_u_many(params, zs, order=order, lowest=lowest)
+                assert rows_terms == terms
+                assert rows.shape == (order + 1 - lowest, size)
+                assert np.array_equal(rows.view(np.uint64), full[lowest:].view(np.uint64)), (
+                    c, order, lowest,
+                )
+
+
+@pytest.mark.parametrize("order, lowest", [(0, -1), (0, 1), (2, 3), (3, 4), (1, -2)])
+def test_batch_lowest_outside_orders_rejected(order, lowest):
+    with pytest.raises(ValueError):
+        eval_u_many(make_params(0.0, 2.0, 1.0), np.array([0.5j]), order=order, lowest=lowest)
+
+
 def _abs_term_sum(kappa, c, r, j):
     """sum_k |a_k| k!/(k-j)! r^(k-j): the scale of rounding error in u^(j) on |z| = r."""
     coef, total = 1.0, 0.0

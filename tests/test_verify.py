@@ -23,7 +23,7 @@ from janbessel import (
     verify_membership,
 )
 from janbessel import verify
-from janbessel.checks import _psi_formula
+from janbessel.checks import _psi_formula, _subordination_head
 
 HALF_PAIR = JanowskiPair(0.0, -1.0)
 SMALL_GRID = SampleGrid(radii=tuple(np.geomspace(0.05, 0.999, 6)), angles=16)
@@ -219,6 +219,16 @@ def test_property_radius_denser_angles_never_grow_it():
     assert r512 <= r256 + 2e-4
 
 
+def test_property_radius_rejects_non_integer_density():
+    args = ("u", JanowskiPair(0.1, -1.0), make_params(-0.5, 2.0, 6.0))
+    for density in (8.5, 256.25, math.nan, math.inf, "256"):
+        with pytest.raises(ValueError):
+            property_radius(*args, grid_density=density, tol=1e-2)
+    assert property_radius(*args, grid_density=64.0, tol=1e-2) == property_radius(
+        *args, grid_density=64, tol=1e-2
+    )
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="property_radius tests circles only and misses the pole of 1 + z u'/u at a zero "
@@ -317,13 +327,44 @@ def _same_bits(x, y):
     return x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
 
 
+def test_admissibility_real_forms_equal_complex_forms():
+    # The scan forms Re Psi in real arithmetic; on the scan's own grid it
+    # must equal the real part of the complex formula to the bit, signed
+    # zeros included.  c = 0 and the origin z make exact zeros.
+    rng = np.random.default_rng(227)
+    Z = verify.ADMISSIBILITY_Z[None, :]
+    for k in range(60):
+        B = (-1.0, rng.uniform(-1.0, 0.95))[k % 2]
+        A = rng.uniform(B + 0.01, 1.0)
+        kappa = rng.uniform(-3.0, 60.0)
+        c = (0.0, rng.uniform(-150.0, 150.0), rng.uniform(-4.0, 4.0))[k % 3]
+        rho_max = (8.0, rng.uniform(0.1, 30.0))[k % 2]
+        rhos = np.linspace(-rho_max, rho_max, 201)[:, None]
+        R = 1j * rhos
+        for s_fac in (1.0, 2.5):
+            S = -s_fac * (1.0 + rhos**2) / 2.0
+            for m_fac in (0.0, 0.5, 1.0):
+                T = (-m_fac) * S
+                sub = np.real(_psi_formula("subordination", A, B, kappa, c, R, S, T, Z))
+                real_sub = np.real(_subordination_head(B, kappa, R, S, T)) + (
+                    verify._re_subordination_z_term(A, B, c, rhos, Z)
+                )
+                assert np.array_equal(sub.view(np.uint64), real_sub.view(np.uint64)), (A, B, kappa, c)
+            conv = np.real(_psi_formula("convexity", A, B, kappa, c, R, S, 0.0, Z))
+            real_conv = verify._re_convexity_psi(A, B, kappa, c, rhos, S, Z)
+            assert np.array_equal(conv.view(np.uint64), real_conv.view(np.uint64)), (A, B, kappa, c)
+
+
 def test_admissibility_scan_equals_full_grid_reference():
     rng = np.random.default_rng(211)
     # At B = -1 and kappa = 1 the head is sigma (1 - mu factor), so the
     # mu = -sigma slices tie exactly across sigma and the strict ">" decides.
+    # At B = -1 and kappa = 0.5 it is sigma (0.5 - mu factor), and the deepest
+    # sigma slice wins, in the last block of slices.
     cases = [
         (JanowskiPair(0.0, -1.0), 2.0, -1.0),
         (JanowskiPair(0.0, -1.0), 1.0, -1.0),
+        (JanowskiPair(0.0, -1.0), 0.5, -1.0),
         (JanowskiPair(1.0, 0.999999), 60.0, 200.0),
     ]
     for k in range(24):
@@ -332,9 +373,16 @@ def test_admissibility_scan_equals_full_grid_reference():
         kappa = rng.uniform(0.0, 60.0)
         c = (0.0, rng.uniform(-200.0, 200.0), rng.uniform(-4.0, 4.0), -200.0)[k % 4]
         cases.append((JanowskiPair(A, B), kappa, c))
-    for pair, kappa, c in cases:
+    # Each sigma depth has 3 subordination slices: the deep cases fill one
+    # block of verify.SLICE_BLOCK slices and spill into the next, or fill three.
+    depths = ({}, {"rho_max": 3.0, "sigma_depth": 2}, {"sigma_depth": 5})
+    deep = (
+        {"sigma_depth": verify.SLICE_BLOCK // 3 + 1},
+        {"rho_max": 3.0, "sigma_depth": verify.SLICE_BLOCK + 1},
+    )
+    for n, (pair, kappa, c) in enumerate(cases):
         for which in ("subordination", "convexity"):
-            for kwargs in ({}, {"rho_max": 3.0, "sigma_depth": 2}):
+            for kwargs in depths + (deep if n < 8 else ()):
                 mx, probe = admissibility_scan(which, pair, kappa, c, **kwargs)
                 ref_mx, ref = _reference_admissibility_scan(which, pair, kappa, c, **kwargs)
                 where = (which, pair, kappa, c, kwargs)
@@ -349,6 +397,16 @@ def test_admissibility_scan_validation():
         admissibility_scan("subordination", HALF_PAIR, 2.0, -1.0, rho_max=0.0)
     with pytest.raises(ValueError):
         admissibility_scan("subordination", HALF_PAIR, 2.0, -1.0, sigma_depth=1)
+
+
+@pytest.mark.parametrize("which", ["subordination", "convexity"])
+def test_admissibility_scan_sigma_depth_must_be_an_integer(which):
+    for depth in (2.5, 3.25, math.nan, math.inf, "3"):
+        with pytest.raises(ValueError):
+            admissibility_scan(which, HALF_PAIR, 2.0, -1.0, sigma_depth=depth)
+    assert admissibility_scan(which, HALF_PAIR, 0.5, -1.0, sigma_depth=3.0) == admissibility_scan(
+        which, HALF_PAIR, 0.5, -1.0, sigma_depth=3
+    )
 
 
 @pytest.mark.parametrize("which", ["subordination", "convexity"])
@@ -429,6 +487,15 @@ def test_region_scan_corollary_matching():
 def test_region_scan_validates_steps():
     with pytest.raises(ValueError):
         region_scan("u", HALF_PAIR, (1.0, 2.0, 1), (-1.0, 0.0, 2), SMALL_GRID)
+    for steps in (2.7, 3.5, math.nan, "3"):
+        with pytest.raises(ValueError):
+            region_scan("u", HALF_PAIR, (1.0, 2.0, steps), (-1.0, 0.0, 2), SMALL_GRID)
+        with pytest.raises(ValueError):
+            region_scan("u", HALF_PAIR, (1.0, 2.0, 2), (-1.0, 0.0, steps), SMALL_GRID)
+    rows = region_scan("u", HALF_PAIR, (1.0, 2.0, 3.0), (-1.0, 0.0, 2.0), SMALL_GRID)
+    assert [(r.kappa, r.c) for r in rows] == [(r.kappa, r.c) for r in region_scan(
+        "u", HALF_PAIR, (1.0, 2.0, 3), (-1.0, 0.0, 2), SMALL_GRID
+    )]
 
 
 def test_scan_conflicts_flags_satisfied_counterexamples():
