@@ -57,6 +57,17 @@ DISK_SLACK = 1e-9
 MAX_ORDER = 3
 
 
+def _count(name: str, value) -> int:
+    """value as an int: an int, or a float equal to one; ValueError otherwise."""
+    try:
+        count = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if count != value:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return count
+
+
 class InvalidKappa(ValueError):
     """kappa = p + (b+1)/2 collides with a pole of the coefficient sequence."""
 
@@ -116,7 +127,8 @@ class EvalConfig:
     rel_tol bounds the last summed term and the omitted tail together,
     absolutely on |z| <= 1 + DISK_SLACK (see the module docstring).  max_terms
     caps the summation; hitting the cap raises NoConvergence rather than
-    returning a silent truncation.
+    returning a silent truncation.  max_terms is an integer, or a float equal
+    to one, of at least 4.
     """
 
     rel_tol: float = 1e-14
@@ -125,6 +137,7 @@ class EvalConfig:
     def __post_init__(self) -> None:
         if not (0.0 < self.rel_tol < 1.0):
             raise ValueError(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
+        object.__setattr__(self, "max_terms", _count("max_terms", self.max_terms))
         if self.max_terms < 4:
             raise ValueError(f"max_terms must be at least 4, got {self.max_terms}")
 
@@ -181,8 +194,11 @@ def eval_u(
 
     The j-th derivative is sum_k k!/(k-j)! a_k z^(k-j) over the coefficients
     a_0..a_{n-1} that eval_u_many sums, by Horner's rule; terms_used is n and
-    truncation_estimate the tail bound.  Raises NoConvergence at the term cap.
+    truncation_estimate the tail bound.  Raises NoConvergence at the term cap,
+    and ValueError for an order that is not an integer (an int, or a float
+    equal to one) in 0..3.
     """
+    order = _count("order", order)
     if order not in range(MAX_ORDER + 1):
         raise ValueError(f"order must be one of 0..{MAX_ORDER}, got {order}")
     z = _check_disk(z)
@@ -228,10 +244,12 @@ def eval_u_many(
     terms_used follows the a-priori rule of the module docstring for `order`,
     whatever `lowest` is, and Horner's rule runs elementwise, row by row, so a
     value does not depend on the rest of the batch nor on the other rows
-    returned.
+    returned.  order and lowest are integers, or floats equal to one, with
+    0 <= lowest <= order <= 3; ValueError otherwise.
     """
     import numpy as np
 
+    order, lowest = _count("order", order), _count("lowest", lowest)
     if order not in range(MAX_ORDER + 1):
         raise ValueError(f"order must be one of 0..{MAX_ORDER}, got {order}")
     if lowest not in range(order + 1):

@@ -554,6 +554,30 @@ def _psi_formula(which: str, A: float, B: float, kappa: float, c: float, r, s, t
     return s + f1 * r * r + f2 * r + f3
 
 
+def _re_convexity_psi(A: float, B: float, kappa: float, c: float, rho, sigma, z):
+    """Re of the convexity Psi at r = i rho, s = sigma and z, in real arithmetic.
+
+    Equal to the real part of _psi_formula("convexity", ..., 1j * rho, sigma,
+    t, z) bit for bit wherever that form's products are finite: r has a zero
+    real part, so each complex product with r has a real part with one
+    nonzero real product, rounded once whether or not the product is fused.
+    """
+    f1, f2, f3 = _convexity_coefficients(A, B, kappa, c, z)
+    return ((sigma - (f1.real * rho) * rho) - f2.imag * rho) + f3.real
+
+
+def _re_subordination_z_term(A: float, B: float, c: float, rho, z):
+    """Re of the subordination z-term q z / (8 (A-B)) at r = i rho, in real arithmetic.
+
+    numpy divides x = q z by the real d = 8 (A-B) as (Re x + Im x * 0) (1/d),
+    so this equals the real part of the complex quotient except that a -0
+    may read +0 there, and that an infinite Im x makes that one NaN.  The
+    head it is added to is never -0, so Re Psi keeps its bits wherever it is
+    finite in the complex form.  z is an array.
+    """
+    return (_subordination_q(A, B, c, 1j * rho) * z).real * (1.0 / (8.0 * (A - B)))
+
+
 def eval_psi(
     which: str,
     pair: JanowskiPair,

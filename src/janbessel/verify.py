@@ -59,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import BesselParams, EvalConfig, DEFAULT_CONFIG, eval_u_many
+from .bessel import BesselParams, EvalConfig, DEFAULT_CONFIG, _count, eval_u_many
 from .checks import (
     COROLLARY_CC_ORDER,
     COROLLARY_DERIV_RE_HALF,
@@ -78,10 +78,10 @@ from .checks import (
     AdmissibilityProbe,
     CheckOutcome,
     ZeroC,
-    _convexity_coefficients,
     _finite_kappa_c,
+    _re_convexity_psi,
+    _re_subordination_z_term,
     _subordination_head,
-    _subordination_q,
     check_corollary,
     check_theorem,
 )
@@ -106,17 +106,6 @@ DEGENERACY_TOL = 1e-13
 
 # The witness neighbourhood is resampled at this fraction of the angular step.
 REFINE_FACTOR = 16
-
-
-def _count(name: str, value) -> int:
-    """value as an int: an int, or a float equal to one; ValueError otherwise."""
-    try:
-        count = int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if count != value:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return count
 
 
 @dataclass(frozen=True)
@@ -360,31 +349,9 @@ ADMISSIBILITY_Z.flags.writeable = False
 
 # Subordination (sigma, mu) slices are evaluated together, at most this many
 # at a time, so a block's heads hold at most 64 x 201 values at any depth.
+# At MAX_SIGMA_DEPTH (3000 slices) one unblocked array and its temporaries
+# peak near 29 MB; blocks of 64 peak near 1.3 MB and take no longer.
 SLICE_BLOCK = 64
-
-
-def _re_convexity_psi(A: float, B: float, kappa: float, c: float, rho, sigma, z):
-    """Re of the convexity Psi at r = i rho, s = sigma and z, in real arithmetic.
-
-    Equal to np.real(_psi_formula("convexity", ..., 1j * rho, sigma, t, z)) bit
-    for bit wherever that form's products are finite: r has a zero real part,
-    so each complex product with r has a real part with one nonzero real
-    product, rounded once whether or not the product is fused.
-    """
-    f1, f2, f3 = _convexity_coefficients(A, B, kappa, c, z)
-    return ((sigma - (f1.real * rho) * rho) - f2.imag * rho) + f3.real
-
-
-def _re_subordination_z_term(A: float, B: float, c: float, rho, z):
-    """Re of the subordination z-term q z / (8 (A-B)) at r = i rho, in real arithmetic.
-
-    numpy divides x = q z by the real d = 8 (A-B) as (Re x + Im x * 0) (1/d),
-    so this equals the real part of the complex quotient except that a -0
-    may read +0 there, and that an infinite Im x makes that one NaN.  The
-    head it is added to is never -0, so Re Psi keeps its bits wherever it is
-    finite in the complex form.
-    """
-    return np.real(_subordination_q(A, B, c, 1j * rho) * z) * (1.0 / (8.0 * (A - B)))
 
 
 def admissibility_scan(
@@ -425,8 +392,8 @@ def admissibility_scan(
     has a zero real part, so the convexity form's real part is
     ((sigma - (Re F1 rho) rho) - Im F2 rho) + Re F3, and the subordination
     z-term's is Re(q z) (1 / (8 (A-B))), each bit-equal to the real part of
-    the complex form wherever that form is finite (see _re_convexity_psi and
-    _re_subordination_z_term).  The heads stay complex: their quotient by
+    the complex form wherever that form is finite (see
+    checks._re_convexity_psi and checks._re_subordination_z_term).  The heads stay complex: their quotient by
     (1-B) + (1+B) r has no exact real form.
 
     Raises ValueError for an unknown form, a non-finite or non-positive

@@ -93,6 +93,10 @@ def test_eval_config_validation():
         EvalConfig(rel_tol=1.0)
     with pytest.raises(ValueError):
         EvalConfig(max_terms=3)
+    for max_terms in (300.5, math.inf, "300"):
+        with pytest.raises(ValueError):
+            EvalConfig(max_terms=max_terms)
+    assert EvalConfig(max_terms=300.0).max_terms == 300
     cfg = EvalConfig(rel_tol=1e-10, max_terms=50)
     assert cfg.rel_tol == 1e-10 and cfg.max_terms == 50
 
@@ -210,6 +214,10 @@ def test_result_length_tracks_order():
         eval_u(params, 0.5, order=4)
     with pytest.raises(ValueError):
         eval_u(params, 0.5, order=-1)
+    for order in (1.5, math.nan, "1"):
+        with pytest.raises(ValueError):
+            eval_u(params, 0.5, order=order)
+    assert eval_u(params, 0.5, order=2.0).values == eval_u(params, 0.5, order=2).values
 
 
 def test_outside_disk_rejected():
@@ -300,10 +308,21 @@ def test_batch_rows_from_lowest_are_the_full_rows(size):
                 )
 
 
-@pytest.mark.parametrize("order, lowest", [(0, -1), (0, 1), (2, 3), (3, 4), (1, -2)])
+@pytest.mark.parametrize(
+    "order, lowest",
+    [(0, -1), (0, 1), (2, 3), (3, 4), (1, -2), (0, 1.0), (2, 1.5), (2, math.nan), (1.5, 0)],
+)
 def test_batch_lowest_outside_orders_rejected(order, lowest):
     with pytest.raises(ValueError):
         eval_u_many(make_params(0.0, 2.0, 1.0), np.array([0.5j]), order=order, lowest=lowest)
+
+
+def test_batch_integral_float_counts_are_the_int_counts():
+    params, zs = make_params(0.0, 2.0, 1.0), np.array([0.5j, -0.25])
+    rows, terms = eval_u_many(params, zs, order=3.0, lowest=1.0)
+    expected, expected_terms = eval_u_many(params, zs, order=3, lowest=1)
+    assert terms == expected_terms
+    assert np.array_equal(rows.view(np.uint64), expected.view(np.uint64))
 
 
 def _abs_term_sum(kappa, c, r, j):

@@ -23,7 +23,12 @@ from janbessel import (
     verify_membership,
 )
 from janbessel import verify
-from janbessel.checks import _psi_formula, _subordination_head
+from janbessel.checks import (
+    _psi_formula,
+    _re_convexity_psi,
+    _re_subordination_z_term,
+    _subordination_head,
+)
 
 HALF_PAIR = JanowskiPair(0.0, -1.0)
 SMALL_GRID = SampleGrid(radii=tuple(np.geomspace(0.05, 0.999, 6)), angles=16)
@@ -347,11 +352,11 @@ def test_admissibility_real_forms_equal_complex_forms():
                 T = (-m_fac) * S
                 sub = np.real(_psi_formula("subordination", A, B, kappa, c, R, S, T, Z))
                 real_sub = np.real(_subordination_head(B, kappa, R, S, T)) + (
-                    verify._re_subordination_z_term(A, B, c, rhos, Z)
+                    _re_subordination_z_term(A, B, c, rhos, Z)
                 )
                 assert np.array_equal(sub.view(np.uint64), real_sub.view(np.uint64)), (A, B, kappa, c)
             conv = np.real(_psi_formula("convexity", A, B, kappa, c, R, S, 0.0, Z))
-            real_conv = verify._re_convexity_psi(A, B, kappa, c, rhos, S, Z)
+            real_conv = _re_convexity_psi(A, B, kappa, c, rhos, S, Z)
             assert np.array_equal(conv.view(np.uint64), real_conv.view(np.uint64)), (A, B, kappa, c)
 
 

@@ -4,19 +4,22 @@
 
 Each pair runs the benchmark command of BENCHMARK.json (`python3 bench/run.py`)
 with `--workload W --seed S --seconds T --trace 0` once from each checkout,
-one child at a time.  The parent runs first in odd-numbered pairs and the
-change first in even-numbered ones.  T is BENCHMARK.json's run_seconds
-unless --seconds is given; both sides always run for the same T.
+one child at a time, where T is BENCHMARK.json's run_seconds.  The parent
+runs first in odd-numbered pairs and the change first in even-numbered ones.
 
 For every end-to-end metric named in BENCHMARK.json it prints each side's
-median and quartiles, the change/parent ratio of the medians, whether that
-ratio stays within the metric's bound, the change's wins out of N (a pair
-with equal values counts for neither side), and whether a gain may be
-claimed: the change wins at least nine tenths of the pairs, and its median
-is better than the parent's by more than the parent's interquartile range.
-Each run's `correct`, `failed` and `attempted` are printed too.  The script
-only reads what the harness prints; it changes nothing in either checkout.
-BENCHMARK.json is read from the checkout this script belongs to.
+median and quartiles, the change/parent ratio of the medians, and whether
+that ratio stays within the metric's bound: "within" or "beyond", or
+"unresolved" when the parent's interquartile range, relative to its median,
+is wider than the bound and not every change run beats every parent run.
+It then prints the change's wins out of N (a pair with equal values counts
+for neither side) and whether a gain may be claimed: at least ten pairs
+were run, the change wins at least nine tenths of them, its median is
+better than the parent's by more than the parent's interquartile range,
+every change run is correct, and in no pair does the change fail a larger
+share of its operations than the parent.  Each run's `correct`, `failed` and `attempted` are printed too.
+The script only reads what the harness prints; it changes nothing in either
+checkout.  BENCHMARK.json is read from the checkout this script belongs to.
 """
 
 from __future__ import annotations
@@ -29,7 +32,9 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-# A gain is claimed only when the change wins at least this share of the pairs.
+# A gain is claimed only over at least this many pairs, when the change wins
+# at least this share of them.
+CLAIM_MIN_PAIRS = 10
 CLAIM_WIN_SHARE = 0.9
 
 
@@ -40,8 +45,6 @@ def parse_args(argv):
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="run length of every run (default: BENCHMARK.json run_seconds)")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -69,7 +72,19 @@ def quartiles(values):
     return q1, q2, q3
 
 
-def compare(metric, parent, change):
+def failure_share(run):
+    return run["failed"] / max(run["attempted"], 1)
+
+
+def operations_hold(parent_runs, change_runs):
+    """Every change run is correct and fails no larger share than its paired parent run."""
+    return all(
+        c["correct"] and failure_share(c) <= failure_share(p)
+        for p, c in zip(parent_runs, change_runs)
+    )
+
+
+def compare(metric, parent, change, ops_hold):
     """One report line for one metric: parent and change runs are paired by index."""
     lower = metric["better"] == "lower"
     p1, pm, p3 = quartiles(parent)
@@ -78,11 +93,22 @@ def compare(metric, parent, change):
     gain = (pm - cm) if lower else (cm - pm)
     ratio = cm / pm if pm else float("nan")
     worse = (ratio - 1.0) if lower else (1.0 - ratio)
-    claim = wins >= CLAIM_WIN_SHARE * len(parent) and gain > p3 - p1
+    spread = (p3 - p1) / pm if pm else float("inf")
+    separated = max(change) < min(parent) if lower else min(change) > max(parent)
+    if spread > metric["bound"] and not separated:
+        verdict = "unresolved"
+    else:
+        verdict = "within" if worse <= metric["bound"] else "beyond"
+    claim = (
+        ops_hold
+        and len(parent) >= CLAIM_MIN_PAIRS
+        and wins >= CLAIM_WIN_SHARE * len(parent)
+        and gain > p3 - p1
+    )
     return (
         f"{metric['name']:<12} parent {pm:.6g} [{p1:.6g}-{p3:.6g}]  "
         f"change {cm:.6g} [{c1:.6g}-{c3:.6g}] {metric['unit']}  ratio {ratio:.3f} "
-        f"({'within' if worse <= metric['bound'] else 'beyond'} bound {metric['bound']})  "
+        f"({verdict} bound {metric['bound']})  "
         f"wins {wins}/{len(parent)}  claim {'met' if claim else 'not met'}"
     )
 
@@ -90,7 +116,7 @@ def compare(metric, parent, change):
 def main(argv=None):
     args = parse_args(argv)
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = benchmark["run_seconds"] if args.seconds is None else args.seconds
+    seconds = benchmark["run_seconds"]
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     runs = {"parent": [], "change": []}
     for pair in range(args.pairs):
@@ -107,11 +133,12 @@ def main(argv=None):
     for side in ("parent", "change"):
         failed = " ".join(f"{r['failed']}/{r['attempted']}" for r in runs[side])
         print(f"{side:<6} correct {[r['correct'] for r in runs[side]]}  failed {failed}")
+    ops_hold = operations_hold(runs["parent"], runs["change"])
     for metric in benchmark["end_to_end"]:
         name = metric["name"]
         parent = [r["metrics"][name]["value"] for r in runs["parent"]]
         change = [r["metrics"][name]["value"] for r in runs["change"]]
-        print(compare(metric, parent, change))
+        print(compare(metric, parent, change, ops_hold))
     return 0
 
 
