@@ -212,22 +212,35 @@ def eval_u(
     return EvalResult(values=values, terms_used=len(a), truncation_estimate=tail)
 
 
+@functools.lru_cache(maxsize=128)
+def _falling_weights(order: int, n: int):
+    """(index, weights) of shape (n, order+1): m + j and the float of perm(m+j, j) = (m+j)!/m!."""
+    import numpy as np
+
+    index = np.arange(n)[:, None] + np.arange(order + 1)[None, :]
+    weights = np.array([[float(math.perm(m + j, j)) for j in range(order + 1)] for m in range(n)])
+    return index, weights
+
+
 # verify_membership asks twice for one (kappa, c, order), property_radius once a circle.
 @functools.lru_cache(maxsize=128)
 def _series_rows(kappa: float, c: float, order: int, rel_tol: float, max_terms: int):
-    """Columns of the Taylor coefficients of u, ..., u^(order), truncated a priori.
+    """Coefficients of u, ..., u^(order), truncated a priori, for Horner's rule.
 
-    Read-only columns[m] has shape (order+1, 1); row j is a_{m+j} (m+j)!/m!.
+    Read-only, shape (n, order+1, 1): entry [m, j, 0] is a_{m+j} (m+j)!/m!,
+    zero once m + j >= n.  Each entry is the one rounding of
+    float(perm(m+j, j)) * a_{m+j}.
     """
     import numpy as np
 
     a, _ = _coefficients(kappa, c, order, rel_tol, max_terms)
     n = len(a)
-    rows = np.zeros((order + 1, n), dtype=complex)
-    for j in range(order + 1):
-        rows[j, : n - j] = [math.perm(k, j) * a[k] for k in range(j, n)]
-    rows.flags.writeable = False
-    return tuple(rows[:, m : m + 1] for m in range(n))
+    index, weights = _falling_weights(order, n)
+    padded = np.zeros(n + order)
+    padded[:n] = a
+    columns = (padded[index] * weights).astype(complex)[:, :, None]
+    columns.flags.writeable = False
+    return columns
 
 
 def eval_u_many(
@@ -259,7 +272,8 @@ def eval_u_many(
         raise ValueError("zs must be a 1-d array")
     if zs.size == 0:
         raise ValueError("zs must be non-empty")
-    if not np.all(np.abs(zs) <= 1.0 + DISK_SLACK):
+    # Written so that a NaN modulus fails the test too.
+    if not np.abs(zs).max() <= 1.0 + DISK_SLACK:
         raise ValueError("evaluation is restricted to |z| <= 1")
 
     columns = _series_rows(params.kappa, params.c, order, cfg.rel_tol, cfg.max_terms)
@@ -268,10 +282,10 @@ def eval_u_many(
     row = zs[None, :]
     values = np.zeros((order + 1 - lowest, zs.size), dtype=complex)
     products = np.empty_like(values)
-    for column in reversed(columns):
+    for column in columns[::-1, lowest:]:
         np.multiply(values, row, out=products)
-        np.add(products, column[lowest:], out=values)
-    return values, len(columns)
+        np.add(products, column, out=values)
+    return values, columns.shape[0]
 
 
 def ode_residual(

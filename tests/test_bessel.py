@@ -325,6 +325,25 @@ def test_batch_integral_float_counts_are_the_int_counts():
     assert np.array_equal(rows.view(np.uint64), expected.view(np.uint64))
 
 
+def test_series_rows_are_the_rounded_term_products():
+    # Each Horner coefficient is the single rounding of perm(m+j, j) * a_{m+j},
+    # signed zeros included (c = 0 makes a_1 = -0.0); zero past the last term.
+    from janbessel.bessel import _coefficients, _series_rows
+
+    for kappa, c in ((1.5, 0.0), (-2.7, 3.5), (0.2, -150.0), (40.0, 60.0)):
+        for order in range(4):
+            a, _ = _coefficients(kappa, c, order, 1e-14, 300)
+            columns = _series_rows(kappa, c, order, 1e-14, 300)
+            assert columns.shape == (len(a), order + 1, 1)
+            assert not columns.flags.writeable
+            expected = np.zeros(columns.shape[:2], dtype=complex)
+            for m in range(len(a)):
+                for j in range(order + 1):
+                    if m + j < len(a):
+                        expected[m, j] = math.perm(m + j, j) * a[m + j]
+            assert np.array_equal(columns[:, :, 0].view(np.uint64), expected.view(np.uint64))
+
+
 def _abs_term_sum(kappa, c, r, j):
     """sum_k |a_k| k!/(k-j)! r^(k-j): the scale of rounding error in u^(j) on |z| = r."""
     coef, total = 1.0, 0.0
