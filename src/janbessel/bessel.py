@@ -214,15 +214,16 @@ def eval_u(
 
 @functools.lru_cache(maxsize=128)
 def _falling_weights(order: int, n: int):
-    """(index, weights) of shape (n, order+1): m + j and the float of perm(m+j, j) = (m+j)!/m!."""
+    """Read-only (index, weights), shape (n, order+1): m + j and the float of perm(m+j, j)."""
     import numpy as np
 
     index = np.arange(n)[:, None] + np.arange(order + 1)[None, :]
     weights = np.array([[float(math.perm(m + j, j)) for j in range(order + 1)] for m in range(n)])
+    index.flags.writeable = weights.flags.writeable = False
     return index, weights
 
 
-# verify_membership asks twice for one (kappa, c, order), property_radius once a circle.
+# property_radius asks for the same (kappa, c, order) once a circle.
 @functools.lru_cache(maxsize=128)
 def _series_rows(kappa: float, c: float, order: int, rel_tol: float, max_terms: int):
     """Coefficients of u, ..., u^(order), truncated a priori, for Horner's rule.

@@ -42,13 +42,25 @@ the bits of the complex forms wherever those are finite.
 region_scan sweeps a (kappa, c) rectangle and pairs the checker verdict, any
 applicable corollary verdict, and the sampled verdict cell by cell.
 
+Mirror symmetry: A, B, p, b and c are real, so u has real Taylor
+coefficients, every target region is symmetric about the real axis, and in
+exact arithmetic the margin at conj z equals the margin at z.  The sample
+circles are built so that this holds to the bit: each ring (_ring) starts
+at angle 0, its points at angles 0 and pi are exactly real, and each point
+below the real axis is the exact conj of its upper twin.  IEEE negation is
+exact, and numpy's complex multiply, divide and abs treat sign flips
+symmetrically, so twins get bit-equal margins and equal degeneracy flags.
+verify_membership and property_radius therefore evaluate only the closed
+upper half of each circle (angles 0..angles//2).  Angles 0 and pi are
+critical points of every circle's margin and hold the witness in practice,
+so verify_membership's one series call also covers the upper halves of the
+refinement arcs around them on every ring; only a witness elsewhere needs a
+second call for its arc.
+
 Determinism: grids are fixed by their parameters, so identical inputs give
 bit-identical results.  Exact ties go to the first grid point in
-radius-major order.  u has real coefficients, so w(conj z) = conj w(z) in
-exact arithmetic, but the mirror points at angles theta and 2 pi - theta are
-not exact conjugates in floating point: between mirror twins the argmin is
-decided by last-bit rounding, and any last-bit change to the series can
-move a witness to its mirror.
+radius-major order, which is never a point below the real axis, and on a
+refinement arc around angle 0 or pi to the upper point.
 """
 
 from __future__ import annotations
@@ -108,6 +120,30 @@ DEGENERACY_TOL = 1e-13
 REFINE_FACTOR = 16
 
 
+# Refinement offsets, in steps of 1/REFINE_FACTOR of the angular step.
+_REFINE_OFFSETS = np.array([k for k in range(-REFINE_FACTOR, REFINE_FACTOR + 1) if k != 0])
+
+
+def _lower_twins(upper: np.ndarray, n: int) -> np.ndarray:
+    """Given values at angle indices 0..n//2 (last axis), those at n//2+1..n-1.
+
+    Angle index k > n/2 is the mirror of index n - k.
+    """
+    return upper[..., (n - 1) // 2 : 0 : -1]
+
+
+def _ring(n: int) -> np.ndarray:
+    """n unit points at the angles 2 pi k / n, k = 0..n-1, mirror-exact.
+
+    The points at angles 0 and pi (pi only for even n) are exactly real, and
+    each point below the real axis is the exact conj of its upper twin.
+    """
+    upper = np.exp(1j * (2.0 * np.pi * np.arange(n // 2 + 1) / n))
+    if n % 2 == 0:
+        upper[n // 2] = -1.0
+    return np.concatenate([upper, np.conj(_lower_twins(upper, n))])
+
+
 @dataclass(frozen=True)
 class SampleGrid:
     """Polar sampling grid: every radius crossed with equispaced angles."""
@@ -129,23 +165,63 @@ class SampleGrid:
             raise ValueError(f"need at least 8 angles, got {angles}")
         if not (0.0 < self.max_radius < 1.0):
             raise ValueError(f"max_radius must lie in (0, 1), got {self.max_radius}")
+        if radii[-1] > self.max_radius:
+            raise ValueError(f"grid radius {radii[-1]} exceeds max_radius {self.max_radius}")
         object.__setattr__(self, "radii", radii)
         object.__setattr__(self, "angles", angles)
         object.__setattr__(self, "max_radius", float(self.max_radius))
 
     @staticmethod
     def default() -> "SampleGrid":
-        return SampleGrid(radii=tuple(np.geomspace(0.05, 0.999, 24)), angles=256)
+        """The shared 24 x 256 grid on radii geomspace(0.05, 0.999, 24)."""
+        return _DEFAULT_GRID
 
     # Cached by value, not stored on the grid: every report keeps its grid.
     @functools.lru_cache(maxsize=8)
     def points(self) -> np.ndarray:
-        """All grid points, radius-major (all angles of radii[0] first); read-only."""
-        theta = 2.0 * np.pi * np.arange(self.angles) / self.angles
-        ring = np.exp(1j * theta)
-        points = (np.asarray(self.radii)[:, None] * ring[None, :]).ravel()
+        """All grid points, radius-major (all angles of radii[0] first); read-only.
+
+        Each ring is radius * _ring(angles): it starts at angle 0, its points
+        at angles 0 and pi are real, and each point below the real axis is the
+        exact conj of its upper twin.
+        """
+        points = (np.asarray(self.radii)[:, None] * _ring(self.angles)[None, :]).ravel()
         points.flags.writeable = False
         return points
+
+
+_DEFAULT_GRID = SampleGrid(radii=tuple(np.geomspace(0.05, 0.999, 24)), angles=256)
+
+
+def _axis_arcs(n: int) -> list[tuple[int, np.ndarray]]:
+    """(angle index, upper-half refinement offsets) for each real-axis angle of n."""
+    arcs = [(0, _REFINE_OFFSETS[REFINE_FACTOR:])]
+    if n % 2 == 0:
+        arcs.append((n // 2, _REFINE_OFFSETS[:REFINE_FACTOR]))
+    return arcs
+
+
+@functools.lru_cache(maxsize=8)
+def _sampled_points(grid: SampleGrid) -> np.ndarray:
+    """What verify_membership evaluates on `grid`, in one read-only array.
+
+    First the closed upper half of every ring (angles 0..angles//2),
+    radius-major; then, ring by ring, the upper half of the refinement arc
+    around each real-axis grid angle: offsets 1..REFINE_FACTOR around angle 0
+    and, for an even angle count, -REFINE_FACTOR..-1 around pi.  Every point
+    left out is the exact conj of one kept.
+    """
+    n = grid.angles
+    half = grid.points().reshape(len(grid.radii), n)[:, : n // 2 + 1]
+    step = 2.0 * np.pi / n
+    arcs = [
+        np.exp(1j * (2.0 * np.pi * i_angle / n + offsets * step / REFINE_FACTOR))
+        for i_angle, offsets in _axis_arcs(n)
+    ]
+    arcs = np.asarray(grid.radii)[:, None] * np.concatenate(arcs)[None, :]
+    points = np.concatenate([half.ravel(), arcs.ravel()])
+    points.flags.writeable = False
+    return points
 
 
 @dataclass
@@ -200,26 +276,28 @@ def _functional_values(
     raise ValueError(f"unknown selector {selector!r}; expected one of {SELECTORS}")
 
 
-def _margins_and_hits(
+def _margins(
     selector: str,
     pair: JanowskiPair,
     region: TargetRegion,
     params: BesselParams,
     zs: np.ndarray,
     cfg: EvalConfig,
-) -> tuple[np.ndarray, list[tuple[complex, str]]]:
-    """Margins with degenerate samples excluded (set to +inf) and recorded."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, str]:
+    """(margins, mask, proof_mask, reason): excluded samples get margin +inf.
+
+    mask marks zero functional denominators (reason says which), proof_mask
+    the remaining zeros of the proof-side denominator.
+    """
     w, mask, reason = _functional_values(selector, params, zs, cfg)
     # Denominator of the proof-side transformed function; a zero would void
     # the nondegeneracy hypothesis behind the checkers.
     proof_mask = (np.abs((1.0 + pair.B) * w - (1.0 + pair.A)) < DEGENERACY_TOL) & ~mask
     margins = region_margin_many(region, w)
     excluded = mask | proof_mask
-    if not excluded.any():
-        return margins, []
-    hits = [(complex(z), reason) for z in zs[mask]]
-    hits.extend((complex(z), "proof-map-pole") for z in zs[proof_mask])
-    return np.where(excluded, np.inf, margins), hits
+    if excluded.any():
+        margins = np.where(excluded, np.inf, margins)
+    return margins, mask, proof_mask, reason
 
 
 def verify_membership(
@@ -233,20 +311,39 @@ def verify_membership(
 
     The minimum margin and its witness come from the base grid; one angular
     refinement pass then resamples the witness circle at 1/REFINE_FACTOR of
-    the angular step and keeps whatever smaller margin it finds (only if
-    strictly smaller).  Exact ties go to the first point in radius-major
-    order, on the grid and on the refinement arc.  Mirror points (angles
-    theta and 2 pi - theta) are not exact conjugates in floating point, so
-    which of two mirror twins becomes the witness is decided by last-bit
-    rounding.
+    the angular step, REFINE_FACTOR steps to each side, and keeps whatever
+    smaller margin it finds (only if strictly smaller).  Exact ties go to the
+    first point in radius-major order on the grid, which is never below the
+    real axis, and to the upper point of the two mirror halves of a
+    refinement arc around angle 0 or pi.
+
+    The margin at conj z is bit-equal to the margin at z, so only the closed
+    upper half of the grid (angles 0..angles//2) and the upper halves of the
+    arcs around the real-axis angles are evaluated, in one series call; a
+    witness off the real axis has its arc evaluated by a second call.  The
+    report is bit-equal to evaluating every grid point and then the whole
+    arc around the witness.
     """
     if grid is None:
-        grid = SampleGrid.default()
+        grid = _DEFAULT_GRID
     region = target_region(pair)
-    zs = grid.points()
-    margins, hits = _margins_and_hits(selector, pair, region, params, zs, cfg)
+    zs = _sampled_points(grid)
+    margins, mask, proof_mask, reason = _margins(selector, pair, region, params, zs, cfg)
 
-    if not np.isfinite(margins).any():
+    n, rings = grid.angles, len(grid.radii)
+    half = n // 2 + 1
+    on_grid = rings * half
+    hits = []
+    if mask[:on_grid].any() or proof_mask[:on_grid].any():
+        # Mirror the masks onto the full grid, radius-major.
+        full = grid.points()
+        for flags, label in ((mask, reason), (proof_mask, "proof-map-pole")):
+            upper = flags[:on_grid].reshape(rings, half)
+            whole = np.concatenate([upper, _lower_twins(upper, n)], axis=1).ravel()
+            hits.extend((complex(z), label) for z in full[whole])
+
+    grid_margins = margins[:on_grid]
+    if not np.isfinite(grid_margins).any():
         return VerificationReport(
             selector=selector,
             pair=pair,
@@ -258,17 +355,24 @@ def verify_membership(
             degeneracy_hits=hits,
         )
 
-    idx = int(np.argmin(margins))
-    min_margin = float(margins[idx])
+    idx = int(np.argmin(grid_margins))
+    min_margin = float(grid_margins[idx])
     witness = complex(zs[idx])
 
     # Local angular refinement around the witness.
-    i_radius, i_angle = divmod(idx, grid.angles)
-    theta = 2.0 * np.pi * i_angle / grid.angles
-    dtheta = 2.0 * np.pi / grid.angles
-    offsets = np.array([k for k in range(-REFINE_FACTOR, REFINE_FACTOR + 1) if k != 0])
-    local = grid.radii[i_radius] * np.exp(1j * (theta + offsets * dtheta / REFINE_FACTOR))
-    local_margins, _ = _margins_and_hits(selector, pair, region, params, local, cfg)
+    i_radius, i_angle = divmod(idx, half)
+    axis = [angle for angle, _ in _axis_arcs(n)]
+    if i_angle in axis:
+        lo = on_grid + (i_radius * len(axis) + axis.index(i_angle)) * REFINE_FACTOR
+        local = zs[lo : lo + REFINE_FACTOR]
+        local_margins = margins[lo : lo + REFINE_FACTOR]
+    else:
+        theta = 2.0 * np.pi * i_angle / n
+        dtheta = 2.0 * np.pi / n
+        local = grid.radii[i_radius] * np.exp(
+            1j * (theta + _REFINE_OFFSETS * dtheta / REFINE_FACTOR)
+        )
+        local_margins = _margins(selector, pair, region, params, local, cfg)[0]
     j = int(np.argmin(local_margins))
     if local_margins[j] < min_margin:
         min_margin = float(local_margins[j])
@@ -298,9 +402,12 @@ def property_radius(
 ) -> float:
     """Largest sampled radius (within tol) on which membership holds.
 
-    Bisects on the circle radius; a circle is feasible when no sample is
-    degenerate and every margin is strictly positive.  Returns 0.0 when even
-    r = 0.01 fails and max_radius when the cap itself is feasible.
+    Bisects on the circle radius; a circle of grid_density points
+    (r * _ring(grid_density)) is feasible when no sample is degenerate and
+    every margin is strictly positive.  Only its closed upper half is
+    evaluated: each other point is the exact conj of one evaluated, and its
+    margin and degeneracy are its twin's.  Returns 0.0 when even r = 0.01
+    fails and max_radius when the cap itself is feasible.
 
     Precondition, not checked: the functional's denominator has no zero
     inside the circles tested; past such a zero the radius can be unsound.
@@ -313,11 +420,11 @@ def property_radius(
     if not (0.01 < max_radius < 1.0):
         raise ValueError(f"max_radius must lie in (0.01, 1), got {max_radius}")
     region = target_region(pair)
-    ring = np.exp(2j * np.pi * np.arange(grid_density) / grid_density)
+    upper = _ring(grid_density)[: grid_density // 2 + 1]
 
     def feasible(r: float) -> bool:
-        margins, hits = _margins_and_hits(selector, pair, region, params, r * ring, cfg)
-        if hits:
+        margins, mask, proof_mask, _ = _margins(selector, pair, region, params, r * upper, cfg)
+        if mask.any() or proof_mask.any():
             return False
         return float(np.min(margins)) > 0.0
 
@@ -515,7 +622,7 @@ def region_scan(
     order in the calling thread.
     """
     if grid is None:
-        grid = SampleGrid.default()
+        grid = _DEFAULT_GRID
     k_lo, k_hi, k_steps = kappa_range
     c_lo, c_hi, c_steps = c_range
     k_steps, c_steps = _count("kappa steps", k_steps), _count("c steps", c_steps)

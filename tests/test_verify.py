@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from janbessel import (
+    DEFAULT_CONFIG,
     AdmissibilityProbe,
     CheckOutcome,
     JanowskiPair,
@@ -18,8 +19,10 @@ from janbessel import (
     eval_psi,
     make_params,
     property_radius,
+    region_margin_many,
     region_scan,
     scan_conflicts,
+    target_region,
     verify_membership,
 )
 from janbessel import verify
@@ -62,6 +65,15 @@ def test_grid_validation():
         SampleGrid(radii=(), angles=16)
     with pytest.raises(ValueError):
         SampleGrid(radii=(0.5,), angles=16, max_radius=1.0)
+    with pytest.raises(ValueError):
+        SampleGrid(radii=(0.5, 0.9995), angles=16)
+    with pytest.raises(ValueError):
+        SampleGrid(radii=(0.5, 0.9), angles=16, max_radius=0.8)
+    assert SampleGrid(radii=(0.5, 0.9), angles=16, max_radius=0.9).radii[-1] == 0.9
+
+
+def test_default_grid_is_built_once():
+    assert SampleGrid.default() is SampleGrid.default()
 
 
 def test_grid_points_are_radius_major():
@@ -70,6 +82,186 @@ def test_grid_points_are_radius_major():
     assert pts.shape == (16,)
     assert np.allclose(np.abs(pts[:8]), 0.25) and np.allclose(np.abs(pts[8:]), 0.75)
     assert pts[0] == 0.25 + 0j  # angle zero first
+
+
+def _bits(values):
+    return np.ascontiguousarray(values, dtype=complex).view(np.uint64)
+
+
+@pytest.mark.parametrize("n", [8, 9, 16, 17, 64, 256])
+def test_ring_is_mirror_exact(n):
+    ring = verify._ring(n)
+    assert ring.shape == (n,)
+    assert np.allclose(ring, np.exp(2j * np.pi * np.arange(n) / n), rtol=0.0, atol=4e-15)
+    assert ring[0] == 1.0 and ring[0].imag == 0.0
+    if n % 2 == 0:
+        assert ring[n // 2] == -1.0 and ring[n // 2].imag == 0.0
+    k = np.arange(1, (n + 1) // 2)
+    assert np.array_equal(_bits(ring[n - k]), _bits(np.conj(ring[k])))
+    grid = SampleGrid(radii=(0.05, 0.3, 0.999), angles=n)
+    rings = grid.points().reshape(3, n)
+    assert np.all(rings[:, 0].imag == 0.0)
+    assert np.array_equal(_bits(rings[:, n - k]), _bits(np.conj(rings[:, k])))
+
+
+def _reference_margins(selector, pair, params, zs):
+    """Margins over every point of zs (excluded ones +inf) and the degeneracy hits."""
+    w, mask, reason = verify._functional_values(selector, params, zs, DEFAULT_CONFIG)
+    proof = (np.abs((1.0 + pair.B) * w - (1.0 + pair.A)) < verify.DEGENERACY_TOL) & ~mask
+    margins = np.where(mask | proof, np.inf, region_margin_many(target_region(pair), w))
+    hits = [(complex(z), reason) for z in zs[mask]]
+    hits.extend((complex(z), "proof-map-pole") for z in zs[proof])
+    return margins, hits
+
+
+def _reference_verify_membership(selector, pair, params, grid):
+    # The full two-pass evaluation: every grid point, then the whole
+    # refinement arc around the witness, first minimum each time.  Around
+    # angle 0 or pi the arc is its upper half followed by the conjugates of
+    # that half, so ties go to the upper point.
+    zs = grid.points()
+    margins, hits = _reference_margins(selector, pair, params, zs)
+    report = verify.VerificationReport(
+        selector, pair, params, "counterexample", math.nan, None, grid, hits
+    )
+    if not np.isfinite(margins).any():
+        return report
+    idx = int(np.argmin(margins))
+    report.min_margin, report.witness = float(margins[idx]), complex(zs[idx])
+    n, f = grid.angles, verify.REFINE_FACTOR
+    i_radius, i_angle = divmod(idx, n)
+    offsets = np.array([k for k in range(-f, f + 1) if k != 0])
+    theta, dtheta = 2.0 * np.pi * i_angle / n, 2.0 * np.pi / n
+    arc = grid.radii[i_radius] * np.exp(1j * (theta + offsets * dtheta / f))
+    if i_angle == 0 or 2 * i_angle == n:
+        upper = arc[f:] if i_angle == 0 else arc[:f]
+        arc = np.concatenate([upper, np.conj(upper)])
+    local, _ = _reference_margins(selector, pair, params, arc)
+    j = int(np.argmin(local))
+    if local[j] < report.min_margin:
+        report.min_margin, report.witness = float(local[j]), complex(arc[j])
+    if not hits and report.min_margin >= 0.0:
+        report.verdict = "holds-on-grid"
+    return report
+
+
+def _assert_same_report(report, ref, where):
+    assert report.verdict == ref.verdict, where
+    assert np.float64(report.min_margin).view(np.uint64) == np.float64(ref.min_margin).view(
+        np.uint64
+    ), where
+    assert (report.witness is None) == (ref.witness is None), where
+    if ref.witness is not None:
+        assert np.array_equal(_bits(report.witness), _bits(ref.witness)), where
+    assert len(report.degeneracy_hits) == len(ref.degeneracy_hits), where
+    for (z, reason), (z_ref, reason_ref) in zip(report.degeneracy_hits, ref.degeneracy_hits):
+        assert reason == reason_ref and np.array_equal(_bits(z), _bits(z_ref)), where
+
+
+MIRROR_GRIDS = [
+    SampleGrid.default(),
+    SampleGrid(radii=tuple(np.geomspace(0.05, 0.999, 10)), angles=64),
+    SampleGrid(radii=(0.2, 0.6, 0.95), angles=9),
+    SampleGrid(radii=tuple(np.geomspace(0.1, 0.999, 5)), angles=17),
+    SampleGrid(radii=(0.5, 0.999), angles=8),
+]
+
+
+def _mirror_draws(seed, count):
+    """Seeded (selector, pair, params): every selector, B = -1, |c| up to 150, c = 0, kappa < 0."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    for k in range(count):
+        selector = verify.SELECTORS[k % 4]
+        B = -1.0 if k % 3 == 0 else rng.uniform(-1.0, 0.9)
+        pair = JanowskiPair(rng.uniform(B + 0.05, 1.0), B)
+        kappa = rng.uniform(-2.9, 8.0)
+        if abs(kappa - round(kappa)) < 0.05 and kappa < 0.5:
+            kappa += 0.3
+        c = (rng.uniform(-4.0, 4.0), rng.uniform(-150.0, 150.0), 0.0)[k % 7 % 3]
+        if c == 0.0 and selector == "deriv-normalized":
+            c = 1e-3
+        draws.append((selector, pair, make_params(kappa - 1.5, 2.0, c)))
+    return draws
+
+
+def test_mirror_margins_are_bit_equal():
+    # The margin at a point below the real axis and the degeneracy flags there
+    # are those of its upper twin, to the bit, on every full grid.
+    for g, grid in enumerate(MIRROR_GRIDS):
+        n, rings = grid.angles, len(grid.radii)
+        k = np.arange(1, (n + 1) // 2)
+        for selector, pair, params in _mirror_draws(300 + g, 24):
+            zs = grid.points()
+            margins, mask, proof, _ = verify._margins(
+                selector, pair, target_region(pair), params, zs, DEFAULT_CONFIG
+            )
+            where = (grid.angles, selector, pair, params)
+            for values in (margins, mask, proof):
+                values = values.reshape(rings, n)
+                lower, upper = values[:, n - k], values[:, k]
+                if values.dtype == float:
+                    lower, upper = lower.copy().view(np.uint64), upper.copy().view(np.uint64)
+                assert np.array_equal(lower, upper), where
+
+
+def test_verify_membership_equals_full_two_pass_reference():
+    cases = [
+        # Off-axis witness: the refinement arc gets its own evaluation.
+        ("u", JanowskiPair(0.1, -1.0), make_params(-0.5, 2.0, 6.0)),
+        # Every sample degenerate: no witness.
+        ("convexity", JanowskiPair(1.0, -1.0), make_params(1.5, 2.0, 0.0)),
+        ("u", HALF_PAIR, make_params(0.0, 2.0, -1.0)),
+        ("starlike-zu", JanowskiPair(0.6, -0.4), make_params(-1.3, 2.0, -4.0)),
+    ]
+    # On 8 angles the arcs around pi and around 0 lower these grid minima.
+    eight = MIRROR_GRIDS[-1]
+    pinned = [
+        (eight, "u", JanowskiPair(0.0109, -0.3114), make_params(-3.319, 2.0, 0.7265)),
+        (eight, "u", JanowskiPair(0.827, 0.2406), make_params(-3.068, 2.0, 2.797)),
+    ]
+    for g, grid in enumerate(MIRROR_GRIDS):
+        draws = cases + _mirror_draws(500 + g, 40 if grid.angles < 256 else 12)
+        pinned.extend((grid,) + draw for draw in draws)
+    for k, (grid, selector, pair, params) in enumerate(pinned):
+        report = verify_membership(selector, pair, params, grid)
+        ref = _reference_verify_membership(selector, pair, params, grid)
+        _assert_same_report(report, ref, (grid.angles, selector, pair, params))
+        if k < 2:
+            assert report.witness not in grid.points()
+
+
+def test_verify_membership_mirrors_partial_degeneracies(monkeypatch):
+    # A wide tolerance excludes some samples and keeps others, so the hits
+    # rebuilt from the upper half must match the full grid's, in order.
+    monkeypatch.setattr(verify, "DEGENERACY_TOL", 0.6)
+    partial = 0
+    for g, grid in enumerate(MIRROR_GRIDS[1:]):
+        for selector, pair, params in _mirror_draws(700 + g, 24):
+            report = verify_membership(selector, pair, params, grid)
+            ref = _reference_verify_membership(selector, pair, params, grid)
+            _assert_same_report(report, ref, (grid.angles, selector, pair, params))
+            hits = len(ref.degeneracy_hits)
+            partial += 0 < hits < len(grid.radii) * grid.angles
+    assert partial >= 10
+
+
+def test_one_series_call_when_the_witness_is_on_the_real_axis(monkeypatch):
+    calls = []
+    kernel = verify.eval_u_many
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[1]))
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "eval_u_many", counted)
+    report = verify_membership("u", HALF_PAIR, make_params(0.0, 2.0, -1.0))
+    assert report.witness.imag == 0.0
+    assert calls == [24 * 129 + 24 * 2 * verify.REFINE_FACTOR]
+    calls.clear()
+    report = verify_membership("u", JanowskiPair(0.1, -1.0), make_params(-0.5, 2.0, 6.0))
+    assert report.witness.imag != 0.0
+    assert calls == [24 * 129 + 24 * 2 * verify.REFINE_FACTOR, 2 * verify.REFINE_FACTOR]
 
 
 def test_modified_spherical_base_case_holds():
@@ -232,6 +424,36 @@ def test_property_radius_rejects_non_integer_density():
     assert property_radius(*args, grid_density=64.0, tol=1e-2) == property_radius(
         *args, grid_density=64, tol=1e-2
     )
+
+
+def _reference_property_radius(selector, pair, params, grid_density, tol, max_radius=0.999):
+    # The bisection of property_radius on every point of each circle.
+    ring = verify._ring(grid_density)
+
+    def feasible(r):
+        margins, hits = _reference_margins(selector, pair, params, r * ring)
+        return not hits and float(np.min(margins)) > 0.0
+
+    if not feasible(0.01):
+        return 0.0
+    if feasible(max_radius):
+        return max_radius
+    lo, hi = 0.01, max_radius
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if feasible(mid) else (lo, mid)
+    return lo
+
+
+def test_property_radius_equals_full_ring_bisection():
+    draws = [("u", JanowskiPair(0.1, -1.0), make_params(-0.5, 2.0, 6.0))] + _mirror_draws(911, 40)
+    for k, (selector, pair, params) in enumerate(draws):
+        density = (8, 9, 17, 64, 256)[k % 5]
+        r = property_radius(selector, pair, params, grid_density=density, tol=1e-3)
+        ref = _reference_property_radius(selector, pair, params, density, 1e-3)
+        assert np.float64(r).view(np.uint64) == np.float64(ref).view(np.uint64), (
+            selector, pair, params, density,
+        )
 
 
 @pytest.mark.xfail(

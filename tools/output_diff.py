@@ -1,0 +1,284 @@
+"""Compare the outputs of two checkouts on the benchmark workloads, field by field.
+
+    python3 tools/output_diff.py PARENT_DIR CHANGE_DIR 101 102 103
+
+For each seed, runs one batch of the `Sweep`, `Dense` and `Cli` workloads
+of `bench/workloads.py` from each checkout, in a child process that imports
+that checkout's `src/` and `bench/`, and prints per seed and workload:
+
+  * verdicts that changed (verification reports, scan cells, CLI reports);
+  * how many `min_margin` values are bit-equal, and the largest |change|;
+  * witnesses that moved, each marked "mirror" (to within 1e-15 of the
+    conj of the old witness), "real-axis" (within 1e-15 of the old witness,
+    with one of the two exactly real) or "other";
+  * property radii and admissibility maxima that changed, and
+    admissibility probes that moved, marked "last-bit" (every coordinate
+    within 1e-12 relative and z within 1e-15), "mirror" (rho to -rho and z
+    to within 1e-15 of conj z, the rest as for last-bit) or "other";
+  * any other output field that changed (checker outcomes, degeneracy
+    counts, exit codes, the rest of each CLI payload).
+
+Every change is listed after the counts, except mirror and real-axis
+witness moves and last-bit or mirror probe moves, which are only counted.  Where `tools/output_digest.py`
+says whether two checkouts' outputs are identical, this says how they
+differ.  The script only reads the two checkouts; it changes nothing in
+them.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import subprocess
+import sys
+from pathlib import Path
+
+NAMES = ("Sweep", "Dense", "Cli")
+# Witness moves this small (|z| <= 1) are last-bit moves, not new points.
+MOVE_TOL = 1e-15
+# Probe coordinates this close, relative, come from the same grid point.
+PROBE_TOL = 1e-12
+REPORT_FIELDS = ("verdict", "min_margin", "witness")
+
+
+# ------------------------------------------------------------------ child
+
+
+def _complex(z):
+    return None if z is None else [z.real, z.imag]
+
+
+def _sweep_records(workload, out):
+    records = []
+    for s, rows in enumerate(out):
+        if isinstance(rows, Exception):
+            records.append({"key": f"scan {s}", "rest": repr(rows)})
+            continue
+        for i, r in enumerate(rows):
+            records.append({
+                "key": f"scan {s} ({workload.scans[s][0]}) kappa={r.kappa!r} c={r.c!r}",
+                "verdict": r.report.verdict,
+                "min_margin": r.report.min_margin,
+                "witness": _complex(r.report.witness),
+                "rest": repr((r.checker.satisfied, r.checker.branch, r.corollary_id,
+                              None if r.corollary is None else r.corollary.satisfied)),
+            })
+    return records
+
+
+def _dense_records(workload, out, ops):
+    records = []
+    for index, result in enumerate(out):
+        selector, pair, params = workload.tuples[index // len(ops)]
+        key = f"{ops[index % len(ops)]} {selector} A={pair.A!r} B={pair.B!r} " \
+              f"kappa={params.kappa!r} c={params.c!r}"
+        if isinstance(result, Exception):
+            records.append({"key": key, "rest": repr(result)})
+        elif isinstance(result, float):
+            records.append({"key": key, "radius": result})
+        elif isinstance(result, tuple):
+            probe = result[1]
+            records.append({"key": key, "max_re": result[0],
+                            "probe": [probe.rho, probe.sigma, probe.mu, probe.nu, _complex(probe.z)]})
+        else:
+            records.append({"key": key, "verdict": result.verdict, "min_margin": result.min_margin,
+                            "witness": _complex(result.witness),
+                            "rest": f"hits={len(result.degeneracy_hits)}"})
+    return records
+
+
+def _cli_records(workload, out, strip):
+    records = []
+    for argv, result in zip(workload.argvs, out):
+        key = " ".join(argv[:3])
+        if isinstance(result, Exception):
+            records.append({"key": key, "rest": repr(result)})
+            continue
+        code, text = result
+        doc = strip(text)
+        if not isinstance(doc, dict):  # scan --format csv
+            lines = text.splitlines()
+            records.append({"key": key, "rest": f"exit {code} {lines[:1]}"})
+            for line in lines[1:]:
+                f = line.split(",")
+                records.append({"key": f"{key} kappa={f[0]} c={f[1]}", "verdict": f[5],
+                                "min_margin": float(f[6]),
+                                "witness": [float(f[7]), float(f[8])], "rest": f[2:5]})
+            continue
+        payload = doc.get("payload", {})
+        rows = payload.pop("rows", None)
+        record = {"key": key}
+        if "verdict" in payload:
+            record.update({k: payload.pop(k) for k in REPORT_FIELDS})
+        elif "radius" in payload:
+            record["radius"] = payload.pop("radius")
+        elif "max_re" in payload:
+            record["max_re"] = payload.pop("max_re")
+            probe = payload.pop("argmax")
+            record["probe"] = [probe[k] for k in ("rho", "sigma", "mu", "nu", "z")]
+        record["rest"] = json.dumps([code, doc], sort_keys=True)
+        records.append(record)
+        for row in rows or []:
+            records.append({"key": f"{key} kappa={row['kappa']!r} c={row['c']!r}",
+                            "verdict": row.pop("numeric"), "min_margin": row.pop("min_margin"),
+                            "witness": row.pop("witness"), "rest": json.dumps(row, sort_keys=True)})
+    return records
+
+
+def dump(checkout, seed):
+    """Print one JSON line per workload: its name and its output records."""
+    sys.path[:0] = [str(checkout / "src"), str(checkout / "bench")]
+    import workloads
+
+    for name in NAMES:
+        workload = getattr(workloads, name)(seed)
+        out = workload.run_batch(None)
+        if name == "Sweep":
+            records = _sweep_records(workload, out)
+        elif name == "Dense":
+            records = _dense_records(workload, out, workloads.DENSE_OPS)
+        else:
+            records = _cli_records(workload, out, workloads._strip_timestamp)
+        print(json.dumps([name, records]), flush=True)
+
+
+# ----------------------------------------------------------------- parent
+
+
+def _bits(x):
+    return None if x is None else float(x).hex()
+
+
+def _point_bits(z):
+    return None if z is None else [_bits(x) for x in z]
+
+
+def _move(old, new):
+    """How a witness moved: "mirror", "real-axis" or "other"."""
+    if old is None or new is None:
+        return "other"
+    old, new = complex(*old), complex(*new)
+    if abs(new - old) <= MOVE_TOL and (old.imag == 0.0 or new.imag == 0.0):
+        return "real-axis"
+    if abs(new - old.conjugate()) <= MOVE_TOL:
+        return "mirror"
+    return "other"
+
+
+def _probe_move(old, new):
+    """How an admissibility probe moved: "last-bit", "mirror" or "other".
+
+    Psi at (rho, z) and at (-rho, conj z) are conjugates, so a mirror move
+    keeps Re Psi: rho changes sign, sigma and mu follow to within PROBE_TOL
+    relative, and z moves to within MOVE_TOL of conj z.
+    """
+    def close(x, y):
+        return abs(x - y) <= PROBE_TOL * max(1.0, abs(x))
+
+    (rho, sigma, mu, nu, z), (rho2, sigma2, mu2, nu2, z2) = old, new
+    if not (close(sigma, sigma2) and close(mu, mu2) and nu == nu2):
+        return "other"
+    z, z2 = complex(*z), complex(*z2)
+    if close(rho, rho2) and abs(z2 - z) <= MOVE_TOL:
+        return "last-bit"
+    if close(-rho, rho2) and abs(z2 - z.conjugate()) <= MOVE_TOL:
+        return "mirror"
+    return "other"
+
+
+def compare(parent, change):
+    """Report lines for one seed and workload."""
+    if [r["key"] for r in parent] != [r["key"] for r in change]:
+        return ["  the two checkouts ran different items; nothing compared"]
+    n = dict.fromkeys(("verdicts", "margins", "margins equal", "witnesses", "mirror", "real-axis",
+                       "radii", "radii changed", "maxima", "maxima changed", "probes moved",
+                       "probe last-bit", "probe mirror", "other fields"), 0)
+    margin_delta = max_delta = 0.0
+    details = []
+    for p, c in zip(parent, change):
+        key = p["key"]
+        if p.get("verdict") != c.get("verdict"):
+            n["verdicts"] += 1
+            details.append(f"  verdict {key}: {p.get('verdict')} -> {c.get('verdict')}")
+        if "min_margin" in p:
+            n["margins"] += 1
+            a, b = p["min_margin"], c["min_margin"]
+            if _bits(a) == _bits(b):
+                n["margins equal"] += 1
+            elif math.isfinite(a) and math.isfinite(b):
+                margin_delta = max(margin_delta, abs(a - b))
+        if _point_bits(p.get("witness")) != _point_bits(c.get("witness")):
+            n["witnesses"] += 1
+            kind = _move(p.get("witness"), c.get("witness"))
+            if kind == "other":
+                details.append(f"  witness {key}: {p.get('witness')} -> {c.get('witness')} "
+                               f"(min_margin {p.get('min_margin')!r} -> {c.get('min_margin')!r})")
+            else:
+                n[kind] += 1
+        if "radius" in p:
+            n["radii"] += 1
+            if _bits(p["radius"]) != _bits(c["radius"]):
+                n["radii changed"] += 1
+                details.append(f"  radius {key}: {p['radius']!r} -> {c['radius']!r}")
+        if "max_re" in p:
+            n["maxima"] += 1
+            if _bits(p["max_re"]) != _bits(c["max_re"]):
+                n["maxima changed"] += 1
+                max_delta = max(max_delta, abs(p["max_re"] - c["max_re"]))
+                details.append(f"  admissibility max {key}: {p['max_re']!r} -> {c['max_re']!r}")
+            if json.dumps(p["probe"]) != json.dumps(c["probe"]):
+                n["probes moved"] += 1
+                kind = _probe_move(p["probe"], c["probe"])
+                if kind != "other":
+                    n["probe " + kind] += 1
+                else:
+                    details.append(f"  admissibility probe {key}: {p['probe']} -> {c['probe']}")
+        if p.get("rest") != c.get("rest"):
+            n["other fields"] += 1
+            details.append(f"  other {key}: {p.get('rest')} -> {c.get('rest')}")
+    return [
+        f"  verdicts changed {n['verdicts']}",
+        f"  min_margin bit-equal {n['margins equal']}/{n['margins']}, "
+        f"largest |change| {margin_delta:.3g}",
+        f"  witnesses moved {n['witnesses']} (mirror {n['mirror']}, real-axis {n['real-axis']}, "
+        f"other {n['witnesses'] - n['mirror'] - n['real-axis']})",
+        f"  radii changed {n['radii changed']}/{n['radii']}",
+        f"  admissibility maxima changed {n['maxima changed']}/{n['maxima']}, "
+        f"largest |change| {max_delta:.3g}; probes moved {n['probes moved']} "
+        f"(last-bit {n['probe last-bit']}, mirror {n['probe mirror']}, other "
+        f"{n['probes moved'] - n['probe last-bit'] - n['probe mirror']})",
+        f"  other fields changed {n['other fields']}",
+    ] + details
+
+
+def run(checkout, seed):
+    out = subprocess.run([sys.executable, __file__, "--dump", str(checkout), str(seed)],
+                         capture_output=True, text=True, check=False)
+    if out.returncode != 0:
+        raise SystemExit(f"dumping seed {seed} from {checkout} failed:\n{out.stderr}")
+    return dict(json.loads(line) for line in out.stdout.splitlines())
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[0] == "--dump":
+        dump(Path(argv[1]).resolve(), int(argv[2]))
+        return 0
+    if len(argv) < 3:
+        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        return 2
+    parent, change = (Path(arg).resolve() for arg in argv[:2])
+    for side in (parent, change):
+        if not (side / "bench" / "workloads.py").is_file():
+            print(f"no bench/workloads.py under {side}", file=sys.stderr)
+            return 2
+    for seed in (int(arg) for arg in argv[2:]):
+        before, after = run(parent, seed), run(change, seed)
+        for name in NAMES:
+            print(f"{seed} {name}: {len(before[name])} items", flush=True)
+            for line in compare(before[name], after[name]):
+                print(line, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))
