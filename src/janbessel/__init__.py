@@ -26,13 +26,11 @@ _EXPORTS = {
         "NoConvergence",
         "eval_u",
         "eval_u_many",
-        "make_params",
         "ode_residual",
         "recurrence_residual",
     ),
     "checks": (
         "AdmissibilityProbe",
-        "BoundCheck",
         "CheckOutcome",
         "COROLLARY_IDS",
         "McCartyBounds",
@@ -57,7 +55,6 @@ _EXPORTS = {
         "JanowskiPair",
         "OrderOutOfRange",
         "TargetRegion",
-        "contains",
         "mobius",
         "pair_from_order",
         "region_margin",

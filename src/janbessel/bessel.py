@@ -115,11 +115,6 @@ class BesselParams:
         return BesselParams(self.p + delta, self.b, self.c)
 
 
-def make_params(p: float, b: float, c: float) -> BesselParams:
-    """Validating factory for BesselParams."""
-    return BesselParams(p, b, c)
-
-
 @dataclass(frozen=True)
 class EvalConfig:
     """Series truncation policy.

@@ -19,9 +19,13 @@ Exit codes: 0 success with a holding/satisfied verdict (or no verdict);
 1 clean completion with a negative verdict (not satisfied, counterexample,
 scan soundness conflicts, nonnegative admissibility maximum, zero radius);
 2 usage errors (including a NaN in a point, a non-finite kappa or c, a
---sigma-depth above MAX_SIGMA_DEPTH and admissibility inputs on which Re Psi
-is not finite); 3 numeric failures
-(invalid kappa, series non-convergence).
+--sigma-depth above MAX_SIGMA_DEPTH, admissibility inputs on which Re Psi
+is not finite and an --output path that cannot be written); 3 numeric
+failures (invalid kappa, series non-convergence).
+
+The sampling grid of `verify` and `scan` has --radii circles spaced
+geometrically from --min-radius to --max-radius; `--radii 1` samples the
+--max-radius circle alone.
 
 The payload for fixed flags is deterministic: reruns differ only in the
 timestamp field.
@@ -38,9 +42,8 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import TYPE_CHECKING, Callable, TextIO
+from typing import TYPE_CHECKING, TextIO
 
 from .bessel import (
     BesselParams,
@@ -59,14 +62,11 @@ from .checks import (
     SELECTORS,
     THEOREM_NAMES,
     CheckOutcome,
-    McCartyBounds,
-    UnknownCorollary,
-    ZeroC,
     check_corollary,
     check_theorem,
     mccarty_bounds,
 )
-from .geometry import DegenerateDenominator, JanowskiPair, OrderOutOfRange
+from .geometry import DegenerateDenominator, JanowskiPair
 
 if TYPE_CHECKING:
     from .verify import SampleGrid, ScanRow, VerificationReport
@@ -76,49 +76,18 @@ SCHEMA_VERSION = "1"
 CSV_HEADER = "kappa,c,checker,branch,corollary,numeric,min_margin,witness_re,witness_im"
 
 
-class UsageError(ValueError):
-    """Bad flag combination or malformed flag value."""
-
-
-@dataclass
-class ReportEnvelope:
-    """The JSON document every verb emits."""
-
-    schema_version: str
-    command: dict
-    timestamp: str
-    payload: dict
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "schema_version": self.schema_version,
-                "command": self.command,
-                "timestamp": self.timestamp,
-                "payload": self.payload,
-            },
-            indent=2,
-        )
-
-
 def _parse_complex(text: str) -> complex:
     parts = text.split(",")
     if len(parts) != 2:
-        raise UsageError(f"complex values use the form 're,im', got {text!r}")
-    try:
-        return complex(float(parts[0]), float(parts[1]))
-    except ValueError as exc:
-        raise UsageError(f"bad complex value {text!r}: {exc}") from exc
+        raise ValueError(f"complex values use the form 're,im', got {text!r}")
+    return complex(float(parts[0]), float(parts[1]))
 
 
 def _parse_range(text: str) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) != 3:
-        raise UsageError(f"ranges use the form 'lo:hi:steps', got {text!r}")
-    try:
-        return float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError as exc:
-        raise UsageError(f"bad range {text!r}: {exc}") from exc
+        raise ValueError(f"ranges use the form 'lo:hi:steps', got {text!r}")
+    return float(parts[0]), float(parts[1]), int(parts[2])
 
 
 def _complex_list(z: complex) -> list[float]:
@@ -144,14 +113,6 @@ def _outcome_dict(outcome: CheckOutcome) -> dict:
     }
 
 
-def _grid_dict(grid: SampleGrid) -> dict:
-    return {
-        "radii": list(grid.radii),
-        "angles": grid.angles,
-        "max_radius": grid.max_radius,
-    }
-
-
 def _report_dict(report: VerificationReport) -> dict:
     return {
         "selector": report.selector,
@@ -160,7 +121,11 @@ def _report_dict(report: VerificationReport) -> dict:
         "verdict": report.verdict,
         "min_margin": report.min_margin,
         "witness": None if report.witness is None else _complex_list(report.witness),
-        "grid": _grid_dict(report.grid),
+        "grid": {
+            "radii": list(report.grid.radii),
+            "angles": report.grid.angles,
+            "max_radius": report.grid.max_radius,
+        },
         "degeneracy_hits": [
             [_complex_list(z), reason] for z, reason in report.degeneracy_hits
         ],
@@ -223,129 +188,112 @@ def _eval_config(ns: argparse.Namespace) -> EvalConfig:
     return EvalConfig(rel_tol=ns.rel_tol, max_terms=ns.max_terms)
 
 
-def _add_eval_config_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--rel-tol", type=float, default=DEFAULT_CONFIG.rel_tol,
-                     help="series truncation tolerance; despite the name an absolute, not a "
-                     "relative, bound on every value's omitted tail on "
-                     f"|z| <= 1 + {DISK_SLACK:g}")
-    sub.add_argument("--max-terms", type=int, default=DEFAULT_CONFIG.max_terms,
-                     help="series term budget")
-
-
-def _add_params_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--p", type=float, required=True, help="series order parameter")
-    sub.add_argument("--b", type=float, required=True, help="series family parameter")
-    sub.add_argument("--c", type=float, required=True, help="series scale parameter")
-
-
-def _add_pair_flags(sub: argparse.ArgumentParser, required: bool = True) -> None:
-    sub.add_argument("--A", type=float, required=required, default=None,
-                     help="region parameter A")
-    sub.add_argument("--B", type=float, required=required, default=None,
-                     help="region parameter B")
-
-
-def _add_grid_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--radii", type=int, default=24,
-                     help="number of geometrically spaced sample radii")
-    sub.add_argument("--angles", type=int, default=256,
-                     help="angles per sampled circle")
-    sub.add_argument("--min-radius", type=float, default=0.05,
-                     help="innermost sample radius")
-    sub.add_argument("--max-radius", type=float, default=0.999,
-                     help="outermost sample radius / radius cap")
-
-
 def _grid_from_flags(ns: argparse.Namespace) -> SampleGrid:
     if ns.radii < 1:
-        raise UsageError(f"--radii must be >= 1, got {ns.radii}")
+        raise ValueError(f"--radii must be >= 1, got {ns.radii}")
     if not (0.0 < ns.min_radius <= ns.max_radius < 1.0):
-        raise UsageError(
+        raise ValueError(
             f"need 0 < --min-radius <= --max-radius < 1, got {ns.min_radius}, {ns.max_radius}"
         )
     import numpy as np
 
     from .verify import SampleGrid
 
-    radii = tuple(np.geomspace(ns.min_radius, ns.max_radius, ns.radii))
+    # geomspace(lo, hi, 1) is [lo]; one circle means the outermost one.
+    lo = ns.min_radius if ns.radii > 1 else ns.max_radius
+    radii = tuple(np.geomspace(lo, ns.max_radius, ns.radii))
     return SampleGrid(radii=radii, angles=ns.angles, max_radius=ns.max_radius)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per verb; shared flags come from parent parsers."""
+    output, selector, pair, params, radius_cap, eval_config, kappa_c, point, mode = (
+        argparse.ArgumentParser(add_help=False) for _ in range(9)
+    )
+    output.add_argument("--output", default=None, help="write the report here instead of stdout")
+    selector.add_argument("--selector", choices=SELECTORS, required=True)
+    pair.add_argument("--A", type=float, required=True, help="region parameter A")
+    pair.add_argument("--B", type=float, required=True, help="region parameter B")
+    params.add_argument("--p", type=float, required=True, help="series order parameter")
+    params.add_argument("--b", type=float, required=True, help="series family parameter")
+    params.add_argument("--c", type=float, required=True, help="series scale parameter")
+    radius_cap.add_argument("--max-radius", type=float, default=0.999,
+                            help="outermost sample radius / radius cap")
+    eval_config.add_argument("--rel-tol", type=float, default=DEFAULT_CONFIG.rel_tol,
+                             help="series truncation tolerance; despite the name an absolute, "
+                             "not a relative, bound on every value's omitted tail on "
+                             f"|z| <= 1 + {DISK_SLACK:g}")
+    eval_config.add_argument("--max-terms", type=int, default=DEFAULT_CONFIG.max_terms,
+                             help="series term budget")
+    kappa_c.add_argument("--kappa", type=float, required=True)
+    kappa_c.add_argument("--c", type=float, required=True)
+    point.add_argument("--z", type=_parse_complex, required=True, help="point 're,im'")
+    mode.add_argument("--mode", choices=MODES, default=MODE_CONSERVATIVE,
+                      help="condition variant for convexity/starlike")
+    # A parent's flags are copied when a parser is built from it, so the
+    # grid parent comes after --max-radius exists.
+    grid = argparse.ArgumentParser(add_help=False, parents=[radius_cap])
+    grid.add_argument("--radii", type=int, default=24,
+                      help="number of geometrically spaced sample radii; 1 samples --max-radius")
+    grid.add_argument("--angles", type=int, default=256, help="angles per sampled circle")
+    grid.add_argument("--min-radius", type=float, default=0.05, help="innermost sample radius")
+
     parser = argparse.ArgumentParser(
         prog="janbessel",
         description="Generalized Bessel series and Janowski-region membership tools",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    p_eval = sub.add_parser("eval", help="evaluate the series at a point")
-    _add_params_flags(p_eval)
-    p_eval.add_argument("--z", type=_parse_complex, required=True, help="point 're,im'")
+    p_eval = sub.add_parser("eval", help="evaluate the series at a point",
+                            parents=[params, point, eval_config, output])
     p_eval.add_argument("--order", type=int, default=0, help="highest derivative (0..3)")
-    _add_eval_config_flags(p_eval)
-    p_eval.add_argument("--output", default=None, help="write the report here instead of stdout")
+    p_eval.set_defaults(handler=_cmd_eval)
 
-    p_check = sub.add_parser("check", help="run one sufficient-condition checker")
+    p_check = sub.add_parser("check", help="run one sufficient-condition checker",
+                             parents=[kappa_c, mode, output])
     group = p_check.add_mutually_exclusive_group(required=True)
     group.add_argument("--theorem", choices=THEOREM_NAMES, default=None)
     group.add_argument("--corollary", choices=COROLLARY_IDS, default=None)
-    _add_pair_flags(p_check, required=False)
-    p_check.add_argument("--kappa", type=float, required=True)
-    p_check.add_argument("--c", type=float, required=True)
-    p_check.add_argument("--mode", choices=MODES, default=MODE_CONSERVATIVE,
-                         help="condition variant for convexity/starlike")
-    p_check.add_argument("--output", default=None)
+    # Optional here: corollaries fix their own pair.
+    p_check.add_argument("--A", type=float, default=None, help="region parameter A")
+    p_check.add_argument("--B", type=float, default=None, help="region parameter B")
+    p_check.set_defaults(handler=_cmd_check)
 
-    p_verify = sub.add_parser("verify", help="sampled membership test")
-    p_verify.add_argument("--selector", choices=SELECTORS, required=True)
-    _add_pair_flags(p_verify)
-    _add_params_flags(p_verify)
-    _add_grid_flags(p_verify)
-    _add_eval_config_flags(p_verify)
-    p_verify.add_argument("--output", default=None)
+    p_verify = sub.add_parser("verify", help="sampled membership test",
+                              parents=[selector, pair, params, grid, eval_config, output])
+    p_verify.set_defaults(handler=_cmd_verify)
 
-    p_radius = sub.add_parser("radius", help="bisected property radius")
-    p_radius.add_argument("--selector", choices=SELECTORS, required=True)
-    _add_pair_flags(p_radius)
-    _add_params_flags(p_radius)
+    p_radius = sub.add_parser("radius", help="bisected property radius",
+                              parents=[selector, pair, params, radius_cap, eval_config, output])
     p_radius.add_argument("--grid-density", type=int, default=256,
                           help="angles per tested circle")
     p_radius.add_argument("--tol", type=float, default=1e-4, help="bisection tolerance")
-    p_radius.add_argument("--max-radius", type=float, default=0.999)
-    _add_eval_config_flags(p_radius)
-    p_radius.add_argument("--output", default=None)
+    p_radius.set_defaults(handler=_cmd_radius)
 
-    p_scan = sub.add_parser("scan", help="sweep a (kappa, c) rectangle")
-    p_scan.add_argument("--selector", choices=SELECTORS, required=True)
-    _add_pair_flags(p_scan)
+    p_scan = sub.add_parser("scan", help="sweep a (kappa, c) rectangle",
+                            parents=[selector, pair, grid, eval_config, mode, output])
     p_scan.add_argument("--kappa-range", type=_parse_range, required=True,
                         help="'lo:hi:steps'")
     p_scan.add_argument("--c-range", type=_parse_range, required=True,
                         help="'lo:hi:steps'")
-    _add_grid_flags(p_scan)
-    _add_eval_config_flags(p_scan)
     p_scan.add_argument("--workers", type=int, default=1,
                         help="accepted for compatibility and echoed in the report; has no effect")
-    p_scan.add_argument("--mode", choices=MODES, default=MODE_CONSERVATIVE)
     p_scan.add_argument("--format", choices=("json", "csv"), default="json")
-    p_scan.add_argument("--output", default=None)
+    p_scan.set_defaults(handler=_cmd_scan)
 
-    p_adm = sub.add_parser("admissibility", help="grid maximum of Re Psi")
+    p_adm = sub.add_parser("admissibility", help="grid maximum of Re Psi",
+                           parents=[pair, kappa_c, output])
     p_adm.add_argument("--which", choices=("subordination", "convexity"), required=True)
-    _add_pair_flags(p_adm)
-    p_adm.add_argument("--kappa", type=float, required=True)
-    p_adm.add_argument("--c", type=float, required=True)
     p_adm.add_argument("--rho-max", type=float, default=8.0)
     p_adm.add_argument("--sigma-depth", type=int, default=4,
                        help=f"sigma slices, 2..{MAX_SIGMA_DEPTH}; --which convexity "
                        "ignores it, since only its s = 1 slice can attain the maximum")
-    p_adm.add_argument("--output", default=None)
+    p_adm.set_defaults(handler=_cmd_admissibility)
 
-    p_bounds = sub.add_parser("bounds", help="pointwise bounds for i_p")
+    p_bounds = sub.add_parser("bounds", help="pointwise bounds for i_p",
+                              parents=[point, eval_config, output])
     p_bounds.add_argument("--p", type=float, required=True)
-    p_bounds.add_argument("--z", type=_parse_complex, required=True)
-    _add_eval_config_flags(p_bounds)
-    p_bounds.add_argument("--output", default=None)
+    p_bounds.set_defaults(handler=_cmd_bounds)
 
     return parser
 
@@ -367,7 +315,7 @@ def _cmd_eval(ns: argparse.Namespace) -> tuple[dict, int]:
 def _cmd_check(ns: argparse.Namespace) -> tuple[dict, int]:
     if ns.corollary is not None:
         if ns.A is not None or ns.B is not None:
-            raise UsageError("corollaries fix their own pair; drop --A/--B")
+            raise ValueError("corollaries fix their own pair; drop --A/--B")
         outcome = check_corollary(ns.corollary, ns.kappa, ns.c)
         payload = {
             "check": ns.corollary,
@@ -378,7 +326,7 @@ def _cmd_check(ns: argparse.Namespace) -> tuple[dict, int]:
         }
         return payload, 0 if outcome.satisfied else 1
     if ns.A is None or ns.B is None:
-        raise UsageError("theorem checks need --A and --B")
+        raise ValueError("theorem checks need --A and --B")
     pair = JanowskiPair(A=ns.A, B=ns.B)
     outcome = check_theorem(ns.theorem, pair, ns.kappa, ns.c, ns.mode)
     payload = {
@@ -431,7 +379,7 @@ def _cmd_radius(ns: argparse.Namespace) -> tuple[dict, int]:
 
 def _cmd_scan(ns: argparse.Namespace) -> tuple[dict | str, int]:
     if ns.workers < 1:
-        raise UsageError(f"--workers must be >= 1, got {ns.workers}")
+        raise ValueError(f"--workers must be >= 1, got {ns.workers}")
     from .verify import region_scan, scan_conflicts
 
     pair = JanowskiPair(A=ns.A, B=ns.B)
@@ -489,9 +437,12 @@ def _cmd_admissibility(ns: argparse.Namespace) -> tuple[dict, int]:
     return payload, 0 if max_re < 0.0 else 1
 
 
-def _bound_dict(bounds: McCartyBounds) -> dict:
+def _cmd_bounds(ns: argparse.Namespace) -> tuple[dict, int]:
+    bounds = mccarty_bounds(ns.p, ns.z, cfg=_eval_config(ns))
     rows = [bounds.modulus, bounds.real_part, bounds.derivative]
-    return {
+    payload = {
+        "p": ns.p,
+        "z": _complex_list(ns.z),
         "checks": [
             {
                 "label": row.label,
@@ -504,24 +455,7 @@ def _bound_dict(bounds: McCartyBounds) -> dict:
         "notes": list(bounds.notes),
         "all_hold": bounds.all_hold(),
     }
-
-
-def _cmd_bounds(ns: argparse.Namespace) -> tuple[dict, int]:
-    bounds = mccarty_bounds(ns.p, ns.z, cfg=_eval_config(ns))
-    payload = {"p": ns.p, "z": _complex_list(ns.z)}
-    payload.update(_bound_dict(bounds))
     return payload, 0 if bounds.all_hold() else 1
-
-
-_HANDLERS: dict[str, Callable[[argparse.Namespace], tuple[dict | str, int]]] = {
-    "eval": _cmd_eval,
-    "check": _cmd_check,
-    "verify": _cmd_verify,
-    "radius": _cmd_radius,
-    "scan": _cmd_scan,
-    "admissibility": _cmd_admissibility,
-    "bounds": _cmd_bounds,
-}
 
 
 def run(argv: list[str] | None = None) -> int:
@@ -534,30 +468,36 @@ def run(argv: list[str] | None = None) -> int:
         return 0 if exc.code == 0 else 2
 
     try:
-        result, code = _HANDLERS[ns.verb](ns)
+        result, code = ns.handler(ns)
     except (InvalidKappa, NoConvergence, DegenerateDenominator) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (UsageError, ZeroC, UnknownCorollary, OrderOutOfRange, ValueError) as exc:
+    # InvalidKappa is a ValueError too, so this clause must come second.  It
+    # also takes ZeroC, UnknownCorollary, OrderOutOfRange and bad flag values.
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     if isinstance(result, str):
         text = result
     else:
-        envelope = ReportEnvelope(
-            schema_version=SCHEMA_VERSION,
-            command={"verb": ns.verb, "argv": argv},
-            timestamp=datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
-            payload=result,
-        )
-        text = envelope.to_json() + "\n"
+        envelope = {
+            "schema_version": SCHEMA_VERSION,
+            "command": {"verb": ns.verb, "argv": argv},
+            "timestamp": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
+            "payload": result,
+        }
+        text = json.dumps(envelope, indent=2) + "\n"
 
-    if ns.output is not None:
+    if ns.output is None:
+        sys.stdout.write(text)
+        return code
+    try:
         with open(ns.output, "w", encoding="utf-8") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return code
 
 

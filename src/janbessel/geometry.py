@@ -18,9 +18,8 @@ Values of B within 1e-12 of -1 are snapped to exactly -1 at construction, so
 the half-plane branch is taken consistently instead of producing a disk of
 astronomical radius.
 
-region_margin_many, and the scalar region_margin and contains built on it,
-import numpy when called; the rest of the module uses the standard library
-alone.
+region_margin_many, and the scalar region_margin built on it, import numpy
+when called; the rest of the module uses the standard library alone.
 """
 
 from __future__ import annotations
@@ -115,12 +114,6 @@ def region_margin_many(region: TargetRegion, ws: np.ndarray) -> np.ndarray:
 def region_margin(region: TargetRegion, w: complex) -> float:
     """region_margin_many for a single point."""
     return float(region_margin_many(region, w))
-
-
-def contains(region: TargetRegion, w: complex) -> tuple[bool, float]:
-    """(strictly inside?, signed margin) for a single point."""
-    margin = region_margin(region, w)
-    return margin > 0.0, margin
 
 
 def pair_from_order(beta: float) -> JanowskiPair:

@@ -12,6 +12,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from janbessel import (
+    BesselParams,
     AdmissibilityProbe,
     JanowskiPair,
     SampleGrid,
@@ -20,7 +21,6 @@ from janbessel import (
     check_subordination_theorem,
     eval_psi,
     eval_u,
-    make_params,
     mccarty_bounds,
     ode_residual,
     recurrence_residual,
@@ -55,8 +55,8 @@ def test_criterion_01_closed_form_oracle():
     with criterion(1, "closed forms match the series at 100 disk points, err < 1e-12"):
         start = time.perf_counter()
         rng = np.random.default_rng(20260817)
-        osc = make_params(0.0, 2.0, 1.0)
-        hyp = make_params(0.0, 2.0, -1.0)
+        osc = BesselParams(0.0, 2.0, 1.0)
+        hyp = BesselParams(0.0, 2.0, -1.0)
         worst = 0.0
         for z in rand_disk(rng, 100):
             z = complex(z)
@@ -76,7 +76,7 @@ def test_criterion_02_residual_identities():
             b = rng.uniform(0.0, 3.0)
             kappa = rng.uniform(0.5, 10.0)
             c = rng.uniform(-4.0, 4.0)
-            params = make_params(kappa - (b + 1.0) / 2.0, b, c)
+            params = BesselParams(kappa - (b + 1.0) / 2.0, b, c)
             z = complex(rand_disk(rng, 1, r_max=0.999)[0])
             v = eval_u(params, z, order=2).values
             ode_scale = 1.0 + abs(v[0]) + abs(v[1]) + abs(v[2])
@@ -91,7 +91,7 @@ def test_criterion_03_spherical_specializations():
         start = time.perf_counter()
         for c, orders in ((-1.0, (-0.5, 0.0, 1.0, 2.5)), (1.0, (0.0, 1.0, 3.0))):
             for p in orders:
-                report = verify_membership("u", HALF_PAIR, make_params(p, 2.0, c))
+                report = verify_membership("u", HALF_PAIR, BesselParams(p, 2.0, c))
                 assert report.verdict == "holds-on-grid", (p, c, report.verdict)
                 assert report.min_margin > 1e-6, (p, c, report.min_margin)
         elapsed = time.perf_counter() - start
@@ -107,7 +107,7 @@ def test_criterion_04_half_plane_corollary():
             assert outcome.satisfied
             pair = outcome.implied_pair
             assert abs(pair.A - (-(c + 1.0) / (c - 1.0))) < 1e-15 and pair.B == -1.0
-            report = verify_membership("u", pair, make_params(kappa - 1.5, 2.0, c))
+            report = verify_membership("u", pair, BesselParams(kappa - 1.5, 2.0, c))
             assert report.verdict == "holds-on-grid" and report.min_margin > 0.0
         elapsed = time.perf_counter() - start
         assert elapsed < 3.0, f"criterion 4 took {elapsed:.2f}s"
@@ -119,7 +119,7 @@ def test_criterion_05_derivative_corollary_equality_cases():
             outcome = check_corollary("deriv-re-half", kappa, c)
             assert outcome.satisfied and outcome.slacks[0][1] == 0.0
             report = verify_membership(
-                "deriv-normalized", HALF_PAIR, make_params(kappa - 1.5, 2.0, c)
+                "deriv-normalized", HALF_PAIR, BesselParams(kappa - 1.5, 2.0, c)
             )
             assert report.verdict == "holds-on-grid" and report.min_margin > 0.0
 
@@ -193,7 +193,7 @@ def test_criterion_09_documented_discrepancy_cell():
     with criterion(9, "kappa=1, c=-1: corollary yes, theorem-literal no, sampling holds"):
         assert not check_subordination_theorem(HALF_PAIR, 1.0, -1.0).satisfied
         assert check_corollary("re-half", 1.0, -1.0).satisfied
-        report = verify_membership("u", HALF_PAIR, make_params(-0.5, 2.0, -1.0))
+        report = verify_membership("u", HALF_PAIR, BesselParams(-0.5, 2.0, -1.0))
         assert report.verdict == "holds-on-grid"
         assert abs(report.min_margin - 0.26541772621418214) < 1e-14
 

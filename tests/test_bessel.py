@@ -15,7 +15,6 @@ from janbessel import (
     NoConvergence,
     eval_u,
     eval_u_many,
-    make_params,
     ode_residual,
     recurrence_residual,
 )
@@ -39,7 +38,7 @@ def rand_params(rng):
     b = rng.uniform(0.0, 3.0)
     kappa = rng.uniform(0.5, 10.0)
     c = rng.uniform(-4.0, 4.0)
-    return make_params(kappa - (b + 1.0) / 2.0, b, c)
+    return BesselParams(kappa - (b + 1.0) / 2.0, b, c)
 
 
 @pytest.mark.parametrize(
@@ -47,7 +46,7 @@ def rand_params(rng):
     [(0.0, 2.0, 1.5), (-0.5, 2.0, 1.0), (1.0, 1.0, 2.0), (2.5, 0.0, 3.0)],
 )
 def test_kappa_formula(p, b, expected):
-    params = make_params(p, b, 1.0)
+    params = BesselParams(p, b, 1.0)
     assert params.kappa == expected
     assert params.kappa == p + (b + 1.0) / 2.0
 
@@ -55,35 +54,35 @@ def test_kappa_formula(p, b, expected):
 @pytest.mark.parametrize("p,b", [(-1.5, 2.0), (-2.5, 2.0), (-3.5, 2.0), (-2.0, 1.0)])
 def test_excluded_kappa_rejected(p, b):
     with pytest.raises(InvalidKappa):
-        make_params(p, b, 1.0)
+        BesselParams(p, b, 1.0)
 
 
 def test_excluded_kappa_tolerance_band():
     # Within 1e-9 of an excluded integer: rejected; outside: accepted.
     with pytest.raises(InvalidKappa):
-        make_params(-1.5 + 5e-10, 2.0, 1.0)
-    params = make_params(-1.5 + 2e-9, 2.0, 1.0)
+        BesselParams(-1.5 + 5e-10, 2.0, 1.0)
+    params = BesselParams(-1.5 + 2e-9, 2.0, 1.0)
     assert abs(params.kappa - 2e-9) < 1e-15
     # Positive integers are fine.
-    assert make_params(0.5, 2.0, 1.0).kappa == 2.0
+    assert BesselParams(0.5, 2.0, 1.0).kappa == 2.0
 
 
 def test_params_input_validation():
     with pytest.raises(ValueError):
-        make_params(float("nan"), 2.0, 1.0)
+        BesselParams(float("nan"), 2.0, 1.0)
     with pytest.raises(ValueError):
-        make_params(0.0, float("inf"), 1.0)
+        BesselParams(0.0, float("inf"), 1.0)
     with pytest.raises(TypeError):
-        make_params(1j, 2.0, 1.0)
+        BesselParams(1j, 2.0, 1.0)
 
 
 def test_shifted_moves_order_only():
-    params = make_params(0.0, 2.0, -1.0)
+    params = BesselParams(0.0, 2.0, -1.0)
     up = params.shifted(1.0)
     assert (up.p, up.b, up.c) == (1.0, 2.0, -1.0)
     assert up.kappa == params.kappa + 1.0
     with pytest.raises(InvalidKappa):
-        make_params(-0.5, 2.0, 1.0).shifted(-1.0)  # kappa 1 -> 0
+        BesselParams(-0.5, 2.0, 1.0).shifted(-1.0)  # kappa 1 -> 0
 
 
 def test_eval_config_validation():
@@ -102,13 +101,13 @@ def test_eval_config_validation():
 
 
 def test_c_zero_is_constant_one():
-    params = make_params(0.0, 2.0, 0.0)
+    params = BesselParams(0.0, 2.0, 0.0)
     res = eval_u(params, 0.3 + 0.4j, order=3)
     assert res.values[0] == 1.0
     assert res.values[1] == 0.0 and res.values[2] == 0.0 and res.values[3] == 0.0
     zs = np.array([0.0, 0.3 + 0.4j, -0.999, 1j])
     for kappa in (0.2, 1.5, -0.5, -2.7):
-        values, _ = eval_u_many(make_params(kappa - 1.5, 2.0, 0.0), zs, order=3)
+        values, _ = eval_u_many(BesselParams(kappa - 1.5, 2.0, 0.0), zs, order=3)
         assert np.all(values[0] == 1.0) and np.all(values[1:] == 0.0)
 
 
@@ -123,14 +122,14 @@ def test_normalization_at_origin():
     "c,expected", [(1.0, SIN_AT_ONE), (-1.0, SINH_AT_ONE)]
 )
 def test_closed_form_value_at_one(c, expected):
-    res = eval_u(make_params(0.0, 2.0, c), 1.0, order=0)
+    res = eval_u(BesselParams(0.0, 2.0, c), 1.0, order=0)
     assert abs(res.values[0] - expected) < 1e-13
 
 
 @pytest.mark.parametrize("p", [-0.5, 0.0, 1.0, 2.5])
 def test_derivative_at_origin(p):
     # For c=-1 the derivative at 0 is 1/(4p+6).
-    res = eval_u(make_params(p, 2.0, -1.0), 0.0, order=1)
+    res = eval_u(BesselParams(p, 2.0, -1.0), 0.0, order=1)
     assert abs(res.values[1] - 1.0 / (4.0 * p + 6.0)) < 1e-15
 
 
@@ -145,8 +144,8 @@ def test_derivative_at_origin_general():
 def test_closed_form_agreement_on_disk():
     rng = np.random.default_rng(20260817)
     pts = rand_disk(rng, 100)
-    osc = make_params(0.0, 2.0, 1.0)
-    hyp = make_params(0.0, 2.0, -1.0)
+    osc = BesselParams(0.0, 2.0, 1.0)
+    hyp = BesselParams(0.0, 2.0, -1.0)
     for z in pts:
         z = complex(z)
         w = cmath.sqrt(z)
@@ -207,7 +206,7 @@ def test_truncation_estimate_respects_tolerance():
 
 
 def test_result_length_tracks_order():
-    params = make_params(0.0, 2.0, 1.0)
+    params = BesselParams(0.0, 2.0, 1.0)
     for order in range(4):
         assert len(eval_u(params, 0.5, order=order).values) == order + 1
     with pytest.raises(ValueError):
@@ -221,7 +220,7 @@ def test_result_length_tracks_order():
 
 
 def test_outside_disk_rejected():
-    params = make_params(0.0, 2.0, 1.0)
+    params = BesselParams(0.0, 2.0, 1.0)
     with pytest.raises(ValueError):
         eval_u(params, 1.1, order=0)
     # A hair over 1 is still inside the documented slack.
@@ -231,7 +230,7 @@ def test_outside_disk_rejected():
 @pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(0.0, math.nan)])
 def test_nan_point_rejected(z):
     # abs(nan) > 1 is False, so a bare "> R" test would let NaN through.
-    params = make_params(0.3, 1.5, -2.0)
+    params = BesselParams(0.3, 1.5, -2.0)
     with pytest.raises(ValueError):
         eval_u(params, z, order=1)
     with pytest.raises(ValueError):
@@ -239,7 +238,7 @@ def test_nan_point_rejected(z):
 
 
 def test_no_convergence_with_tiny_term_budget():
-    params = make_params(-1.0, 2.0, 4.0)
+    params = BesselParams(-1.0, 2.0, 4.0)
     cfg = EvalConfig(max_terms=4)
     with pytest.raises(NoConvergence):
         eval_u(params, 0.999, order=0, cfg=cfg)
@@ -253,7 +252,7 @@ def test_batch_agrees_with_scalar_and_is_deterministic():
     # differently from Python's in the last bits.  The batch path must be
     # bit-identical to itself on a repeated call.
     rng = np.random.default_rng(23)
-    params = make_params(0.3, 1.2, -2.5)
+    params = BesselParams(0.3, 1.2, -2.5)
     zs = rand_disk(rng, 20)
     values, terms = eval_u_many(params, zs, order=2)
     assert values.shape == (3, 20)
@@ -273,7 +272,7 @@ def test_batch_values_do_not_depend_on_the_batch():
     # rule is elementwise, so a point's values are the same to the bit alone,
     # in a batch, and at another position of a permuted batch.
     rng = np.random.default_rng(37)
-    params = make_params(-2.2, 2.0, 3.5)
+    params = BesselParams(-2.2, 2.0, 3.5)
     zs = np.concatenate([rand_disk(rng, 17), np.exp(2j * math.pi * rng.uniform(size=4))])
     perm = rng.permutation(zs.size)
     for order in range(4):
@@ -296,7 +295,7 @@ def test_batch_rows_from_lowest_are_the_full_rows(size):
     rng = np.random.default_rng(size)
     zs = np.concatenate([[0j, 1.0 + 0j, -1j], rand_disk(rng, size)])[:size]
     for c in (-150.0, -2.5, 0.0, 3.5, 60.0):
-        params = make_params(rng.uniform(-2.0, 5.0), 2.0, c)
+        params = BesselParams(rng.uniform(-2.0, 5.0), 2.0, c)
         for order in range(4):
             full, terms = eval_u_many(params, zs, order=order)
             for lowest in range(order + 1):
@@ -314,11 +313,11 @@ def test_batch_rows_from_lowest_are_the_full_rows(size):
 )
 def test_batch_lowest_outside_orders_rejected(order, lowest):
     with pytest.raises(ValueError):
-        eval_u_many(make_params(0.0, 2.0, 1.0), np.array([0.5j]), order=order, lowest=lowest)
+        eval_u_many(BesselParams(0.0, 2.0, 1.0), np.array([0.5j]), order=order, lowest=lowest)
 
 
 def test_batch_integral_float_counts_are_the_int_counts():
-    params, zs = make_params(0.0, 2.0, 1.0), np.array([0.5j, -0.25])
+    params, zs = BesselParams(0.0, 2.0, 1.0), np.array([0.5j, -0.25])
     rows, terms = eval_u_many(params, zs, order=3.0, lowest=1.0)
     expected, expected_terms = eval_u_many(params, zs, order=3, lowest=1)
     assert terms == expected_terms
@@ -365,7 +364,7 @@ def test_batch_matches_mpmath_hyp0f1(kappa, c_abs):
     eps = np.finfo(float).eps
     angles = np.exp(2j * math.pi * np.arange(8) / 8 + 0.1j)
     for c in (c_abs, -c_abs):
-        params = make_params(kappa - 1.5, 2.0, c)
+        params = BesselParams(kappa - 1.5, 2.0, c)
         k = params.kappa
         for r in (0.999, 1.0):
             zs = r * angles
@@ -390,18 +389,18 @@ def test_batch_matches_mpmath_hyp0f1(kappa, c_abs):
     [(0.0, 2.0, 1.0, 0.7j), (1.0, 1.0, -2.0, -0.3 + 0.2j), (0.5, 0.5, 3.0, 0.9)],
 )
 def test_ode_residual_small_on_solutions(p, b, c, z):
-    params = make_params(p, b, c)
+    params = BesselParams(p, b, c)
     assert abs(ode_residual(params, z)) < 1e-10
 
 
 def test_ode_residual_zero_for_constant():
-    assert ode_residual(make_params(0.0, 2.0, 0.0), 0.5 + 0.1j) == 0.0
+    assert ode_residual(BesselParams(0.0, 2.0, 0.0), 0.5 + 0.1j) == 0.0
 
 
 def test_ode_residual_detects_wrong_kappa():
     # Evaluate the series, then push it through the equation with kappa+0.5:
     # the mismatch is far above evaluation noise and matches the frozen value.
-    params = make_params(0.0, 2.0, 1.0)
+    params = BesselParams(0.0, 2.0, 1.0)
     z = 0.5
     v = eval_u(params, z, order=2).values
     k = params.kappa + 0.5
@@ -425,11 +424,11 @@ def test_ode_residual_property():
     [(0.0, 2.0, 1.0, 0.5), (1.0, 1.0, -2.0, -0.3 + 0.2j)],
 )
 def test_recurrence_residual_examples(p, b, c, z):
-    assert abs(recurrence_residual(make_params(p, b, c), z)) < 1e-12
+    assert abs(recurrence_residual(BesselParams(p, b, c), z)) < 1e-12
 
 
 def test_recurrence_residual_zero_for_constant():
-    assert recurrence_residual(make_params(0.0, 2.0, 0.0), 0.9j) == 0.0
+    assert recurrence_residual(BesselParams(0.0, 2.0, 0.0), 0.9j) == 0.0
 
 
 def test_recurrence_residual_property():

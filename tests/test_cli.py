@@ -1,5 +1,6 @@
 """Command-line front end tests: exit codes, envelope, determinism, CSV."""
 
+import argparse
 import io
 import json
 import re
@@ -7,7 +8,7 @@ import re
 import pytest
 
 from janbessel import ScanRow, verify
-from janbessel.cli import CSV_HEADER, emit_scan_csv, run
+from janbessel.cli import CSV_HEADER, build_parser, emit_scan_csv, run
 
 TIMESTAMP_RE = re.compile(r"^\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}Z$")
 
@@ -22,6 +23,69 @@ def payload_sans_timestamp(doc):
     doc = dict(doc)
     doc.pop("timestamp")
     return json.dumps(doc, sort_keys=True)
+
+
+# -------------------------------------------------------------------- flags
+
+SELECTORS = ("u", "deriv-normalized", "convexity", "starlike-zu")
+MODES = ("conservative", "as-printed")
+OUTPUT = {"--output": (None, False, None, None)}
+EVAL_CONFIG = {"--rel-tol": (1e-14, False, None, "float"), "--max-terms": (300, False, None, "int")}
+PAIR = {"--A": (None, True, None, "float"), "--B": (None, True, None, "float")}
+PARAMS = {"--p": (None, True, None, "float"), "--b": (None, True, None, "float"),
+          "--c": (None, True, None, "float")}
+GRID = {"--radii": (24, False, None, "int"), "--angles": (256, False, None, "int"),
+        "--min-radius": (0.05, False, None, "float"), "--max-radius": (0.999, False, None, "float")}
+
+# Every verb's flags, recorded from the parser as it stood before it was
+# built from parent parsers: flag -> (default, required, choices, type name).
+VERB_FLAGS = {
+    "eval": {**PARAMS, "--z": (None, True, None, "_parse_complex"),
+             "--order": (0, False, None, "int"), **EVAL_CONFIG, **OUTPUT},
+    "check": {
+        "--theorem": (None, False, ("subordination", "derivative", "convexity", "starlike"), None),
+        "--corollary": (None, False, ("halfplane-c-ratio", "re-half", "cc-order", "deriv-re-half"),
+                        None),
+        "--A": (None, False, None, "float"), "--B": (None, False, None, "float"),
+        "--kappa": (None, True, None, "float"), "--c": (None, True, None, "float"),
+        "--mode": ("conservative", False, MODES, None), **OUTPUT,
+    },
+    "verify": {"--selector": (None, True, SELECTORS, None), **PAIR, **PARAMS, **GRID,
+               **EVAL_CONFIG, **OUTPUT},
+    "radius": {"--selector": (None, True, SELECTORS, None), **PAIR, **PARAMS,
+               "--grid-density": (256, False, None, "int"), "--tol": (1e-4, False, None, "float"),
+               "--max-radius": (0.999, False, None, "float"), **EVAL_CONFIG, **OUTPUT},
+    "scan": {"--selector": (None, True, SELECTORS, None), **PAIR,
+             "--kappa-range": (None, True, None, "_parse_range"),
+             "--c-range": (None, True, None, "_parse_range"), **GRID, **EVAL_CONFIG,
+             "--workers": (1, False, None, "int"), "--mode": ("conservative", False, MODES, None),
+             "--format": ("json", False, ("json", "csv"), None), **OUTPUT},
+    "admissibility": {"--which": (None, True, ("subordination", "convexity"), None), **PAIR,
+                      "--kappa": (None, True, None, "float"), "--c": (None, True, None, "float"),
+                      "--rho-max": (8.0, False, None, "float"),
+                      "--sigma-depth": (4, False, None, "int"), **OUTPUT},
+    "bounds": {"--p": (None, True, None, "float"), "--z": (None, True, None, "_parse_complex"),
+               **EVAL_CONFIG, **OUTPUT},
+}
+
+
+def test_each_verb_keeps_its_flags():
+    parser = build_parser()
+    verbs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    table, groups = {}, {}
+    for verb, sub in verbs.items():
+        table[verb] = {
+            flag: (a.default, a.required, None if a.choices is None else tuple(a.choices),
+                   getattr(a.type, "__name__", None))
+            for a in sub._actions if not isinstance(a, argparse._HelpAction)
+            for flag in a.option_strings
+        }
+        groups[verb] = [([a.option_strings for a in g._group_actions], g.required)
+                        for g in sub._mutually_exclusive_groups]
+    assert table == VERB_FLAGS
+    assert groups == {verb: [] for verb in VERB_FLAGS} | {
+        "check": [([["--theorem"], ["--corollary"]], True)]
+    }
 
 
 # ----------------------------------------------------------------- envelope
@@ -173,6 +237,16 @@ def test_verify_verdict_exit_codes(capsys):
     assert doc["payload"]["min_margin"] < 0.0
 
 
+def test_one_radius_samples_the_max_radius_circle(capsys):
+    argv = ["verify", "--selector", "u", "--A", "0", "--B=-1", "--p=-0.5", "--b", "2", "--c=-1",
+            "--radii", "1", "--angles", "16"]
+    code, doc = run_json(capsys, argv)
+    assert code == 0
+    assert doc["payload"]["grid"]["radii"] == [0.999]
+    code, doc = run_json(capsys, argv + ["--max-radius", "0.9"])
+    assert doc["payload"]["grid"]["radii"] == [0.9]
+
+
 def test_radius_verb(capsys):
     code, doc = run_json(
         capsys,
@@ -300,6 +374,18 @@ def test_scan_csv_file_output(tmp_path, capsys):
     content = target.read_text()
     assert content.startswith(CSV_HEADER)
     assert len(content.strip().split("\n")) == 64
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["eval", "--p", "0", "--b", "2", "--c", "1", "--z", "1,0"], SCAN_ARGS + ["--format", "csv"]],
+)
+def test_unwritable_output_exits_two(tmp_path, capsys, argv):
+    target = tmp_path / "no_such_dir" / "out"
+    assert run(argv + ["--output", str(target)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+    assert not target.exists()
 
 
 def test_json_file_output(tmp_path, capsys):

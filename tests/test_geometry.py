@@ -11,7 +11,6 @@ from janbessel import (
     DegenerateDenominator,
     JanowskiPair,
     OrderOutOfRange,
-    contains,
     mobius,
     pair_from_order,
     region_margin,
@@ -89,28 +88,23 @@ def test_disk_regions(A, B, center, radius):
 
 def test_contains_examples():
     disk = target_region(JanowskiPair(1.0, 0.0))
-    inside, margin = contains(disk, 1.0)
-    assert inside and margin == 1.0
+    assert region_margin(disk, 1.0) == 1.0
     half = target_region(JanowskiPair(0.0, -1.0))
-    inside, margin = contains(half, 0.4)
-    assert not inside
-    assert abs(margin - (-0.1)) < 1e-15
+    assert abs(region_margin(half, 0.4) - (-0.1)) < 1e-15
 
 
 def test_contains_is_strict_on_the_boundary():
+    # Inside means a positive margin; a boundary point's margin is exactly 0.
     half = target_region(JanowskiPair(0.0, -1.0))
-    inside, margin = contains(half, 0.5)
-    assert not inside and margin == 0.0
+    assert region_margin(half, 0.5) == 0.0
     disk = target_region(JanowskiPair(1.0, 0.0))
-    inside, margin = contains(disk, 2.0)  # center 1 radius 1
-    assert not inside and margin == 0.0
+    assert region_margin(disk, 2.0) == 0.0  # center 1 radius 1
 
 
 def test_half_disk_example_membership():
     pair = JanowskiPair(0.5, 0.0)
     w = mobius(pair, 0.3 + 0.2j)
-    inside, margin = contains(target_region(pair), w)
-    assert inside and margin > 0.0
+    assert region_margin(target_region(pair), w) > 0.0
 
 
 @pytest.mark.parametrize(
@@ -136,8 +130,7 @@ def test_image_containment_property():
         for _ in range(20):
             r = rng.uniform(0.0, 0.999)
             z = r * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
-            inside, margin = contains(region, mobius(pair, complex(z)))
-            assert inside and margin > 0.0
+            assert region_margin(region, mobius(pair, complex(z))) > 0.0
 
 
 def test_disk_boundary_fit():
@@ -183,8 +176,7 @@ def test_normalization_point_always_inside():
     rng = np.random.default_rng(59)
     for _ in range(30):
         pair = rand_pair(rng)
-        inside, margin = contains(target_region(pair), 1.0)
-        assert inside and margin > 0.0
+        assert region_margin(target_region(pair), 1.0) > 0.0
 
 
 def test_margin_many_matches_scalar():

@@ -49,11 +49,11 @@ print(json.dumps({"stages": stages, "codes": codes}))
 HOMES = {
     "bessel": (
         "BesselParams", "DEFAULT_CONFIG", "EvalConfig", "EvalResult", "InvalidKappa",
-        "NoConvergence", "eval_u", "eval_u_many", "make_params", "ode_residual",
+        "NoConvergence", "eval_u", "eval_u_many", "ode_residual",
         "recurrence_residual",
     ),
     "checks": (
-        "AdmissibilityProbe", "BoundCheck", "CheckOutcome", "COROLLARY_IDS", "McCartyBounds",
+        "AdmissibilityProbe", "CheckOutcome", "COROLLARY_IDS", "McCartyBounds",
         "MODE_AS_PRINTED", "MODE_CONSERVATIVE", "REGIME_SPLIT_B", "SELECTORS",
         "UnknownCorollary", "ZeroC", "check_convexity_theorem", "check_corollary",
         "check_derivative_theorem", "check_starlike_theorem", "check_subordination_theorem",
@@ -61,7 +61,7 @@ HOMES = {
     ),
     "geometry": (
         "DISK", "DegenerateDenominator", "HALF_PLANE", "JanowskiPair", "OrderOutOfRange",
-        "TargetRegion", "contains", "mobius", "pair_from_order", "region_margin",
+        "TargetRegion", "mobius", "pair_from_order", "region_margin",
         "region_margin_many", "target_region",
     ),
     "verify": (

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from janbessel import (
+    BesselParams,
     DEFAULT_CONFIG,
     AdmissibilityProbe,
     CheckOutcome,
@@ -17,7 +18,6 @@ from janbessel import (
     check_corollary,
     check_subordination_theorem,
     eval_psi,
-    make_params,
     property_radius,
     region_margin_many,
     region_scan,
@@ -181,7 +181,7 @@ def _mirror_draws(seed, count):
         c = (rng.uniform(-4.0, 4.0), rng.uniform(-150.0, 150.0), 0.0)[k % 7 % 3]
         if c == 0.0 and selector == "deriv-normalized":
             c = 1e-3
-        draws.append((selector, pair, make_params(kappa - 1.5, 2.0, c)))
+        draws.append((selector, pair, BesselParams(kappa - 1.5, 2.0, c)))
     return draws
 
 
@@ -208,17 +208,17 @@ def test_mirror_margins_are_bit_equal():
 def test_verify_membership_equals_full_two_pass_reference():
     cases = [
         # Off-axis witness: the refinement arc gets its own evaluation.
-        ("u", JanowskiPair(0.1, -1.0), make_params(-0.5, 2.0, 6.0)),
+        ("u", JanowskiPair(0.1, -1.0), BesselParams(-0.5, 2.0, 6.0)),
         # Every sample degenerate: no witness.
-        ("convexity", JanowskiPair(1.0, -1.0), make_params(1.5, 2.0, 0.0)),
-        ("u", HALF_PAIR, make_params(0.0, 2.0, -1.0)),
-        ("starlike-zu", JanowskiPair(0.6, -0.4), make_params(-1.3, 2.0, -4.0)),
+        ("convexity", JanowskiPair(1.0, -1.0), BesselParams(1.5, 2.0, 0.0)),
+        ("u", HALF_PAIR, BesselParams(0.0, 2.0, -1.0)),
+        ("starlike-zu", JanowskiPair(0.6, -0.4), BesselParams(-1.3, 2.0, -4.0)),
     ]
     # On 8 angles the arcs around pi and around 0 lower these grid minima.
     eight = MIRROR_GRIDS[-1]
     pinned = [
-        (eight, "u", JanowskiPair(0.0109, -0.3114), make_params(-3.319, 2.0, 0.7265)),
-        (eight, "u", JanowskiPair(0.827, 0.2406), make_params(-3.068, 2.0, 2.797)),
+        (eight, "u", JanowskiPair(0.0109, -0.3114), BesselParams(-3.319, 2.0, 0.7265)),
+        (eight, "u", JanowskiPair(0.827, 0.2406), BesselParams(-3.068, 2.0, 2.797)),
     ]
     for g, grid in enumerate(MIRROR_GRIDS):
         draws = cases + _mirror_draws(500 + g, 40 if grid.angles < 256 else 12)
@@ -255,17 +255,17 @@ def test_one_series_call_when_the_witness_is_on_the_real_axis(monkeypatch):
         return kernel(*args, **kwargs)
 
     monkeypatch.setattr(verify, "eval_u_many", counted)
-    report = verify_membership("u", HALF_PAIR, make_params(0.0, 2.0, -1.0))
+    report = verify_membership("u", HALF_PAIR, BesselParams(0.0, 2.0, -1.0))
     assert report.witness.imag == 0.0
     assert calls == [24 * 129 + 24 * 2 * verify.REFINE_FACTOR]
     calls.clear()
-    report = verify_membership("u", JanowskiPair(0.1, -1.0), make_params(-0.5, 2.0, 6.0))
+    report = verify_membership("u", JanowskiPair(0.1, -1.0), BesselParams(-0.5, 2.0, 6.0))
     assert report.witness.imag != 0.0
     assert calls == [24 * 129 + 24 * 2 * verify.REFINE_FACTOR, 2 * verify.REFINE_FACTOR]
 
 
 def test_modified_spherical_base_case_holds():
-    report = verify_membership("u", HALF_PAIR, make_params(0.0, 2.0, -1.0))
+    report = verify_membership("u", HALF_PAIR, BesselParams(0.0, 2.0, -1.0))
     assert report.verdict == "holds-on-grid"
     assert abs(report.min_margin - I0_MIN_MARGIN) < 1e-14
     assert abs(report.witness.real - (-0.999)) < 1e-12
@@ -277,22 +277,22 @@ def test_modified_spherical_base_case_holds():
 def test_spherical_base_case_matches_modified_one():
     # sin(sqrt z)/sqrt z on +r equals sinh(sqrt z)/sqrt z on -r, so the two
     # grid minima coincide exactly (the grid is symmetric under negation).
-    ri = verify_membership("u", HALF_PAIR, make_params(0.0, 2.0, -1.0))
-    rj = verify_membership("u", HALF_PAIR, make_params(0.0, 2.0, 1.0))
+    ri = verify_membership("u", HALF_PAIR, BesselParams(0.0, 2.0, -1.0))
+    rj = verify_membership("u", HALF_PAIR, BesselParams(0.0, 2.0, 1.0))
     assert rj.verdict == "holds-on-grid"
     assert rj.min_margin == ri.min_margin
     assert abs(rj.witness.real - 0.999) < 1e-12
 
 
 def test_constant_function_margin_is_margin_of_one():
-    rep = verify_membership("u", JanowskiPair(1.0, -1.0), make_params(0.0, 2.0, 0.0))
+    rep = verify_membership("u", JanowskiPair(1.0, -1.0), BesselParams(0.0, 2.0, 0.0))
     assert rep.verdict == "holds-on-grid" and rep.min_margin == 1.0
-    rep2 = verify_membership("u", JanowskiPair(0.5, 0.0), make_params(0.0, 2.0, 0.0))
+    rep2 = verify_membership("u", JanowskiPair(0.5, 0.0), BesselParams(0.0, 2.0, 0.0))
     assert rep2.min_margin == 0.5
 
 
 def test_counterexample_detection_frozen_case():
-    report = verify_membership("u", JanowskiPair(0.1, -1.0), make_params(-0.5, 2.0, 6.0))
+    report = verify_membership("u", JanowskiPair(0.1, -1.0), BesselParams(-0.5, 2.0, 6.0))
     assert report.verdict == "counterexample"
     assert abs(report.min_margin - CEX_MIN_MARGIN) < 1e-14
     assert abs(report.witness - CEX_WITNESS) < 1e-12
@@ -301,9 +301,9 @@ def test_counterexample_detection_frozen_case():
 
 def test_report_invariant():
     for report in (
-        verify_membership("u", HALF_PAIR, make_params(0.0, 2.0, -1.0), SMALL_GRID),
-        verify_membership("u", JanowskiPair(0.1, -1.0), make_params(-0.5, 2.0, 6.0), SMALL_GRID),
-        verify_membership("convexity", JanowskiPair(1.0, -1.0), make_params(1.5, 2.0, 0.0), SMALL_GRID),
+        verify_membership("u", HALF_PAIR, BesselParams(0.0, 2.0, -1.0), SMALL_GRID),
+        verify_membership("u", JanowskiPair(0.1, -1.0), BesselParams(-0.5, 2.0, 6.0), SMALL_GRID),
+        verify_membership("convexity", JanowskiPair(1.0, -1.0), BesselParams(1.5, 2.0, 0.0), SMALL_GRID),
     ):
         is_cex = report.verdict == "counterexample"
         assert is_cex == (report.min_margin < 0.0 or bool(report.degeneracy_hits))
@@ -316,7 +316,7 @@ def test_corollary_conclusion_fails_at_strongly_negative_c():
     # so the three verdicts cannot drift apart silently.
     assert check_corollary("re-half", 1.0, -3.0).satisfied
     assert not check_subordination_theorem(HALF_PAIR, 1.0, -3.0).satisfied
-    report = verify_membership("u", HALF_PAIR, make_params(-0.5, 2.0, -3.0))
+    report = verify_membership("u", HALF_PAIR, BesselParams(-0.5, 2.0, -3.0))
     assert report.verdict == "counterexample"
     assert abs(report.min_margin - UNSOUND_CELL_MARGIN) < 1e-14
     assert abs(report.witness.real - (-0.999)) < 1e-12
@@ -327,7 +327,7 @@ def test_documented_gap_cell_triple_verdict():
     # sampled membership holds.
     assert check_corollary("re-half", 1.0, -1.0).satisfied
     assert not check_subordination_theorem(HALF_PAIR, 1.0, -1.0).satisfied
-    report = verify_membership("u", HALF_PAIR, make_params(-0.5, 2.0, -1.0))
+    report = verify_membership("u", HALF_PAIR, BesselParams(-0.5, 2.0, -1.0))
     assert report.verdict == "holds-on-grid"
     assert abs(report.min_margin - GAP_CELL_MARGIN) < 1e-14
 
@@ -337,7 +337,7 @@ def test_convexity_selector_degenerates_wholesale_at_c_zero():
     # undefined at every sample: the report must show wall-to-wall
     # degeneracy hits and a counterexample verdict with no witness.
     report = verify_membership(
-        "convexity", JanowskiPair(1.0, -1.0), make_params(1.5, 2.0, 0.0), SMALL_GRID
+        "convexity", JanowskiPair(1.0, -1.0), BesselParams(1.5, 2.0, 0.0), SMALL_GRID
     )
     assert report.verdict == "counterexample"
     assert math.isnan(report.min_margin) and report.witness is None
@@ -347,16 +347,16 @@ def test_convexity_selector_degenerates_wholesale_at_c_zero():
 
 def test_deriv_selector_rejects_c_zero():
     with pytest.raises(ZeroC):
-        verify_membership("deriv-normalized", HALF_PAIR, make_params(0.0, 2.0, 0.0), SMALL_GRID)
+        verify_membership("deriv-normalized", HALF_PAIR, BesselParams(0.0, 2.0, 0.0), SMALL_GRID)
 
 
 def test_unknown_selector_rejected():
     with pytest.raises(ValueError):
-        verify_membership("tangent", HALF_PAIR, make_params(0.0, 2.0, -1.0), SMALL_GRID)
+        verify_membership("tangent", HALF_PAIR, BesselParams(0.0, 2.0, -1.0), SMALL_GRID)
 
 
 def test_all_selectors_on_a_well_behaved_tuple():
-    params = make_params(0.5, 2.0, -1.0)  # kappa 2
+    params = BesselParams(0.5, 2.0, -1.0)  # kappa 2
     for selector in ("u", "deriv-normalized", "convexity", "starlike-zu"):
         report = verify_membership(selector, HALF_PAIR, params, SMALL_GRID)
         assert report.verdict == "holds-on-grid"
@@ -366,7 +366,7 @@ def test_all_selectors_on_a_well_behaved_tuple():
 def test_margins_only_sharpen_on_denser_grids():
     base = SampleGrid(radii=tuple(np.geomspace(0.05, 0.999, 12)), angles=64)
     dense_angles = SampleGrid(radii=base.radii, angles=128)
-    params = make_params(-0.5, 2.0, -1.0)
+    params = BesselParams(-0.5, 2.0, -1.0)
     for pair in (HALF_PAIR, JanowskiPair(0.1, -1.0)):
         m0 = verify_membership("u", pair, params, base).min_margin
         m1 = verify_membership("u", pair, params, dense_angles).min_margin
@@ -380,8 +380,8 @@ def test_margins_only_sharpen_on_denser_grids():
 
 
 def test_verify_membership_is_deterministic():
-    a = verify_membership("u", JanowskiPair(0.1, -1.0), make_params(-0.5, 2.0, 6.0))
-    b = verify_membership("u", JanowskiPair(0.1, -1.0), make_params(-0.5, 2.0, 6.0))
+    a = verify_membership("u", JanowskiPair(0.1, -1.0), BesselParams(-0.5, 2.0, 6.0))
+    b = verify_membership("u", JanowskiPair(0.1, -1.0), BesselParams(-0.5, 2.0, 6.0))
     assert a == b
 
 
@@ -389,35 +389,35 @@ def test_verify_membership_is_deterministic():
 
 
 def test_property_radius_interior_fixture():
-    r = property_radius("u", JanowskiPair(0.1, -1.0), make_params(-0.5, 2.0, 6.0), tol=1e-4)
+    r = property_radius("u", JanowskiPair(0.1, -1.0), BesselParams(-0.5, 2.0, 6.0), tol=1e-4)
     assert abs(r - RADIUS_FIXTURE) < 1e-12
     assert 0.1 < r < 0.9
-    again = property_radius("u", JanowskiPair(0.1, -1.0), make_params(-0.5, 2.0, 6.0), tol=1e-4)
+    again = property_radius("u", JanowskiPair(0.1, -1.0), BesselParams(-0.5, 2.0, 6.0), tol=1e-4)
     assert again == r
 
 
 def test_property_radius_cap_and_cap_monotonicity():
-    params = make_params(0.0, 2.0, -1.0)
+    params = BesselParams(0.0, 2.0, -1.0)
     assert property_radius("u", HALF_PAIR, params, tol=1e-4) == 0.999
     assert property_radius("u", HALF_PAIR, params, tol=1e-4, max_radius=0.9) == 0.9
 
 
 def test_property_radius_zero_when_base_circle_fails():
     r = property_radius(
-        "convexity", JanowskiPair(1.0, -1.0), make_params(0.5, 2.0, 0.0), grid_density=64, tol=1e-3
+        "convexity", JanowskiPair(1.0, -1.0), BesselParams(0.5, 2.0, 0.0), grid_density=64, tol=1e-3
     )
     assert r == 0.0
 
 
 def test_property_radius_denser_angles_never_grow_it():
-    args = ("u", JanowskiPair(0.1, -1.0), make_params(-0.5, 2.0, 6.0))
+    args = ("u", JanowskiPair(0.1, -1.0), BesselParams(-0.5, 2.0, 6.0))
     r256 = property_radius(*args, grid_density=256, tol=1e-4)
     r512 = property_radius(*args, grid_density=512, tol=1e-4)
     assert r512 <= r256 + 2e-4
 
 
 def test_property_radius_rejects_non_integer_density():
-    args = ("u", JanowskiPair(0.1, -1.0), make_params(-0.5, 2.0, 6.0))
+    args = ("u", JanowskiPair(0.1, -1.0), BesselParams(-0.5, 2.0, 6.0))
     for density in (8.5, 256.25, math.nan, math.inf, "256"):
         with pytest.raises(ValueError):
             property_radius(*args, grid_density=density, tol=1e-2)
@@ -446,7 +446,7 @@ def _reference_property_radius(selector, pair, params, grid_density, tol, max_ra
 
 
 def test_property_radius_equals_full_ring_bisection():
-    draws = [("u", JanowskiPair(0.1, -1.0), make_params(-0.5, 2.0, 6.0))] + _mirror_draws(911, 40)
+    draws = [("u", JanowskiPair(0.1, -1.0), BesselParams(-0.5, 2.0, 6.0))] + _mirror_draws(911, 40)
     for k, (selector, pair, params) in enumerate(draws):
         density = (8, 9, 17, 64, 256)[k % 5]
         r = property_radius(selector, pair, params, grid_density=density, tol=1e-3)
@@ -463,7 +463,7 @@ def test_property_radius_equals_full_ring_bisection():
 )
 def test_property_radius_holds_on_its_disk_despite_interior_zero():
     pair = JanowskiPair(0.6, -0.4)
-    params = make_params(-1.3, 2.0, -4.0)
+    params = BesselParams(-1.3, 2.0, -4.0)
     r = property_radius("starlike-zu", pair, params)
     if r > 0.0:
         grid = SampleGrid(radii=tuple(r * np.geomspace(0.05, 1.0, 24)), angles=256, max_radius=r)

@@ -2,12 +2,18 @@
 
     python3 tools/output_diff.py PARENT_DIR CHANGE_DIR 101 102 103
 
-For each seed, runs one batch of the `Sweep`, `Dense` and `Cli` workloads
-of `bench/workloads.py` from each checkout, in a child process that imports
-that checkout's `src/` and `bench/`, and prints per seed and workload:
+For each seed, runs one batch of the `Sweep`, `Pointwise`, `Dense` and
+`Cli` workloads of `bench/workloads.py` from each checkout, in a child
+process that imports that checkout's `src/` and `bench/`, and prints per
+seed and workload:
 
-  * verdicts that changed (verification reports, scan cells, CLI reports);
+  * verdicts that changed (verification reports, scan cells, CLI reports,
+    checker outcomes and whether all pointwise bounds hold);
   * how many `min_margin` values are bit-equal, and the largest |change|;
+  * how many scalar results (series values, residuals, Psi values, checker
+    slacks, pointwise bounds and observed sides) are bit-equal, and the
+    largest |change|; a result that moved by more than 1e-12 relative is
+    listed;
   * witnesses that moved, each marked "mirror" (to within 1e-15 of the
     conj of the old witness), "real-axis" (within 1e-15 of the old witness,
     with one of the two exactly real) or "other";
@@ -16,10 +22,12 @@ that checkout's `src/` and `bench/`, and prints per seed and workload:
     within 1e-12 relative and z within 1e-15), "mirror" (rho to -rho and z
     to within 1e-15 of conj z, the rest as for last-bit) or "other";
   * any other output field that changed (checker outcomes, degeneracy
-    counts, exit codes, the rest of each CLI payload).
+    counts, exit codes, the rest of each CLI payload, term counts and
+    truncation estimates, checker branches and notes).
 
 Every change is listed after the counts, except mirror and real-axis
-witness moves and last-bit or mirror probe moves, which are only counted.  Where `tools/output_digest.py`
+witness moves, last-bit or mirror probe moves and scalar results that moved
+by at most 1e-12 relative, which are only counted.  Where `tools/output_digest.py`
 says whether two checkouts' outputs are identical, this says how they
 differ.  The script only reads the two checkouts; it changes nothing in
 them.
@@ -33,10 +41,11 @@ import subprocess
 import sys
 from pathlib import Path
 
-NAMES = ("Sweep", "Dense", "Cli")
+NAMES = ("Sweep", "Pointwise", "Dense", "Cli")
 # Witness moves this small (|z| <= 1) are last-bit moves, not new points.
 MOVE_TOL = 1e-15
-# Probe coordinates this close, relative, come from the same grid point.
+# Probe coordinates this close, relative, come from the same grid point;
+# scalar results this close are last-bit moves.
 PROBE_TOL = 1e-12
 REPORT_FIELDS = ("verdict", "min_margin", "witness")
 
@@ -63,6 +72,38 @@ def _sweep_records(workload, out):
                 "rest": repr((r.checker.satisfied, r.checker.branch, r.corollary_id,
                               None if r.corollary is None else r.corollary.satisfied)),
             })
+    return records
+
+
+def _flat(zs):
+    return [x for z in zs for x in (z.real, z.imag)]
+
+
+def _pointwise_records(workload, out):
+    from janbessel.bessel import EvalResult
+    from janbessel.checks import CheckOutcome, McCartyBounds
+
+    records = []
+    for index, ((kind, _, args, _), result) in enumerate(zip(workload.ops, out)):
+        record = {"key": f"op {index} {kind}{args!r}"}
+        if isinstance(result, Exception):
+            record["rest"] = repr(result)
+        elif isinstance(result, EvalResult):
+            record["values"] = _flat(result.values)
+            record["rest"] = repr((result.terms_used, result.truncation_estimate))
+        elif isinstance(result, CheckOutcome):
+            record["verdict"] = "satisfied" if result.satisfied else "not satisfied"
+            record["values"] = [value for _, value in result.slacks]
+            record["rest"] = repr((result.branch, [label for label, _ in result.slacks],
+                                   result.notes, result.implied_pair, result.conclusion_bound))
+        elif isinstance(result, McCartyBounds):
+            rows = (result.modulus, result.real_part, result.derivative)
+            record["verdict"] = "all hold" if result.all_hold() else "a bound fails"
+            record["values"] = [x for row in rows for x in (row.bound, row.observed)]
+            record["rest"] = repr(([(row.label, row.holds) for row in rows], result.notes))
+        else:  # a residual or a Psi value
+            record["values"] = _flat([complex(result)])
+        records.append(record)
     return records
 
 
@@ -135,6 +176,8 @@ def dump(checkout, seed):
         out = workload.run_batch(None)
         if name == "Sweep":
             records = _sweep_records(workload, out)
+        elif name == "Pointwise":
+            records = _pointwise_records(workload, out)
         elif name == "Dense":
             records = _dense_records(workload, out, workloads.DENSE_OPS)
         else:
@@ -190,10 +233,11 @@ def compare(parent, change):
     """Report lines for one seed and workload."""
     if [r["key"] for r in parent] != [r["key"] for r in change]:
         return ["  the two checkouts ran different items; nothing compared"]
-    n = dict.fromkeys(("verdicts", "margins", "margins equal", "witnesses", "mirror", "real-axis",
-                       "radii", "radii changed", "maxima", "maxima changed", "probes moved",
-                       "probe last-bit", "probe mirror", "other fields"), 0)
-    margin_delta = max_delta = 0.0
+    n = dict.fromkeys(("verdicts", "margins", "margins equal", "values", "values equal",
+                       "witnesses", "mirror", "real-axis", "radii", "radii changed", "maxima",
+                       "maxima changed", "probes moved", "probe last-bit", "probe mirror",
+                       "other fields"), 0)
+    margin_delta = value_delta = max_delta = 0.0
     details = []
     for p, c in zip(parent, change):
         key = p["key"]
@@ -207,6 +251,18 @@ def compare(parent, change):
                 n["margins equal"] += 1
             elif math.isfinite(a) and math.isfinite(b):
                 margin_delta = max(margin_delta, abs(a - b))
+        if "values" in p:
+            n["values"] += 1
+            a, b = p["values"], c.get("values", [])
+            if _point_bits(a) == _point_bits(b):
+                n["values equal"] += 1
+            elif len(a) == len(b) and all(map(math.isfinite, a + b)):
+                delta = max(abs(x - y) for x, y in zip(a, b))
+                value_delta = max(value_delta, delta)
+                if delta > PROBE_TOL * max([1.0, *map(abs, a)]):
+                    details.append(f"  values {key}: {a} -> {b}")
+            else:
+                details.append(f"  values {key}: {a} -> {b}")
         if _point_bits(p.get("witness")) != _point_bits(c.get("witness")):
             n["witnesses"] += 1
             kind = _move(p.get("witness"), c.get("witness"))
@@ -240,6 +296,8 @@ def compare(parent, change):
         f"  verdicts changed {n['verdicts']}",
         f"  min_margin bit-equal {n['margins equal']}/{n['margins']}, "
         f"largest |change| {margin_delta:.3g}",
+        f"  scalar results bit-equal {n['values equal']}/{n['values']}, "
+        f"largest |change| {value_delta:.3g}",
         f"  witnesses moved {n['witnesses']} (mirror {n['mirror']}, real-axis {n['real-axis']}, "
         f"other {n['witnesses'] - n['mirror'] - n['real-axis']})",
         f"  radii changed {n['radii changed']}/{n['radii']}",
