@@ -21,11 +21,11 @@ the series equals sin(sqrt(z))/sqrt(z) at p = 0, and for b = 2, c = -1 it
 equals sinh(sqrt(z))/sqrt(z).  The parameter b enters only through kappa,
 so triples with equal (kappa, c) define the same function.
 
-Derivatives up to third order come from term-wise differentiation, and
-eval_u and eval_u_many sum the same truncated series by Horner's rule.
-eval_u_many sums only the rows lowest..order that its caller reads; each
-row's sum is independent of the others, so its bits do not depend on which
-other rows are summed with it.  The term count is fixed a priori: on
+Derivatives up to third order come from term-wise differentiation.  Only
+scalar eval_u uses Horner's rule; the array path (_ring_sums, and
+eval_u_many on radius 1) contracts coefficient rows, scaled by r^m per ring
+radius r, against a table of point powers, summing only the rows
+lowest..order that its caller reads.  Both share one term count, fixed a priori: on
 |z| <= R = 1 + DISK_SLACK the j-th derivative's term k is at most
 |a_k| k!/(k-j)! R^(k-j), and once kappa + k > 0
 later terms shrink by at most rho = |c| R / (4 (kappa+k)(k+1-order)) per step.
@@ -33,9 +33,8 @@ The sum runs through the first such k with rho < 1/2 and max_j |a_k| k!/(k-j)!
 R^(k-j) / (1-rho) <= rel_tol, so the omitted tail is below rel_tol / 2
 absolutely at every point, or raises NoConvergence at max_terms.
 
-Only the array path, eval_u_many and the _series_rows it sums, imports numpy,
-and it does so when first called: the scalar functions (eval_u, the residuals)
-run on the standard library alone.
+Only the array path imports numpy, and it does so when first called: the
+scalar functions (eval_u, the residuals) run on the standard library alone.
 """
 
 from __future__ import annotations
@@ -57,14 +56,16 @@ DISK_SLACK = 1e-9
 MAX_ORDER = 3
 
 
-def _count(name: str, value) -> int:
-    """value as an int: an int, or a float equal to one; ValueError otherwise."""
+def _count(name: str, value, top: int | None = None) -> int:
+    """value as an int (an int, or a float equal to one) in 0..top if given; else ValueError."""
     try:
         count = int(value)
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
     if count != value:
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if top is not None and count not in range(top + 1):
+        raise ValueError(f"{name} must be one of 0..{top}, got {count}")
     return count
 
 
@@ -188,14 +189,12 @@ def eval_u(
     """Evaluate u and its derivatives up to `order` (0..3) at a disk point.
 
     The j-th derivative is sum_k k!/(k-j)! a_k z^(k-j) over the coefficients
-    a_0..a_{n-1} that eval_u_many sums, by Horner's rule; terms_used is n and
-    truncation_estimate the tail bound.  Raises NoConvergence at the term cap,
+    a_0..a_{n-1} the array path sums, here by Horner's rule; terms_used is n
+    and truncation_estimate the tail bound.  Raises NoConvergence at the term cap,
     and ValueError for an order that is not an integer (an int, or a float
     equal to one) in 0..3.
     """
-    order = _count("order", order)
-    if order not in range(MAX_ORDER + 1):
-        raise ValueError(f"order must be one of 0..{MAX_ORDER}, got {order}")
+    order = _count("order", order, MAX_ORDER)
     z = _check_disk(z)
     a, tail = _coefficients(params.kappa, params.c, order, cfg.rel_tol, cfg.max_terms)
     values = []
@@ -209,11 +208,11 @@ def eval_u(
 
 @functools.lru_cache(maxsize=128)
 def _falling_weights(order: int, n: int):
-    """Read-only (index, weights), shape (n, order+1): m + j and the float of perm(m+j, j)."""
+    """Read-only (index, weights), shape (order+1, n): m + j and the float of perm(m+j, j)."""
     import numpy as np
 
-    index = np.arange(n)[:, None] + np.arange(order + 1)[None, :]
-    weights = np.array([[float(math.perm(m + j, j)) for j in range(order + 1)] for m in range(n)])
+    index = np.arange(order + 1)[:, None] + np.arange(n)[None, :]
+    weights = np.array([[float(math.perm(m + j, j)) for m in range(n)] for j in range(order + 1)])
     index.flags.writeable = weights.flags.writeable = False
     return index, weights
 
@@ -221,22 +220,92 @@ def _falling_weights(order: int, n: int):
 # property_radius asks for the same (kappa, c, order) once a circle.
 @functools.lru_cache(maxsize=128)
 def _series_rows(kappa: float, c: float, order: int, rel_tol: float, max_terms: int):
-    """Coefficients of u, ..., u^(order), truncated a priori, for Horner's rule.
+    """Read-only (order+1, n): entry [j, m] is a_{m+j} (m+j)!/m!, the coefficient of z^m in u^(j).
 
-    Read-only, shape (n, order+1, 1): entry [m, j, 0] is a_{m+j} (m+j)!/m!,
-    zero once m + j >= n.  Each entry is the one rounding of
-    float(perm(m+j, j)) * a_{m+j}.
+    Each entry is the one rounding of float(perm(m+j, j)) * a_{m+j}; zero
+    once m + j >= n.
     """
     import numpy as np
 
     a, _ = _coefficients(kappa, c, order, rel_tol, max_terms)
     n = len(a)
     index, weights = _falling_weights(order, n)
-    padded = np.zeros(n + order)
-    padded[:n] = a
-    columns = (padded[index] * weights).astype(complex)[:, :, None]
-    columns.flags.writeable = False
-    return columns
+    rows = np.array(a + [0.0] * order)[index] * weights
+    rows.flags.writeable = False
+    return rows
+
+
+class _PowerTable:
+    """Rows p^0, p^1, ... of the powers of fixed disk points, grown on demand.
+
+    Doubling m rows adds rows m..2m-2 as row m-1 times rows 1..m-1, so the
+    table passes through 2, 3, 5, 9, ... rows only: row k has the same bits
+    however the table was grown, and each entry depends on its point alone.
+    """
+
+    def __init__(self, points) -> None:
+        import numpy as np
+
+        points = np.array(points, dtype=complex)
+        if points.ndim != 1 or points.size == 0:
+            raise ValueError("zs must be a non-empty 1-d array")
+        # Written so that a NaN modulus fails the test too.
+        if not np.abs(points).max() <= 1.0 + DISK_SLACK:
+            raise ValueError("evaluation is restricted to |z| <= 1")
+        points.flags.writeable = False
+        self.points = points
+        self._rows = np.stack([np.ones_like(points), points])
+
+    def rows(self, n: int) -> np.ndarray:
+        """Rows 0..n-1, shape (n, len(points)), C-contiguous; do not write to it."""
+        import numpy as np
+
+        rows = self._rows
+        while len(rows) < n:
+            m = len(rows)
+            grown = np.empty((2 * m - 1, rows.shape[1]), dtype=complex)
+            grown[:m] = rows
+            np.multiply(rows[m - 1 : m], rows[1:m], out=grown[m:])
+            rows = self._rows = grown
+        return rows[:n]
+
+
+@functools.lru_cache(maxsize=64)  # every cell of a grid has the same radii
+def _radius_powers(radii: tuple[float, ...], n: int):
+    """Read-only (1, len(radii), n): r^m for m < n; ValueError unless radii lie in [0, 1]."""
+    import numpy as np
+
+    if not radii or not all(0.0 <= r <= 1.0 for r in radii):
+        raise ValueError(f"radii must be values in [0, 1], got {radii}")
+    powers = (np.array(radii)[:, None] ** np.arange(n))[None, :, :]
+    powers.flags.writeable = False
+    return powers
+
+
+def _ring_sums(
+    params: BesselParams,
+    radii: tuple[float, ...],
+    table: _PowerTable,
+    order: int = 0,
+    cfg: EvalConfig = DEFAULT_CONFIG,
+    lowest: int = 0,
+) -> tuple[np.ndarray, int]:
+    """u^(lowest..order) at radii[i] * table.points[p]: (values[j, i, p], terms_used).
+
+    u^(j)(r e) = sum_m (a_{m+j} (m+j)!/m! r^m) e^m, so the rows of
+    _series_rows, scaled by r^m for every radius, are contracted against the
+    table's rows in one np.einsum over its float64 view.  einsum sums each
+    entry on its own and calls no BLAS (whose bits depend on the batch), so a
+    value depends only on its radius, point and row.  0 <= lowest <= order <= 3.
+    """
+    import numpy as np
+
+    rows = _series_rows(params.kappa, params.c, order, cfg.rel_tol, cfg.max_terms)[lowest:]
+    n = rows.shape[1]
+    scaled = rows[:, None, :] * _radius_powers(radii, n)
+    powers = table.rows(n)
+    sums = np.einsum("rk,km->rm", scaled.reshape(-1, n), powers.view(np.float64), optimize=False)
+    return sums.view(complex).reshape(rows.shape[0], len(radii), powers.shape[1]), n
 
 
 def eval_u_many(
@@ -251,37 +320,15 @@ def eval_u_many(
     values has shape (order+1-lowest, len(zs)): row i holds the derivative of
     order lowest+i, so rows below `lowest` are neither summed nor returned.
     terms_used follows the a-priori rule of the module docstring for `order`,
-    whatever `lowest` is, and Horner's rule runs elementwise, row by row, so a
-    value does not depend on the rest of the batch nor on the other rows
-    returned.  order and lowest are integers, or floats equal to one, with
+    whatever `lowest` is.  It is _ring_sums on radius 1.0 over a table of zs,
+    so a value does not depend on the rest of the batch nor on the other rows.
+    order and lowest are integers, or floats equal to one, with
     0 <= lowest <= order <= 3; ValueError otherwise.
     """
-    import numpy as np
-
-    order, lowest = _count("order", order), _count("lowest", lowest)
-    if order not in range(MAX_ORDER + 1):
-        raise ValueError(f"order must be one of 0..{MAX_ORDER}, got {order}")
-    if lowest not in range(order + 1):
-        raise ValueError(f"lowest must be one of 0..{order}, got {lowest}")
-    zs = np.asarray(zs, dtype=complex)
-    if zs.ndim != 1:
-        raise ValueError("zs must be a 1-d array")
-    if zs.size == 0:
-        raise ValueError("zs must be non-empty")
-    # Written so that a NaN modulus fails the test too.
-    if not np.abs(zs).max() <= 1.0 + DISK_SLACK:
-        raise ValueError("evaluation is restricted to |z| <= 1")
-
-    columns = _series_rows(params.kappa, params.c, order, cfg.rel_tol, cfg.max_terms)
-    # numpy rounds a one-element complex product taken in place or broadcast
-    # differently; a row of zs and a second buffer keep every batch on one loop.
-    row = zs[None, :]
-    values = np.zeros((order + 1 - lowest, zs.size), dtype=complex)
-    products = np.empty_like(values)
-    for column in columns[::-1, lowest:]:
-        np.multiply(values, row, out=products)
-        np.add(products, column, out=values)
-    return values, columns.shape[0]
+    order = _count("order", order, MAX_ORDER)
+    lowest = _count("lowest", lowest, order)
+    values, terms = _ring_sums(params, (1.0,), _PowerTable(zs), order, cfg, lowest)
+    return values[:, 0, :], terms
 
 
 def ode_residual(

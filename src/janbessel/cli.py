@@ -76,18 +76,21 @@ SCHEMA_VERSION = "1"
 CSV_HEADER = "kappa,c,checker,branch,corollary,numeric,min_margin,witness_re,witness_im"
 
 
+# argparse prints an ArgumentTypeError's message, but replaces a ValueError's.
 def _parse_complex(text: str) -> complex:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"complex values use the form 're,im', got {text!r}")
-    return complex(float(parts[0]), float(parts[1]))
+    try:
+        re, im = text.split(",")
+        return complex(float(re), float(im))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"complex values use the form 're,im', got {text!r}") from None
 
 
 def _parse_range(text: str) -> tuple[float, float, int]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"ranges use the form 'lo:hi:steps', got {text!r}")
-    return float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        lo, hi, steps = text.split(":")
+        return float(lo), float(hi), int(steps)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"ranges use the form 'lo:hi:steps', got {text!r}") from None
 
 
 def _complex_list(z: complex) -> list[float]:

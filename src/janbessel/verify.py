@@ -49,13 +49,15 @@ circles are built so that this holds to the bit: each ring (_ring) starts
 at angle 0, its points at angles 0 and pi are exactly real, and each point
 below the real axis is the exact conj of its upper twin.  IEEE negation is
 exact, and numpy's complex multiply, divide and abs treat sign flips
-symmetrically, so twins get bit-equal margins and equal degeneracy flags.
+symmetrically, so twins get conj unit powers, conj series values (the
+coefficients are real), bit-equal margins and equal degeneracy flags.
 verify_membership and property_radius therefore evaluate only the closed
 upper half of each circle (angles 0..angles//2).  Angles 0 and pi are
 critical points of every circle's margin and hold the witness in practice,
 so verify_membership's one series call also covers the upper halves of the
 refinement arcs around them on every ring; only a witness elsewhere needs a
-second call for its arc.
+second call for its arc.  Every sample is radius * unit; each angle layout has
+one cached power table of its unit points (bessel._ring_sums).
 
 Determinism: grids are fixed by their parameters, so identical inputs give
 bit-identical results.  Exact ties go to the first grid point in
@@ -71,7 +73,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import BesselParams, EvalConfig, DEFAULT_CONFIG, _count, eval_u_many
+from .bessel import BesselParams, EvalConfig, DEFAULT_CONFIG, _count, _PowerTable, _ring_sums
 from .checks import (
     COROLLARY_CC_ORDER,
     COROLLARY_DERIV_RE_HALF,
@@ -202,24 +204,28 @@ def _axis_arcs(n: int) -> list[tuple[int, np.ndarray]]:
 
 
 @functools.lru_cache(maxsize=8)
-def _sampled_points(grid: SampleGrid) -> np.ndarray:
-    """What verify_membership evaluates on `grid`, in one read-only array.
-
-    First the closed upper half of every ring (angles 0..angles//2),
-    radius-major; then, ring by ring, the upper half of the refinement arc
-    around each real-axis grid angle: offsets 1..REFINE_FACTOR around angle 0
-    and, for an even angle count, -REFINE_FACTOR..-1 around pi.  Every point
-    left out is the exact conj of one kept.
-    """
-    n = grid.angles
-    half = grid.points().reshape(len(grid.radii), n)[:, : n // 2 + 1]
+def _sampled_units(n: int, arcs: bool) -> _PowerTable:
+    """Unit points sampled on each ring of n angles: the closed upper half of
+    _ring(n), then, with arcs, the upper halves of the arcs of _axis_arcs(n)."""
     step = 2.0 * np.pi / n
-    arcs = [
+    units = [_ring(n)[: n // 2 + 1]] + [
         np.exp(1j * (2.0 * np.pi * i_angle / n + offsets * step / REFINE_FACTOR))
-        for i_angle, offsets in _axis_arcs(n)
+        for i_angle, offsets in (_axis_arcs(n) if arcs else [])
     ]
-    arcs = np.asarray(grid.radii)[:, None] * np.concatenate(arcs)[None, :]
-    points = np.concatenate([half.ravel(), arcs.ravel()])
+    return _PowerTable(np.concatenate(units))
+
+
+@functools.lru_cache(maxsize=64)
+def _arc_units(n: int, i_angle: int) -> _PowerTable:
+    """The whole refinement arc around angle index i_angle of n, on the unit circle."""
+    theta, dtheta = 2.0 * np.pi * i_angle / n, 2.0 * np.pi / n
+    return _PowerTable(np.exp(1j * (theta + _REFINE_OFFSETS * dtheta / REFINE_FACTOR)))
+
+
+@functools.lru_cache(maxsize=16)
+def _points(radii: tuple[float, ...], table: _PowerTable) -> np.ndarray:
+    """radius * unit for every radius and every table point, radius-major (1-d); read-only."""
+    points = (np.asarray(radii, dtype=float)[:, None] * table.points[None, :]).ravel()
     points.flags.writeable = False
     return points
 
@@ -246,27 +252,28 @@ class VerificationReport:
 def _functional_values(
     selector: str,
     params: BesselParams,
-    zs: np.ndarray,
+    radii: tuple[float, ...],
+    table: _PowerTable,
     cfg: EvalConfig,
 ) -> tuple[np.ndarray, np.ndarray, str]:
-    """Map samples through the selected functional.
+    """Map the samples _points(radii, table) through the selected functional.
 
-    Returns (w, degenerate_mask, reason).  Degenerate entries of w carry the
-    placeholder 1 and must be ignored by the caller.  Only the derivative
-    rows the functional reads are summed.
+    Returns (w, degenerate_mask, reason), radius-major.  Degenerate entries of
+    w carry the placeholder 1 and must be ignored by the caller.  One
+    _ring_sums call sums only the derivative rows the functional reads.
     """
     if selector == SELECTOR_U:
-        values, _ = eval_u_many(params, zs, order=0, cfg=cfg)
-        return values[0], np.zeros(zs.size, dtype=bool), ""
+        values = _ring_sums(params, radii, table, 0, cfg)[0].reshape(-1)
+        return values, np.zeros(values.size, dtype=bool), ""
     if selector == SELECTOR_DERIV:
         if params.c == 0.0:
             raise ZeroC("the deriv-normalized functional is undefined at c = 0")
-        values, _ = eval_u_many(params, zs, order=1, cfg=cfg, lowest=1)
-        return (-4.0 * params.kappa / params.c) * values[0], np.zeros(zs.size, dtype=bool), ""
+        values = _ring_sums(params, radii, table, 1, cfg, 1)[0].reshape(-1)
+        return (-4.0 * params.kappa / params.c) * values, np.zeros(values.size, dtype=bool), ""
     if selector in _QUOTIENT_ORDERS:
         k, reason = _QUOTIENT_ORDERS[selector]
-        values, _ = eval_u_many(params, zs, order=k, cfg=cfg, lowest=k - 1)
-        den, num = values
+        den, num = _ring_sums(params, radii, table, k, cfg, k - 1)[0].reshape(2, -1)
+        zs = _points(radii, table)
         mask = np.abs(den) < DEGENERACY_TOL
         if not mask.any():
             return 1.0 + zs * num / den, mask, reason
@@ -281,15 +288,16 @@ def _margins(
     pair: JanowskiPair,
     region: TargetRegion,
     params: BesselParams,
-    zs: np.ndarray,
+    radii: tuple[float, ...],
+    table: _PowerTable,
     cfg: EvalConfig,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, str]:
-    """(margins, mask, proof_mask, reason): excluded samples get margin +inf.
+    """(margins, mask, proof_mask, reason) at _points(radii, table); excluded samples get +inf.
 
     mask marks zero functional denominators (reason says which), proof_mask
     the remaining zeros of the proof-side denominator.
     """
-    w, mask, reason = _functional_values(selector, params, zs, cfg)
+    w, mask, reason = _functional_values(selector, params, radii, table, cfg)
     # Denominator of the proof-side transformed function; a zero would void
     # the nondegeneracy hypothesis behind the checkers.
     proof_mask = (np.abs((1.0 + pair.B) * w - (1.0 + pair.A)) < DEGENERACY_TOL) & ~mask
@@ -321,28 +329,28 @@ def verify_membership(
     upper half of the grid (angles 0..angles//2) and the upper halves of the
     arcs around the real-axis angles are evaluated, in one series call; a
     witness off the real axis has its arc evaluated by a second call.  The
-    report is bit-equal to evaluating every grid point and then the whole
-    arc around the witness.
+    report is bit-equal to evaluating every grid point through the same
+    kernel (bessel._ring_sums) and then the whole arc around the witness.
     """
     if grid is None:
         grid = _DEFAULT_GRID
     region = target_region(pair)
-    zs = _sampled_points(grid)
-    margins, mask, proof_mask, reason = _margins(selector, pair, region, params, zs, cfg)
-
     n, rings = grid.angles, len(grid.radii)
     half = n // 2 + 1
-    on_grid = rings * half
+    # Ring by ring: the closed upper half, then the axis arcs' upper halves.
+    table = _sampled_units(n, True)
+    margins, mask, proof_mask, reason = _margins(selector, pair, region, params, grid.radii, table, cfg)
+    margins, mask, proof_mask = (x.reshape(rings, -1) for x in (margins, mask, proof_mask))
     hits = []
-    if mask[:on_grid].any() or proof_mask[:on_grid].any():
+    if mask.any() or proof_mask.any():
         # Mirror the masks onto the full grid, radius-major.
         full = grid.points()
         for flags, label in ((mask, reason), (proof_mask, "proof-map-pole")):
-            upper = flags[:on_grid].reshape(rings, half)
+            upper = flags[:, :half]
             whole = np.concatenate([upper, _lower_twins(upper, n)], axis=1).ravel()
             hits.extend((complex(z), label) for z in full[whole])
 
-    grid_margins = margins[:on_grid]
+    grid_margins = margins[:, :half].ravel()
     if not np.isfinite(grid_margins).any():
         return VerificationReport(
             selector=selector,
@@ -357,22 +365,21 @@ def verify_membership(
 
     idx = int(np.argmin(grid_margins))
     min_margin = float(grid_margins[idx])
-    witness = complex(zs[idx])
+    i_radius, i_angle = divmod(idx, half)
+    radius = (grid.radii[i_radius],)
+    ring = _points(radius, table)
+    witness = complex(ring[i_angle])
 
     # Local angular refinement around the witness.
-    i_radius, i_angle = divmod(idx, half)
     axis = [angle for angle, _ in _axis_arcs(n)]
     if i_angle in axis:
-        lo = on_grid + (i_radius * len(axis) + axis.index(i_angle)) * REFINE_FACTOR
-        local = zs[lo : lo + REFINE_FACTOR]
-        local_margins = margins[lo : lo + REFINE_FACTOR]
+        lo = half + axis.index(i_angle) * REFINE_FACTOR
+        local = ring[lo : lo + REFINE_FACTOR]
+        local_margins = margins[i_radius, lo : lo + REFINE_FACTOR]
     else:
-        theta = 2.0 * np.pi * i_angle / n
-        dtheta = 2.0 * np.pi / n
-        local = grid.radii[i_radius] * np.exp(
-            1j * (theta + _REFINE_OFFSETS * dtheta / REFINE_FACTOR)
-        )
-        local_margins = _margins(selector, pair, region, params, local, cfg)[0]
+        arc = _arc_units(n, i_angle)
+        local = _points(radius, arc)
+        local_margins = _margins(selector, pair, region, params, radius, arc, cfg)[0]
     j = int(np.argmin(local_margins))
     if local_margins[j] < min_margin:
         min_margin = float(local_margins[j])
@@ -420,10 +427,10 @@ def property_radius(
     if not (0.01 < max_radius < 1.0):
         raise ValueError(f"max_radius must lie in (0.01, 1), got {max_radius}")
     region = target_region(pair)
-    upper = _ring(grid_density)[: grid_density // 2 + 1]
+    upper = _sampled_units(grid_density, False)
 
     def feasible(r: float) -> bool:
-        margins, mask, proof_mask, _ = _margins(selector, pair, region, params, r * upper, cfg)
+        margins, mask, proof_mask, _ = _margins(selector, pair, region, params, (r,), upper, cfg)
         if mask.any() or proof_mask.any():
             return False
         return float(np.min(margins)) > 0.0

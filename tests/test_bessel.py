@@ -247,10 +247,10 @@ def test_no_convergence_with_tiny_term_budget():
 
 
 def test_batch_agrees_with_scalar_and_is_deterministic():
-    # Both paths sum the same a-priori truncated coefficients by Horner's
-    # rule, so they agree on the term count; numpy's complex loops may round
-    # differently from Python's in the last bits.  The batch path must be
-    # bit-identical to itself on a repeated call.
+    # Both paths sum the same a-priori truncated coefficients, so they agree
+    # on the term count; the batch path's power-table contraction may round
+    # differently from the scalar Horner loop in the last bits.  The batch
+    # path must be bit-identical to itself on a repeated call.
     rng = np.random.default_rng(23)
     params = BesselParams(0.3, 1.2, -2.5)
     zs = rand_disk(rng, 20)
@@ -268,9 +268,10 @@ def test_batch_agrees_with_scalar_and_is_deterministic():
 
 
 def test_batch_values_do_not_depend_on_the_batch():
-    # The truncation index depends on (kappa, c, order) only and Horner's
-    # rule is elementwise, so a point's values are the same to the bit alone,
-    # in a batch, and at another position of a permuted batch.
+    # The truncation index depends on (kappa, c, order) only and the power
+    # table and its contraction work point by point, so a point's values are
+    # the same to the bit alone, in a batch, and at another position of a
+    # permuted batch.
     rng = np.random.default_rng(37)
     params = BesselParams(-2.2, 2.0, 3.5)
     zs = np.concatenate([rand_disk(rng, 17), np.exp(2j * math.pi * rng.uniform(size=4))])
@@ -288,8 +289,8 @@ def test_batch_values_do_not_depend_on_the_batch():
 
 @pytest.mark.parametrize("size", [1, 2, 640, 6144])
 def test_batch_rows_from_lowest_are_the_full_rows(size):
-    # Horner's rule runs row by row, so rows lowest..order are the same to
-    # the bit, signed zeros included, whether or not the lower rows are
+    # Each row is contracted on its own, so rows lowest..order are the same
+    # to the bit, signed zeros included, whether or not the lower rows are
     # summed too.  numpy rounds complex products differently on some array
     # shapes, hence the sizes: one point, two, and the grids verify uses.
     rng = np.random.default_rng(size)
@@ -325,22 +326,23 @@ def test_batch_integral_float_counts_are_the_int_counts():
 
 
 def test_series_rows_are_the_rounded_term_products():
-    # Each Horner coefficient is the single rounding of perm(m+j, j) * a_{m+j},
-    # signed zeros included (c = 0 makes a_1 = -0.0); zero past the last term.
+    # Each coefficient of z^m in u^(j) is the single rounding of
+    # perm(m+j, j) * a_{m+j}, signed zeros included (c = 0 makes a_1 = -0.0);
+    # zero past the last term.
     from janbessel.bessel import _coefficients, _series_rows
 
     for kappa, c in ((1.5, 0.0), (-2.7, 3.5), (0.2, -150.0), (40.0, 60.0)):
         for order in range(4):
             a, _ = _coefficients(kappa, c, order, 1e-14, 300)
-            columns = _series_rows(kappa, c, order, 1e-14, 300)
-            assert columns.shape == (len(a), order + 1, 1)
-            assert not columns.flags.writeable
-            expected = np.zeros(columns.shape[:2], dtype=complex)
+            rows = _series_rows(kappa, c, order, 1e-14, 300)
+            assert rows.shape == (order + 1, len(a)) and rows.dtype == float
+            assert not rows.flags.writeable
+            expected = np.zeros(rows.shape)
             for m in range(len(a)):
                 for j in range(order + 1):
                     if m + j < len(a):
-                        expected[m, j] = math.perm(m + j, j) * a[m + j]
-            assert np.array_equal(columns[:, :, 0].view(np.uint64), expected.view(np.uint64))
+                        expected[j, m] = math.perm(m + j, j) * a[m + j]
+            assert np.array_equal(rows.view(np.uint64), expected.view(np.uint64))
 
 
 def _abs_term_sum(kappa, c, r, j):
@@ -438,3 +440,111 @@ def test_recurrence_residual_property():
         z = complex(rand_disk(rng, 1)[0])
         u1 = eval_u(params, z, order=1).values[1]
         assert abs(recurrence_residual(params, z)) < 1e-10 * (1.0 + abs(u1))
+
+
+# ------------------------------------------------------------ ring kernel
+
+
+def _ring_units(n):
+    from janbessel.verify import _ring
+
+    return _ring(n)
+
+
+def _bits(values):
+    return np.ascontiguousarray(values, dtype=complex).view(np.uint64)
+
+
+@pytest.mark.parametrize("kappa", [0.2, 1.5, -0.5, -2.7])
+@pytest.mark.parametrize("c_abs", [1.0, 4.0, 60.0, 150.0])
+def test_ring_sums_match_mpmath_hyp0f1(kappa, c_abs):
+    # The ring kernel sums (a_k r^k) e^k over a power table of the unit
+    # points e; its error obeys the same bound as eval_u_many's, with the
+    # terms t_k taken on |z| = r.
+    from janbessel.bessel import _PowerTable, _ring_sums
+
+    eps = np.finfo(float).eps
+    radii = (0.5, 0.999, 1.0)
+    table = _PowerTable(np.exp(2j * math.pi * np.arange(8) / 8 + 0.1j))
+    for c in (c_abs, -c_abs):
+        params = BesselParams(kappa - 1.5, 2.0, c)
+        k = params.kappa
+        values, terms = _ring_sums(params, radii, table, order=3)
+        assert values.shape == (4, len(radii), 8)
+        for i, r in enumerate(radii):
+            zs = r * table.points
+            for j in range(4):
+                bound = DEFAULT_CONFIG.rel_tol + terms * eps * _abs_term_sum(k, c, r, j)
+                with mpmath.workdps(40):
+                    x = mpmath.mpf(-c) / 4
+                    scale = x**j / mpmath.rf(k, j)
+                    exact = [complex(scale * mpmath.hyp0f1(k + j, x * complex(z))) for z in zs]
+                for value, want in zip(values[j, i], exact):
+                    assert abs(value - want) <= bound, (r, j, value, want)
+
+
+@pytest.mark.parametrize("n", [8, 9, 64, 256])
+def test_ring_values_do_not_depend_on_the_other_rings_or_points(n):
+    # A ring's values are the same to the bit evaluated alone, among other
+    # rings, on the closed upper half of the ring and on the full ring; the
+    # lower half of the full ring is the exact conj of the upper half.
+    from janbessel.bessel import _PowerTable, _ring_sums
+
+    rng = np.random.default_rng(n)
+    radii = (0.05, 0.3, 0.7, 0.999)
+    ring = _ring_units(n)
+    half = n // 2 + 1
+    full_table, half_table = _PowerTable(ring), _PowerTable(ring[:half])
+    lower = np.arange(half, n)
+    for _ in range(6):
+        params = BesselParams(rng.uniform(-2.9, 6.0) - 1.5, 2.0, rng.uniform(-150.0, 150.0))
+        if abs(params.kappa - round(params.kappa)) < 0.05 and params.kappa < 0.5:
+            continue
+        for order in range(4):
+            together, terms = _ring_sums(params, radii, half_table, order)
+            whole, _ = _ring_sums(params, radii, full_table, order)
+            assert np.array_equal(_bits(whole[:, :, :half]), _bits(together))
+            assert np.array_equal(_bits(whole[:, :, lower]), _bits(np.conj(whole[:, :, n - lower])))
+            for i, r in enumerate(radii):
+                for table, width in ((half_table, half), (full_table, n)):
+                    alone, alone_terms = _ring_sums(params, (r,), table, order)
+                    assert alone_terms == terms
+                    assert np.array_equal(_bits(alone[:, 0]), _bits(whole[:, i, :width]))
+
+
+def test_power_table_rows_do_not_depend_on_how_it_was_grown():
+    from janbessel.bessel import _PowerTable
+
+    rng = np.random.default_rng(41)
+    points = np.concatenate([[0j, 1.0 + 0j, -1j], rand_disk(rng, 29), _ring_units(16)])
+    at_once = _PowerTable(points).rows(70)
+    assert at_once.shape == (70, points.size)
+    assert np.allclose(at_once, points[None, :] ** np.arange(70)[:, None], rtol=1e-13, atol=1e-15)
+    stepped = _PowerTable(points)
+    seen = []
+    for n in (1, 2, 3, 4, 6, 11, 17, 18, 40, 70):
+        rows = stepped.rows(n)
+        assert rows.shape == (n, points.size)
+        seen.append(rows.copy())
+    for rows in seen:
+        assert np.array_equal(_bits(rows), _bits(at_once[: len(rows)]))
+    # Each point's powers are its own: a table of one point has the same rows.
+    for p in (0, 5, 40):
+        alone = _PowerTable(points[p : p + 1]).rows(70)
+        assert np.array_equal(_bits(alone[:, 0]), _bits(at_once[:, p]))
+
+
+@pytest.mark.parametrize("points", [np.zeros((2, 2)), np.zeros(0), np.array([1.1]), np.array([np.nan])])
+def test_power_table_rejects_bad_points(points):
+    from janbessel.bessel import _PowerTable
+
+    with pytest.raises(ValueError):
+        _PowerTable(points)
+
+
+@pytest.mark.parametrize("radii", [(), (1.5,), (0.5, -0.1), (math.nan,)])
+def test_ring_sums_reject_radii_outside_the_unit_interval(radii):
+    from janbessel.bessel import _PowerTable, _ring_sums
+
+    with pytest.raises(ValueError):
+        _ring_sums(BesselParams(0.0, 2.0, 1.0), radii, _PowerTable(np.array([1.0])))

@@ -132,6 +132,25 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["eval", "--p", "0", "--b", "2", "--c", "1", "--z", "1;0"], "complex values use the form 're,im'"),
+        (["bounds", "--p", "1", "--z", "1,x"], "complex values use the form 're,im'"),
+        (["scan", "--selector", "u", "--A", "0.5", "--B=-0.5", "--kappa-range", "1:6",
+          "--c-range=-3:3:4"], "ranges use the form 'lo:hi:steps'"),
+        (["scan", "--selector", "u", "--A", "0.5", "--B=-0.5", "--kappa-range", "1:6:4",
+          "--c-range=-3:3:2.5"], "ranges use the form 'lo:hi:steps'"),
+    ],
+)
+def test_malformed_complex_and_range_print_their_form(capsys, argv, message):
+    # argparse shows an ArgumentTypeError's own message, not "invalid
+    # _parse_complex value".
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and message in err and "_parse_" not in err
+
+
 @pytest.mark.parametrize("z", ["--z=nan,0", "--z=0,nan"])
 @pytest.mark.parametrize(
     "verb", [["eval", "--p", "0.3", "--b", "1.5", "--c=-2"], ["bounds", "--p", "1"]]

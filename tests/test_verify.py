@@ -26,6 +26,7 @@ from janbessel import (
     verify_membership,
 )
 from janbessel import verify
+from janbessel.bessel import _PowerTable
 from janbessel.checks import (
     _psi_formula,
     _re_convexity_psi,
@@ -104,9 +105,15 @@ def test_ring_is_mirror_exact(n):
     assert np.array_equal(_bits(rings[:, n - k]), _bits(np.conj(rings[:, k])))
 
 
-def _reference_margins(selector, pair, params, zs):
-    """Margins over every point of zs (excluded ones +inf) and the degeneracy hits."""
-    w, mask, reason = verify._functional_values(selector, params, zs, DEFAULT_CONFIG)
+def _reference_margins(selector, pair, params, radii, units):
+    """Margins at every radius * unit, radius-major (excluded ones +inf), and the hits.
+
+    The series goes through the same kernel as verify's, on a power table
+    of all the given unit points.
+    """
+    table = _PowerTable(units)
+    zs = (np.asarray(radii)[:, None] * table.points).ravel()
+    w, mask, reason = verify._functional_values(selector, params, radii, table, DEFAULT_CONFIG)
     proof = (np.abs((1.0 + pair.B) * w - (1.0 + pair.A)) < verify.DEGENERACY_TOL) & ~mask
     margins = np.where(mask | proof, np.inf, region_margin_many(target_region(pair), w))
     hits = [(complex(z), reason) for z in zs[mask]]
@@ -120,7 +127,7 @@ def _reference_verify_membership(selector, pair, params, grid):
     # angle 0 or pi the arc is its upper half followed by the conjugates of
     # that half, so ties go to the upper point.
     zs = grid.points()
-    margins, hits = _reference_margins(selector, pair, params, zs)
+    margins, hits = _reference_margins(selector, pair, params, grid.radii, verify._ring(grid.angles))
     report = verify.VerificationReport(
         selector, pair, params, "counterexample", math.nan, None, grid, hits
     )
@@ -132,11 +139,13 @@ def _reference_verify_membership(selector, pair, params, grid):
     i_radius, i_angle = divmod(idx, n)
     offsets = np.array([k for k in range(-f, f + 1) if k != 0])
     theta, dtheta = 2.0 * np.pi * i_angle / n, 2.0 * np.pi / n
-    arc = grid.radii[i_radius] * np.exp(1j * (theta + offsets * dtheta / f))
+    arc = np.exp(1j * (theta + offsets * dtheta / f))
     if i_angle == 0 or 2 * i_angle == n:
         upper = arc[f:] if i_angle == 0 else arc[:f]
         arc = np.concatenate([upper, np.conj(upper)])
-    local, _ = _reference_margins(selector, pair, params, arc)
+    radius = grid.radii[i_radius]
+    local, _ = _reference_margins(selector, pair, params, (radius,), arc)
+    arc = radius * arc
     j = int(np.argmin(local))
     if local[j] < report.min_margin:
         report.min_margin, report.witness = float(local[j]), complex(arc[j])
@@ -192,9 +201,9 @@ def test_mirror_margins_are_bit_equal():
         n, rings = grid.angles, len(grid.radii)
         k = np.arange(1, (n + 1) // 2)
         for selector, pair, params in _mirror_draws(300 + g, 24):
-            zs = grid.points()
+            table = _PowerTable(verify._ring(n))
             margins, mask, proof, _ = verify._margins(
-                selector, pair, target_region(pair), params, zs, DEFAULT_CONFIG
+                selector, pair, target_region(pair), params, grid.radii, table, DEFAULT_CONFIG
             )
             where = (grid.angles, selector, pair, params)
             for values in (margins, mask, proof):
@@ -247,21 +256,23 @@ def test_verify_membership_mirrors_partial_degeneracies(monkeypatch):
 
 
 def test_one_series_call_when_the_witness_is_on_the_real_axis(monkeypatch):
+    # Calls to the ring kernel as (rings, points per ring): one for the whole
+    # grid with the axis arcs, and one more for an off-axis witness's arc.
     calls = []
-    kernel = verify.eval_u_many
+    kernel = verify._ring_sums
 
-    def counted(*args, **kwargs):
-        calls.append(len(args[1]))
-        return kernel(*args, **kwargs)
+    def counted(params, radii, table, *args, **kwargs):
+        calls.append((len(radii), len(table.points)))
+        return kernel(params, radii, table, *args, **kwargs)
 
-    monkeypatch.setattr(verify, "eval_u_many", counted)
+    monkeypatch.setattr(verify, "_ring_sums", counted)
     report = verify_membership("u", HALF_PAIR, BesselParams(0.0, 2.0, -1.0))
     assert report.witness.imag == 0.0
-    assert calls == [24 * 129 + 24 * 2 * verify.REFINE_FACTOR]
+    assert calls == [(24, 129 + 2 * verify.REFINE_FACTOR)]
     calls.clear()
     report = verify_membership("u", JanowskiPair(0.1, -1.0), BesselParams(-0.5, 2.0, 6.0))
     assert report.witness.imag != 0.0
-    assert calls == [24 * 129 + 24 * 2 * verify.REFINE_FACTOR, 2 * verify.REFINE_FACTOR]
+    assert calls == [(24, 129 + 2 * verify.REFINE_FACTOR), (1, 2 * verify.REFINE_FACTOR)]
 
 
 def test_modified_spherical_base_case_holds():
@@ -431,7 +442,7 @@ def _reference_property_radius(selector, pair, params, grid_density, tol, max_ra
     ring = verify._ring(grid_density)
 
     def feasible(r):
-        margins, hits = _reference_margins(selector, pair, params, r * ring)
+        margins, hits = _reference_margins(selector, pair, params, (r,), ring)
         return not hits and float(np.min(margins)) > 0.0
 
     if not feasible(0.01):
