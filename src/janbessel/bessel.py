@@ -34,7 +34,8 @@ R^(k-j) / (1-rho) <= rel_tol, so the omitted tail is below rel_tol / 2
 absolutely at every point, or raises NoConvergence at max_terms.
 
 Only the array path imports numpy, and it does so when first called: the
-scalar functions (eval_u, the residuals) run on the standard library alone.
+scalar functions (eval_u, the residuals, zero_free_radius) run on the
+standard library alone.
 """
 
 from __future__ import annotations
@@ -54,6 +55,10 @@ KAPPA_EXCLUSION_TOL = 1e-9
 DISK_SLACK = 1e-9
 
 MAX_ORDER = 3
+
+# Relative shrink of zero_free_radius: its twelve roundings and one pow move
+# it by under 4 epsilon (the fourth root quarters the error under it).
+ZERO_FREE_SHRINK = 16 * 2.0**-52
 
 
 def _count(name: str, value, top: int | None = None) -> int:
@@ -329,6 +334,23 @@ def eval_u_many(
     lowest = _count("lowest", lowest, order)
     values, terms = _ring_sums(params, (1.0,), _PowerTable(zs), order, cfg, lowest)
     return values[:, 0, :], terms
+
+
+def zero_free_radius(k: float, c: float) -> float:
+    """A radius rho such that 0F1(; k; -c z / 4) has no zero in |z| <= rho; 0.0 certifies nothing.
+
+    For k > 0 the zeros x_j = j_{k-1,j}^2 / 4 of 0F1(; k; -x) are real and
+    positive (Watson 15.25), and every term of the Rayleigh sum
+    s_4 = sum_j x_j^-4 = (5k+6) / (k^4 (k+1)^2 (k+2)(k+3)) is positive, so
+    x_1 > s_4^(-1/4).  Returns 4 s_4^(-1/4) / |c|, as
+    4 k ((k+1)^2 (k+2)(k+3) / (5k+6))^(1/4) / |c| shrunk by ZERO_FREE_SHRINK,
+    or 0.0 for k <= 0, c = 0 or an overflow (k above about 1e77).
+    """
+    if not k > 0.0 or c == 0.0:
+        return 0.0
+    quartic = (k + 1.0) * (k + 1.0) * (k + 2.0) * (k + 3.0) / (5.0 * k + 6.0)
+    rho = 4.0 * k * quartic**0.25 / abs(c) * (1.0 - ZERO_FREE_SHRINK)
+    return rho if math.isfinite(rho) else 0.0
 
 
 def ode_residual(

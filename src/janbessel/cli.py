@@ -132,6 +132,7 @@ def _report_dict(report: VerificationReport) -> dict:
         "degeneracy_hits": [
             [_complex_list(z), reason] for z, reason in report.degeneracy_hits
         ],
+        "method": report.method,
     }
 
 
@@ -145,6 +146,7 @@ def _row_dict(row: ScanRow) -> dict:
         "numeric": row.report.verdict,
         "min_margin": row.report.min_margin,
         "witness": None if row.report.witness is None else _complex_list(row.report.witness),
+        "method": row.report.method,
     }
 
 

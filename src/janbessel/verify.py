@@ -17,12 +17,26 @@ below DEGENERACY_TOL, or where the proof-side denominator (1+B) w - (1+A)
 does, are recorded as degeneracy hits and excluded from the margin; any hit
 makes the verdict "counterexample" because a nondegeneracy hypothesis failed.
 
-property_radius bisects for the largest sampled radius on which membership
-holds, testing one circle per radius.  That suffices only when the
-functional's denominator (u' for convexity, u for starlike-zu) has no zero
-inside the circle: w is then analytic on the closed sub-disk, where Re w is
-harmonic and |w - center| subharmonic, so the margin's minimum lies on the
-circle.  The precondition is not checked yet (a known defect).
+Real-axis rule: convexity and starlike-zu are w = 1 + z D'/D, with D = u'
+or u a multiple of 0F1(; k; -c z / 4), k = kappa + 1 or kappa.  For k > 0
+the zeros z_j of D are real, of the sign of c, and none lies in |z| <= r
+for r below bessel.zero_free_radius.  There w = 1 - sum_j z / (z_j - z)
+(Hadamard's product), and each term maps the disk onto a disk centred on
+the real axis with a diameter from its value at -r to its value at r.  So
+w maps it into the disk on the diameter [w(-r), w(r)], attaining both
+ends, and every target region is a disk centred on the real axis or a
+half-plane: the least margin on |z| <= r is exactly min(margin(w(r)),
+margin(w(-r))) (Baricz, Kupan and Szasz, Proc. AMS 2014).  Wherever the
+certificate covers the disk asked about, verify_membership and
+property_radius use this rule, so the zero-free precondition below is
+checked for these selectors when kappa > 0 (convexity: kappa > -1).
+
+property_radius otherwise bisects for the largest sampled radius on which
+membership holds, testing one circle per radius.  That suffices only when
+the functional's denominator has no zero inside the circle: w is then
+analytic on the closed sub-disk, where Re w is harmonic and |w - center|
+subharmonic, so the margin's minimum lies on the circle.  This
+precondition is not checked there (a known defect).
 
 admissibility_scan maximizes Re Psi over a grid of the admissible set
 (sigma at depth multiples of its bound, mu between 0 and -sigma, nu = 0
@@ -74,6 +88,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bessel import BesselParams, EvalConfig, DEFAULT_CONFIG, _count, _PowerTable, _ring_sums
+from .bessel import zero_free_radius
 from .checks import (
     COROLLARY_CC_ORDER,
     COROLLARY_DERIV_RE_HALF,
@@ -114,6 +129,10 @@ _QUOTIENT_ORDERS = {
 
 VERDICT_HOLDS = "holds-on-grid"
 VERDICT_COUNTEREXAMPLE = "counterexample"
+
+# How a report was obtained: from w(r) and w(-r) alone, or from the grid.
+METHOD_REAL_AXIS = "real-axis"
+METHOD_SAMPLED = "sampled"
 
 # Denominators (functional or proof-side) below this are degeneracies.
 DEGENERACY_TOL = 1e-13
@@ -222,7 +241,8 @@ def _arc_units(n: int, i_angle: int) -> _PowerTable:
     return _PowerTable(np.exp(1j * (theta + _REFINE_OFFSETS * dtheta / REFINE_FACTOR)))
 
 
-@functools.lru_cache(maxsize=16)
+# A property_radius bisection adds ~15 radii; 64 slots keep the grid's points.
+@functools.lru_cache(maxsize=64)
 def _points(radii: tuple[float, ...], table: _PowerTable) -> np.ndarray:
     """radius * unit for every radius and every table point, radius-major (1-d); read-only."""
     points = (np.asarray(radii, dtype=float)[:, None] * table.points[None, :]).ravel()
@@ -230,13 +250,27 @@ def _points(radii: tuple[float, ...], table: _PowerTable) -> np.ndarray:
     return points
 
 
+# The two real unit points 1 and -1: the grid's angles 0 and pi.
+_AXIS_UNITS = _PowerTable([1.0, -1.0])
+
+
+def _certified_radius(selector: str, params: BesselParams) -> float:
+    """Radius below which a quotient selector's denominator u^(k-1), a multiple
+    of 0F1(; kappa + k - 1; -c z / 4), has no zero; 0.0 for the other selectors."""
+    if selector not in _QUOTIENT_ORDERS:
+        return 0.0
+    return zero_free_radius(params.kappa + _QUOTIENT_ORDERS[selector][0] - 1.0, params.c)
+
+
 @dataclass
 class VerificationReport:
-    """Outcome of one sampled membership test.
+    """Outcome of one membership test.
 
     verdict is "counterexample" exactly when min_margin < 0 or any
     degeneracy was hit; otherwise "holds-on-grid".  witness is the sample
     attaining min_margin (None only if every sample was degenerate).
+    method is "real-axis" when min_margin is the exact least margin of the
+    closed disk, taken at r or -r, and "sampled" when it is the grid's.
     """
 
     selector: str
@@ -247,6 +281,7 @@ class VerificationReport:
     witness: complex | None
     grid: SampleGrid
     degeneracy_hits: list[tuple[complex, str]]
+    method: str = METHOD_SAMPLED
 
 
 def _functional_values(
@@ -315,9 +350,16 @@ def verify_membership(
     grid: SampleGrid | None = None,
     cfg: EvalConfig = DEFAULT_CONFIG,
 ) -> VerificationReport:
-    """Test the functional's region membership on a polar sample of the disk.
+    """Test the functional's region membership on the disk |z| <= grid.radii[-1].
 
-    The minimum margin and its witness come from the base grid; one angular
+    Convexity and starlike-zu cells with r = radii[-1] below _certified_radius
+    and w(r), w(-r) not degenerate take the module's real-axis rule (method
+    "real-axis"): the exact least margin on |z| <= r, witness r or -r (r on
+    a tie), no hits.  These are the outer ring's values at angles 0 and pi,
+    to the bit; an odd grid has no -r, so sampling it could miss this margin.
+
+    Otherwise (method "sampled") the minimum margin and its witness come
+    from the base grid; one angular
     refinement pass then resamples the witness circle at 1/REFINE_FACTOR of
     the angular step, REFINE_FACTOR steps to each side, and keeps whatever
     smaller margin it finds (only if strictly smaller).  Exact ties go to the
@@ -335,6 +377,16 @@ def verify_membership(
     if grid is None:
         grid = _DEFAULT_GRID
     region = target_region(pair)
+    outer = grid.radii[-1:]
+    if outer[0] < _certified_radius(selector, params):
+        margins, mask, proof_mask, _ = _margins(selector, pair, region, params, outer, _AXIS_UNITS, cfg)
+        if not (mask.any() or proof_mask.any()):
+            i = int(np.argmin(margins))
+            verdict = VERDICT_COUNTEREXAMPLE if margins[i] < 0.0 else VERDICT_HOLDS
+            witness = complex(_points(outer, _AXIS_UNITS)[i])
+            return VerificationReport(
+                selector, pair, params, verdict, float(margins[i]), witness, grid, [], METHOD_REAL_AXIS
+            )
     n, rings = grid.angles, len(grid.radii)
     half = n // 2 + 1
     # Ring by ring: the closed upper half, then the axis arcs' upper halves.
@@ -407,17 +459,20 @@ def property_radius(
     max_radius: float = 0.999,
     cfg: EvalConfig = DEFAULT_CONFIG,
 ) -> float:
-    """Largest sampled radius (within tol) on which membership holds.
+    """Largest radius (within tol) on which membership holds, bisected from 0.01.
 
-    Bisects on the circle radius; a circle of grid_density points
-    (r * _ring(grid_density)) is feasible when no sample is degenerate and
-    every margin is strictly positive.  Only its closed upper half is
-    evaluated: each other point is the exact conj of one evaluated, and its
-    margin and degeneracy are its twin's.  Returns 0.0 when even r = 0.01
-    fails and max_radius when the cap itself is feasible.
+    Returns 0.0 when even r = 0.01 fails and the cap when the cap is feasible.
+    Where a quotient selector's cap min(max_radius, _certified_radius) is
+    above 0.01, r is feasible when w(r) and w(-r) are non-degenerate with
+    positive margins: membership on all of |z| <= r by the module's
+    real-axis rule.  The disk's image grows with r, so the radius is sound.
 
-    Precondition, not checked: the functional's denominator has no zero
-    inside the circles tested; past such a zero the radius can be unsound.
+    Otherwise the cap is max_radius and r is feasible when no sample of the
+    circle r * _ring(grid_density) is degenerate and every margin is
+    positive.  Only its closed upper half is evaluated: each other point is
+    the exact conj of one evaluated, with its twin's margin and degeneracy.
+    Precondition, not checked there: the functional's denominator has no
+    zero inside the circles tested; past one the radius can be unsound.
     """
     grid_density = _count("grid_density", grid_density)
     if grid_density < 8:
@@ -427,19 +482,20 @@ def property_radius(
     if not (0.01 < max_radius < 1.0):
         raise ValueError(f"max_radius must lie in (0.01, 1), got {max_radius}")
     region = target_region(pair)
-    upper = _sampled_units(grid_density, False)
+    cap = min(max_radius, _certified_radius(selector, params))
+    table, cap = (_AXIS_UNITS, cap) if cap > 0.01 else (_sampled_units(grid_density, False), max_radius)
 
     def feasible(r: float) -> bool:
-        margins, mask, proof_mask, _ = _margins(selector, pair, region, params, (r,), upper, cfg)
+        margins, mask, proof_mask, _ = _margins(selector, pair, region, params, (r,), table, cfg)
         if mask.any() or proof_mask.any():
             return False
         return float(np.min(margins)) > 0.0
 
     if not feasible(0.01):
         return 0.0
-    if feasible(max_radius):
-        return max_radius
-    lo, hi = 0.01, max_radius
+    if feasible(cap):
+        return cap
+    lo, hi = 0.01, cap
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if feasible(mid):

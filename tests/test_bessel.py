@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -18,6 +19,7 @@ from janbessel import (
     ode_residual,
     recurrence_residual,
 )
+from janbessel.bessel import zero_free_radius
 
 SIN_AT_ONE = 0.841470984807897
 SINH_AT_ONE = 1.175201193643801
@@ -548,3 +550,85 @@ def test_ring_sums_reject_radii_outside_the_unit_interval(radii):
 
     with pytest.raises(ValueError):
         _ring_sums(BesselParams(0.0, 2.0, 1.0), radii, _PowerTable(np.array([1.0])))
+
+
+# ------------------------------------------------------- zero-free radius
+
+
+def _rayleigh_s4(kappa):
+    """s_4 = sum_j x_j^-4 over the zeros x_j of 0F1(; kappa; -x), exactly.
+
+    Newton's identities on the Taylor coefficients a_n = (-1)^n / ((kappa)_n n!)
+    of prod_j (1 - x / x_j), whose elementary symmetric functions of the
+    1 / x_j are e_n = (-1)^n a_n.
+    """
+    e = [Fraction(1)]
+    for n in range(1, 5):
+        e.append(e[-1] / ((kappa + n - 1) * n))
+    p = [None]
+    for m in range(1, 5):
+        total = (-1) ** (m - 1) * m * e[m]
+        for i in range(1, m):
+            total += (-1) ** (i - 1) * e[i] * p[m - i]
+        p.append(total)
+    return p[4]
+
+
+def test_zero_free_radius_against_the_exact_rayleigh_sum():
+    # A float is a dyadic rational, so Fraction(kappa) and Fraction(radius)
+    # are exact: the radius lies below 4 s_4^(-1/4) / |c|, and by at most
+    # the stated shrink plus a few roundings.
+    rng = np.random.default_rng(41)
+    eps = Fraction(2) ** -52
+    kappas = [0.2, 1.0, 3.5] + list(rng.uniform(1e-3, 60.0, 40)) + list(rng.uniform(1e-3, 1.0, 10))
+    for kappa in kappas:
+        kappa = float(kappa)
+        k = Fraction(kappa)
+        s4 = _rayleigh_s4(k)
+        assert s4 == (5 * k + 6) / (k**4 * (k + 1) ** 2 * (k + 2) * (k + 3))
+        s4_float = (5.0 * kappa + 6.0) / (kappa**4 * (kappa + 1.0) ** 2 * (kappa + 2.0) * (kappa + 3.0))
+        assert abs(Fraction(s4_float) - s4) <= 16 * eps * s4
+        for c in (1.0, -4.0, float(rng.uniform(-200.0, 200.0))):
+            radius = zero_free_radius(kappa, c)
+            # (radius |c| / 4)^4 s_4 is the fourth power of radius over the bound.
+            ratio = (Fraction(radius) * abs(Fraction(c)) / 4) ** 4 * s4
+            assert (1 - 32 * eps) ** 4 < ratio < 1, (kappa, c)
+
+
+def _first_zero(k):
+    """The least zero x_1 of 0F1(; k; -x), k > 0, to 30 digits."""
+    with mpmath.workdps(30):
+        if k >= 1.0:
+            return mpmath.besseljzero(mpmath.mpf(k) - 1, 1) ** 2 / 4
+        # The Rayleigh bracket s_4^(-1/4) < x_1 <= s_3 / s_4 holds the zero.
+        k = mpmath.mpf(k)
+        s3 = 2 / (k**3 * (k + 1) * (k + 2))
+        s4 = (5 * k + 6) / (k**4 * (k + 1) ** 2 * (k + 2) * (k + 3))
+        lo, hi = s4 ** mpmath.mpf(-0.25), s3 / s4
+        x1 = mpmath.findroot(lambda x: mpmath.hyp0f1(k, -x), lo)
+        assert lo < x1 <= hi
+        return x1
+
+
+def test_zero_free_radius_lies_below_the_first_zero():
+    # The zeros of 0F1(; k; -c z / 4) are z_j = 4 x_j / c.
+    rng = np.random.default_rng(43)
+    kappas = list(rng.uniform(0.0, 60.0, 30)) + list(rng.uniform(0.0, 1.0, 10)) + [0.2, 1.0]
+    for kappa in kappas:
+        kappa = float(kappa)
+        x1 = _first_zero(kappa)
+        for c in rng.uniform(-200.0, 200.0, 3):
+            c = float(c)
+            radius = zero_free_radius(kappa, c)
+            assert 0.0 < radius < 4 * x1 / abs(c), (kappa, c)
+    # The defect tuple of starlike-zu: kappa 0.2, c -4, a zero of u near -0.2194017.
+    assert 0.2194013 < zero_free_radius(0.2, -4.0) < 0.2194017
+
+
+@pytest.mark.parametrize(
+    "k,c",
+    [(0.0, 1.0), (-0.5, 1.0), (-3.7, 2.0), (2.0, 0.0), (2.0, -0.0), (1e300, 1.0),
+     (1.0, 1e-320), (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0)],
+)
+def test_zero_free_radius_certifies_nothing(k, c):
+    assert zero_free_radius(k, c) == 0.0

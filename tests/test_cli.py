@@ -436,3 +436,40 @@ def test_scan_csv_is_byte_identical_across_runs(capsys):
     run(SCAN_ARGS + ["--format", "csv"])
     second = capsys.readouterr().out
     assert first == second
+
+
+# --------------------------------------------------------------- method
+
+QUOTIENT_SCAN_ARGS = [
+    "scan", "--selector", "starlike-zu", "--A", "0.6", "--B=-0.4",
+    "--kappa-range", "0.5:3:2", "--c-range=-4:4:3", "--radii", "6", "--angles", "16",
+]
+
+# The CSV of QUOTIENT_SCAN_ARGS as it was before reports recorded their
+# method: the real-axis cells (kappa 3, c = -4 and 4) keep every byte.
+QUOTIENT_SCAN_CSV = """\
+kappa,c,checker,branch,corollary,numeric,min_margin,witness_re,witness_im
+0.5,-4,false,conservative,n/a,counterexample,-7.5764598503243965,-0.54884080347572806,0
+0.5,0,false,conservative,n/a,holds-on-grid,0.71428571428571419,0.050000000000000003,0
+0.5,4,false,conservative,n/a,counterexample,-7.5764598503243965,0.54884080347572806,0
+3,-4,true,conservative,n/a,holds-on-grid,0.34923817238861143,-0.999,0
+3,0,true,conservative,n/a,holds-on-grid,0.71428571428571419,0.050000000000000003,0
+3,4,true,conservative,n/a,holds-on-grid,0.34923817238861143,0.999,0
+"""
+
+
+def test_scan_reports_the_method_in_json_and_keeps_the_csv_bytes(capsys):
+    assert run(QUOTIENT_SCAN_ARGS + ["--format", "csv"]) == 0
+    assert capsys.readouterr().out == QUOTIENT_SCAN_CSV
+    code, doc = run_json(capsys, QUOTIENT_SCAN_ARGS + ["--format", "json"])
+    assert code == 0
+    methods = [row["method"] for row in doc["payload"]["rows"]]
+    assert methods == ["sampled", "sampled", "sampled", "real-axis", "sampled", "real-axis"]
+
+
+def test_verify_reports_the_method(capsys):
+    base = ["verify", "--A", "0", "--B=-1", "--p=-0.5", "--b", "2", "--c=-1",
+            "--radii", "8", "--angles", "32"]
+    for selector, method in (("u", "sampled"), ("starlike-zu", "real-axis"), ("convexity", "real-axis")):
+        code, doc = run_json(capsys, base + ["--selector", selector])
+        assert code == 0 and doc["payload"]["method"] == method

@@ -1,7 +1,9 @@
 """Disk-sampling verifier tests: membership, radii, admissibility, scans."""
 
+import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -26,7 +28,7 @@ from janbessel import (
     verify_membership,
 )
 from janbessel import verify
-from janbessel.bessel import _PowerTable
+from janbessel.bessel import _PowerTable, zero_free_radius
 from janbessel.checks import (
     _psi_formula,
     _re_convexity_psi,
@@ -121,11 +123,42 @@ def _reference_margins(selector, pair, params, radii, units):
     return margins, hits
 
 
-def _reference_verify_membership(selector, pair, params, grid):
-    # The full two-pass evaluation: every grid point, then the whole
-    # refinement arc around the witness, first minimum each time.  Around
-    # angle 0 or pi the arc is its upper half followed by the conjugates of
-    # that half, so ties go to the upper point.
+# Each quotient selector's denominator is a multiple of 0F1(; kappa + shift; -c z / 4).
+DENOMINATOR_SHIFT = {"convexity": 1.0, "starlike-zu": 0.0}
+
+
+def _zero_free(selector, params):
+    if selector not in DENOMINATOR_SHIFT:
+        return 0.0
+    return zero_free_radius(params.kappa + DENOMINATOR_SHIFT[selector], params.c)
+
+
+def _reference_real_axis(selector, pair, params, r):
+    """(least margin, witness) over r and -r, r first; None if either is degenerate."""
+    margins, hits = _reference_margins(selector, pair, params, (r,), np.array([1.0, -1.0]))
+    if hits:
+        return None
+    i = int(np.argmin(margins))
+    return float(margins[i]), complex((r, -r)[i])
+
+
+def _reference_verify_membership(selector, pair, params, grid, rule=True):
+    # With the rule, a quotient cell whose denominator is certified zero-free
+    # on the disk and whose points r and -r are non-degenerate is decided at
+    # those two points.  Otherwise, the full two-pass evaluation: every grid
+    # point, then the whole refinement arc around the witness, first minimum
+    # each time.  Around angle 0 or pi the arc is its upper half followed by
+    # the conjugates of that half, so ties go to the upper point.
+    r = grid.radii[-1]
+    axis = None
+    if rule and r < _zero_free(selector, params):
+        axis = _reference_real_axis(selector, pair, params, r)
+    if axis is not None:
+        margin, witness = axis
+        verdict = "counterexample" if margin < 0.0 else "holds-on-grid"
+        return verify.VerificationReport(
+            selector, pair, params, verdict, margin, witness, grid, [], "real-axis"
+        )
     zs = grid.points()
     margins, hits = _reference_margins(selector, pair, params, grid.radii, verify._ring(grid.angles))
     report = verify.VerificationReport(
@@ -155,6 +188,7 @@ def _reference_verify_membership(selector, pair, params, grid):
 
 
 def _assert_same_report(report, ref, where):
+    assert report.method == ref.method, where
     assert report.verdict == ref.verdict, where
     assert np.float64(report.min_margin).view(np.uint64) == np.float64(ref.min_margin).view(
         np.uint64
@@ -232,27 +266,48 @@ def test_verify_membership_equals_full_two_pass_reference():
     for g, grid in enumerate(MIRROR_GRIDS):
         draws = cases + _mirror_draws(500 + g, 40 if grid.angles < 256 else 12)
         pinned.extend((grid,) + draw for draw in draws)
+    real_axis = 0
     for k, (grid, selector, pair, params) in enumerate(pinned):
         report = verify_membership(selector, pair, params, grid)
         ref = _reference_verify_membership(selector, pair, params, grid)
-        _assert_same_report(report, ref, (grid.angles, selector, pair, params))
+        where = (grid.angles, selector, pair, params)
+        _assert_same_report(report, ref, where)
         if k < 2:
             assert report.witness not in grid.points()
+        if report.method == "real-axis":
+            real_axis += 1
+            _assert_rule_keeps_the_sampled_report(report, selector, pair, params, grid, where)
+    assert real_axis >= 30
+
+
+def _assert_rule_keeps_the_sampled_report(report, selector, pair, params, grid, where):
+    # On an even grid the real-axis report is the sampled one, to the bit.
+    # An odd grid has no point at -r: there the rule's margin, exact for the
+    # disk, is at most the sampled one.
+    sampled = _reference_verify_membership(selector, pair, params, grid, rule=False)
+    if grid.angles % 2 == 0:
+        _assert_same_report(report, dataclasses.replace(sampled, method="real-axis"), where)
+    else:
+        assert report.min_margin <= sampled.min_margin + 1e-12 * max(1.0, abs(sampled.min_margin))
 
 
 def test_verify_membership_mirrors_partial_degeneracies(monkeypatch):
     # A wide tolerance excludes some samples and keeps others, so the hits
     # rebuilt from the upper half must match the full grid's, in order.
     monkeypatch.setattr(verify, "DEGENERACY_TOL", 0.6)
-    partial = 0
+    partial = real_axis = 0
     for g, grid in enumerate(MIRROR_GRIDS[1:]):
         for selector, pair, params in _mirror_draws(700 + g, 24):
             report = verify_membership(selector, pair, params, grid)
             ref = _reference_verify_membership(selector, pair, params, grid)
-            _assert_same_report(report, ref, (grid.angles, selector, pair, params))
+            where = (grid.angles, selector, pair, params)
+            _assert_same_report(report, ref, where)
             hits = len(ref.degeneracy_hits)
             partial += 0 < hits < len(grid.radii) * grid.angles
-    assert partial >= 10
+            if report.method == "real-axis":
+                real_axis += 1
+                _assert_rule_keeps_the_sampled_report(report, selector, pair, params, grid, where)
+    assert partial >= 10 and real_axis >= 3
 
 
 def test_one_series_call_when_the_witness_is_on_the_real_axis(monkeypatch):
@@ -273,6 +328,12 @@ def test_one_series_call_when_the_witness_is_on_the_real_axis(monkeypatch):
     report = verify_membership("u", JanowskiPair(0.1, -1.0), BesselParams(-0.5, 2.0, 6.0))
     assert report.witness.imag != 0.0
     assert calls == [(24, 129 + 2 * verify.REFINE_FACTOR), (1, 2 * verify.REFINE_FACTOR)]
+    # A quotient cell certified zero-free: the two points r and -r only.
+    for selector in ("convexity", "starlike-zu"):
+        calls.clear()
+        report = verify_membership(selector, HALF_PAIR, BesselParams(0.5, 2.0, -1.0))
+        assert report.method == "real-axis"
+        assert calls == [(1, 2)]
 
 
 def test_modified_spherical_base_case_holds():
@@ -437,19 +498,27 @@ def test_property_radius_rejects_non_integer_density():
     )
 
 
-def _reference_property_radius(selector, pair, params, grid_density, tol, max_radius=0.999):
-    # The bisection of property_radius on every point of each circle.
-    ring = verify._ring(grid_density)
+def _reference_property_radius(selector, pair, params, grid_density, tol, max_radius=0.999, rule=True):
+    # The bisection of property_radius.  With the rule, a quotient selector
+    # certified zero-free beyond 0.01 is bisected below that radius on the
+    # real-axis rule; otherwise on every point of each circle.
+    cap = min(max_radius, _zero_free(selector, params)) if rule else 0.0
+    if cap > 0.01:
+        def feasible(r):
+            axis = _reference_real_axis(selector, pair, params, r)
+            return axis is not None and axis[0] > 0.0
+    else:
+        cap, ring = max_radius, verify._ring(grid_density)
 
-    def feasible(r):
-        margins, hits = _reference_margins(selector, pair, params, (r,), ring)
-        return not hits and float(np.min(margins)) > 0.0
+        def feasible(r):
+            margins, hits = _reference_margins(selector, pair, params, (r,), ring)
+            return not hits and float(np.min(margins)) > 0.0
 
     if not feasible(0.01):
         return 0.0
-    if feasible(max_radius):
-        return max_radius
-    lo, hi = 0.01, max_radius
+    if feasible(cap):
+        return cap
+    lo, hi = 0.01, cap
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         lo, hi = (mid, hi) if feasible(mid) else (lo, mid)
@@ -458,21 +527,25 @@ def _reference_property_radius(selector, pair, params, grid_density, tol, max_ra
 
 def test_property_radius_equals_full_ring_bisection():
     draws = [("u", JanowskiPair(0.1, -1.0), BesselParams(-0.5, 2.0, 6.0))] + _mirror_draws(911, 40)
+    moved = []
     for k, (selector, pair, params) in enumerate(draws):
         density = (8, 9, 17, 64, 256)[k % 5]
         r = property_radius(selector, pair, params, grid_density=density, tol=1e-3)
         ref = _reference_property_radius(selector, pair, params, density, 1e-3)
-        assert np.float64(r).view(np.uint64) == np.float64(ref).view(np.uint64), (
-            selector, pair, params, density,
-        )
+        where = (selector, pair, params, density)
+        assert np.float64(r).view(np.uint64) == np.float64(ref).view(np.uint64), where
+        sampled = _reference_property_radius(selector, pair, params, density, 1e-3, rule=False)
+        if r != sampled:
+            moved.append(k)
+            # Only where the zero-free cap binds, or on an odd circle (no -r).
+            assert _zero_free(selector, params) < 0.999 or density % 2 == 1, where
+    # Draw 4: u has a zero near 0.676, inside the sampled radius 0.999; the
+    # radius is now 0.118.  Draw 12: 17 angles, 0.0824 -> 0.0815.
+    assert moved == [4, 12]
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="property_radius tests circles only and misses the pole of 1 + z u'/u at a zero "
-    "of u inside the disk (u has one near |z| = 0.21 here)",
-)
 def test_property_radius_holds_on_its_disk_despite_interior_zero():
+    # u has a zero near z = -0.21940, where 1 + z u'/u has a pole.
     pair = JanowskiPair(0.6, -0.4)
     params = BesselParams(-1.3, 2.0, -4.0)
     r = property_radius("starlike-zu", pair, params)
@@ -480,6 +553,97 @@ def test_property_radius_holds_on_its_disk_despite_interior_zero():
         grid = SampleGrid(radii=tuple(r * np.geomspace(0.05, 1.0, 24)), angles=256, max_radius=r)
         report = verify_membership("starlike-zu", pair, params, grid=grid)
         assert report.verdict == "holds-on-grid", (r, report.min_margin, report.witness)
+
+
+# ---------------------------------------------------------- real-axis rule
+
+
+def _certified_draws(seed, count, max_radius=0.999):
+    """Seeded quotient cells whose denominator is certified zero-free on |z| <= max_radius.
+
+    Both selectors, half-plane (B = -1) and disk pairs, kappa in (0.05, 8)
+    (convexity also in (-0.95, 0)), |c| up to 20.
+    """
+    rng = np.random.default_rng(seed)
+    draws = []
+    while len(draws) < count:
+        selector = ("convexity", "starlike-zu")[len(draws) % 2]
+        B = -1.0 if len(draws) % 3 == 0 else rng.uniform(-1.0, 0.9)
+        pair = JanowskiPair(rng.uniform(B + 0.05, 1.0), B)
+        low = -0.95 if selector == "convexity" and len(draws) % 4 == 0 else 0.05
+        params = BesselParams(rng.uniform(low, 8.0) - 1.5, 2.0, rng.uniform(-20.0, 20.0))
+        if max_radius < _zero_free(selector, params):
+            draws.append((selector, pair, params))
+    return draws
+
+
+def test_real_axis_margin_is_the_least_over_the_dense_grid():
+    # The 24 x 256 grid through _margins never lies below the two-point
+    # margin by more than rounding: the rule's margin is the disk's least.
+    grid = SampleGrid.default()
+    table = _PowerTable(verify._ring(grid.angles))
+    half_planes = 0
+    for selector, pair, params in _certified_draws(61, 40):
+        report = verify_membership(selector, pair, params, grid)
+        assert report.method == "real-axis" and report.degeneracy_hits == []
+        assert report.witness in (0.999, -0.999)
+        margins, mask, proof, _ = verify._margins(
+            selector, pair, target_region(pair), params, grid.radii, table, DEFAULT_CONFIG
+        )
+        least = float(np.min(margins[~(mask | proof)]))
+        assert least >= report.min_margin - 1e-12 * max(1.0, abs(report.min_margin)), (
+            selector, pair, params, least, report.min_margin,
+        )
+        half_planes += pair.B == -1.0
+    assert 10 <= half_planes <= 30
+
+
+@pytest.mark.parametrize("n", [8, 64, 256])
+def test_real_axis_values_are_the_grid_values_at_angles_zero_and_pi(n):
+    grid = SampleGrid(radii=tuple(np.geomspace(0.05, 0.999, 10)), angles=n)
+    table = _PowerTable(verify._ring(n))
+    for selector, pair, params in _certified_draws(62 + n, 12):
+        w_axis, _, _ = verify._functional_values(
+            selector, params, (0.999,), verify._AXIS_UNITS, DEFAULT_CONFIG
+        )
+        w_grid, _, _ = verify._functional_values(selector, params, grid.radii, table, DEFAULT_CONFIG)
+        ring = w_grid.reshape(len(grid.radii), n)[-1]
+        assert np.array_equal(_bits(w_axis), _bits(ring[[0, n // 2]])), (selector, pair, params)
+
+
+def _mp_margin(selector, pair, kappa, c, z):
+    """The margin of w(z) for the pair, with u from mpmath hyp0f1 (D, D' as multiples of 0F1)."""
+    k = mpmath.mpf(kappa) + DENOMINATOR_SHIFT[selector]
+    x = -mpmath.mpf(c) / 4
+    w = 1 + z * x / k * mpmath.hyp0f1(k + 1, x * z) / mpmath.hyp0f1(k, x * z)
+    if pair.B == -1.0:
+        return w - (1 - mpmath.mpf(pair.A)) / 2
+    region = target_region(pair)
+    return mpmath.mpf(region.radius) - abs(w - mpmath.mpf(region.center))
+
+
+@pytest.mark.parametrize(
+    "selector,pair,params,side",
+    [
+        # The defect tuple: u has a zero near -0.2194, and w(-r) leaves the disk region.
+        ("starlike-zu", JanowskiPair(0.6, -0.4), BesselParams(-1.3, 2.0, -4.0), -1),
+        # kappa 1, c 20: u' has a zero near 0.734, and w(r) leaves the half-plane.
+        ("convexity", JanowskiPair(0.5, -1.0), BesselParams(-0.5, 2.0, 20.0), 1),
+    ],
+)
+def test_property_radius_is_the_first_root_of_the_real_axis_margins(selector, pair, params, side):
+    tol = 1e-4
+    r = property_radius(selector, pair, params, tol=tol)
+    assert 0.01 < r < verify._certified_radius(selector, params)
+    with mpmath.workdps(30):
+        kappa, c = params.kappa, params.c
+        root = mpmath.findroot(lambda t: _mp_margin(selector, pair, kappa, c, side * t), r)
+        # Both margins are positive below the root, so it is the first.
+        below = mpmath.linspace(0.01, root, 200)[:-1]
+        for t in below:
+            assert _mp_margin(selector, pair, kappa, c, t) > 0
+            assert _mp_margin(selector, pair, kappa, c, -t) > 0
+    assert abs(r - float(root)) <= tol, (r, root)
 
 
 # -------------------------------------------------------------- admissibility
