@@ -122,7 +122,7 @@ def _report_dict(report: VerificationReport) -> dict:
         "pair": _pair_list(report.pair),
         "params": _params_dict(report.params),
         "verdict": report.verdict,
-        "min_margin": report.min_margin,
+        "min_margin": None if report.witness is None else report.min_margin,
         "witness": None if report.witness is None else _complex_list(report.witness),
         "grid": {
             "radii": list(report.grid.radii),
@@ -144,7 +144,7 @@ def _row_dict(row: ScanRow) -> dict:
         "corollary_id": row.corollary_id,
         "corollary": None if row.corollary is None else _outcome_dict(row.corollary),
         "numeric": row.report.verdict,
-        "min_margin": row.report.min_margin,
+        "min_margin": None if row.report.witness is None else row.report.min_margin,
         "witness": None if row.report.witness is None else _complex_list(row.report.witness),
         "method": row.report.method,
     }

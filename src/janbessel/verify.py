@@ -66,17 +66,16 @@ exact, and numpy's complex multiply, divide and abs treat sign flips
 symmetrically, so twins get conj unit powers, conj series values (the
 coefficients are real), bit-equal margins and equal degeneracy flags.
 verify_membership and property_radius therefore evaluate only the closed
-upper half of each circle (angles 0..angles//2).  Angles 0 and pi are
-critical points of every circle's margin and hold the witness in practice,
-so verify_membership's one series call also covers the upper halves of the
-refinement arcs around them on every ring; only a witness elsewhere needs a
-second call for its arc.  Every sample is radius * unit; each angle layout has
-one cached power table of its unit points (bessel._ring_sums).
+upper half of each circle (angles 0..angles//2): a sampled cell is one
+series call over its grid's upper half, and the first minimum of that half
+in radius-major order is the full grid's first minimum, because each lower
+point comes after its upper twin.  Every sample is radius * unit; each
+angle count has one cached power table of its upper-half unit points
+(bessel._ring_sums).
 
 Determinism: grids are fixed by their parameters, so identical inputs give
 bit-identical results.  Exact ties go to the first grid point in
-radius-major order, which is never a point below the real axis, and on a
-refinement arc around angle 0 or pi to the upper point.
+radius-major order, which is never a point below the real axis.
 """
 
 from __future__ import annotations
@@ -136,13 +135,6 @@ METHOD_SAMPLED = "sampled"
 
 # Denominators (functional or proof-side) below this are degeneracies.
 DEGENERACY_TOL = 1e-13
-
-# The witness neighbourhood is resampled at this fraction of the angular step.
-REFINE_FACTOR = 16
-
-
-# Refinement offsets, in steps of 1/REFINE_FACTOR of the angular step.
-_REFINE_OFFSETS = np.array([k for k in range(-REFINE_FACTOR, REFINE_FACTOR + 1) if k != 0])
 
 
 def _lower_twins(upper: np.ndarray, n: int) -> np.ndarray:
@@ -214,31 +206,10 @@ class SampleGrid:
 _DEFAULT_GRID = SampleGrid(radii=tuple(np.geomspace(0.05, 0.999, 24)), angles=256)
 
 
-def _axis_arcs(n: int) -> list[tuple[int, np.ndarray]]:
-    """(angle index, upper-half refinement offsets) for each real-axis angle of n."""
-    arcs = [(0, _REFINE_OFFSETS[REFINE_FACTOR:])]
-    if n % 2 == 0:
-        arcs.append((n // 2, _REFINE_OFFSETS[:REFINE_FACTOR]))
-    return arcs
-
-
 @functools.lru_cache(maxsize=8)
-def _sampled_units(n: int, arcs: bool) -> _PowerTable:
-    """Unit points sampled on each ring of n angles: the closed upper half of
-    _ring(n), then, with arcs, the upper halves of the arcs of _axis_arcs(n)."""
-    step = 2.0 * np.pi / n
-    units = [_ring(n)[: n // 2 + 1]] + [
-        np.exp(1j * (2.0 * np.pi * i_angle / n + offsets * step / REFINE_FACTOR))
-        for i_angle, offsets in (_axis_arcs(n) if arcs else [])
-    ]
-    return _PowerTable(np.concatenate(units))
-
-
-@functools.lru_cache(maxsize=64)
-def _arc_units(n: int, i_angle: int) -> _PowerTable:
-    """The whole refinement arc around angle index i_angle of n, on the unit circle."""
-    theta, dtheta = 2.0 * np.pi * i_angle / n, 2.0 * np.pi / n
-    return _PowerTable(np.exp(1j * (theta + _REFINE_OFFSETS * dtheta / REFINE_FACTOR)))
+def _sampled_units(n: int) -> _PowerTable:
+    """The closed upper half of _ring(n): the unit points sampled on each ring."""
+    return _PowerTable(_ring(n)[: n // 2 + 1])
 
 
 # A property_radius bisection adds ~15 radii; 64 slots keep the grid's points.
@@ -268,7 +239,8 @@ class VerificationReport:
 
     verdict is "counterexample" exactly when min_margin < 0 or any
     degeneracy was hit; otherwise "holds-on-grid".  witness is the sample
-    attaining min_margin (None only if every sample was degenerate).
+    attaining min_margin (None only if every sample was degenerate): a grid
+    point, or r or -r under the real-axis rule.
     method is "real-axis" when min_margin is the exact least margin of the
     closed disk, taken at r or -r, and "sampled" when it is the grid's.
     """
@@ -358,21 +330,14 @@ def verify_membership(
     a tie), no hits.  These are the outer ring's values at angles 0 and pi,
     to the bit; an odd grid has no -r, so sampling it could miss this margin.
 
-    Otherwise (method "sampled") the minimum margin and its witness come
-    from the base grid; one angular
-    refinement pass then resamples the witness circle at 1/REFINE_FACTOR of
-    the angular step, REFINE_FACTOR steps to each side, and keeps whatever
-    smaller margin it finds (only if strictly smaller).  Exact ties go to the
-    first point in radius-major order on the grid, which is never below the
-    real axis, and to the upper point of the two mirror halves of a
-    refinement arc around angle 0 or pi.
+    Otherwise (method "sampled") min_margin is the grid's minimum margin and
+    the witness the first grid point attaining it, in radius-major order,
+    which is never below the real axis.
 
     The margin at conj z is bit-equal to the margin at z, so only the closed
-    upper half of the grid (angles 0..angles//2) and the upper halves of the
-    arcs around the real-axis angles are evaluated, in one series call; a
-    witness off the real axis has its arc evaluated by a second call.  The
-    report is bit-equal to evaluating every grid point through the same
-    kernel (bessel._ring_sums) and then the whole arc around the witness.
+    upper half of the grid (angles 0..angles//2) is evaluated, in one series
+    call.  The report is bit-equal to evaluating every grid point through the
+    same kernel (bessel._ring_sums).
     """
     if grid is None:
         grid = _DEFAULT_GRID
@@ -389,21 +354,18 @@ def verify_membership(
             )
     n, rings = grid.angles, len(grid.radii)
     half = n // 2 + 1
-    # Ring by ring: the closed upper half, then the axis arcs' upper halves.
-    table = _sampled_units(n, True)
+    table = _sampled_units(n)
     margins, mask, proof_mask, reason = _margins(selector, pair, region, params, grid.radii, table, cfg)
-    margins, mask, proof_mask = (x.reshape(rings, -1) for x in (margins, mask, proof_mask))
     hits = []
     if mask.any() or proof_mask.any():
         # Mirror the masks onto the full grid, radius-major.
         full = grid.points()
         for flags, label in ((mask, reason), (proof_mask, "proof-map-pole")):
-            upper = flags[:, :half]
+            upper = flags.reshape(rings, half)
             whole = np.concatenate([upper, _lower_twins(upper, n)], axis=1).ravel()
             hits.extend((complex(z), label) for z in full[whole])
 
-    grid_margins = margins[:, :half].ravel()
-    if not np.isfinite(grid_margins).any():
+    if not np.isfinite(margins).any():
         return VerificationReport(
             selector=selector,
             pair=pair,
@@ -415,28 +377,10 @@ def verify_membership(
             degeneracy_hits=hits,
         )
 
-    idx = int(np.argmin(grid_margins))
-    min_margin = float(grid_margins[idx])
+    idx = int(np.argmin(margins))
+    min_margin = float(margins[idx])
     i_radius, i_angle = divmod(idx, half)
-    radius = (grid.radii[i_radius],)
-    ring = _points(radius, table)
-    witness = complex(ring[i_angle])
-
-    # Local angular refinement around the witness.
-    axis = [angle for angle, _ in _axis_arcs(n)]
-    if i_angle in axis:
-        lo = half + axis.index(i_angle) * REFINE_FACTOR
-        local = ring[lo : lo + REFINE_FACTOR]
-        local_margins = margins[i_radius, lo : lo + REFINE_FACTOR]
-    else:
-        arc = _arc_units(n, i_angle)
-        local = _points(radius, arc)
-        local_margins = _margins(selector, pair, region, params, radius, arc, cfg)[0]
-    j = int(np.argmin(local_margins))
-    if local_margins[j] < min_margin:
-        min_margin = float(local_margins[j])
-        witness = complex(local[j])
-
+    witness = complex(_points(grid.radii[i_radius : i_radius + 1], table)[i_angle])
     verdict = VERDICT_COUNTEREXAMPLE if (hits or min_margin < 0.0) else VERDICT_HOLDS
     return VerificationReport(
         selector=selector,
@@ -483,7 +427,7 @@ def property_radius(
         raise ValueError(f"max_radius must lie in (0.01, 1), got {max_radius}")
     region = target_region(pair)
     cap = min(max_radius, _certified_radius(selector, params))
-    table, cap = (_AXIS_UNITS, cap) if cap > 0.01 else (_sampled_units(grid_density, False), max_radius)
+    table, cap = (_AXIS_UNITS, cap) if cap > 0.01 else (_sampled_units(grid_density), max_radius)
 
     def feasible(r: float) -> bool:
         margins, mask, proof_mask, _ = _margins(selector, pair, region, params, (r,), table, cfg)

@@ -473,3 +473,43 @@ def test_verify_reports_the_method(capsys):
     for selector, method in (("u", "sampled"), ("starlike-zu", "real-axis"), ("convexity", "real-axis")):
         code, doc = run_json(capsys, base + ["--selector", selector])
         assert code == 0 and doc["payload"]["method"] == method
+
+
+# ------------------------------------------------------------- strict JSON
+
+DEGENERATE_ARGS = ["--selector", "convexity", "--A", "1", "--B=-1", "--radii", "2", "--angles", "8"]
+DEGENERATE_SCAN_ARGS = ["scan", *DEGENERATE_ARGS, "--kappa-range", "1.5:2.5:2", "--c-range=-1:1:3"]
+
+# The CSV of DEGENERATE_SCAN_ARGS: a report without a witness keeps its nan fields.
+DEGENERATE_SCAN_CSV = """\
+kappa,c,checker,branch,corollary,numeric,min_margin,witness_re,witness_im
+1.5,-1,true,conservative,n/a,holds-on-grid,0.89711557420466315,-0.999,0
+1.5,0,true,conservative,n/a,counterexample,nan,nan,nan
+1.5,1,true,conservative,n/a,holds-on-grid,0.89711557420466315,0.999,0
+2.5,-1,true,conservative,n/a,holds-on-grid,0.927481108723063,-0.999,0
+2.5,0,true,conservative,n/a,counterexample,nan,nan,nan
+2.5,1,true,conservative,n/a,holds-on-grid,0.927481108723063,0.999,0
+"""
+
+
+def _strict_json(text):
+    # RFC 8259 has no NaN or Infinity: parse with a hook that refuses them.
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_reports_without_a_witness_write_null_margins(capsys):
+    code = run(["verify", *DEGENERATE_ARGS, "--p", "1.5", "--b", "2", "--c", "0"])
+    payload = _strict_json(capsys.readouterr().out)["payload"]
+    assert code == 1
+    assert payload["verdict"] == "counterexample"
+    assert payload["min_margin"] is None and payload["witness"] is None
+    # The checker holds at c = 0, where every sample is degenerate: conflicts, exit 1.
+    assert run(DEGENERATE_SCAN_ARGS + ["--format", "json"]) == 1
+    rows = _strict_json(capsys.readouterr().out)["payload"]["rows"]
+    assert [row["min_margin"] is None for row in rows] == [False, True, False] * 2
+    assert all((row["min_margin"] is None) == (row["witness"] is None) for row in rows)
+    assert run(DEGENERATE_SCAN_ARGS + ["--format", "csv"]) == 1
+    assert capsys.readouterr().out == DEGENERATE_SCAN_CSV

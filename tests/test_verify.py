@@ -42,8 +42,8 @@ SMALL_GRID = SampleGrid(radii=tuple(np.geomspace(0.05, 0.999, 6)), angles=16)
 # Frozen expectations for the pinned fixtures (values recorded from the
 # first validated run and cross-checked against a 40-digit series oracle).
 I0_MIN_MARGIN = 0.3416215769019355
-CEX_MIN_MARGIN = -0.473242154632326
-CEX_WITNESS = 0.9461472719864245 + 0.32063427719544735j
+CEX_MIN_MARGIN = -0.47324007523440137
+CEX_WITNESS = 0.9485786524124437 + 0.3133680586584926j
 RADIUS_FIXTURE = 0.4317012939453125
 GAP_CELL_MARGIN = 0.26541772621418214
 UNSOUND_CELL_MARGIN = -0.12005867698433714
@@ -145,10 +145,8 @@ def _reference_real_axis(selector, pair, params, r):
 def _reference_verify_membership(selector, pair, params, grid, rule=True):
     # With the rule, a quotient cell whose denominator is certified zero-free
     # on the disk and whose points r and -r are non-degenerate is decided at
-    # those two points.  Otherwise, the full two-pass evaluation: every grid
-    # point, then the whole refinement arc around the witness, first minimum
-    # each time.  Around angle 0 or pi the arc is its upper half followed by
-    # the conjugates of that half, so ties go to the upper point.
+    # those two points.  Otherwise, one pass over every grid point, first
+    # minimum.
     r = grid.radii[-1]
     axis = None
     if rule and r < _zero_free(selector, params):
@@ -159,7 +157,6 @@ def _reference_verify_membership(selector, pair, params, grid, rule=True):
         return verify.VerificationReport(
             selector, pair, params, verdict, margin, witness, grid, [], "real-axis"
         )
-    zs = grid.points()
     margins, hits = _reference_margins(selector, pair, params, grid.radii, verify._ring(grid.angles))
     report = verify.VerificationReport(
         selector, pair, params, "counterexample", math.nan, None, grid, hits
@@ -167,21 +164,7 @@ def _reference_verify_membership(selector, pair, params, grid, rule=True):
     if not np.isfinite(margins).any():
         return report
     idx = int(np.argmin(margins))
-    report.min_margin, report.witness = float(margins[idx]), complex(zs[idx])
-    n, f = grid.angles, verify.REFINE_FACTOR
-    i_radius, i_angle = divmod(idx, n)
-    offsets = np.array([k for k in range(-f, f + 1) if k != 0])
-    theta, dtheta = 2.0 * np.pi * i_angle / n, 2.0 * np.pi / n
-    arc = np.exp(1j * (theta + offsets * dtheta / f))
-    if i_angle == 0 or 2 * i_angle == n:
-        upper = arc[f:] if i_angle == 0 else arc[:f]
-        arc = np.concatenate([upper, np.conj(upper)])
-    radius = grid.radii[i_radius]
-    local, _ = _reference_margins(selector, pair, params, (radius,), arc)
-    arc = radius * arc
-    j = int(np.argmin(local))
-    if local[j] < report.min_margin:
-        report.min_margin, report.witness = float(local[j]), complex(arc[j])
+    report.min_margin, report.witness = float(margins[idx]), complex(grid.points()[idx])
     if not hits and report.min_margin >= 0.0:
         report.verdict = "holds-on-grid"
     return report
@@ -248,16 +231,22 @@ def test_mirror_margins_are_bit_equal():
                 assert np.array_equal(lower, upper), where
 
 
-def test_verify_membership_equals_full_two_pass_reference():
+def _assert_witness_on_grid(report, where):
+    # A sampled report's witness is one of its grid's points, to the bit.
+    points = _bits(report.grid.points()).reshape(-1, 2)
+    assert (points == _bits(report.witness)).all(axis=1).any(), where
+
+
+def test_verify_membership_equals_full_grid_reference():
     cases = [
-        # Off-axis witness: the refinement arc gets its own evaluation.
+        # Off-axis witness.
         ("u", JanowskiPair(0.1, -1.0), BesselParams(-0.5, 2.0, 6.0)),
         # Every sample degenerate: no witness.
         ("convexity", JanowskiPair(1.0, -1.0), BesselParams(1.5, 2.0, 0.0)),
         ("u", HALF_PAIR, BesselParams(0.0, 2.0, -1.0)),
         ("starlike-zu", JanowskiPair(0.6, -0.4), BesselParams(-1.3, 2.0, -4.0)),
     ]
-    # On 8 angles the arcs around pi and around 0 lower these grid minima.
+    # On 8 angles the disk's least margins lie between these grids' points.
     eight = MIRROR_GRIDS[-1]
     pinned = [
         (eight, "u", JanowskiPair(0.0109, -0.3114), BesselParams(-3.319, 2.0, 0.7265)),
@@ -267,13 +256,13 @@ def test_verify_membership_equals_full_two_pass_reference():
         draws = cases + _mirror_draws(500 + g, 40 if grid.angles < 256 else 12)
         pinned.extend((grid,) + draw for draw in draws)
     real_axis = 0
-    for k, (grid, selector, pair, params) in enumerate(pinned):
+    for grid, selector, pair, params in pinned:
         report = verify_membership(selector, pair, params, grid)
         ref = _reference_verify_membership(selector, pair, params, grid)
         where = (grid.angles, selector, pair, params)
         _assert_same_report(report, ref, where)
-        if k < 2:
-            assert report.witness not in grid.points()
+        if report.method == "sampled" and report.witness is not None:
+            _assert_witness_on_grid(report, where)
         if report.method == "real-axis":
             real_axis += 1
             _assert_rule_keeps_the_sampled_report(report, selector, pair, params, grid, where)
@@ -310,9 +299,9 @@ def test_verify_membership_mirrors_partial_degeneracies(monkeypatch):
     assert partial >= 10 and real_axis >= 3
 
 
-def test_one_series_call_when_the_witness_is_on_the_real_axis(monkeypatch):
-    # Calls to the ring kernel as (rings, points per ring): one for the whole
-    # grid with the axis arcs, and one more for an off-axis witness's arc.
+def test_one_series_call_per_sampled_cell(monkeypatch):
+    # Calls to the ring kernel as (rings, points per ring): a sampled cell is
+    # one call over its grid's closed upper half, whatever its witness.
     calls = []
     kernel = verify._ring_sums
 
@@ -323,17 +312,35 @@ def test_one_series_call_when_the_witness_is_on_the_real_axis(monkeypatch):
     monkeypatch.setattr(verify, "_ring_sums", counted)
     report = verify_membership("u", HALF_PAIR, BesselParams(0.0, 2.0, -1.0))
     assert report.witness.imag == 0.0
-    assert calls == [(24, 129 + 2 * verify.REFINE_FACTOR)]
+    assert calls == [(24, 129)]
     calls.clear()
     report = verify_membership("u", JanowskiPair(0.1, -1.0), BesselParams(-0.5, 2.0, 6.0))
     assert report.witness.imag != 0.0
-    assert calls == [(24, 129 + 2 * verify.REFINE_FACTOR), (1, 2 * verify.REFINE_FACTOR)]
+    assert calls == [(24, 129)]
     # A quotient cell certified zero-free: the two points r and -r only.
     for selector in ("convexity", "starlike-zu"):
         calls.clear()
         report = verify_membership(selector, HALF_PAIR, BesselParams(0.5, 2.0, -1.0))
         assert report.method == "real-axis"
         assert calls == [(1, 2)]
+    # Every seeded sampled cell, odd grids included: its last call is the
+    # grid's upper half (a degenerate real-axis attempt may precede it), and
+    # its witness is a grid point.
+    sampled = odd = 0
+    for g, grid in enumerate(MIRROR_GRIDS):
+        for selector, pair, params in _mirror_draws(900 + g, 24):
+            calls.clear()
+            report = verify_membership(selector, pair, params, grid)
+            if report.method != "sampled":
+                continue
+            where = (grid.angles, selector, pair, params)
+            assert calls[-1] == (len(grid.radii), grid.angles // 2 + 1), where
+            assert calls[:-1] in ([], [(1, 2)]), where
+            if report.witness is not None:
+                _assert_witness_on_grid(report, where)
+                sampled += 1
+                odd += grid.angles % 2
+    assert sampled >= 60 and odd >= 20
 
 
 def test_modified_spherical_base_case_holds():
@@ -364,11 +371,19 @@ def test_constant_function_margin_is_margin_of_one():
 
 
 def test_counterexample_detection_frozen_case():
-    report = verify_membership("u", JanowskiPair(0.1, -1.0), BesselParams(-0.5, 2.0, 6.0))
+    pair, params = JanowskiPair(0.1, -1.0), BesselParams(-0.5, 2.0, 6.0)
+    report = verify_membership("u", pair, params)
     assert report.verdict == "counterexample"
     assert abs(report.min_margin - CEX_MIN_MARGIN) < 1e-14
     assert abs(report.witness - CEX_WITNESS) < 1e-12
     assert report.degeneracy_hits == []
+    # Oracle: the half-plane margin Re u - (1 - A) / 2 at the witness, with u
+    # from mpmath hyp0f1 at 40 digits.
+    with mpmath.workdps(40):
+        z = mpmath.mpc(report.witness.real, report.witness.imag)
+        u = mpmath.hyp0f1(params.kappa, -mpmath.mpf(params.c) / 4 * z)
+        margin = mpmath.re(u) - (1 - mpmath.mpf(pair.A)) / 2
+        assert abs(report.min_margin - margin) < 1e-14
 
 
 def test_report_invariant():
