@@ -42,8 +42,10 @@ admissibility_scan maximizes Re Psi over a grid of the admissible set
 (sigma at depth multiples of its bound, mu between 0 and -sigma, nu = 0
 since Re Psi never depends on nu); a negative maximum corroborates the sufficient
 conditions' engine.  It returns the full grid's maximum bit for bit while
-evaluating little of the grid.  In the subordination form z enters only
-through a last summand free of sigma and mu, so, rounding being monotone,
+evaluating little of the grid.  Its rho and z grids are mirror-exact, so Re
+Psi at (-rho, conj z) is bit-equal to Re Psi at (rho, z) (see Mirror
+symmetry) and only rho >= 0 is evaluated.  In the subordination form z
+enters only through a last summand free of sigma and mu, so, rounding being monotone,
 the maximum over z is taken once per rho, and the sigma- and mu-dependent
 heads of all (sigma, mu) slices are evaluated together as one array, a
 fixed number of slices at a time.  In the convexity form the shallowest
@@ -462,10 +464,20 @@ ADMISSIBILITY_Z = np.concatenate(
 ADMISSIBILITY_Z.flags.writeable = False
 
 # Subordination (sigma, mu) slices are evaluated together, at most this many
-# at a time, so a block's heads hold at most 64 x 201 values at any depth.
+# at a time, so a block's heads hold at most 64 x 101 values at any depth.
 # At MAX_SIGMA_DEPTH (3000 slices) one unblocked array and its temporaries
 # peak near 29 MB; blocks of 64 peak near 1.3 MB and take no longer.
 SLICE_BLOCK = 64
+
+
+@functools.lru_cache(maxsize=8)
+def _admissibility_rows(rho_max: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rho, 1 + rho^2, i rho) at rho = rho_max k / 100, k = 0..100, the scan's rows; read-only."""
+    rhos = rho_max * np.arange(101) / 100.0
+    rows = (rhos, 1.0 + rhos**2, 1j * rhos)
+    for row in rows:
+        row.flags.writeable = False
+    return rows
 
 
 def admissibility_scan(
@@ -478,18 +490,23 @@ def admissibility_scan(
 ) -> tuple[float, AdmissibilityProbe]:
     """Maximize Re Psi over a grid of the admissible set.
 
-    rho runs over 201 uniform points of [-rho_max, rho_max]; sigma takes the
-    values -s (1 + rho^2)/2 for s = 1, 1.5, ..., (sigma_depth values); for the
+    rho runs over the 201 points +-rho_max k / 100, k = 0..100, the negative
+    ones the exact negations of the positive ones; sigma takes the values
+    -s (1 + rho^2)/2 for s = 1, 1.5, ..., (sigma_depth values); for the
     subordination form mu runs over {0, -sigma/2, -sigma}; nu is fixed at 0
     since Re Psi does not involve it.  z runs over ADMISSIBILITY_Z.  The
     convexity form's answer does not depend on sigma_depth: only its s = 1
     slice can win (see below), so sigma_depth is only validated there.
     Returns (max Re Psi, probe attaining it): the first maximum over the
-    slices in (sigma, mu) order, and within a slice the first in (rho, z)
-    order.
+    rows with rho >= 0 in (sigma, mu) order, and within a slice the first in
+    (rho, z) order.  Its mirror (-rho, conj z) attains the same value.
 
     The result is bit-equal to evaluating every grid point, with less work:
 
+    * both forms: only the 101 rows with rho >= 0 are evaluated.  IEEE
+      negation is exact, ADMISSIBILITY_Z is mirror-exact, sigma and mu depend
+      on rho^2 only, and numpy's complex operations treat sign flips
+      symmetrically, so Re Psi at (-rho, conj z) is Re Psi at (rho, z).
     * subordination: Psi = head(rho, sigma, mu) + L(rho, z), where only the
       last summand L holds z.  Floating-point addition rounds monotonically,
       so fl(h + max_j Re L_j) = max_j fl(h + Re L_j).  Re L and its row maxima
@@ -527,13 +544,11 @@ def admissibility_scan(
     A, B = pair.A, pair.B
     # Overflow and NaN are reported below as a ValueError, not as warnings.
     with np.errstate(all="ignore"):
-        rhos = np.linspace(-rho_max, rho_max, 201)
-        spread = 1.0 + rhos**2
+        rhos, spread, r = _admissibility_rows(rho_max)
         if which == PSI_SUBORDINATION:
             tail = _re_subordination_z_term(A, B, c, rhos[:, None], ADMISSIBILITY_Z)
             _require_finite(tail)
             tail_max = tail.max(axis=1)
-            r = 1j * rhos
             # Slice k has sigma factor s_factors[k] and mu factor m_factors[k].
             s_factors = np.repeat(1.0 + 0.5 * np.arange(sigma_depth), 3)
             m_factors = np.tile([0.0, 0.5, 1.0], sigma_depth)

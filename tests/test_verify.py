@@ -708,46 +708,97 @@ def test_admissibility_scan_maximum_is_eval_psi_at_its_probe():
             assert abs(at_probe - mx) <= 1e-12 * max(1.0, abs(mx)), (which, pair, kappa, c)
 
 
+def _mirror_exact_rhos(rho_max):
+    # The scan's 201 rows: rho_max k / 100 for k = 0..100 and their exact negations.
+    half = rho_max * np.arange(101) / 100.0
+    return np.concatenate([-half[:0:-1], half])
+
+
 def _reference_admissibility_scan(which, pair, kappa, c, rho_max=8.0, sigma_depth=4):
-    # The full-grid loop: every (sigma, mu) slice over every (rho, z) pair,
-    # strict ">" across slices, first flat argmax within one.
-    rhos = np.linspace(-rho_max, rho_max, 201)
+    # The full-grid loop: every (sigma, mu) slice over every (rho, z) pair of
+    # the 201-row grid, strict ">" across slices, first flat argmax within one.
+    # Returns the maximum, its first probe over all rows and its first probe
+    # over the rows with rho >= 0.
+    rhos = _mirror_exact_rhos(rho_max)
     z_grid = SampleGrid(radii=(0.25, 0.5, 0.75, 0.95), angles=16)
     zs = np.concatenate([np.zeros(1, dtype=complex), z_grid.points()])
     R = 1j * rhos[:, None]
     Z = zs[None, :]
     s_factors = [1.0 + 0.5 * i for i in range(sigma_depth)]
     m_factors = [0.0, 0.5, 1.0] if which == "subordination" else [0.0]
-    best = -math.inf
-    best_probe = None
+    # Keyed by the first row searched: row 0 is rho = -rho_max, row 100 rho = 0.
+    best = {0: -math.inf, 100: -math.inf}
+    probes = {}
     for s_fac in s_factors:
         sigma = -s_fac * (1.0 + rhos**2) / 2.0
         S = sigma[:, None]
         for m_fac in m_factors:
             re = np.real(_psi_formula(which, pair.A, pair.B, kappa, c, R, S, (-m_fac) * S, Z))
-            flat = int(np.argmax(re))
-            value = float(re.flat[flat])
-            if value > best:
-                i, j = divmod(flat, re.shape[1])
-                best = value
-                best_probe = AdmissibilityProbe(
-                    rho=float(rhos[i]),
-                    sigma=float(sigma[i]),
-                    mu=float(-m_fac * sigma[i]),
-                    nu=0.0,
-                    z=complex(zs[j]),
-                )
-    return best, best_probe
+            for first_row in best:
+                flat = int(np.argmax(re[first_row:]))
+                value = float(re[first_row:].flat[flat])
+                if value > best[first_row]:
+                    i, j = divmod(flat, re.shape[1])
+                    i += first_row
+                    best[first_row] = value
+                    probes[first_row] = AdmissibilityProbe(
+                        rho=float(rhos[i]),
+                        sigma=float(sigma[i]),
+                        mu=float(-m_fac * sigma[i]),
+                        nu=0.0,
+                        z=complex(zs[j]),
+                    )
+    assert _same_bits(best[0], best[100])
+    return best[0], probes[0], probes[100]
 
 
 def _same_bits(x, y):
     return x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
 
 
+@pytest.mark.parametrize("B", [-1.0, 0.999999, 0.3])
+@pytest.mark.parametrize("c", [0.0, 200.0, -200.0])
+def test_admissibility_psi_is_mirror_exact(B, c):
+    # admissibility_scan evaluates only the rows with rho >= 0.  That is exact
+    # because Re Psi at (-rho, conj z) is bit-equal to Re Psi at (rho, z) on
+    # the whole 201 x 65 grid, origin included, in the complex formula and in
+    # the scan's real forms, signed zeros included.
+    Z = verify.ADMISSIBILITY_Z
+    twin = np.array([np.flatnonzero(Z == z.conjugate()) for z in Z]).ravel()
+    assert twin[0] == 0 and np.array_equal(twin[twin], np.arange(Z.size))
+    zs = Z[None, :]
+    A = 1.0 if B == 0.999999 else 0.7
+    for kappa, rho_max in ((-2.5, 8.0), (-0.5, 7.3), (3.0, math.pi)):
+        rhos = _mirror_exact_rhos(rho_max)[:, None]
+        R = 1j * rhos
+        assert np.array_equal(rhos[::-1], -rhos) and rhos[100] == 0.0
+        scanned = verify._admissibility_rows(rho_max)
+        assert scanned is verify._admissibility_rows(rho_max)
+        assert not any(row.flags.writeable for row in scanned)
+        assert np.array_equal(_bits(scanned[0]), _bits(rhos[100:, 0]))
+
+        def assert_mirror(values):
+            assert np.array_equal(values[::-1][:, twin].view(np.uint64), values.view(np.uint64)), (
+                B, c, kappa, rho_max,
+            )
+
+        # The z-term alone is not: its exact zeros may differ in sign.
+        z_term = _re_subordination_z_term(A, B, c, rhos, zs)
+        for s_fac in (1.0, 2.5):
+            S = -s_fac * (1.0 + rhos**2) / 2.0
+            for m_fac in (0.0, 0.5, 1.0):
+                T = (-m_fac) * S
+                assert_mirror(np.real(_psi_formula("subordination", A, B, kappa, c, R, S, T, zs)))
+                assert_mirror(np.real(_subordination_head(B, kappa, R, S, T)) + z_term)
+            assert_mirror(np.real(_psi_formula("convexity", A, B, kappa, c, R, S, 0.0, zs)))
+            assert_mirror(_re_convexity_psi(A, B, kappa, c, rhos, S, zs))
+
+
 def test_admissibility_real_forms_equal_complex_forms():
-    # The scan forms Re Psi in real arithmetic; on the scan's own grid it
-    # must equal the real part of the complex formula to the bit, signed
-    # zeros included.  c = 0 and the origin z make exact zeros.
+    # The scan forms Re Psi in real arithmetic; on the rows it evaluates
+    # (rho >= 0, from its own cached table) it must equal the real part of the
+    # complex formula to the bit, signed zeros included.  c = 0 and the origin
+    # z make exact zeros.
     rng = np.random.default_rng(227)
     Z = verify.ADMISSIBILITY_Z[None, :]
     for k in range(60):
@@ -756,10 +807,9 @@ def test_admissibility_real_forms_equal_complex_forms():
         kappa = rng.uniform(-3.0, 60.0)
         c = (0.0, rng.uniform(-150.0, 150.0), rng.uniform(-4.0, 4.0))[k % 3]
         rho_max = (8.0, rng.uniform(0.1, 30.0))[k % 2]
-        rhos = np.linspace(-rho_max, rho_max, 201)[:, None]
-        R = 1j * rhos
+        rhos, spread, R = (row[:, None] for row in verify._admissibility_rows(rho_max))
         for s_fac in (1.0, 2.5):
-            S = -s_fac * (1.0 + rhos**2) / 2.0
+            S = -s_fac * spread / 2.0
             for m_fac in (0.0, 0.5, 1.0):
                 T = (-m_fac) * S
                 sub = np.real(_psi_formula("subordination", A, B, kappa, c, R, S, T, Z))
@@ -801,12 +851,15 @@ def test_admissibility_scan_equals_full_grid_reference():
         for which in ("subordination", "convexity"):
             for kwargs in depths + (deep if n < 8 else ()):
                 mx, probe = admissibility_scan(which, pair, kappa, c, **kwargs)
-                ref_mx, ref = _reference_admissibility_scan(which, pair, kappa, c, **kwargs)
+                ref_mx, first, ref = _reference_admissibility_scan(which, pair, kappa, c, **kwargs)
                 where = (which, pair, kappa, c, kwargs)
                 assert _same_bits(mx, ref_mx), where
                 assert probe == ref, where
                 for field in ("rho", "sigma", "mu", "nu"):
                     assert _same_bits(getattr(probe, field), getattr(ref, field)), where
+                # Over all 201 rows the first maximum is the probe or its mirror.
+                mirror = dataclasses.replace(probe, rho=-probe.rho, z=probe.z.conjugate())
+                assert first in (probe, mirror), where
 
 
 def test_admissibility_scan_validation():
