@@ -222,7 +222,7 @@ def _falling_weights(order: int, n: int):
     return index, weights
 
 
-# property_radius asks for the same (kappa, c, order) once a circle.
+# property_radius asks for the same (kappa, c, order) once a kernel call.
 @functools.lru_cache(maxsize=128)
 def _series_rows(kappa: float, c: float, order: int, rel_tol: float, max_terms: int):
     """Read-only (order+1, n): entry [j, m] is a_{m+j} (m+j)!/m!, the coefficient of z^m in u^(j).

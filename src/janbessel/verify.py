@@ -32,11 +32,11 @@ property_radius use this rule, so the zero-free precondition below is
 checked for these selectors when kappa > 0 (convexity: kappa > -1).
 
 property_radius otherwise bisects for the largest sampled radius on which
-membership holds, testing one circle per radius.  That suffices only when
-the functional's denominator has no zero inside the circle: w is then
-analytic on the closed sub-disk, where Re w is harmonic and |w - center|
-subharmonic, so the margin's minimum lies on the circle.  This
-precondition is not checked there (a known defect).
+membership holds, judging each radius by its circle alone, several circles
+to a kernel call.  That suffices only when the functional's denominator has
+no zero inside the circle: w is then analytic on the closed sub-disk, where
+Re w is harmonic and |w - center| subharmonic, so the margin's minimum lies
+on the circle.  This precondition is not checked there (a known defect).
 
 admissibility_scan maximizes Re Psi over a grid of the admissible set
 (sigma at depth multiples of its bound, mu between 0 and -sigma, nu = 0
@@ -214,7 +214,7 @@ def _sampled_units(n: int) -> _PowerTable:
     return _PowerTable(_ring(n)[: n // 2 + 1])
 
 
-# A property_radius bisection adds ~15 radii; 64 slots keep the grid's points.
+# A property_radius bisection adds ~5 radius tuples; 64 slots keep the grid's points.
 @functools.lru_cache(maxsize=64)
 def _points(radii: tuple[float, ...], table: _PowerTable) -> np.ndarray:
     """radius * unit for every radius and every table point, radius-major (1-d); read-only."""
@@ -396,6 +396,13 @@ def verify_membership(
     )
 
 
+# property_radius evaluates this many levels of its bisection tree, up to
+# 2**BISECT_LEVELS - 1 circles, in one kernel call.  A deeper round saves
+# calls but evaluates more circles the walk never visits: at 256 angles, 2
+# to 6 levels take about the same time, 7 nearly twice as long.
+BISECT_LEVELS = 4
+
+
 def property_radius(
     selector: str,
     pair: JanowskiPair,
@@ -419,6 +426,12 @@ def property_radius(
     the exact conj of one evaluated, with its twin's margin and degeneracy.
     Precondition, not checked there: the functional's denominator has no
     zero inside the circles tested; past one the radius can be unsound.
+
+    One kernel call tests 0.01 and the cap together; each later one tests
+    every node of the next BISECT_LEVELS levels of the bisection tree under
+    the walk's (lo, hi).  A value depends only on its radius, point and row
+    (bessel._ring_sums), so each circle's verdict, and the radius, are bit
+    for bit those of testing one circle per call, monotone in r or not.
     """
     grid_density = _count("grid_density", grid_density)
     if grid_density < 8:
@@ -431,20 +444,30 @@ def property_radius(
     cap = min(max_radius, _certified_radius(selector, params))
     table, cap = (_AXIS_UNITS, cap) if cap > 0.01 else (_sampled_units(grid_density), max_radius)
 
-    def feasible(r: float) -> bool:
-        margins, mask, proof_mask, _ = _margins(selector, pair, region, params, (r,), table, cfg)
-        if mask.any() or proof_mask.any():
-            return False
-        return float(np.min(margins)) > 0.0
+    def feasible(radii: tuple[float, ...]) -> dict[float, bool]:
+        margins, mask, proof_mask, _ = _margins(selector, pair, region, params, radii, table, cfg)
+        shape = (len(radii), -1)
+        ok = ~(mask | proof_mask).reshape(shape).any(axis=1) & (margins.reshape(shape).min(axis=1) > 0.0)
+        return dict(zip(radii, ok.tolist()))
 
-    if not feasible(0.01):
+    known = feasible((0.01, cap))
+    if not known[0.01]:
         return 0.0
-    if feasible(cap):
+    if known[cap]:
         return cap
     lo, hi = 0.01, cap
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if feasible(mid):
+        if mid not in known:
+            # Every node the walk can reach in the next BISECT_LEVELS steps.
+            nodes, spans = [], [(lo, hi)]
+            for _ in range(BISECT_LEVELS):
+                spans = [(a, b) for a, b in spans if b - a > tol]
+                mids = [0.5 * (a + b) for a, b in spans]
+                nodes += mids
+                spans = [half for (a, b), m in zip(spans, mids) for half in ((a, m), (m, b))]
+            known = feasible(tuple(nodes))
+        if known[mid]:
             lo = mid
         else:
             hi = mid
@@ -478,6 +501,16 @@ def _admissibility_rows(rho_max: float) -> tuple[np.ndarray, np.ndarray, np.ndar
     for row in rows:
         row.flags.writeable = False
     return rows
+
+
+@functools.lru_cache(maxsize=8)
+def _slice_factors(sigma_depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """(sigma factors, mu factors) of the subordination slices: slice k has
+    sigma = -s_factors[k] (1 + rho^2)/2 and mu = -m_factors[k] sigma; read-only."""
+    factors = np.repeat(1.0 + 0.5 * np.arange(sigma_depth), 3), np.tile([0.0, 0.5, 1.0], sigma_depth)
+    for factor in factors:
+        factor.flags.writeable = False
+    return factors
 
 
 def admissibility_scan(
@@ -549,9 +582,7 @@ def admissibility_scan(
             tail = _re_subordination_z_term(A, B, c, rhos[:, None], ADMISSIBILITY_Z)
             _require_finite(tail)
             tail_max = tail.max(axis=1)
-            # Slice k has sigma factor s_factors[k] and mu factor m_factors[k].
-            s_factors = np.repeat(1.0 + 0.5 * np.arange(sigma_depth), 3)
-            m_factors = np.tile([0.0, 0.5, 1.0], sigma_depth)
+            s_factors, m_factors = _slice_factors(sigma_depth)
             best = -math.inf
             for lo in range(0, s_factors.size, SLICE_BLOCK):
                 sigma = -s_factors[lo : lo + SLICE_BLOCK, None] * spread / 2.0

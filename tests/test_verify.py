@@ -559,6 +559,94 @@ def test_property_radius_equals_full_ring_bisection():
     assert moved == [4, 12]
 
 
+# Draws whose circle feasibility changes more than once on [0.01, 0.999]
+# (kappa <= 0, sampled path).  Their radii lie past an infeasible band, the
+# open kappa <= 0 defect, so they are checked against the reference only.
+NON_MONOTONE_DRAWS = [
+    (
+        "starlike-zu",
+        JanowskiPair(0.7029081810336331, -0.5489241301636754),
+        BesselParams(-1.7292005307614278, 2.0, 8.620888187561114),
+    ),
+    (
+        "convexity",
+        JanowskiPair(-0.420292231018758, -0.978782334951477),
+        BesselParams(-3.889131833233992, 2.0, -18.68240837517958),
+    ),
+]
+
+
+@pytest.mark.parametrize("selector,pair,params", NON_MONOTONE_DRAWS)
+@pytest.mark.parametrize("density", [17, 64, 256])
+def test_property_radius_equals_bisection_where_feasibility_is_not_monotone(
+    selector, pair, params, density
+):
+    assert _zero_free(selector, params) == 0.0
+    radii = tuple(np.linspace(0.01, 0.999, 200))
+    margins, hits = _reference_margins(selector, pair, params, radii, verify._ring(density))
+    assert not hits
+    feasible = margins.reshape(len(radii), -1).min(axis=1) > 0.0
+    assert np.count_nonzero(np.diff(feasible)) >= 2
+    for tol in (1e-4, 1e-6):
+        r = property_radius(selector, pair, params, grid_density=density, tol=tol)
+        ref = _reference_property_radius(selector, pair, params, density, tol)
+        assert np.float64(r).view(np.uint64) == np.float64(ref).view(np.uint64), (tol, r, ref)
+
+
+def _bisection_steps(radius, cap, tol):
+    # The midpoints the sequential bisection visits: the walk ends at its
+    # last feasible midpoint, so a midpoint is feasible exactly when it is at
+    # most the returned radius.
+    steps, lo, hi = 0, 0.01, cap
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if mid <= radius else (lo, mid)
+        steps += 1
+    return steps
+
+
+@pytest.mark.parametrize(
+    "selector,pair,params,density,tol,table",
+    [
+        # Bisections: sampled circles, then the two-point real-axis table.
+        ("u", JanowskiPair(0.1, -1.0), BesselParams(-0.5, 2.0, 6.0), 256, 1e-4, 129),
+        ("u", JanowskiPair(0.1, -1.0), BesselParams(-0.5, 2.0, 6.0), 9, 1e-6, 5),
+        (*NON_MONOTONE_DRAWS[0], 64, 1e-6, 33),
+        ("starlike-zu", JanowskiPair(0.6, -0.4), BesselParams(-1.3, 2.0, -4.0), 256, 1e-4, 2),
+        ("convexity", JanowskiPair(0.5, -1.0), BesselParams(-0.5, 2.0, 20.0), 256, 1e-6, 2),
+        # 0.0 and the cap, on each table.
+        ("convexity", JanowskiPair(1.0, -1.0), BesselParams(0.5, 2.0, 0.0), 64, 1e-3, 33),
+        ("u", HALF_PAIR, BesselParams(0.0, 2.0, -1.0), 256, 1e-4, 129),
+        ("convexity", HALF_PAIR, BesselParams(0.5, 2.0, -1.0), 256, 1e-4, 2),
+    ],
+)
+def test_property_radius_kernel_calls(monkeypatch, selector, pair, params, density, tol, table):
+    # Calls to the ring kernel as (circles, points per circle): 0.01 and the
+    # cap in one, then one per BISECT_LEVELS levels of the bisection tree.
+    calls = []
+    kernel = verify._ring_sums
+
+    def counted(params, radii, units, *args, **kwargs):
+        calls.append((len(radii), len(units.points)))
+        return kernel(params, radii, units, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "_ring_sums", counted)
+    r = property_radius(selector, pair, params, grid_density=density, tol=tol)
+    assert calls[0] == (2, table)
+    assert all(points == table for _, points in calls)
+    assert all(circles < 2**verify.BISECT_LEVELS for circles, _ in calls)
+    cap = min(0.999, verify._certified_radius(selector, params))
+    cap = cap if cap > 0.01 else 0.999
+    if r in (0.0, cap):
+        assert len(calls) == 1
+    else:
+        steps = _bisection_steps(r, cap, tol)
+        assert steps > verify.BISECT_LEVELS
+        assert len(calls) <= 1 + math.ceil(steps / verify.BISECT_LEVELS), (steps, calls)
+        ref = _reference_property_radius(selector, pair, params, density, tol)
+        assert np.float64(r).view(np.uint64) == np.float64(ref).view(np.uint64)
+
+
 def test_property_radius_holds_on_its_disk_despite_interior_zero():
     # u has a zero near z = -0.21940, where 1 + z u'/u has a pole.
     pair = JanowskiPair(0.6, -0.4)
@@ -860,6 +948,10 @@ def test_admissibility_scan_equals_full_grid_reference():
                 # Over all 201 rows the first maximum is the probe or its mirror.
                 mirror = dataclasses.replace(probe, rho=-probe.rho, z=probe.z.conjugate())
                 assert first in (probe, mirror), where
+    # The subordination slice factors are cached per depth, read-only.
+    factors = verify._slice_factors(5)
+    assert factors is verify._slice_factors(5)
+    assert not any(factor.flags.writeable for factor in factors)
 
 
 def test_admissibility_scan_validation():
