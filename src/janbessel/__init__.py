@@ -40,6 +40,7 @@ _EXPORTS = {
         "SELECTORS",
         "UnknownCorollary",
         "ZeroC",
+        "admissibility_scan",
         "check_convexity_theorem",
         "check_corollary",
         "check_derivative_theorem",
@@ -65,7 +66,6 @@ _EXPORTS = {
         "SampleGrid",
         "ScanRow",
         "VerificationReport",
-        "admissibility_scan",
         "property_radius",
         "region_scan",
         "scan_conflicts",

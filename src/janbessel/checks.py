@@ -37,8 +37,9 @@ The admissibility functional
 eval_psi exposes the functional Psi whose negativity on the admissible set
 { (i rho, sigma, mu + i nu; z) : sigma <= -(1 + rho^2)/2, sigma + mu <= 0 }
 is the engine behind the membership conditions: if Re Psi < 0 there, the
-transformed function has positive real part, which is membership.  The
-numeric verifier scans it directly; here it is a pure formula evaluation.
+transformed function has positive real part, which is membership (Miller
+and Mocanu's admissibility lemma).  admissibility_scan returns the exact
+supremum of Re Psi over the whole set, or +inf, in closed form.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ REGIME_SPLIT_B = 3.0 - 2.0 * math.sqrt(2.0)
 BOUNDARY_EQUALITY_TOL = 1e-12
 
 # Probe invariants are checked with this much slack so probes built from
-# rounded grid arithmetic are not rejected at the constraint boundary.
+# rounded arithmetic are not rejected at the constraint boundary.
 PROBE_SLACK = 1e-12
 
 MODE_CONSERVATIVE = "conservative"
@@ -78,8 +79,6 @@ SELECTORS = (SELECTOR_U, SELECTOR_DERIV, SELECTOR_CONVEXITY, SELECTOR_STARLIKE)
 PSI_SUBORDINATION = "subordination"
 PSI_CONVEXITY = "convexity"
 PSI_FORMS = (PSI_SUBORDINATION, PSI_CONVEXITY)
-# The deepest sigma grid verify.admissibility_scan accepts (about 0.1 s at the limit).
-MAX_SIGMA_DEPTH = 1000
 
 COROLLARY_HALFPLANE_C_RATIO = "halfplane-c-ratio"
 COROLLARY_RE_HALF = "re-half"
@@ -515,21 +514,11 @@ def mccarty_bounds(
     )
 
 
-def _subordination_head(B: float, kappa: float, r, s, t):
-    """The part of the subordination Psi that holds sigma and mu: t - 2(1+B) s^2/den + kappa s."""
-    den = (1.0 - B) + (1.0 + B) * r
-    return t - 2.0 * (1.0 + B) * s * s / den + kappa * s
-
-
-def _subordination_q(A: float, B: float, c: float, r):
-    """q = den ((1-A)+(1+A) r) c, the factor of the subordination z-term q z / (8 (A-B))."""
-    den = (1.0 - B) + (1.0 + B) * r
-    return den * ((1.0 - A) + (1.0 + A) * r) * c
-
-
-def _subordination_z_term(A: float, B: float, c: float, r, z):
-    """The only part of the subordination Psi that holds z: q z / (8 (A-B))."""
-    return _subordination_q(A, B, c, r) * z / (8.0 * (A - B))
+def _subordination_coefficients(A: float, B: float):
+    """(d0, d1, e0, e1, h, w) = (1-B, 1+B, 1-A, 1+A, 2(1+B), 8(A-B)), the real
+    constants of the subordination Psi = t - h s^2 / den + kappa s + den (e0 + e1 r) c z / w,
+    den = d0 + d1 r, read by _psi_formula and admissibility_scan alike."""
+    return 1.0 - B, 1.0 + B, 1.0 - A, 1.0 + A, 2.0 * (1.0 + B), 8.0 * (A - B)
 
 
 def _convexity_coefficients(A: float, B: float, kappa: float, c: float, z):
@@ -544,38 +533,15 @@ def _psi_formula(which: str, A: float, B: float, kappa: float, c: float, r, s, t
     """Psi at r = i rho, s = sigma, t = mu + i nu and the disk point z.
 
     Written with plain arithmetic operators only, so the same expression
-    serves Python scalars and numpy arrays that broadcast together.  The
-    convexity form ignores t.  Callers validate `which`.  The subordination
-    form is head + z-term, summed in that order.
+    serves Python scalars, numpy arrays that broadcast together and mpmath
+    numbers.  The convexity form ignores t.  Callers validate `which`.
     """
     if which == PSI_SUBORDINATION:
-        return _subordination_head(B, kappa, r, s, t) + _subordination_z_term(A, B, c, r, z)
+        d0, d1, e0, e1, h, w = _subordination_coefficients(A, B)
+        den = d0 + d1 * r
+        return (t - h * s * s / den + kappa * s) + den * (e0 + e1 * r) * c * z / w
     f1, f2, f3 = _convexity_coefficients(A, B, kappa, c, z)
     return s + f1 * r * r + f2 * r + f3
-
-
-def _re_convexity_psi(A: float, B: float, kappa: float, c: float, rho, sigma, z):
-    """Re of the convexity Psi at r = i rho, s = sigma and z, in real arithmetic.
-
-    Equal to the real part of _psi_formula("convexity", ..., 1j * rho, sigma,
-    t, z) bit for bit wherever that form's products are finite: r has a zero
-    real part, so each complex product with r has a real part with one
-    nonzero real product, rounded once whether or not the product is fused.
-    """
-    f1, f2, f3 = _convexity_coefficients(A, B, kappa, c, z)
-    return ((sigma - (f1.real * rho) * rho) - f2.imag * rho) + f3.real
-
-
-def _re_subordination_z_term(A: float, B: float, c: float, rho, z):
-    """Re of the subordination z-term q z / (8 (A-B)) at r = i rho, in real arithmetic.
-
-    numpy divides x = q z by the real d = 8 (A-B) as (Re x + Im x * 0) (1/d),
-    so this equals the real part of the complex quotient except that a -0
-    may read +0 there, and that an infinite Im x makes that one NaN.  The
-    head it is added to is never -0, so Re Psi keeps its bits wherever it is
-    finite in the complex form.  z is an array.
-    """
-    return (_subordination_q(A, B, c, 1j * rho) * z).real * (1.0 / (8.0 * (A - B)))
 
 
 def eval_psi(
@@ -613,3 +579,133 @@ def eval_psi(
         )
     t = probe.mu + 1j * probe.nu
     return _psi_formula(which, A, B, float(kappa), float(c), r, probe.sigma, t, probe.z)
+
+
+# Re Psi is linear in z, so its sup over the disk lies on the circle: probes sit this far inside.
+_INSIDE = 1.0 - 2.0**-50
+
+
+def _root(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
+    """A root of f in [lo, hi], given f(lo) > 0 >= f(hi): an exact zero if one is met,
+    else lo once the bracket is one ulp wide.  Illinois steps; one that would leave
+    the open bracket, or a NaN one, bisects instead."""
+    side = 0
+    for _ in range(200):
+        t = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        if not lo < t < hi:
+            t = 0.5 * (lo + hi)
+            if not lo < t < hi:
+                break
+        f_t = f(t)
+        if f_t == 0.0:
+            return t
+        if f_t > 0.0:
+            lo, f_lo, f_hi, side = t, f_t, (f_hi / 2.0 if side > 0 else f_hi), 1
+        else:
+            hi, f_hi, f_lo, side = t, f_t, (f_lo / 2.0 if side < 0 else f_lo), -1
+    return lo
+
+
+def _subordination_g(A: float, B: float, kappa: float, c: float):
+    """(g', slope of g at infinity, z direction at rho) of the subordination form.
+
+    At mu = -sigma, Re Psi = -a sigma^2 + beta sigma + Re(q z) / w with a = h d0 / D,
+    beta = kappa - 1, D = |den|^2 = d0^2 + d1^2 t; sup over z: |q| / w = k sqrt(D E),
+    k = |c| / w, E = e0^2 + e1^2 t.  Where the vertex in sigma lies below s = -(1+t)/2,
+    the sup over sigma rises with t (slope >= beta^2 d1^2 / (4 h d0) > 0), so no
+    maximiser lies there: the supremum is that of g(t) = -a s^2 + beta s + k sqrt(D E),
+    which is concave, as -s^2 / D and sqrt(D E) are.
+    """
+    d0, d1, e0, e1, h, w = _subordination_coefficients(A, B)
+    beta, k = kappa - 1.0, abs(c) / w
+
+    def slope(t):
+        D, E = d0 * d0 + d1 * d1 * t, e0 * e0 + e1 * e1 * t
+        a, s = h * d0 / D, -(1.0 + t) / 2.0
+        head = a * d1 * d1 * s * s / D + a * s - beta / 2.0
+        if k == 0.0:
+            return head
+        root = math.sqrt(D * E)  # zero only at t = 0 with A = 1, where the z-part's slope is +inf
+        return head + (k * (d1 * d1 * E + e1 * e1 * D) / (2.0 * root) if root > 0.0 else math.inf)
+
+    def direction(rho):
+        q = (d0 + d1 * 1j * rho) * (e0 + e1 * 1j * rho) * c
+        return q.real, -q.imag
+
+    if d1 > 0.0:
+        lim = k * d1 * e1 - h * d0 / (4.0 * d1 * d1) - beta / 2.0
+    else:  # B = -1: g = -beta (1+t)/2 + k d0 sqrt(E), unbounded also when beta = 0 < k
+        lim = math.inf if beta == 0.0 and k > 0.0 else -beta / 2.0
+    return slope, lim, direction
+
+
+def _convexity_g(A: float, B: float, kappa: float, c: float):
+    """(g', slope of g at infinity, z direction at rho) of the convexity form.
+
+    With F_j = a_j + b_j z (at z = 1j, F_j = a_j + i b_j), sigma = -(1+t)/2 and
+    z = x + i y, Re Psi = -(1+t)/2 - a1 t + a3 + x (b3 - b1 t) - y b2 rho.  The z-part
+    b1 r^2 + b2 r + b3 is the square c den(r)^2 / (8 (A-B)), of modulus |b1| t + |b3|
+    at r = i rho (b1, b3 have the sign of c), so g = a3 - 1/2 + |b3| + (|b1| - 1/2 - a1) t.
+    """
+    f1, f2, f3 = _convexity_coefficients(A, B, kappa, c, 1j)
+    lim = abs(f1.imag) - 0.5 - f1.real
+    return (lambda t: lim), lim, lambda rho: (f3.imag - f1.imag * rho * rho, -f2.imag * rho)
+
+
+def admissibility_scan(
+    which: str, pair: JanowskiPair, kappa: float, c: float
+) -> tuple[float, AdmissibilityProbe]:
+    """The supremum of Re Psi over the whole admissible set, and a probe.
+
+    Re Psi has slope +1 in mu and none in nu, so mu = -sigma (the convexity
+    form ignores mu; its probe has mu = 0) and nu = 0.  It is linear in z, so
+    its sup over the disk is a modulus, approached on the circle: the probe's
+    z is pulled just inside.  It depends on rho through t = rho^2 only (the
+    probe has rho >= 0), and the supremum is that of a concave or linear
+    g(t), t >= 0, at sigma = -(1+t)/2 (_subordination_g, _convexity_g): at
+    t = 0 or at the one root of g'.
+
+    A finite maximum is eval_psi at the returned probe, bit for bit.  Where
+    g's slope at infinity is positive (for the subordination form this takes
+    in B = -1 with kappa < 1, unbounded in sigma too), returns (+inf, probe)
+    with Re Psi > 0 at the finite probe.  Where that slope is exactly zero and
+    g still rises, the supremum is only approached as rho grows; the value
+    returned, at t = 2^63, lies below it.  Raises ValueError for an unknown
+    form, a non-finite kappa or c, or a non-finite Re Psi at the maximiser.
+    """
+    if which not in PSI_FORMS:
+        raise ValueError(f"unknown functional {which!r}; expected one of {PSI_FORMS}")
+    kappa, c = _finite_kappa_c(kappa, c)
+    g = _subordination_g if which == PSI_SUBORDINATION else _convexity_g
+    slope, lim, direction = g(pair.A, pair.B, kappa, c)
+
+    def probe(t):
+        rho = math.sqrt(t)
+        sigma = -(1.0 + rho * rho) / 2.0  # from rho, as AdmissibilityProbe checks it
+        x, y = direction(rho)
+        m = math.hypot(x, y)
+        if not m < math.inf:
+            raise ValueError(f"Re Psi is not finite at rho = {rho}")
+        z = 0j if m == 0.0 else complex(x / m * _INSIDE, y / m * _INSIDE)
+        return AdmissibilityProbe(rho, sigma, -sigma if which == PSI_SUBORDINATION else 0.0, 0.0, z)
+
+    t, f_t, hi = 0.0, slope(0.0), 1.0
+    while lim <= 0.0 and f_t > 0.0 and hi < 2.0**64:  # g rises at t: bracket g's peak by doubling
+        f_hi = slope(hi)
+        if f_hi <= 0.0:
+            t = _root(slope, t, hi, f_t, f_hi)
+            break
+        t, f_t, hi = hi, f_hi, 2.0 * hi
+    for _ in range(64):  # unbounded: g(t) >= g(0) + lim t, so double t from where that turns positive
+        at = probe(t)
+        value = eval_psi(which, pair, kappa, c, at).real
+        if lim <= 0.0 or value > 0.0:
+            break
+        t = 2.0 * t if t > 0.0 else 1.0 - 2.0 * value / lim
+    else:
+        raise ValueError("Re Psi is unbounded above, yet no probe with Re Psi > 0 was found")
+    if lim > 0.0:
+        return math.inf, at
+    if not math.isfinite(value):
+        raise ValueError(f"Re Psi is not finite at its maximiser: {value}")
+    return value, at

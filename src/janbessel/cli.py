@@ -7,7 +7,7 @@ Verbs
     verify         sampled membership test of a property functional
     radius         bisected property radius for a functional
     scan           (kappa, c) region sweep; JSON or CSV output
-    admissibility  grid maximum of Re Psi over the admissible set
+    admissibility  supremum of Re Psi over the admissible set
     bounds         the three pointwise bounds for i_p at a disk point
 
 Every verb prints a JSON envelope {schema_version, command, timestamp,
@@ -17,11 +17,11 @@ Values starting with a dash need the --flag=value form.
 
 Exit codes: 0 success with a holding/satisfied verdict (or no verdict);
 1 clean completion with a negative verdict (not satisfied, counterexample,
-scan soundness conflicts, nonnegative admissibility maximum, zero radius);
-2 usage errors (including a NaN in a point, a non-finite kappa or c, a
---sigma-depth above MAX_SIGMA_DEPTH, admissibility inputs on which Re Psi
-is not finite and an --output path that cannot be written); 3 numeric
-failures (invalid kappa, series non-convergence).
+scan soundness conflicts, nonnegative or unbounded admissibility supremum,
+zero radius); 2 usage errors (including a NaN in a point, a non-finite
+kappa or c, admissibility inputs on which Re Psi is not finite and an
+--output path that cannot be written); 3 numeric failures (invalid kappa,
+series non-convergence).
 
 The sampling grid of `verify` and `scan` has --radii circles spaced
 geometrically from --min-radius to --max-radius; `--radii 1` samples the
@@ -30,9 +30,11 @@ geometrically from --min-radius to --max-radius; `--radii 1` samples the
 The payload for fixed flags is deterministic: reruns differ only in the
 timestamp field.
 
-`eval`, `check` and `bounds` are pure Python: this module imports `verify`,
-and with it numpy, only inside the handlers of the sampling verbs, so the
-three scalar verbs start without either.
+`eval`, `check`, `bounds` and `admissibility` are pure Python: this module
+imports `verify`, and with it numpy, only inside the handlers of the
+sampling verbs, so the four scalar verbs start without either.  An
+unbounded admissibility supremum is written as "max_re": null, its argmax
+a probe at which Re Psi > 0.
 """
 
 from __future__ import annotations
@@ -56,12 +58,12 @@ from .bessel import (
 )
 from .checks import (
     COROLLARY_IDS,
-    MAX_SIGMA_DEPTH,
     MODE_CONSERVATIVE,
     MODES,
     SELECTORS,
     THEOREM_NAMES,
     CheckOutcome,
+    admissibility_scan,
     check_corollary,
     check_theorem,
     mccarty_bounds,
@@ -286,13 +288,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--format", choices=("json", "csv"), default="json")
     p_scan.set_defaults(handler=_cmd_scan)
 
-    p_adm = sub.add_parser("admissibility", help="grid maximum of Re Psi",
+    p_adm = sub.add_parser("admissibility", help="supremum of Re Psi",
                            parents=[pair, kappa_c, output])
     p_adm.add_argument("--which", choices=("subordination", "convexity"), required=True)
-    p_adm.add_argument("--rho-max", type=float, default=8.0)
-    p_adm.add_argument("--sigma-depth", type=int, default=4,
-                       help=f"sigma slices, 2..{MAX_SIGMA_DEPTH}; --which convexity "
-                       "ignores it, since only its s = 1 slice can attain the maximum")
     p_adm.set_defaults(handler=_cmd_admissibility)
 
     p_bounds = sub.add_parser("bounds", help="pointwise bounds for i_p",
@@ -417,27 +415,15 @@ def _cmd_scan(ns: argparse.Namespace) -> tuple[dict | str, int]:
 
 
 def _cmd_admissibility(ns: argparse.Namespace) -> tuple[dict, int]:
-    from .verify import admissibility_scan
-
     pair = JanowskiPair(A=ns.A, B=ns.B)
-    max_re, probe = admissibility_scan(
-        ns.which, pair, ns.kappa, ns.c, rho_max=ns.rho_max, sigma_depth=ns.sigma_depth
-    )
+    max_re, probe = admissibility_scan(ns.which, pair, ns.kappa, ns.c)
     payload = {
         "which": ns.which,
         "pair": _pair_list(pair),
         "kappa": ns.kappa,
         "c": ns.c,
-        "rho_max": ns.rho_max,
-        "sigma_depth": ns.sigma_depth,
-        "max_re": max_re,
-        "argmax": {
-            "rho": probe.rho,
-            "sigma": probe.sigma,
-            "mu": probe.mu,
-            "nu": probe.nu,
-            "z": _complex_list(probe.z),
-        },
+        "max_re": max_re if math.isfinite(max_re) else None,
+        "argmax": {**vars(probe), "z": _complex_list(probe.z)},  # rho, sigma, mu, nu, z
     }
     return payload, 0 if max_re < 0.0 else 1
 

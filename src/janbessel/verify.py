@@ -38,23 +38,6 @@ no zero inside the circle: w is then analytic on the closed sub-disk, where
 Re w is harmonic and |w - center| subharmonic, so the margin's minimum lies
 on the circle.  This precondition is not checked there (a known defect).
 
-admissibility_scan maximizes Re Psi over a grid of the admissible set
-(sigma at depth multiples of its bound, mu between 0 and -sigma, nu = 0
-since Re Psi never depends on nu); a negative maximum corroborates the sufficient
-conditions' engine.  It returns the full grid's maximum bit for bit while
-evaluating little of the grid.  Its rho and z grids are mirror-exact, so Re
-Psi at (-rho, conj z) is bit-equal to Re Psi at (rho, z) (see Mirror
-symmetry) and only rho >= 0 is evaluated.  In the subordination form z
-enters only through a last summand free of sigma and mu, so, rounding being monotone,
-the maximum over z is taken once per rho, and the sigma- and mu-dependent
-heads of all (sigma, mu) slices are evaluated together as one array, a
-fixed number of slices at a time.  In the convexity form the shallowest
-sigma slice dominates every deeper one elementwise.  Re Psi is formed in
-real arithmetic wherever that is exact: r = i rho has a zero real part, so
-the real part of each complex product with r is a single real product, and
-the real part of numpy's quotient of a complex value by the real 8 (A-B) is
-its real part times 1 / (8 (A-B)) up to the sign of a zero.  Re Psi keeps
-the bits of the complex forms wherever those are finite.
 region_scan sweeps a (kappa, c) rectangle and pairs the checker verdict, any
 applicable corollary verdict, and the sampled verdict cell by cell.
 
@@ -95,23 +78,16 @@ from .checks import (
     COROLLARY_DERIV_RE_HALF,
     COROLLARY_HALFPLANE_C_RATIO,
     COROLLARY_RE_HALF,
-    MAX_SIGMA_DEPTH,
     MODE_CONSERVATIVE,
-    PSI_FORMS,
-    PSI_SUBORDINATION,
     SELECTOR_CONVEXITY,
     SELECTOR_DERIV,
     SELECTOR_STARLIKE,
     SELECTOR_U,
     SELECTORS,
     THEOREM_NAMES,
-    AdmissibilityProbe,
     CheckOutcome,
     ZeroC,
-    _finite_kappa_c,
-    _re_convexity_psi,
-    _re_subordination_z_term,
-    _subordination_head,
+    admissibility_scan,  # defined in checks; also importable from here
     check_corollary,
     check_theorem,
 )
@@ -412,7 +388,8 @@ def property_radius(
     max_radius: float = 0.999,
     cfg: EvalConfig = DEFAULT_CONFIG,
 ) -> float:
-    """Largest radius (within tol) on which membership holds, bisected from 0.01.
+    """Largest radius (within tol, or one ulp where tol is finer) on which
+    membership holds, bisected from 0.01.
 
     Returns 0.0 when even r = 0.01 fails and the cap when the cap is feasible.
     Where a quotient selector's cap min(max_radius, _certified_radius) is
@@ -458,6 +435,8 @@ def property_radius(
     lo, hi = 0.01, cap
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # lo and hi are adjacent floats: tol is below their spacing
+            break
         if mid not in known:
             # Every node the walk can reach in the next BISECT_LEVELS steps.
             nodes, spans = [], [(lo, hi)]
@@ -472,150 +451,6 @@ def property_radius(
         else:
             hi = mid
     return lo
-
-
-def _require_finite(values: np.ndarray) -> None:
-    if not np.isfinite(values).all():
-        raise ValueError("Re Psi is not finite on the admissibility grid")
-
-
-# The admissibility scan's 65 z samples: the origin, then radii
-# 0.25/0.5/0.75/0.95 with 16 angles each (radius-major).
-ADMISSIBILITY_Z = np.concatenate(
-    [np.zeros(1, dtype=complex), SampleGrid(radii=(0.25, 0.5, 0.75, 0.95), angles=16).points()]
-)
-ADMISSIBILITY_Z.flags.writeable = False
-
-# Subordination (sigma, mu) slices are evaluated together, at most this many
-# at a time, so a block's heads hold at most 64 x 101 values at any depth.
-# At MAX_SIGMA_DEPTH (3000 slices) one unblocked array and its temporaries
-# peak near 29 MB; blocks of 64 peak near 1.3 MB and take no longer.
-SLICE_BLOCK = 64
-
-
-@functools.lru_cache(maxsize=8)
-def _admissibility_rows(rho_max: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rho, 1 + rho^2, i rho) at rho = rho_max k / 100, k = 0..100, the scan's rows; read-only."""
-    rhos = rho_max * np.arange(101) / 100.0
-    rows = (rhos, 1.0 + rhos**2, 1j * rhos)
-    for row in rows:
-        row.flags.writeable = False
-    return rows
-
-
-@functools.lru_cache(maxsize=8)
-def _slice_factors(sigma_depth: int) -> tuple[np.ndarray, np.ndarray]:
-    """(sigma factors, mu factors) of the subordination slices: slice k has
-    sigma = -s_factors[k] (1 + rho^2)/2 and mu = -m_factors[k] sigma; read-only."""
-    factors = np.repeat(1.0 + 0.5 * np.arange(sigma_depth), 3), np.tile([0.0, 0.5, 1.0], sigma_depth)
-    for factor in factors:
-        factor.flags.writeable = False
-    return factors
-
-
-def admissibility_scan(
-    which: str,
-    pair: JanowskiPair,
-    kappa: float,
-    c: float,
-    rho_max: float = 8.0,
-    sigma_depth: int = 4,
-) -> tuple[float, AdmissibilityProbe]:
-    """Maximize Re Psi over a grid of the admissible set.
-
-    rho runs over the 201 points +-rho_max k / 100, k = 0..100, the negative
-    ones the exact negations of the positive ones; sigma takes the values
-    -s (1 + rho^2)/2 for s = 1, 1.5, ..., (sigma_depth values); for the
-    subordination form mu runs over {0, -sigma/2, -sigma}; nu is fixed at 0
-    since Re Psi does not involve it.  z runs over ADMISSIBILITY_Z.  The
-    convexity form's answer does not depend on sigma_depth: only its s = 1
-    slice can win (see below), so sigma_depth is only validated there.
-    Returns (max Re Psi, probe attaining it): the first maximum over the
-    rows with rho >= 0 in (sigma, mu) order, and within a slice the first in
-    (rho, z) order.  Its mirror (-rho, conj z) attains the same value.
-
-    The result is bit-equal to evaluating every grid point, with less work:
-
-    * both forms: only the 101 rows with rho >= 0 are evaluated.  IEEE
-      negation is exact, ADMISSIBILITY_Z is mirror-exact, sigma and mu depend
-      on rho^2 only, and numpy's complex operations treat sign flips
-      symmetrically, so Re Psi at (-rho, conj z) is Re Psi at (rho, z).
-    * subordination: Psi = head(rho, sigma, mu) + L(rho, z), where only the
-      last summand L holds z.  Floating-point addition rounds monotonically,
-      so fl(h + max_j Re L_j) = max_j fl(h + Re L_j).  Re L and its row maxima
-      are computed once; the heads of all (sigma, mu) slices are then one
-      (slices x rho) array, taken SLICE_BLOCK slices at a time, and the first
-      argmax over the slice maxima is the first slice whose maximum beats
-      every earlier one.  Only the winning row is summed over z again, for
-      the probe z.
-    * convexity: Psi = ((sigma + F1 r^2) + F2 r) + F3, and the s = 1 sigma is
-      the largest at every rho, so that slice is elementwise >= every deeper
-      one and is the only one evaluated.
-
-    Re Psi is formed in real arithmetic where it can be exactly: r = i rho
-    has a zero real part, so the convexity form's real part is
-    ((sigma - (Re F1 rho) rho) - Im F2 rho) + Re F3, and the subordination
-    z-term's is Re(q z) (1 / (8 (A-B))), each bit-equal to the real part of
-    the complex form wherever that form is finite (see
-    checks._re_convexity_psi and checks._re_subordination_z_term).  The heads stay complex: their quotient by
-    (1-B) + (1+B) r has no exact real form.
-
-    Raises ValueError for an unknown form, a non-finite or non-positive
-    rho_max, a non-finite kappa or c, a sigma_depth that is not an integer in
-    2..MAX_SIGMA_DEPTH, or when Re Psi is not finite on what is evaluated (the
-    subordination z-term and row maxima, or the convexity slice).
-    """
-    if which not in PSI_FORMS:
-        raise ValueError(f"unknown functional {which!r}; expected one of {PSI_FORMS}")
-    if not (math.isfinite(rho_max) and rho_max > 0.0):
-        raise ValueError(f"rho_max must be positive and finite, got {rho_max}")
-    sigma_depth = _count("sigma_depth", sigma_depth)
-    if not 2 <= sigma_depth <= MAX_SIGMA_DEPTH:
-        raise ValueError(f"sigma_depth must lie in 2..{MAX_SIGMA_DEPTH}, got {sigma_depth}")
-    kappa, c = _finite_kappa_c(kappa, c)
-
-    A, B = pair.A, pair.B
-    # Overflow and NaN are reported below as a ValueError, not as warnings.
-    with np.errstate(all="ignore"):
-        rhos, spread, r = _admissibility_rows(rho_max)
-        if which == PSI_SUBORDINATION:
-            tail = _re_subordination_z_term(A, B, c, rhos[:, None], ADMISSIBILITY_Z)
-            _require_finite(tail)
-            tail_max = tail.max(axis=1)
-            s_factors, m_factors = _slice_factors(sigma_depth)
-            best = -math.inf
-            for lo in range(0, s_factors.size, SLICE_BLOCK):
-                sigma = -s_factors[lo : lo + SLICE_BLOCK, None] * spread / 2.0
-                mu = -m_factors[lo : lo + SLICE_BLOCK, None] * sigma
-                head = np.real(_subordination_head(B, kappa, r, sigma, mu))
-                rows = head + tail_max
-                _require_finite(rows)
-                maxima = rows.max(axis=1)
-                k = int(np.argmax(maxima))
-                if maxima[k] > best:
-                    best = maxima[k]
-                    i = int(np.argmax(rows[k]))
-                    win_sigma, win_mu = sigma[k, i], mu[k, i]
-                    win_row = head[k, i] + tail[i]
-        else:
-            # sigma = -s (1 + rho^2)/2 is largest at s = 1 (rounding is
-            # monotone), and Re Psi is nondecreasing in its first summand sigma,
-            # so deeper slices can never beat this one under the strict ">".
-            sigma = -spread / 2.0
-            values = _re_convexity_psi(A, B, kappa, c, rhos[:, None], sigma[:, None], ADMISSIBILITY_Z)
-            _require_finite(values)
-            i = int(np.argmax(values.max(axis=1)))
-            win_sigma, win_mu = sigma[i], 0.0
-            win_row = values[i]
-
-    j = int(np.argmax(win_row))
-    return float(win_row[j]), AdmissibilityProbe(
-        rho=float(rhos[i]),
-        sigma=float(win_sigma),
-        mu=float(win_mu),
-        nu=0.0,
-        z=complex(ADMISSIBILITY_Z[j]),
-    )
 
 
 @dataclass

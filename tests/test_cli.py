@@ -3,12 +3,18 @@
 import argparse
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from janbessel import ScanRow, verify
+from janbessel import AdmissibilityProbe, JanowskiPair, ScanRow, eval_psi
 from janbessel.cli import CSV_HEADER, build_parser, emit_scan_csv, run
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 TIMESTAMP_RE = re.compile(r"^\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}Z$")
 
@@ -62,8 +68,7 @@ VERB_FLAGS = {
              "--format": ("json", False, ("json", "csv"), None), **OUTPUT},
     "admissibility": {"--which": (None, True, ("subordination", "convexity"), None), **PAIR,
                       "--kappa": (None, True, None, "float"), "--c": (None, True, None, "float"),
-                      "--rho-max": (8.0, False, None, "float"),
-                      "--sigma-depth": (4, False, None, "int"), **OUTPUT},
+                      **OUTPUT},
     "bounds": {"--p": (None, True, None, "float"), "--z": (None, True, None, "_parse_complex"),
                **EVAL_CONFIG, **OUTPUT},
 }
@@ -281,15 +286,47 @@ def test_radius_verb(capsys):
     assert doc["payload"]["radius"] == 0.0
 
 
+def test_radius_tol_below_float_spacing_returns():
+    # Below the float spacing near the radius, the bisection's midpoint
+    # rounds to an end; the walk must stop there instead of spinning.  Run
+    # in a child process so that a hang fails the test instead of stalling it.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    argv = ["radius", "--selector", "u", "--A", "0.1", "--B=-1", "--p=-0.5", "--b", "2", "--c", "6",
+            "--tol", "1e-17"]
+    result = subprocess.run([sys.executable, "-m", "janbessel.cli", *argv], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    radius = json.loads(result.stdout)["payload"]["radius"]
+    # The default tol of 1e-4 gives 0.4317012939453125.
+    assert 0.4317012939453125 <= radius <= 0.4317012939453125 + 1e-4
+
+
 def test_admissibility_verb(capsys):
     code, doc = run_json(
         capsys,
         ["admissibility", "--which", "subordination", "--A", "0", "--B=-1", "--kappa", "2", "--c=-1"],
     )
     assert code == 0
-    assert abs(doc["payload"]["max_re"] - (-0.2625)) < 1e-15
+    assert abs(doc["payload"]["max_re"] - (-0.25)) < 1e-15
     probe = doc["payload"]["argmax"]
     assert probe["rho"] == 0.0 and probe["sigma"] == -0.5 and probe["mu"] == 0.5
+
+
+def test_admissibility_unbounded_supremum_is_null_and_exits_one(capsys):
+    # B = -1 with kappa < 1: Re Psi is unbounded in sigma.  The payload
+    # writes the supremum as null, and the argmax is a probe with Re Psi > 0.
+    code, doc = run_json(
+        capsys,
+        ["admissibility", "--which", "subordination", "--A", "0", "--B=-1", "--kappa", "0.5",
+         "--c=-1"],
+    )
+    assert code == 1
+    payload = doc["payload"]
+    assert payload["max_re"] is None
+    probe = payload["argmax"]
+    at = AdmissibilityProbe(probe["rho"], probe["sigma"], probe["mu"], probe["nu"], complex(*probe["z"]))
+    assert eval_psi("subordination", JanowskiPair(0.0, -1.0), 0.5, -1.0, at).real > 0.0
 
 
 @pytest.mark.parametrize(
@@ -297,22 +334,10 @@ def test_admissibility_verb(capsys):
     [
         ["--kappa", "inf", "--c=-1"],
         ["--kappa", "2", "--c", "nan"],
-        ["--kappa", "2", "--c=-1", "--rho-max", "inf"],
-        ["--kappa", "2", "--c=-1", "--rho-max", "1e200"],
     ],
 )
 def test_admissibility_non_finite_input_exits_two(capsys, flags):
     argv = ["admissibility", "--which", "subordination", "--A", "0", "--B=-1"] + flags
-    assert run(argv) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and err.startswith("error: ")
-
-
-def test_admissibility_sigma_depth_above_limit_exits_two(capsys, monkeypatch):
-    # As in test_verify: no grid may be built before the depth is rejected.
-    monkeypatch.setattr(verify, "np", None)
-    argv = ["admissibility", "--which", "subordination", "--A", "0", "--B=-1",
-            "--kappa", "2", "--c=-1", "--sigma-depth", "1000000000"]
     assert run(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ")

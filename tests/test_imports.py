@@ -36,6 +36,8 @@ argvs = [
     ["check", "--corollary", "re-half", "--kappa", "1.5", "--c=-1"],
     ["bounds", "--p", "1", "--z", "0.5,0"],
     ["eval", "--p", "0", "--b", "2", "--c", "1", "--z", "0,0", "--order", "7"],
+    ["admissibility", "--which", "subordination", "--A", "0", "--B=-1", "--kappa", "2", "--c=-1"],
+    ["admissibility", "--which", "convexity", "--A", "0.5", "--B=-0.5", "--kappa", "3", "--c=2"],
 ]
 codes = []
 for argv in argvs:
@@ -55,7 +57,7 @@ HOMES = {
     "checks": (
         "AdmissibilityProbe", "CheckOutcome", "COROLLARY_IDS", "McCartyBounds",
         "MODE_AS_PRINTED", "MODE_CONSERVATIVE", "REGIME_SPLIT_B", "SELECTORS",
-        "UnknownCorollary", "ZeroC", "check_convexity_theorem", "check_corollary",
+        "UnknownCorollary", "ZeroC", "admissibility_scan", "check_convexity_theorem", "check_corollary",
         "check_derivative_theorem", "check_starlike_theorem", "check_subordination_theorem",
         "eval_psi", "mccarty_bounds",
     ),
@@ -65,8 +67,7 @@ HOMES = {
         "region_margin_many", "target_region",
     ),
     "verify": (
-        "SampleGrid", "ScanRow", "VerificationReport", "admissibility_scan",
-        "property_radius", "region_scan", "scan_conflicts", "verify_membership",
+        "SampleGrid", "ScanRow", "VerificationReport", "property_radius", "region_scan", "scan_conflicts", "verify_membership",
     ),
 }
 
@@ -81,7 +82,7 @@ def test_scalar_verbs_load_neither_numpy_nor_verify():
     )
     assert result.returncode == 0, result.stderr
     report = json.loads(result.stdout)
-    assert report["codes"] == [0, 0, 0, 0, 2]
+    assert report["codes"] == [0, 0, 0, 0, 2, 0, 0]
     assert report["stages"] == {"import janbessel": [], "run": []}
 
 

@@ -17,7 +17,9 @@ seed and workload:
   * witnesses that moved, each marked "mirror" (to within 1e-15 of the
     conj of the old witness), "real-axis" (within 1e-15 of the old witness,
     with one of the two exactly real) or "other";
-  * property radii and admissibility maxima that changed, and
+  * property radii and admissibility maxima that changed (maxima that
+    became unbounded, +inf or null, and maxima whose sign flipped are
+    counted apart and left out of the largest |change|), and
     admissibility probes that moved, marked "last-bit" (every coordinate
     within 1e-12 relative and z within 1e-15), "mirror" (rho to -rho and z
     to within 1e-15 of conj z, the rest as for last-bit) or "other";
@@ -235,8 +237,8 @@ def compare(parent, change):
         return ["  the two checkouts ran different items; nothing compared"]
     n = dict.fromkeys(("verdicts", "margins", "margins equal", "values", "values equal",
                        "witnesses", "mirror", "real-axis", "radii", "radii changed", "maxima",
-                       "maxima changed", "probes moved", "probe last-bit", "probe mirror",
-                       "other fields"), 0)
+                       "maxima changed", "maxima unbounded", "maxima sign flipped", "probes moved",
+                       "probe last-bit", "probe mirror", "other fields"), 0)
     margin_delta = value_delta = max_delta = 0.0
     details = []
     for p, c in zip(parent, change):
@@ -278,10 +280,20 @@ def compare(parent, change):
                 details.append(f"  radius {key}: {p['radius']!r} -> {c['radius']!r}")
         if "max_re" in p:
             n["maxima"] += 1
-            if _bits(p["max_re"]) != _bits(c["max_re"]):
+            a, b = p["max_re"], c["max_re"]
+            if _bits(a) != _bits(b):
                 n["maxima changed"] += 1
-                max_delta = max(max_delta, abs(p["max_re"] - c["max_re"]))
-                details.append(f"  admissibility max {key}: {p['max_re']!r} -> {c['max_re']!r}")
+                details.append(f"  admissibility max {key}: {a!r} -> {b!r}")
+                # An unbounded maximum is +inf in the library and null in
+                # the CLI's JSON; neither has a finite |change|.
+                if b is None or not math.isfinite(b):
+                    n["maxima unbounded"] += 1
+                elif a is None or not math.isfinite(a):
+                    pass
+                elif (a < 0.0) != (b < 0.0):
+                    n["maxima sign flipped"] += 1
+                else:
+                    max_delta = max(max_delta, abs(a - b))
             if json.dumps(p["probe"]) != json.dumps(c["probe"]):
                 n["probes moved"] += 1
                 kind = _probe_move(p["probe"], c["probe"])
@@ -301,8 +313,9 @@ def compare(parent, change):
         f"  witnesses moved {n['witnesses']} (mirror {n['mirror']}, real-axis {n['real-axis']}, "
         f"other {n['witnesses'] - n['mirror'] - n['real-axis']})",
         f"  radii changed {n['radii changed']}/{n['radii']}",
-        f"  admissibility maxima changed {n['maxima changed']}/{n['maxima']}, "
-        f"largest |change| {max_delta:.3g}; probes moved {n['probes moved']} "
+        f"  admissibility maxima changed {n['maxima changed']}/{n['maxima']} (became +inf or "
+        f"null {n['maxima unbounded']}, sign flipped {n['maxima sign flipped']}), largest "
+        f"|change| of the rest {max_delta:.3g}; probes moved {n['probes moved']} "
         f"(last-bit {n['probe last-bit']}, mirror {n['probe mirror']}, other "
         f"{n['probes moved'] - n['probe last-bit'] - n['probe mirror']})",
         f"  other fields changed {n['other fields']}",
