@@ -287,6 +287,24 @@ def _radius_powers(radii: tuple[float, ...], n: int):
     return powers
 
 
+def _contract(rows: np.ndarray, radii: tuple[float, ...], table: _PowerTable) -> np.ndarray:
+    """sums[k, i, p] = sum_m rows[k, m] (radii[i] table.points[p])^m, for 2-d rows.
+
+    The rows, scaled by r^m for every radius, are contracted against the
+    table's rows in one np.einsum over its float64 view.  einsum sums each
+    entry on its own, in the order of m, and calls no BLAS (whose bits depend
+    on the batch), so a value depends only on its row, radius and point, and
+    zeros padded onto the end of a row leave its sums bit for bit unchanged.
+    """
+    import numpy as np
+
+    n = rows.shape[1]
+    scaled = rows[:, None, :] * _radius_powers(radii, n)
+    powers = table.rows(n)
+    sums = np.einsum("rk,km->rm", scaled.reshape(-1, n), powers.view(np.float64), optimize=False)
+    return sums.view(complex).reshape(rows.shape[0], len(radii), powers.shape[1])
+
+
 def _ring_sums(
     params: BesselParams,
     radii: tuple[float, ...],
@@ -297,20 +315,11 @@ def _ring_sums(
 ) -> tuple[np.ndarray, int]:
     """u^(lowest..order) at radii[i] * table.points[p]: (values[j, i, p], terms_used).
 
-    u^(j)(r e) = sum_m (a_{m+j} (m+j)!/m! r^m) e^m, so the rows of
-    _series_rows, scaled by r^m for every radius, are contracted against the
-    table's rows in one np.einsum over its float64 view.  einsum sums each
-    entry on its own and calls no BLAS (whose bits depend on the batch), so a
-    value depends only on its radius, point and row.  0 <= lowest <= order <= 3.
+    u^(j)(r e) = sum_m (a_{m+j} (m+j)!/m! r^m) e^m: the rows of _series_rows
+    go through _contract.  0 <= lowest <= order <= 3.
     """
-    import numpy as np
-
     rows = _series_rows(params.kappa, params.c, order, cfg.rel_tol, cfg.max_terms)[lowest:]
-    n = rows.shape[1]
-    scaled = rows[:, None, :] * _radius_powers(radii, n)
-    powers = table.rows(n)
-    sums = np.einsum("rk,km->rm", scaled.reshape(-1, n), powers.view(np.float64), optimize=False)
-    return sums.view(complex).reshape(rows.shape[0], len(radii), powers.shape[1]), n
+    return _contract(rows, radii, table), rows.shape[1]
 
 
 def eval_u_many(

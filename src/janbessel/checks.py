@@ -256,7 +256,9 @@ def check_convexity_theorem(
     """Sufficient condition for 1 + z u''/u' to map the disk into the region.
 
     Applies on pairs with -1 <= B <= 0 < A <= 1; other pairs report
-    branch "out-of-regime" and are never satisfied.  The second inequality
+    branch "out-of-regime" and are never satisfied.  At c = 0, u' vanishes
+    identically and 1 + z u''/u' is undefined, so branch "c=0" is never
+    satisfied either.  The second inequality
     compares the factor product against envelope +/- |coupling| depending on
     mode; only "conservative" (envelope + |coupling|) is strong enough to
     carry the geometric conclusion.
@@ -270,6 +272,13 @@ def check_convexity_theorem(
             branch="out-of-regime",
             slacks=[],
             notes=[f"condition set requires -1 <= B <= 0 < A <= 1, got A={A}, B={B}"],
+        )
+    if c == 0.0:
+        return CheckOutcome(
+            satisfied=False,
+            branch="c=0",
+            slacks=[],
+            notes=["u' vanishes identically at c = 0, so 1 + z u''/u' is undefined"],
         )
     coeff_pos = kappa * (1.0 + B) - (
         (1.0 + B) ** 2 * abs(c) / (4.0 * (A - B)) - (1.0 + A - B)

@@ -39,7 +39,12 @@ Re w is harmonic and |w - center| subharmonic, so the margin's minimum lies
 on the circle.  This precondition is not checked there (a known defect).
 
 region_scan sweeps a (kappa, c) rectangle and pairs the checker verdict, any
-applicable corollary verdict, and the sampled verdict cell by cell.
+applicable corollary verdict, and the sampled verdict cell by cell.  It
+verifies the cells a chunk at a time: the chunk's kernel rows, zero-padded
+to one length, go through one contraction (bessel._contract), and the
+functional, margins and argmins run once per chunk.  A kernel value depends
+only on its row, radius and point, and the rest is elementwise or row-wise,
+so every report is bit for bit verify_membership's for its cell.
 
 Mirror symmetry: A, B, p, b and c are real, so u has real Taylor
 coefficients, every target region is symmetric about the real axis, and in
@@ -72,6 +77,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bessel import BesselParams, EvalConfig, DEFAULT_CONFIG, _count, _PowerTable, _ring_sums
+from .bessel import _contract, _series_rows
 from .bessel import zero_free_radius
 from .checks import (
     COROLLARY_CC_ORDER,
@@ -102,6 +108,10 @@ _SELECTOR_THEOREMS = dict(zip(SELECTORS, THEOREM_NAMES))
 _QUOTIENT_ORDERS = {
     SELECTOR_CONVEXITY: (2, "zero-derivative"),
     SELECTOR_STARLIKE: (1, "zero-value"),
+}
+# The kernel rows (order, lowest) each selector's functional reads.
+_KERNEL_ROWS = {SELECTOR_U: (0, 0), SELECTOR_DERIV: (1, 1)} | {
+    selector: (k, k - 1) for selector, (k, _) in _QUOTIENT_ORDERS.items()
 }
 
 VERDICT_HOLDS = "holds-on-grid"
@@ -234,6 +244,43 @@ class VerificationReport:
     method: str = METHOD_SAMPLED
 
 
+def _deriv_scale(params: BesselParams) -> float:
+    """The factor -4 kappa / c of the deriv-normalized functional; ZeroC at c = 0."""
+    if params.c == 0.0:
+        raise ZeroC("the deriv-normalized functional is undefined at c = 0")
+    return -4.0 * params.kappa / params.c
+
+
+def _functional(
+    selector: str,
+    values: np.ndarray,
+    scale: float | np.ndarray | None,
+    radii: tuple[float, ...],
+    table: _PowerTable,
+) -> tuple[np.ndarray, np.ndarray, str]:
+    """(w, degenerate_mask, reason) from the kernel sums at _points(radii, table).
+
+    values holds the selector's _KERNEL_ROWS, the samples on its last axis,
+    for one cell or a chunk with one cell per row: the one row u or u' as
+    is, the rows (den, num) of a quotient stacked.  scale is _deriv_scale
+    for deriv-normalized (a column for a chunk).  Degenerate entries of w
+    carry the placeholder 1.
+    """
+    if selector == SELECTOR_U:
+        return values, np.zeros(values.shape, dtype=bool), ""
+    if selector == SELECTOR_DERIV:
+        return scale * values, np.zeros(values.shape, dtype=bool), ""
+    den, num = values
+    zs = _points(radii, table)
+    mask = np.abs(den) < DEGENERACY_TOL
+    reason = _QUOTIENT_ORDERS[selector][1]
+    if not mask.any():
+        return 1.0 + zs * num / den, mask, reason
+    safe = np.where(mask, 1.0, den)
+    w = np.where(mask, 1.0, 1.0 + zs * num / safe)
+    return w, mask, reason
+
+
 def _functional_values(
     selector: str,
     params: BesselParams,
@@ -247,42 +294,24 @@ def _functional_values(
     w carry the placeholder 1 and must be ignored by the caller.  One
     _ring_sums call sums only the derivative rows the functional reads.
     """
-    if selector == SELECTOR_U:
-        values = _ring_sums(params, radii, table, 0, cfg)[0].reshape(-1)
-        return values, np.zeros(values.size, dtype=bool), ""
-    if selector == SELECTOR_DERIV:
-        if params.c == 0.0:
-            raise ZeroC("the deriv-normalized functional is undefined at c = 0")
-        values = _ring_sums(params, radii, table, 1, cfg, 1)[0].reshape(-1)
-        return (-4.0 * params.kappa / params.c) * values, np.zeros(values.size, dtype=bool), ""
-    if selector in _QUOTIENT_ORDERS:
-        k, reason = _QUOTIENT_ORDERS[selector]
-        den, num = _ring_sums(params, radii, table, k, cfg, k - 1)[0].reshape(2, -1)
-        zs = _points(radii, table)
-        mask = np.abs(den) < DEGENERACY_TOL
-        if not mask.any():
-            return 1.0 + zs * num / den, mask, reason
-        safe = np.where(mask, 1.0, den)
-        w = np.where(mask, 1.0, 1.0 + zs * num / safe)
-        return w, mask, reason
-    raise ValueError(f"unknown selector {selector!r}; expected one of {SELECTORS}")
+    try:
+        order, lowest = _KERNEL_ROWS[selector]
+    except KeyError:
+        raise ValueError(f"unknown selector {selector!r}; expected one of {SELECTORS}") from None
+    scale = _deriv_scale(params) if selector == SELECTOR_DERIV else None
+    sums = _ring_sums(params, radii, table, order, cfg, lowest)[0]
+    return _functional(selector, sums.reshape((-1,) if order == lowest else (2, -1)), scale, radii, table)
 
 
 def _margins(
-    selector: str,
-    pair: JanowskiPair,
-    region: TargetRegion,
-    params: BesselParams,
-    radii: tuple[float, ...],
-    table: _PowerTable,
-    cfg: EvalConfig,
+    pair: JanowskiPair, region: TargetRegion, w: np.ndarray, mask: np.ndarray, reason: str
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, str]:
-    """(margins, mask, proof_mask, reason) at _points(radii, table); excluded samples get +inf.
+    """(margins, mask, proof_mask, reason) of _functional's (w, mask, reason); excluded samples get +inf.
 
     mask marks zero functional denominators (reason says which), proof_mask
-    the remaining zeros of the proof-side denominator.
+    the remaining zeros of the proof-side denominator.  Elementwise, so w
+    may be one cell's or a chunk's.
     """
-    w, mask, reason = _functional_values(selector, params, radii, table, cfg)
     # Denominator of the proof-side transformed function; a zero would void
     # the nondegeneracy hypothesis behind the checkers.
     proof_mask = (np.abs((1.0 + pair.B) * w - (1.0 + pair.A)) < DEGENERACY_TOL) & ~mask
@@ -291,6 +320,53 @@ def _margins(
     if excluded.any():
         margins = np.where(excluded, np.inf, margins)
     return margins, mask, proof_mask, reason
+
+
+def _axis_report(
+    selector: str, pair: JanowskiPair, params: BesselParams, grid: SampleGrid, margins: np.ndarray, i: int
+) -> VerificationReport:
+    """The real-axis report from the margins of w(r), w(-r), neither degenerate; i is their argmin."""
+    verdict = VERDICT_COUNTEREXAMPLE if margins[i] < 0.0 else VERDICT_HOLDS
+    witness = complex(_points(grid.radii[-1:], _AXIS_UNITS)[i])
+    return VerificationReport(
+        selector, pair, params, verdict, float(margins[i]), witness, grid, [], METHOD_REAL_AXIS
+    )
+
+
+def _sampled_report(
+    selector: str,
+    pair: JanowskiPair,
+    params: BesselParams,
+    grid: SampleGrid,
+    margins: np.ndarray,
+    masks: tuple[np.ndarray, np.ndarray, str],
+    degenerate: bool,
+    idx: int | None,
+) -> VerificationReport:
+    """The sampled report from _margins over the grid's closed upper half.
+
+    masks is (mask, proof_mask, reason) and degenerate whether either mask
+    is set; idx is the first argmin of margins, None when none is finite.
+    """
+    n, rings = grid.angles, len(grid.radii)
+    half = n // 2 + 1
+    hits = []
+    if degenerate:
+        # Mirror the masks onto the full grid, radius-major.
+        mask, proof_mask, reason = masks
+        full = grid.points()
+        for flags, label in ((mask, reason), (proof_mask, "proof-map-pole")):
+            upper = flags.reshape(rings, half)
+            whole = np.concatenate([upper, _lower_twins(upper, n)], axis=1).ravel()
+            hits.extend((complex(z), label) for z in full[whole])
+    if idx is None:
+        min_margin, witness, verdict = math.nan, None, VERDICT_COUNTEREXAMPLE
+    else:
+        min_margin = float(margins[idx])
+        i_radius, i_angle = divmod(idx, half)
+        witness = complex(_points(grid.radii[i_radius : i_radius + 1], _sampled_units(n))[i_angle])
+        verdict = VERDICT_COUNTEREXAMPLE if (hits or min_margin < 0.0) else VERDICT_HOLDS
+    return VerificationReport(selector, pair, params, verdict, min_margin, witness, grid, hits)
 
 
 def verify_membership(
@@ -322,54 +398,18 @@ def verify_membership(
     region = target_region(pair)
     outer = grid.radii[-1:]
     if outer[0] < _certified_radius(selector, params):
-        margins, mask, proof_mask, _ = _margins(selector, pair, region, params, outer, _AXIS_UNITS, cfg)
-        if not (mask.any() or proof_mask.any()):
-            i = int(np.argmin(margins))
-            verdict = VERDICT_COUNTEREXAMPLE if margins[i] < 0.0 else VERDICT_HOLDS
-            witness = complex(_points(outer, _AXIS_UNITS)[i])
-            return VerificationReport(
-                selector, pair, params, verdict, float(margins[i]), witness, grid, [], METHOD_REAL_AXIS
-            )
-    n, rings = grid.angles, len(grid.radii)
-    half = n // 2 + 1
-    table = _sampled_units(n)
-    margins, mask, proof_mask, reason = _margins(selector, pair, region, params, grid.radii, table, cfg)
-    hits = []
-    if mask.any() or proof_mask.any():
-        # Mirror the masks onto the full grid, radius-major.
-        full = grid.points()
-        for flags, label in ((mask, reason), (proof_mask, "proof-map-pole")):
-            upper = flags.reshape(rings, half)
-            whole = np.concatenate([upper, _lower_twins(upper, n)], axis=1).ravel()
-            hits.extend((complex(z), label) for z in full[whole])
-
-    if not np.isfinite(margins).any():
-        return VerificationReport(
-            selector=selector,
-            pair=pair,
-            params=params,
-            verdict=VERDICT_COUNTEREXAMPLE,
-            min_margin=math.nan,
-            witness=None,
-            grid=grid,
-            degeneracy_hits=hits,
+        margins, mask, proof_mask, _ = _margins(
+            pair, region, *_functional_values(selector, params, outer, _AXIS_UNITS, cfg)
         )
-
-    idx = int(np.argmin(margins))
-    min_margin = float(margins[idx])
-    i_radius, i_angle = divmod(idx, half)
-    witness = complex(_points(grid.radii[i_radius : i_radius + 1], table)[i_angle])
-    verdict = VERDICT_COUNTEREXAMPLE if (hits or min_margin < 0.0) else VERDICT_HOLDS
-    return VerificationReport(
-        selector=selector,
-        pair=pair,
-        params=params,
-        verdict=verdict,
-        min_margin=min_margin,
-        witness=witness,
-        grid=grid,
-        degeneracy_hits=hits,
+        if not (mask.any() or proof_mask.any()):
+            return _axis_report(selector, pair, params, grid, margins, int(np.argmin(margins)))
+    table = _sampled_units(grid.angles)
+    margins, mask, proof_mask, reason = _margins(
+        pair, region, *_functional_values(selector, params, grid.radii, table, cfg)
     )
+    degenerate = mask.any() or proof_mask.any()
+    idx = int(np.argmin(margins)) if np.isfinite(margins).any() else None
+    return _sampled_report(selector, pair, params, grid, margins, (mask, proof_mask, reason), degenerate, idx)
 
 
 # property_radius evaluates this many levels of its bisection tree, up to
@@ -422,7 +462,9 @@ def property_radius(
     table, cap = (_AXIS_UNITS, cap) if cap > 0.01 else (_sampled_units(grid_density), max_radius)
 
     def feasible(radii: tuple[float, ...]) -> dict[float, bool]:
-        margins, mask, proof_mask, _ = _margins(selector, pair, region, params, radii, table, cfg)
+        margins, mask, proof_mask, _ = _margins(
+            pair, region, *_functional_values(selector, params, radii, table, cfg)
+        )
         shape = (len(radii), -1)
         ok = ~(mask | proof_mask).reshape(shape).any(axis=1) & (margins.reshape(shape).min(axis=1) > 0.0)
         return dict(zip(radii, ok.tolist()))
@@ -495,6 +537,80 @@ def _matching_corollary(selector: str, pair: JanowskiPair, c: float) -> str | No
     return None
 
 
+# region_scan contracts at most this many sample points (cells times points
+# per cell) in one kernel call: 24 cells of a 10 x 64 grid, 2 of the default
+# grid.  On the criterion-7 rectangles budgets of 2**12 to 2**15 points take
+# the same time, but 2**15 adds 1.3 MB of peak memory and 2**13 none.
+SCAN_CHUNK_POINTS = 1 << 13
+
+
+def _verify_cells(
+    selector: str, pair: JanowskiPair, cells: list[BesselParams], grid: SampleGrid, cfg: EvalConfig
+) -> list[VerificationReport]:
+    """[verify_membership(selector, pair, params, grid, cfg) for params in cells], bit for bit.
+
+    u and deriv-normalized cells are sampled, and convexity and starlike-zu
+    cells whose disk lies below _certified_radius take the real-axis rule on
+    w(r) and w(-r), a chunk of cells per kernel call: their kernel rows,
+    zero-padded to the longest, go through one _contract, and the
+    functional, margins and argmins run once on the chunk.  Every other
+    cell, and every real-axis cell with w(r) or w(-r) degenerate, calls
+    verify_membership.  Kernel rows are fetched cell by cell in order, so
+    the first cell that raises is the one verify_membership raises for first.
+    """
+    region = target_region(pair)
+    quotient = selector in _QUOTIENT_ORDERS
+    if quotient:
+        radii, table = grid.radii[-1:], _AXIS_UNITS
+    else:
+        radii, table = grid.radii, _sampled_units(grid.angles)
+    size = max(1, SCAN_CHUNK_POINTS // (len(radii) * len(table.points)))
+    order, lowest = _KERNEL_ROWS[selector]
+    reports: list[VerificationReport | None] = [None] * len(cells)
+    chunk = []  # (index, params, deriv-normalized scale, kernel rows) per cell
+
+    def flush() -> None:
+        padded = np.zeros((len(chunk), order - lowest + 1, max(rows.shape[1] for *_, rows in chunk)))
+        for c, (*_, rows) in enumerate(chunk):
+            padded[c, :, : rows.shape[1]] = rows
+        sums = _contract(padded.reshape(-1, padded.shape[2]), radii, table).reshape(padded.shape[:2] + (-1,))
+        values = sums[:, 0] if order == lowest else sums.swapaxes(0, 1)
+        scales = None
+        if selector == SELECTOR_DERIV:
+            scales = np.array([scale for _, _, scale, _ in chunk])[:, None]
+        margins, mask, proof_mask, reason = _margins(
+            pair, region, *_functional(selector, values, scales, radii, table)
+        )
+        degenerate = (mask | proof_mask).any(axis=1).tolist()
+        idx = margins.argmin(axis=1).tolist()
+        finite = np.isfinite(margins).any(axis=1).tolist()
+        for c, (i, params, _, _) in enumerate(chunk):
+            if not quotient:
+                masks = (mask[c], proof_mask[c], reason)
+                first = idx[c] if finite[c] else None
+                reports[i] = _sampled_report(
+                    selector, pair, params, grid, margins[c], masks, degenerate[c], first
+                )
+            elif degenerate[c]:
+                reports[i] = verify_membership(selector, pair, params, grid, cfg)
+            else:
+                reports[i] = _axis_report(selector, pair, params, grid, margins[c], idx[c])
+        chunk.clear()
+
+    for i, params in enumerate(cells):
+        if quotient and not radii[0] < _certified_radius(selector, params):
+            reports[i] = verify_membership(selector, pair, params, grid, cfg)
+            continue
+        scale = _deriv_scale(params) if selector == SELECTOR_DERIV else None
+        rows = _series_rows(params.kappa, params.c, order, cfg.rel_tol, cfg.max_terms)[lowest:]
+        chunk.append((i, params, scale, rows))
+        if len(chunk) == size:
+            flush()
+    if chunk:
+        flush()
+    return reports
+
+
 def region_scan(
     selector: str,
     pair: JanowskiPair,
@@ -506,8 +622,12 @@ def region_scan(
 ) -> list[ScanRow]:
     """Sweep a (kappa, c) rectangle; rows are row-major (kappa outer, c inner).
 
-    Each range is (lo, hi, steps) mapped to numpy.linspace.  Cells run in
-    order in the calling thread.
+    Each range is (lo, hi, steps) mapped to numpy.linspace.  The checkers
+    run cell by cell; the reports come from _verify_cells, a chunk of cells
+    per kernel call, bit for bit those of verify_membership cell by cell.
+    A cell whose checker or parameters raise ends the scan with that
+    exception after the cells before it are verified, so a rectangle raises
+    what a cell-by-cell loop would raise first.
     """
     if grid is None:
         grid = _DEFAULT_GRID
@@ -521,24 +641,26 @@ def region_scan(
     theorem = _SELECTOR_THEOREMS[selector]
     kappas = np.linspace(float(k_lo), float(k_hi), k_steps)
     cs = np.linspace(float(c_lo), float(c_hi), c_steps)
-    rows = []
-    for kappa, c in [(float(k), float(c)) for k in kappas for c in cs]:
-        corollary_id = _matching_corollary(selector, pair, c)
-        rows.append(
-            ScanRow(
-                kappa=kappa,
-                c=c,
-                checker=check_theorem(theorem, pair, kappa, c, mode),
-                corollary_id=corollary_id,
-                corollary=(
-                    check_corollary(corollary_id, kappa, c) if corollary_id is not None else None
-                ),
-                report=verify_membership(
-                    selector, pair, _params_for_kappa(kappa, c), grid=grid, cfg=cfg
-                ),
-            )
-        )
-    return rows
+    cells = [(float(k), float(c)) for k in kappas for c in cs]
+    judged, failure = [], None
+    try:
+        for kappa, c in cells:
+            corollary_id = _matching_corollary(selector, pair, c)
+            judged.append((
+                check_theorem(theorem, pair, kappa, c, mode),
+                corollary_id,
+                check_corollary(corollary_id, kappa, c) if corollary_id is not None else None,
+                _params_for_kappa(kappa, c),
+            ))
+    except Exception as exc:  # raised once the cells before it are verified
+        failure = exc
+    reports = _verify_cells(selector, pair, [params for *_, params in judged], grid, cfg)
+    if failure is not None:
+        raise failure
+    return [
+        ScanRow(kappa, c, checker, corollary_id, corollary, report)
+        for (kappa, c), (checker, corollary_id, corollary, _), report in zip(cells, judged, reports)
+    ]
 
 
 def scan_conflicts(rows: list[ScanRow]) -> list[ScanRow]:

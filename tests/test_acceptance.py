@@ -139,9 +139,11 @@ def test_criterion_06_pointwise_bounds():
 
 def test_criterion_07_soundness_sweeps():
     # One sweep per checker family and regime, always >= 500 cells.  The
-    # convexity/starlike sweeps use an even c-step count so the degenerate
-    # c = 0 column (u' identically zero, functional undefined) is never
-    # sampled; the derivative sweeps exclude c = 0 as a precondition.
+    # convexity/starlike sweeps use an even c-step count, so c = 0 is not
+    # sampled; there u' vanishes identically, every convexity sample is
+    # degenerate and the convexity checker reports branch "c=0", not
+    # satisfied, so that column would add no conflict.  The derivative
+    # sweeps exclude c = 0, where the derivative checker raises ZeroC.
     sweeps = [
         ("membership low-B", "u", JanowskiPair(0.5, -0.5), (1.0, 6.0, 25), (-3.0, 3.0, 21)),
         ("membership high-B", "u", JanowskiPair(0.8, 0.3), (1.0, 6.0, 25), (-3.0, 3.0, 21)),

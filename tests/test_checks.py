@@ -162,19 +162,23 @@ def test_c_zero_always_satisfied_at_kappa_one():
         kappa = rng.uniform(1.0, 9.0)
         assert check_subordination_theorem(pair, kappa, 0.0).satisfied
         assert check_starlike_theorem(pair, kappa, 0.0).satisfied
-        if pair.B <= 0.0 < pair.A:
-            assert check_convexity_theorem(pair, kappa, 0.0).satisfied
+        # 1 + z u''/u' is undefined at c = 0, where u' vanishes identically.
+        assert not check_convexity_theorem(pair, kappa, 0.0).satisfied
 
 
 # ----------------------------------------------------------- convexity family
 
 
 def test_convexity_c_zero_case():
-    out = check_convexity_theorem(JanowskiPair(1.0, -1.0), 3.0, 0.0)
-    assert out.satisfied
-    s = slack_map(out)
-    assert s["coefficient-positivity"] == 3.0
-    assert s["product-domination"] == 15.0
+    # u' vanishes identically at c = 0: the functional, and the condition
+    # set, are undefined there, in both modes.
+    for mode in (MODE_CONSERVATIVE, MODE_AS_PRINTED):
+        out = check_convexity_theorem(JanowskiPair(1.0, -1.0), 3.0, 0.0, mode=mode)
+        assert not out.satisfied
+        assert out.branch == "c=0" and out.slacks == []
+        assert out.notes == ["u' vanishes identically at c = 0, so 1 + z u''/u' is undefined"]
+    # Out of regime takes precedence.
+    assert check_convexity_theorem(JanowskiPair(0.5, 0.2), 3.0, 0.0).branch == "out-of-regime"
 
 
 def test_convexity_literal_case_both_modes():

@@ -509,10 +509,10 @@ DEGENERATE_SCAN_ARGS = ["scan", *DEGENERATE_ARGS, "--kappa-range", "1.5:2.5:2", 
 DEGENERATE_SCAN_CSV = """\
 kappa,c,checker,branch,corollary,numeric,min_margin,witness_re,witness_im
 1.5,-1,true,conservative,n/a,holds-on-grid,0.89711557420466315,-0.999,0
-1.5,0,true,conservative,n/a,counterexample,nan,nan,nan
+1.5,0,false,c=0,n/a,counterexample,nan,nan,nan
 1.5,1,true,conservative,n/a,holds-on-grid,0.89711557420466315,0.999,0
 2.5,-1,true,conservative,n/a,holds-on-grid,0.927481108723063,-0.999,0
-2.5,0,true,conservative,n/a,counterexample,nan,nan,nan
+2.5,0,false,c=0,n/a,counterexample,nan,nan,nan
 2.5,1,true,conservative,n/a,holds-on-grid,0.927481108723063,0.999,0
 """
 
@@ -531,10 +531,31 @@ def test_reports_without_a_witness_write_null_margins(capsys):
     assert code == 1
     assert payload["verdict"] == "counterexample"
     assert payload["min_margin"] is None and payload["witness"] is None
-    # The checker holds at c = 0, where every sample is degenerate: conflicts, exit 1.
-    assert run(DEGENERATE_SCAN_ARGS + ["--format", "json"]) == 1
-    rows = _strict_json(capsys.readouterr().out)["payload"]["rows"]
+    # At c = 0 every sample is degenerate and the checker, which has no
+    # functional to speak of there, is not satisfied: no conflict, exit 0.
+    assert run(DEGENERATE_SCAN_ARGS + ["--format", "json"]) == 0
+    payload = _strict_json(capsys.readouterr().out)["payload"]
+    rows = payload["rows"]
+    assert payload["conflicts"] == 0
     assert [row["min_margin"] is None for row in rows] == [False, True, False] * 2
     assert all((row["min_margin"] is None) == (row["witness"] is None) for row in rows)
-    assert run(DEGENERATE_SCAN_ARGS + ["--format", "csv"]) == 1
+    assert run(DEGENERATE_SCAN_ARGS + ["--format", "csv"]) == 0
     assert capsys.readouterr().out == DEGENERATE_SCAN_CSV
+
+
+@pytest.mark.parametrize(
+    "ranges, code, message",
+    [
+        # The derivative checker's message, not the sampled functional's.
+        (["--kappa-range", "1:2:2", "--c-range=-1:1:3"], 2,
+         "error: the normalized derivative (-4 kappa / c) u' is undefined at c = 0\n"),
+        (["--kappa-range=-0.5:0.5:3", "--c-range", "1:2:2"], 3,
+         "error: kappa = 0.0 is within 1e-09 of the excluded value 0\n"),
+    ],
+)
+def test_scan_reports_the_first_failing_cell(capsys, ranges, code, message):
+    argv = ["scan", "--selector", "deriv-normalized", "--A", "0.5", "--B=-0.5",
+            "--radii", "2", "--angles", "8", *ranges]
+    assert run(argv) == code
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == message

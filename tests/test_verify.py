@@ -14,6 +14,7 @@ import pytest
 from janbessel import (
     BesselParams,
     DEFAULT_CONFIG,
+    SELECTORS,
     AdmissibilityProbe,
     CheckOutcome,
     JanowskiPair,
@@ -33,8 +34,8 @@ from janbessel import (
     verify_membership,
 )
 from janbessel import verify
-from janbessel.bessel import _PowerTable, zero_free_radius
-from janbessel.checks import _convexity_coefficients, _psi_formula, _subordination_coefficients
+from janbessel.bessel import EvalConfig, InvalidKappa, NoConvergence, _PowerTable, zero_free_radius
+from janbessel.checks import THEOREM_NAMES, check_theorem, _convexity_coefficients, _psi_formula, _subordination_coefficients
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 HALF_PAIR = JanowskiPair(0.0, -1.0)
@@ -221,7 +222,9 @@ def test_mirror_margins_are_bit_equal():
         for selector, pair, params in _mirror_draws(300 + g, 24):
             table = _PowerTable(verify._ring(n))
             margins, mask, proof, _ = verify._margins(
-                selector, pair, target_region(pair), params, grid.radii, table, DEFAULT_CONFIG
+                pair,
+                target_region(pair),
+                *verify._functional_values(selector, params, grid.radii, table, DEFAULT_CONFIG),
             )
             where = (grid.angles, selector, pair, params)
             for values in (margins, mask, proof):
@@ -714,7 +717,7 @@ def test_real_axis_margin_is_the_least_over_the_dense_grid():
         assert report.method == "real-axis" and report.degeneracy_hits == []
         assert report.witness in (0.999, -0.999)
         margins, mask, proof, _ = verify._margins(
-            selector, pair, target_region(pair), params, grid.radii, table, DEFAULT_CONFIG
+            pair, target_region(pair), *verify._functional_values(selector, params, grid.radii, table, DEFAULT_CONFIG)
         )
         least = float(np.min(margins[~(mask | proof)]))
         assert least >= report.min_margin - 1e-12 * max(1.0, abs(report.min_margin)), (
@@ -1155,6 +1158,135 @@ def test_region_scan_validates_steps():
     assert [(r.kappa, r.c) for r in rows] == [(r.kappa, r.c) for r in region_scan(
         "u", HALF_PAIR, (1.0, 2.0, 3), (-1.0, 0.0, 2), SMALL_GRID
     )]
+
+
+ODD_GRID = SampleGrid(radii=tuple(np.geomspace(0.05, 0.999, 5)), angles=15)
+
+
+def _scan_cell_by_cell(selector, pair, kappa_range, c_range, grid, cfg=DEFAULT_CONFIG):
+    """region_scan as a plain loop: checkers, then verify_membership, one cell at a time."""
+    theorem = dict(zip(SELECTORS, THEOREM_NAMES))[selector]
+    rows = []
+    for k in np.linspace(float(kappa_range[0]), float(kappa_range[1]), kappa_range[2]):
+        for c in np.linspace(float(c_range[0]), float(c_range[1]), c_range[2]):
+            kappa, c = float(k), float(c)
+            corollary_id = verify._matching_corollary(selector, pair, c)
+            checker = check_theorem(theorem, pair, kappa, c)
+            corollary = check_corollary(corollary_id, kappa, c) if corollary_id is not None else None
+            report = verify_membership(selector, pair, verify._params_for_kappa(kappa, c), grid, cfg)
+            rows.append(ScanRow(kappa, c, checker, corollary_id, corollary, report))
+    return rows
+
+
+def _assert_rows_bit_equal(rows, expected):
+    assert len(rows) == len(expected)
+    for row, ref in zip(rows, expected):
+        assert (row.kappa, row.c) == (ref.kappa, ref.c)
+        assert row.checker == ref.checker
+        assert (row.corollary_id, row.corollary) == (ref.corollary_id, ref.corollary)
+        got, want = row.report, ref.report
+        # repr round-trips a float exactly and tells nan, -0.0 and 0.0 apart.
+        assert repr(got.min_margin) == repr(want.min_margin), (row.kappa, row.c)
+        assert repr(got.witness) == repr(want.witness), (row.kappa, row.c)
+        assert (got.verdict, got.method, got.params, got.grid) == (
+            want.verdict, want.method, want.params, want.grid
+        )
+        assert got.degeneracy_hits == want.degeneracy_hits
+
+
+# Rectangles of 20 to 25 cells: more than one 4-cell chunk, not a multiple of it.
+CHUNKED_SCANS = [
+    ("u", HALF_PAIR, (1.0, 5.0, 5), (-3.0, 3.0, 5)),
+    ("u", JanowskiPair(0.8, 0.3), (1.0, 6.0, 5), (-3.0, 3.0, 5)),
+    ("deriv-normalized", JanowskiPair(0.5, -0.5), (0.5, 6.0, 5), (-3.0, -0.25, 5)),
+    # c = 0 is the middle column: every sample degenerate, no real-axis rule.
+    ("convexity", JanowskiPair(0.7, -0.3), (-1.5, 6.0, 5), (-4.0, 4.0, 5)),
+    # kappa <= 0 rows take the sampled fallback.
+    ("starlike-zu", JanowskiPair(0.6, -0.4), (-0.8, 6.0, 5), (-4.0, 4.0, 4)),
+    ("starlike-zu", HALF_PAIR, (-1.7, 2.0, 5), (-30.0, 30.0, 5)),
+]
+
+
+@pytest.mark.parametrize("grid", [SMALL_GRID, ODD_GRID], ids=["16-angles", "15-angles"])
+@pytest.mark.parametrize("selector, pair, kappa_range, c_range", CHUNKED_SCANS)
+def test_region_scan_is_the_cell_by_cell_loop_bit_for_bit(
+    monkeypatch, grid, selector, pair, kappa_range, c_range
+):
+    expected = _scan_cell_by_cell(selector, pair, kappa_range, c_range, grid)
+    points = len(grid.radii) * (grid.angles // 2 + 1)
+    monkeypatch.setattr(verify, "SCAN_CHUNK_POINTS", 4 * (points if selector in ("u", "deriv-normalized") else 2))
+    _assert_rows_bit_equal(region_scan(selector, pair, kappa_range, c_range, grid), expected)
+
+
+@pytest.mark.parametrize("tol", [0.3, 10.0])
+def test_region_scan_is_the_cell_by_cell_loop_on_degenerate_chunks(monkeypatch, tol):
+    # Tolerances this wide mask some samples of many cells (0.3), or every
+    # sample of every cell (10.0), and w(r) or w(-r) of real-axis cells,
+    # which then fall back to the grid.
+    monkeypatch.setattr(verify, "DEGENERACY_TOL", tol)
+    monkeypatch.setattr(verify, "SCAN_CHUNK_POINTS", 3 * 6 * 9)
+    hit_cells = fallbacks = unmarked = 0
+    for selector, pair, kappa_range, c_range in CHUNKED_SCANS:
+        expected = _scan_cell_by_cell(selector, pair, kappa_range, c_range, SMALL_GRID)
+        _assert_rows_bit_equal(region_scan(selector, pair, kappa_range, c_range, SMALL_GRID), expected)
+        hit_cells += sum(bool(row.report.degeneracy_hits) for row in expected)
+        unmarked += sum(math.isnan(row.report.min_margin) for row in expected)
+        fallbacks += sum(
+            row.report.method == "sampled"
+            and SMALL_GRID.radii[-1] < verify._certified_radius(selector, row.report.params)
+            for row in expected
+        )
+    assert hit_cells >= 50 and fallbacks >= 10
+    assert (unmarked == hit_cells) == (tol == 10.0)
+
+
+def test_region_scan_contracts_a_chunk_of_cells_per_kernel_call(monkeypatch):
+    args = ("u", HALF_PAIR, (1.0, 6.0, 20), (-3.0, 3.0, 10), SMALL_GRID)
+    expected = _scan_cell_by_cell(*args)
+    cells_per_call, one_cell_calls = [], []
+    contract = verify._contract
+
+    def counted(rows, radii, table):
+        cells_per_call.append(rows.shape[0])
+        return contract(rows, radii, table)
+
+    monkeypatch.setattr(verify, "_contract", counted)
+    monkeypatch.setattr(verify, "verify_membership", lambda *args: one_cell_calls.append(args))
+    rows = region_scan(*args)
+    # SMALL_GRID samples 6 * 9 points per cell: 8192 // 54 = 151 cells a call.
+    assert verify.SCAN_CHUNK_POINTS == 8192
+    assert len(rows) == 200 and cells_per_call == [151, 49] and one_cell_calls == []
+    _assert_rows_bit_equal(rows, expected)
+
+
+def _raised(call):
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize(
+    "selector, kappa_range, c_range, cfg, expected",
+    [
+        # The derivative checker raises at c = 0 before verify_membership's
+        # own ZeroC could.
+        ("deriv-normalized", (1.0, 2.0, 2), (-1.0, 1.0, 3), DEFAULT_CONFIG,
+         (ZeroC, "the normalized derivative (-4 kappa / c) u' is undefined at c = 0")),
+        ("deriv-normalized", (-0.5, 0.5, 3), (1.0, 2.0, 2), DEFAULT_CONFIG,
+         (InvalidKappa, "kappa = 0.0 is within 1e-09 of the excluded value 0")),
+        ("u", (-0.5, 0.5, 3), (-1.0, 1.0, 2), DEFAULT_CONFIG,
+         (InvalidKappa, "kappa = 0.0 is within 1e-09 of the excluded value 0")),
+        # The second cell's series fails before the third row's kappa does.
+        ("u", (-0.5, 0.5, 3), (0.0, 90.0, 2), EvalConfig(max_terms=8),
+         (NoConvergence, "no tail bound within 8 terms (kappa=-0.5, c=90.0)")),
+    ],
+)
+def test_region_scan_raises_what_the_cell_by_cell_loop_raises_first(
+    selector, kappa_range, c_range, cfg, expected
+):
+    args = (selector, HALF_PAIR, kappa_range, c_range, SMALL_GRID)
+    assert _raised(lambda: _scan_cell_by_cell(*args, cfg=cfg)) == expected
+    assert _raised(lambda: region_scan(*args, cfg=cfg)) == expected
 
 
 def test_scan_conflicts_flags_satisfied_counterexamples():

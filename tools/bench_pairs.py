@@ -18,6 +18,10 @@ were run, the change wins at least nine tenths of them, its median is
 better than the parent's by more than the parent's interquartile range,
 every change run is correct, and in no pair does the change fail a larger
 share of its operations than the parent.  Each run's `correct`, `failed` and `attempted` are printed too.
+For information only, it also prints each side's median of the details
+line's uncalibrated `raw_wall_s` and `raw_op_p50_ms` and of the reference
+units run per batch (`units_per_batch`): a calibrated ratio rests on the
+units, and a side that runs few of them is calibrated by few samples.
 The script only reads what the harness prints; it changes nothing in either
 checkout.  BENCHMARK.json is read from the checkout this script belongs to.
 """
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -36,6 +41,8 @@ ROOT = Path(__file__).resolve().parent.parent
 # at least this share of them.
 CLAIM_MIN_PAIRS = 10
 CLAIM_WIN_SHARE = 0.9
+# Figures of the details line's `calibration` block printed per side.
+RAW_FIELDS = ("raw_wall_s", "raw_op_p50_ms", "units_per_batch")
 
 
 def parse_args(argv):
@@ -55,13 +62,15 @@ def parse_args(argv):
 
 
 def run_once(command, checkout, workload, seed, seconds):
-    """One untraced benchmark run from `checkout`; its summary line as a dict."""
+    """One untraced benchmark run from `checkout`; its summary line as a dict,
+    with the details line's `calibration` block under "calibration"."""
     argv = command + ["--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
                       "--trace", "0"]
     out = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=False)
     if out.returncode != 0:
         raise SystemExit(f"{' '.join(argv)} in {checkout} exited {out.returncode}:\n{out.stderr}")
-    return json.loads(out.stdout.splitlines()[-1])
+    *_, details, summary = out.stdout.splitlines()
+    return {**json.loads(summary), "calibration": json.loads(details).get("calibration", {})}
 
 
 def quartiles(values):
@@ -133,6 +142,12 @@ def main(argv=None):
     for side in ("parent", "change"):
         failed = " ".join(f"{r['failed']}/{r['attempted']}" for r in runs[side])
         print(f"{side:<6} correct {[r['correct'] for r in runs[side]]}  failed {failed}")
+    for side in ("parent", "change"):
+        raw = "  ".join(
+            f"{field} {statistics.median(r['calibration'].get(field, math.nan) for r in runs[side]):.6g}"
+            for field in RAW_FIELDS
+        )
+        print(f"{side:<6} raw medians (information only): {raw}")
     ops_hold = operations_hold(runs["parent"], runs["change"])
     for metric in benchmark["end_to_end"]:
         name = metric["name"]
