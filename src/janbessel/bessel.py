@@ -33,6 +33,12 @@ The sum runs through the first such k with rho < 1/2 and max_j |a_k| k!/(k-j)!
 R^(k-j) / (1-rho) <= rel_tol, so the omitted tail is below rel_tol / 2
 absolutely at every point, or raises NoConvergence at max_terms.
 
+One cell's coefficients come from _coefficients, a Python loop that
+eval_u and the array path both use.  Region scans build those of a whole
+column of (kappa, c) cells in one numpy pass instead (_coefficient_matrix):
+the same IEEE operations in the same order, so the same bits, term counts
+and NoConvergence, without a per-cell Python loop.
+
 Only the array path imports numpy, and it does so when first called: the
 scalar functions (eval_u, the residuals, zero_free_radius) run on the
 standard library alone.
@@ -238,6 +244,42 @@ def _series_rows(kappa: float, c: float, order: int, rel_tol: float, max_terms: 
     rows = np.array(a + [0.0] * order)[index] * weights
     rows.flags.writeable = False
     return rows
+
+
+def _coefficient_matrix(kappas, cs, order: int, rel_tol: float, max_terms: int):
+    """(a, terms) for a column of cells: a[i, :terms[i]] is _coefficients(kappas[i], cs[i], ...)'s a.
+
+    The recurrence and the stopping rule run over every cell at once, one k
+    at a time, with _coefficients' IEEE operations in its order, so each
+    entry is bit for bit its own.  a has max(terms) + order columns, +0.0
+    past each cell's terms: a[:, index] * weights, with _falling_weights(order, n)
+    for n up to max(terms), gathers the _series_rows of every cell, zero-padded
+    to n.  NoConvergence names the first cell that no k below max_terms stops.
+    """
+    import numpy as np
+
+    kappas, cs = np.asarray(kappas, dtype=float), np.asarray(cs, dtype=float)
+    radius = 1.0 + DISK_SLACK
+    step, spread = -cs / 4.0, np.abs(cs) / 4.0 * radius
+    live = np.ones(len(cs))
+    columns, terms = [live], np.zeros(len(cs), dtype=int)  # 0 until the cell stops
+    with np.errstate(over="ignore"):  # as Python floats overflow silently
+        for k in range(1, max_terms):
+            if terms.all():
+                break
+            live = live * (step / ((kappas + k - 1.0) * k))
+            columns.append(np.where(terms > 0, 0.0, live))
+            if k >= order:
+                rho = spread / ((kappas + k) * (k + 1 - order))
+                bound = np.abs(live) * float(math.perm(k, order)) * radius**k
+                stops = (terms == 0) & (kappas + k > 0.0) & (rho < 0.5) & (bound <= rel_tol * (1.0 - rho))
+                terms[stops] = k + 1
+    if not terms.all():
+        i = int(np.argmin(terms))
+        raise NoConvergence(
+            f"no tail bound within {max_terms} terms (kappa={float(kappas[i])}, c={float(cs[i])})"
+        )
+    return np.stack(columns + [np.zeros(len(cs))] * order, axis=1), terms
 
 
 class _PowerTable:

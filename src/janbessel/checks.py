@@ -333,9 +333,10 @@ def check_theorem(
 ) -> CheckOutcome:
     """Run the theorem checker `name` (one of THEOREM_NAMES).
 
-    mode is passed to the convexity and starlike checkers and ignored by
-    the other two.
+    mode must be one of MODES for every theorem; only the convexity and
+    starlike checkers read it.
     """
+    _mode_guard(mode)
     if name == "subordination":
         return check_subordination_theorem(pair, kappa, c)
     if name == "derivative":

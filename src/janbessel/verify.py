@@ -39,12 +39,15 @@ Re w is harmonic and |w - center| subharmonic, so the margin's minimum lies
 on the circle.  This precondition is not checked there (a known defect).
 
 region_scan sweeps a (kappa, c) rectangle and pairs the checker verdict, any
-applicable corollary verdict, and the sampled verdict cell by cell.  It
-verifies the cells a chunk at a time: the chunk's kernel rows, zero-padded
-to one length, go through one contraction (bessel._contract), and the
-functional, margins and argmins run once per chunk.  A kernel value depends
-only on its row, radius and point, and the rest is elementwise or row-wise,
-so every report is bit for bit verify_membership's for its cell.
+applicable corollary verdict, and the sampled verdict cell by cell.  One
+vectorized pass builds the series coefficients of all its cells
+(bessel._coefficient_matrix), and the cells are verified a chunk at a time:
+the chunk's kernel rows, one gather from those coefficients zero-padded to
+one length, go through one contraction (bessel._contract), and the
+functional, margins and argmins run once per chunk.  Each coefficient is
+bit for bit the one-cell path's, a kernel value depends only on its row,
+radius and point, and the rest is elementwise or row-wise, so every report
+is bit for bit verify_membership's for its cell.
 
 Mirror symmetry: A, B, p, b and c are real, so u has real Taylor
 coefficients, every target region is symmetric about the real axis, and in
@@ -77,7 +80,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bessel import BesselParams, EvalConfig, DEFAULT_CONFIG, _count, _PowerTable, _ring_sums
-from .bessel import _contract, _series_rows
+from .bessel import _coefficient_matrix, _contract, _falling_weights
 from .bessel import zero_free_radius
 from .checks import (
     COROLLARY_CC_ORDER,
@@ -551,12 +554,16 @@ def _verify_cells(
 
     u and deriv-normalized cells are sampled, and convexity and starlike-zu
     cells whose disk lies below _certified_radius take the real-axis rule on
-    w(r) and w(-r), a chunk of cells per kernel call: their kernel rows,
-    zero-padded to the longest, go through one _contract, and the
-    functional, margins and argmins run once on the chunk.  Every other
-    cell, and every real-axis cell with w(r) or w(-r) degenerate, calls
-    verify_membership.  Kernel rows are fetched cell by cell in order, so
-    the first cell that raises is the one verify_membership raises for first.
+    w(r) and w(-r), a chunk of cells per kernel call.  One
+    bessel._coefficient_matrix pass builds every cell's coefficients; a
+    chunk's kernel rows are one gather from it, zero-padded to the chunk's
+    longest cell, and go through one _contract, and the functional, margins
+    and argmins run once on the chunk.  Every other cell, and every
+    real-axis cell with w(r) or w(-r) degenerate, calls verify_membership.
+    The pass covers every cell in order, fallbacks too, so it raises the
+    NoConvergence of the first cell whose series fails: the first exception
+    verify_membership raises cell by cell (for deriv-normalized cells given
+    c != 0, which region_scan's checker enforces).
     """
     region = target_region(pair)
     quotient = selector in _QUOTIENT_ORDERS
@@ -566,48 +573,45 @@ def _verify_cells(
         radii, table = grid.radii, _sampled_units(grid.angles)
     size = max(1, SCAN_CHUNK_POINTS // (len(radii) * len(table.points)))
     order, lowest = _KERNEL_ROWS[selector]
+    a, terms = _coefficient_matrix(
+        [params.kappa for params in cells], [params.c for params in cells], order, cfg.rel_tol, cfg.max_terms
+    )
     reports: list[VerificationReport | None] = [None] * len(cells)
-    chunk = []  # (index, params, deriv-normalized scale, kernel rows) per cell
 
-    def flush() -> None:
-        padded = np.zeros((len(chunk), order - lowest + 1, max(rows.shape[1] for *_, rows in chunk)))
-        for c, (*_, rows) in enumerate(chunk):
-            padded[c, :, : rows.shape[1]] = rows
-        sums = _contract(padded.reshape(-1, padded.shape[2]), radii, table).reshape(padded.shape[:2] + (-1,))
+    def verify_chunk(chunk: list[int]) -> None:  # a call: one chunk's arrays are freed before the next's
+        index, weights = _falling_weights(order, int(terms[chunk].max()))
+        rows = a[chunk][:, index[lowest:]] * weights[lowest:]
+        sums = _contract(rows.reshape(-1, rows.shape[2]), radii, table).reshape(rows.shape[:2] + (-1,))
         values = sums[:, 0] if order == lowest else sums.swapaxes(0, 1)
         scales = None
         if selector == SELECTOR_DERIV:
-            scales = np.array([scale for _, _, scale, _ in chunk])[:, None]
+            scales = np.array([_deriv_scale(cells[i]) for i in chunk])[:, None]
         margins, mask, proof_mask, reason = _margins(
             pair, region, *_functional(selector, values, scales, radii, table)
         )
         degenerate = (mask | proof_mask).any(axis=1).tolist()
         idx = margins.argmin(axis=1).tolist()
         finite = np.isfinite(margins).any(axis=1).tolist()
-        for c, (i, params, _, _) in enumerate(chunk):
+        for c, i in enumerate(chunk):
             if not quotient:
                 masks = (mask[c], proof_mask[c], reason)
                 first = idx[c] if finite[c] else None
                 reports[i] = _sampled_report(
-                    selector, pair, params, grid, margins[c], masks, degenerate[c], first
+                    selector, pair, cells[i], grid, margins[c], masks, degenerate[c], first
                 )
             elif degenerate[c]:
-                reports[i] = verify_membership(selector, pair, params, grid, cfg)
+                reports[i] = verify_membership(selector, pair, cells[i], grid, cfg)
             else:
-                reports[i] = _axis_report(selector, pair, params, grid, margins[c], idx[c])
-        chunk.clear()
+                reports[i] = _axis_report(selector, pair, cells[i], grid, margins[c], idx[c])
 
+    chunked = []
     for i, params in enumerate(cells):
         if quotient and not radii[0] < _certified_radius(selector, params):
             reports[i] = verify_membership(selector, pair, params, grid, cfg)
-            continue
-        scale = _deriv_scale(params) if selector == SELECTOR_DERIV else None
-        rows = _series_rows(params.kappa, params.c, order, cfg.rel_tol, cfg.max_terms)[lowest:]
-        chunk.append((i, params, scale, rows))
-        if len(chunk) == size:
-            flush()
-    if chunk:
-        flush()
+        else:
+            chunked.append(i)
+    for start in range(0, len(chunked), size):
+        verify_chunk(chunked[start : start + size])
     return reports
 
 

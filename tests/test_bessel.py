@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -330,11 +331,20 @@ def test_batch_integral_float_counts_are_the_int_counts():
 def test_series_rows_are_the_rounded_term_products():
     # Each coefficient of z^m in u^(j) is the single rounding of
     # perm(m+j, j) * a_{m+j}, signed zeros included (c = 0 makes a_1 = -0.0);
-    # zero past the last term.
-    from janbessel.bessel import _coefficients, _series_rows
+    # zero past the last term.  The column builder of region scans gathers
+    # the same rows from one coefficient matrix for all cells: c = 0 with
+    # kappa in (-3, 0) keeps signed zeros up to the delayed stop, and of two
+    # cells that fail, the first is named.
+    from janbessel.bessel import _coefficient_matrix, _coefficients, _falling_weights, _series_rows
 
-    for kappa, c in ((1.5, 0.0), (-2.7, 3.5), (0.2, -150.0), (40.0, 60.0)):
-        for order in range(4):
+    cells = ((1.5, 0.0), (-2.7, 3.5), (0.2, -150.0), (40.0, 60.0), (-2.5, 0.0), (-0.4, 0.0), (3.0, 150.0))
+    for order in range(4):
+        matrix, terms = _coefficient_matrix(*zip(*cells), order, 1e-14, 300)
+        n = max(terms)
+        assert matrix.shape == (len(cells), n + order) and matrix.dtype == float
+        assert np.signbit(matrix[matrix == 0.0]).any()
+        index, weights = _falling_weights(order, n)
+        for (kappa, c), coefs, count in zip(cells, matrix, terms):
             a, _ = _coefficients(kappa, c, order, 1e-14, 300)
             rows = _series_rows(kappa, c, order, 1e-14, 300)
             assert rows.shape == (order + 1, len(a)) and rows.dtype == float
@@ -345,6 +355,21 @@ def test_series_rows_are_the_rounded_term_products():
                     if m + j < len(a):
                         expected[j, m] = math.perm(m + j, j) * a[m + j]
             assert np.array_equal(rows.view(np.uint64), expected.view(np.uint64))
+            assert count == len(a)
+            assert np.array_equal(coefs[:count].view(np.uint64), np.array(a).view(np.uint64))
+            assert not coefs[count:].view(np.uint64).any()  # +0.0 exactly
+            padded = np.zeros((order + 1, n))
+            padded[:, : len(a)] = rows
+            assert np.array_equal((coefs[index] * weights).view(np.uint64), padded.view(np.uint64))
+        # Cells 1 and 4 stop within 20 terms, 2 and 3 need 26-29; the last
+        # overflows to inf, silently as in Python floats.
+        failing = ((5.0, 1.0), (-0.5, 90.0), (0.7, 100.0), (2.0, -3.0), (2.0, 1e200))
+        with pytest.raises(NoConvergence) as got, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _coefficient_matrix(*zip(*failing), order, 1e-14, 20)
+        with pytest.raises(NoConvergence) as want:
+            _coefficients(-0.5, 90.0, order, 1e-14, 20)
+        assert str(got.value) == str(want.value) == "no tail bound within 20 terms (kappa=-0.5, c=90.0)"
 
 
 def _abs_term_sum(kappa, c, r, j):

@@ -33,7 +33,7 @@ from janbessel import (
     target_region,
     verify_membership,
 )
-from janbessel import verify
+from janbessel import bessel, verify
 from janbessel.bessel import EvalConfig, InvalidKappa, NoConvergence, _PowerTable, zero_free_radius
 from janbessel.checks import THEOREM_NAMES, check_theorem, _convexity_coefficients, _psi_formula, _subordination_coefficients
 
@@ -1252,10 +1252,14 @@ def test_region_scan_contracts_a_chunk_of_cells_per_kernel_call(monkeypatch):
 
     monkeypatch.setattr(verify, "_contract", counted)
     monkeypatch.setattr(verify, "verify_membership", lambda *args: one_cell_calls.append(args))
+    # Cache hits and misses count every bessel._series_rows call, by any name:
+    # the one-cell cache property_radius relies on is neither filled nor evicted.
+    series_rows_calls = bessel._series_rows.cache_info()[:2]
     rows = region_scan(*args)
     # SMALL_GRID samples 6 * 9 points per cell: 8192 // 54 = 151 cells a call.
     assert verify.SCAN_CHUNK_POINTS == 8192
     assert len(rows) == 200 and cells_per_call == [151, 49] and one_cell_calls == []
+    assert bessel._series_rows.cache_info()[:2] == series_rows_calls
     _assert_rows_bit_equal(rows, expected)
 
 
@@ -1279,6 +1283,15 @@ def _raised(call):
         # The second cell's series fails before the third row's kappa does.
         ("u", (-0.5, 0.5, 3), (0.0, 90.0, 2), EvalConfig(max_terms=8),
          (NoConvergence, "no tail bound within 8 terms (kappa=-0.5, c=90.0)")),
+        # The first cell raises: no cell reaches the verifier.
+        ("u", (0.0, 1.0, 2), (-1.0, 1.0, 2), DEFAULT_CONFIG,
+         (InvalidKappa, "kappa = 0.0 is within 1e-09 of the excluded value 0")),
+        ("deriv-normalized", (1.0, 2.0, 2), (0.0, 1.0, 2), DEFAULT_CONFIG,
+         (ZeroC, "the normalized derivative (-4 kappa / c) u' is undefined at c = 0")),
+        # The kappa = 2 cells take the real-axis rule and stop within 14
+        # terms; both kappa = -0.5 cells are sampled fallbacks needing 15.
+        ("starlike-zu", (2.0, -0.5, 2), (-8.0, 6.0, 2), EvalConfig(max_terms=14),
+         (NoConvergence, "no tail bound within 14 terms (kappa=-0.5, c=-8.0)")),
     ],
 )
 def test_region_scan_raises_what_the_cell_by_cell_loop_raises_first(
@@ -1287,6 +1300,16 @@ def test_region_scan_raises_what_the_cell_by_cell_loop_raises_first(
     args = (selector, HALF_PAIR, kappa_range, c_range, SMALL_GRID)
     assert _raised(lambda: _scan_cell_by_cell(*args, cfg=cfg)) == expected
     assert _raised(lambda: region_scan(*args, cfg=cfg)) == expected
+
+
+@pytest.mark.parametrize("selector", SELECTORS)
+def test_region_scan_rejects_an_unknown_mode(selector):
+    # Every theorem checker rejects it, including the two that ignore mode.
+    theorem = dict(zip(SELECTORS, THEOREM_NAMES))[selector]
+    with pytest.raises(ValueError, match="mode must be one of"):
+        check_theorem(theorem, HALF_PAIR, 2.0, -1.0, "bogus")
+    with pytest.raises(ValueError, match="mode must be one of"):
+        region_scan(selector, HALF_PAIR, (1.0, 2.0, 2), (-1.0, -0.5, 2), SMALL_GRID, mode="bogus")
 
 
 def test_scan_conflicts_flags_satisfied_counterexamples():
