@@ -22,10 +22,10 @@ equals sinh(sqrt(z))/sqrt(z).  The parameter b enters only through kappa,
 so triples with equal (kappa, c) define the same function.
 
 Derivatives up to third order come from term-wise differentiation.  Only
-scalar eval_u uses Horner's rule; the array path (_ring_sums, and
-eval_u_many on radius 1) contracts coefficient rows, scaled by r^m per ring
-radius r, against a table of point powers, summing only the rows
-lowest..order that its caller reads.  Both share one term count, fixed a priori: on
+scalar eval_u uses Horner's rule; the array path (_contract, under
+verify's sample circles and eval_u_many on radius 1) contracts coefficient
+rows, scaled by r^m per ring radius r, against a table of point powers,
+summing only the rows lowest..order that its caller reads.  Both share one term count, fixed a priori: on
 |z| <= R = 1 + DISK_SLACK the j-th derivative's term k is at most
 |a_k| k!/(k-j)! R^(k-j), and once kappa + k > 0
 later terms shrink by at most rho = |c| R / (4 (kappa+k)(k+1-order)) per step.
@@ -228,7 +228,7 @@ def _falling_weights(order: int, n: int):
     return index, weights
 
 
-# property_radius asks for the same (kappa, c, order) once a kernel call.
+# A verify_membership then a property_radius call on one cell read the same rows.
 @functools.lru_cache(maxsize=128)
 def _series_rows(kappa: float, c: float, order: int, rel_tol: float, max_terms: int):
     """Read-only (order+1, n): entry [j, m] is a_{m+j} (m+j)!/m!, the coefficient of z^m in u^(j).
@@ -347,23 +347,6 @@ def _contract(rows: np.ndarray, radii: tuple[float, ...], table: _PowerTable) ->
     return sums.view(complex).reshape(rows.shape[0], len(radii), powers.shape[1])
 
 
-def _ring_sums(
-    params: BesselParams,
-    radii: tuple[float, ...],
-    table: _PowerTable,
-    order: int = 0,
-    cfg: EvalConfig = DEFAULT_CONFIG,
-    lowest: int = 0,
-) -> tuple[np.ndarray, int]:
-    """u^(lowest..order) at radii[i] * table.points[p]: (values[j, i, p], terms_used).
-
-    u^(j)(r e) = sum_m (a_{m+j} (m+j)!/m! r^m) e^m: the rows of _series_rows
-    go through _contract.  0 <= lowest <= order <= 3.
-    """
-    rows = _series_rows(params.kappa, params.c, order, cfg.rel_tol, cfg.max_terms)[lowest:]
-    return _contract(rows, radii, table), rows.shape[1]
-
-
 def eval_u_many(
     params: BesselParams,
     zs: np.ndarray,
@@ -376,15 +359,16 @@ def eval_u_many(
     values has shape (order+1-lowest, len(zs)): row i holds the derivative of
     order lowest+i, so rows below `lowest` are neither summed nor returned.
     terms_used follows the a-priori rule of the module docstring for `order`,
-    whatever `lowest` is.  It is _ring_sums on radius 1.0 over a table of zs,
-    so a value does not depend on the rest of the batch nor on the other rows.
+    whatever `lowest` is.  It is _contract of the rows of _series_rows on
+    radius 1.0 over a table of zs, so a value does not depend on the rest of
+    the batch nor on the other rows.
     order and lowest are integers, or floats equal to one, with
     0 <= lowest <= order <= 3; ValueError otherwise.
     """
     order = _count("order", order, MAX_ORDER)
     lowest = _count("lowest", lowest, order)
-    values, terms = _ring_sums(params, (1.0,), _PowerTable(zs), order, cfg, lowest)
-    return values[:, 0, :], terms
+    rows = _series_rows(params.kappa, params.c, order, cfg.rel_tol, cfg.max_terms)[lowest:]
+    return _contract(rows, (1.0,), _PowerTable(zs))[:, 0, :], rows.shape[1]
 
 
 def zero_free_radius(k: float, c: float) -> float:

@@ -38,16 +38,18 @@ no zero inside the circle: w is then analytic on the closed sub-disk, where
 Re w is harmonic and |w - center| subharmonic, so the margin's minimum lies
 on the circle.  This precondition is not checked there (a known defect).
 
-region_scan sweeps a (kappa, c) rectangle and pairs the checker verdict, any
-applicable corollary verdict, and the sampled verdict cell by cell.  One
-vectorized pass builds the series coefficients of all its cells
-(bessel._coefficient_matrix), and the cells are verified a chunk at a time:
-the chunk's kernel rows, one gather from those coefficients zero-padded to
-one length, go through one contraction (bessel._contract), and the
-functional, margins and argmins run once per chunk.  Each coefficient is
-bit for bit the one-cell path's, a kernel value depends only on its row,
-radius and point, and the rest is elementwise or row-wise, so every report
-is bit for bit verify_membership's for its cell.
+Every report comes from one step, _cell_reports: a stack of cells' kernel
+rows goes through one contraction (bessel._contract), the functional and
+the margins, then row-wise flags and argmins.  verify_membership runs it on
+one cell's rows (bessel._series_rows).  region_scan sweeps a (kappa, c)
+rectangle and pairs the checker verdict, any applicable corollary verdict,
+and the sampled verdict cell by cell; one vectorized pass builds the series
+coefficients of all its cells (bessel._coefficient_matrix), and the step
+runs a chunk of cells at a time, on one gather from those coefficients
+zero-padded to one length.  Each coefficient is bit for bit the one-cell
+path's, a kernel value depends only on its row, radius and point, and the
+rest is elementwise or row-wise, so every report is bit for bit
+verify_membership's for its cell.
 
 Mirror symmetry: A, B, p, b and c are real, so u has real Taylor
 coefficients, every target region is symmetric about the real axis, and in
@@ -64,7 +66,7 @@ series call over its grid's upper half, and the first minimum of that half
 in radius-major order is the full grid's first minimum, because each lower
 point comes after its upper twin.  Every sample is radius * unit; each
 angle count has one cached power table of its upper-half unit points
-(bessel._ring_sums).
+(_sampled_units).
 
 Determinism: grids are fixed by their parameters, so identical inputs give
 bit-identical results.  Exact ties go to the first grid point in
@@ -79,8 +81,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import BesselParams, EvalConfig, DEFAULT_CONFIG, _count, _PowerTable, _ring_sums
-from .bessel import _coefficient_matrix, _contract, _falling_weights
+from .bessel import BesselParams, EvalConfig, DEFAULT_CONFIG, _count, _PowerTable
+from .bessel import _coefficient_matrix, _contract, _falling_weights, _series_rows
 from .bessel import zero_free_radius
 from .checks import (
     COROLLARY_CC_ORDER,
@@ -254,62 +256,55 @@ def _deriv_scale(params: BesselParams) -> float:
     return -4.0 * params.kappa / params.c
 
 
-def _functional(
-    selector: str,
-    values: np.ndarray,
-    scale: float | np.ndarray | None,
-    radii: tuple[float, ...],
-    table: _PowerTable,
-) -> tuple[np.ndarray, np.ndarray, str]:
-    """(w, degenerate_mask, reason) from the kernel sums at _points(radii, table).
+def _kernel_rows(selector: str, params: BesselParams, cfg: EvalConfig) -> np.ndarray:
+    """The selector's _KERNEL_ROWS of params' series, lowest first: one cell's stacked rows.
 
-    values holds the selector's _KERNEL_ROWS, the samples on its last axis,
-    for one cell or a chunk with one cell per row: the one row u or u' as
-    is, the rows (den, num) of a quotient stacked.  scale is _deriv_scale
-    for deriv-normalized (a column for a chunk).  Degenerate entries of w
-    carry the placeholder 1.
-    """
-    if selector == SELECTOR_U:
-        return values, np.zeros(values.shape, dtype=bool), ""
-    if selector == SELECTOR_DERIV:
-        return scale * values, np.zeros(values.shape, dtype=bool), ""
-    den, num = values
-    zs = _points(radii, table)
-    mask = np.abs(den) < DEGENERACY_TOL
-    reason = _QUOTIENT_ORDERS[selector][1]
-    if not mask.any():
-        return 1.0 + zs * num / den, mask, reason
-    safe = np.where(mask, 1.0, den)
-    w = np.where(mask, 1.0, 1.0 + zs * num / safe)
-    return w, mask, reason
-
-
-def _functional_values(
-    selector: str,
-    params: BesselParams,
-    radii: tuple[float, ...],
-    table: _PowerTable,
-    cfg: EvalConfig,
-) -> tuple[np.ndarray, np.ndarray, str]:
-    """Map the samples _points(radii, table) through the selected functional.
-
-    Returns (w, degenerate_mask, reason), radius-major.  Degenerate entries of
-    w carry the placeholder 1 and must be ignored by the caller.  One
-    _ring_sums call sums only the derivative rows the functional reads.
+    Raises ValueError for an unknown selector, then ZeroC for
+    deriv-normalized at c = 0, before any series is summed.
     """
     try:
         order, lowest = _KERNEL_ROWS[selector]
     except KeyError:
         raise ValueError(f"unknown selector {selector!r}; expected one of {SELECTORS}") from None
-    scale = _deriv_scale(params) if selector == SELECTOR_DERIV else None
-    sums = _ring_sums(params, radii, table, order, cfg, lowest)[0]
-    return _functional(selector, sums.reshape((-1,) if order == lowest else (2, -1)), scale, radii, table)
+    if selector == SELECTOR_DERIV:
+        _deriv_scale(params)
+    return _series_rows(params.kappa, params.c, order, cfg.rel_tol, cfg.max_terms)[lowest:]
+
+
+def _functional_values(
+    selector: str,
+    rows: np.ndarray,
+    cells: list[BesselParams],
+    radii: tuple[float, ...],
+    table: _PowerTable,
+) -> tuple[np.ndarray, np.ndarray, str]:
+    """Map the samples _points(radii, table) through the selected functional, a row per cell.
+
+    rows stacks the cells' _KERNEL_ROWS in turn, one row a cell or a
+    quotient's two, and one _contract sums them all.  Returns (w,
+    degenerate_mask, reason), shape (cells, samples), radius-major.
+    Degenerate entries of w carry the placeholder 1 and must be ignored by
+    the caller.
+    """
+    sums = _contract(rows, radii, table).reshape(len(rows), -1)
+    if selector in _QUOTIENT_ORDERS:
+        den, num = sums[0::2], sums[1::2]
+        zs = _points(radii, table)
+        mask = np.abs(den) < DEGENERACY_TOL
+        reason = _QUOTIENT_ORDERS[selector][1]
+        if not mask.any():
+            return 1.0 + zs * num / den, mask, reason
+        safe = np.where(mask, 1.0, den)
+        return np.where(mask, 1.0, 1.0 + zs * num / safe), mask, reason
+    if selector == SELECTOR_DERIV:
+        sums = np.array([_deriv_scale(params) for params in cells])[:, None] * sums
+    return sums, np.zeros(sums.shape, dtype=bool), ""
 
 
 def _margins(
     pair: JanowskiPair, region: TargetRegion, w: np.ndarray, mask: np.ndarray, reason: str
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, str]:
-    """(margins, mask, proof_mask, reason) of _functional's (w, mask, reason); excluded samples get +inf.
+    """(margins, mask, proof_mask, reason) of _functional_values' (w, mask, reason); excluded samples get +inf.
 
     mask marks zero functional denominators (reason says which), proof_mask
     the remaining zeros of the proof-side denominator.  Elementwise, so w
@@ -325,51 +320,59 @@ def _margins(
     return margins, mask, proof_mask, reason
 
 
-def _axis_report(
-    selector: str, pair: JanowskiPair, params: BesselParams, grid: SampleGrid, margins: np.ndarray, i: int
-) -> VerificationReport:
-    """The real-axis report from the margins of w(r), w(-r), neither degenerate; i is their argmin."""
-    verdict = VERDICT_COUNTEREXAMPLE if margins[i] < 0.0 else VERDICT_HOLDS
-    witness = complex(_points(grid.radii[-1:], _AXIS_UNITS)[i])
-    return VerificationReport(
-        selector, pair, params, verdict, float(margins[i]), witness, grid, [], METHOD_REAL_AXIS
-    )
-
-
-def _sampled_report(
+def _cell_reports(
     selector: str,
     pair: JanowskiPair,
-    params: BesselParams,
     grid: SampleGrid,
-    margins: np.ndarray,
-    masks: tuple[np.ndarray, np.ndarray, str],
-    degenerate: bool,
-    idx: int | None,
-) -> VerificationReport:
-    """The sampled report from _margins over the grid's closed upper half.
+    cells: list[BesselParams],
+    rows: np.ndarray,
+    radii: tuple[float, ...],
+    table: _PowerTable,
+) -> list[VerificationReport | None]:
+    """Each cell's report on the grid from its stacked kernel rows, as _functional_values takes them.
 
-    masks is (mask, proof_mask, reason) and degenerate whether either mask
-    is set; idx is the first argmin of margins, None when none is finite.
+    On _AXIS_UNITS over the grid's outer radius r: the real-axis report from
+    the margins of w(r) and w(-r), witness r or -r (r on a tie), or None
+    where either is degenerate.  On _sampled_units(grid.angles) over the
+    grid's radii: the sampled report from its closed upper half, hits
+    mirrored onto the full grid, witness the first least-margin sample
+    (none when no margin is finite).  Flags and argmins are taken row-wise,
+    once for all the cells.
     """
-    n, rings = grid.angles, len(grid.radii)
-    half = n // 2 + 1
-    hits = []
-    if degenerate:
-        # Mirror the masks onto the full grid, radius-major.
-        mask, proof_mask, reason = masks
-        full = grid.points()
-        for flags, label in ((mask, reason), (proof_mask, "proof-map-pole")):
-            upper = flags.reshape(rings, half)
-            whole = np.concatenate([upper, _lower_twins(upper, n)], axis=1).ravel()
-            hits.extend((complex(z), label) for z in full[whole])
-    if idx is None:
-        min_margin, witness, verdict = math.nan, None, VERDICT_COUNTEREXAMPLE
-    else:
-        min_margin = float(margins[idx])
-        i_radius, i_angle = divmod(idx, half)
-        witness = complex(_points(grid.radii[i_radius : i_radius + 1], _sampled_units(n))[i_angle])
-        verdict = VERDICT_COUNTEREXAMPLE if (hits or min_margin < 0.0) else VERDICT_HOLDS
-    return VerificationReport(selector, pair, params, verdict, min_margin, witness, grid, hits)
+    margins, mask, proof_mask, reason = _margins(
+        pair, target_region(pair), *_functional_values(selector, rows, cells, radii, table)
+    )
+    degenerate = (mask | proof_mask).any(axis=1).tolist()
+    first = margins.argmin(axis=1)
+    least, idx = margins[np.arange(len(cells)), first].tolist(), first.tolist()
+    if table is _AXIS_UNITS:
+        ends = _points(radii, table).tolist()
+        return [
+            None if hit else VerificationReport(
+                selector, pair, params, VERDICT_COUNTEREXAMPLE if m < 0.0 else VERDICT_HOLDS,
+                m, ends[i], grid, [], METHOD_REAL_AXIS,
+            )
+            for params, hit, m, i in zip(cells, degenerate, least, idx)
+        ]
+    finite = np.isfinite(margins).any(axis=1).tolist()
+    n, half = grid.angles, len(table.points)
+    reports = []
+    for c, params in enumerate(cells):
+        hits = []
+        if degenerate[c]:
+            # Mirror the masks onto the full grid, radius-major.
+            full = grid.points()
+            for flags, label in ((mask[c], reason), (proof_mask[c], "proof-map-pole")):
+                upper = flags.reshape(len(radii), half)
+                whole = np.concatenate([upper, _lower_twins(upper, n)], axis=1).ravel()
+                hits.extend((complex(z), label) for z in full[whole])
+        min_margin, witness = math.nan, None
+        if finite[c]:
+            i_radius, i_angle = divmod(idx[c], half)
+            min_margin, witness = least[c], complex(_points(radii[i_radius : i_radius + 1], table)[i_angle])
+        verdict = VERDICT_COUNTEREXAMPLE if (witness is None or hits or min_margin < 0.0) else VERDICT_HOLDS
+        reports.append(VerificationReport(selector, pair, params, verdict, min_margin, witness, grid, hits))
+    return reports
 
 
 def verify_membership(
@@ -394,25 +397,16 @@ def verify_membership(
     The margin at conj z is bit-equal to the margin at z, so only the closed
     upper half of the grid (angles 0..angles//2) is evaluated, in one series
     call.  The report is bit-equal to evaluating every grid point through the
-    same kernel (bessel._ring_sums).
+    same kernel (bessel._contract).
     """
     if grid is None:
         grid = _DEFAULT_GRID
-    region = target_region(pair)
-    outer = grid.radii[-1:]
-    if outer[0] < _certified_radius(selector, params):
-        margins, mask, proof_mask, _ = _margins(
-            pair, region, *_functional_values(selector, params, outer, _AXIS_UNITS, cfg)
-        )
-        if not (mask.any() or proof_mask.any()):
-            return _axis_report(selector, pair, params, grid, margins, int(np.argmin(margins)))
-    table = _sampled_units(grid.angles)
-    margins, mask, proof_mask, reason = _margins(
-        pair, region, *_functional_values(selector, params, grid.radii, table, cfg)
-    )
-    degenerate = mask.any() or proof_mask.any()
-    idx = int(np.argmin(margins)) if np.isfinite(margins).any() else None
-    return _sampled_report(selector, pair, params, grid, margins, (mask, proof_mask, reason), degenerate, idx)
+    rows = _kernel_rows(selector, params, cfg)
+    if grid.radii[-1] < _certified_radius(selector, params):
+        report = _cell_reports(selector, pair, grid, [params], rows, grid.radii[-1:], _AXIS_UNITS)[0]
+        if report is not None:
+            return report
+    return _cell_reports(selector, pair, grid, [params], rows, grid.radii, _sampled_units(grid.angles))[0]
 
 
 # property_radius evaluates this many levels of its bisection tree, up to
@@ -450,7 +444,7 @@ def property_radius(
     One kernel call tests 0.01 and the cap together; each later one tests
     every node of the next BISECT_LEVELS levels of the bisection tree under
     the walk's (lo, hi).  A value depends only on its radius, point and row
-    (bessel._ring_sums), so each circle's verdict, and the radius, are bit
+    (bessel._contract), so each circle's verdict, and the radius, are bit
     for bit those of testing one circle per call, monotone in r or not.
     """
     grid_density = _count("grid_density", grid_density)
@@ -463,10 +457,11 @@ def property_radius(
     region = target_region(pair)
     cap = min(max_radius, _certified_radius(selector, params))
     table, cap = (_AXIS_UNITS, cap) if cap > 0.01 else (_sampled_units(grid_density), max_radius)
+    rows = _kernel_rows(selector, params, cfg)
 
     def feasible(radii: tuple[float, ...]) -> dict[float, bool]:
         margins, mask, proof_mask, _ = _margins(
-            pair, region, *_functional_values(selector, params, radii, table, cfg)
+            pair, region, *_functional_values(selector, rows, [params], radii, table)
         )
         shape = (len(radii), -1)
         ok = ~(mask | proof_mask).reshape(shape).any(axis=1) & (margins.reshape(shape).min(axis=1) > 0.0)
@@ -510,13 +505,9 @@ class ScanRow:
     report: VerificationReport
 
 
-# b enters the series only through kappa, so scans fix the customary b = 2
-# and recover p from the requested kappa.
-SCAN_B = 2.0
-
-
 def _params_for_kappa(kappa: float, c: float) -> BesselParams:
-    return BesselParams(p=kappa - (SCAN_B + 1.0) / 2.0, b=SCAN_B, c=c)
+    """b enters the series only through kappa = p + (b+1)/2, and b = -1 makes it p exactly."""
+    return BesselParams(p=kappa, b=-1.0, c=c)
 
 
 def _matching_corollary(selector: str, pair: JanowskiPair, c: float) -> str | None:
@@ -557,15 +548,14 @@ def _verify_cells(
     w(r) and w(-r), a chunk of cells per kernel call.  One
     bessel._coefficient_matrix pass builds every cell's coefficients; a
     chunk's kernel rows are one gather from it, zero-padded to the chunk's
-    longest cell, and go through one _contract, and the functional, margins
-    and argmins run once on the chunk.  Every other cell, and every
-    real-axis cell with w(r) or w(-r) degenerate, calls verify_membership.
+    longest cell, and _cell_reports turns them into the chunk's reports.
+    Every other cell, and every real-axis cell with w(r) or w(-r)
+    degenerate, calls verify_membership.
     The pass covers every cell in order, fallbacks too, so it raises the
     NoConvergence of the first cell whose series fails: the first exception
     verify_membership raises cell by cell (for deriv-normalized cells given
     c != 0, which region_scan's checker enforces).
     """
-    region = target_region(pair)
     quotient = selector in _QUOTIENT_ORDERS
     if quotient:
         radii, table = grid.radii[-1:], _AXIS_UNITS
@@ -577,33 +567,6 @@ def _verify_cells(
         [params.kappa for params in cells], [params.c for params in cells], order, cfg.rel_tol, cfg.max_terms
     )
     reports: list[VerificationReport | None] = [None] * len(cells)
-
-    def verify_chunk(chunk: list[int]) -> None:  # a call: one chunk's arrays are freed before the next's
-        index, weights = _falling_weights(order, int(terms[chunk].max()))
-        rows = a[chunk][:, index[lowest:]] * weights[lowest:]
-        sums = _contract(rows.reshape(-1, rows.shape[2]), radii, table).reshape(rows.shape[:2] + (-1,))
-        values = sums[:, 0] if order == lowest else sums.swapaxes(0, 1)
-        scales = None
-        if selector == SELECTOR_DERIV:
-            scales = np.array([_deriv_scale(cells[i]) for i in chunk])[:, None]
-        margins, mask, proof_mask, reason = _margins(
-            pair, region, *_functional(selector, values, scales, radii, table)
-        )
-        degenerate = (mask | proof_mask).any(axis=1).tolist()
-        idx = margins.argmin(axis=1).tolist()
-        finite = np.isfinite(margins).any(axis=1).tolist()
-        for c, i in enumerate(chunk):
-            if not quotient:
-                masks = (mask[c], proof_mask[c], reason)
-                first = idx[c] if finite[c] else None
-                reports[i] = _sampled_report(
-                    selector, pair, cells[i], grid, margins[c], masks, degenerate[c], first
-                )
-            elif degenerate[c]:
-                reports[i] = verify_membership(selector, pair, cells[i], grid, cfg)
-            else:
-                reports[i] = _axis_report(selector, pair, cells[i], grid, margins[c], idx[c])
-
     chunked = []
     for i, params in enumerate(cells):
         if quotient and not radii[0] < _certified_radius(selector, params):
@@ -611,7 +574,12 @@ def _verify_cells(
         else:
             chunked.append(i)
     for start in range(0, len(chunked), size):
-        verify_chunk(chunked[start : start + size])
+        chunk = chunked[start : start + size]
+        index, weights = _falling_weights(order, int(terms[chunk].max()))
+        rows = (a[chunk][:, index[lowest:]] * weights[lowest:]).reshape(-1, index.shape[1])
+        found = _cell_reports(selector, pair, grid, [cells[i] for i in chunk], rows, radii, table)
+        for i, report in zip(chunk, found):
+            reports[i] = verify_membership(selector, pair, cells[i], grid, cfg) if report is None else report
     return reports
 
 

@@ -482,13 +482,21 @@ def _bits(values):
     return np.ascontiguousarray(values, dtype=complex).view(np.uint64)
 
 
+def _kernel_sums(params, radii, table, order):
+    """u^(0..order) at radii[i] * table.points[p] through the array path's kernel, and its term count."""
+    from janbessel.bessel import _contract, _series_rows
+
+    rows = _series_rows(params.kappa, params.c, order, DEFAULT_CONFIG.rel_tol, DEFAULT_CONFIG.max_terms)
+    return _contract(rows, radii, table), rows.shape[1]
+
+
 @pytest.mark.parametrize("kappa", [0.2, 1.5, -0.5, -2.7])
 @pytest.mark.parametrize("c_abs", [1.0, 4.0, 60.0, 150.0])
-def test_ring_sums_match_mpmath_hyp0f1(kappa, c_abs):
+def test_contract_matches_mpmath_hyp0f1(kappa, c_abs):
     # The ring kernel sums (a_k r^k) e^k over a power table of the unit
     # points e; its error obeys the same bound as eval_u_many's, with the
     # terms t_k taken on |z| = r.
-    from janbessel.bessel import _PowerTable, _ring_sums
+    from janbessel.bessel import _PowerTable
 
     eps = np.finfo(float).eps
     radii = (0.5, 0.999, 1.0)
@@ -496,7 +504,7 @@ def test_ring_sums_match_mpmath_hyp0f1(kappa, c_abs):
     for c in (c_abs, -c_abs):
         params = BesselParams(kappa - 1.5, 2.0, c)
         k = params.kappa
-        values, terms = _ring_sums(params, radii, table, order=3)
+        values, terms = _kernel_sums(params, radii, table, 3)
         assert values.shape == (4, len(radii), 8)
         for i, r in enumerate(radii):
             zs = r * table.points
@@ -515,7 +523,7 @@ def test_ring_values_do_not_depend_on_the_other_rings_or_points(n):
     # A ring's values are the same to the bit evaluated alone, among other
     # rings, on the closed upper half of the ring and on the full ring; the
     # lower half of the full ring is the exact conj of the upper half.
-    from janbessel.bessel import _PowerTable, _ring_sums
+    from janbessel.bessel import _PowerTable
 
     rng = np.random.default_rng(n)
     radii = (0.05, 0.3, 0.7, 0.999)
@@ -528,13 +536,13 @@ def test_ring_values_do_not_depend_on_the_other_rings_or_points(n):
         if abs(params.kappa - round(params.kappa)) < 0.05 and params.kappa < 0.5:
             continue
         for order in range(4):
-            together, terms = _ring_sums(params, radii, half_table, order)
-            whole, _ = _ring_sums(params, radii, full_table, order)
+            together, terms = _kernel_sums(params, radii, half_table, order)
+            whole, _ = _kernel_sums(params, radii, full_table, order)
             assert np.array_equal(_bits(whole[:, :, :half]), _bits(together))
             assert np.array_equal(_bits(whole[:, :, lower]), _bits(np.conj(whole[:, :, n - lower])))
             for i, r in enumerate(radii):
                 for table, width in ((half_table, half), (full_table, n)):
-                    alone, alone_terms = _ring_sums(params, (r,), table, order)
+                    alone, alone_terms = _kernel_sums(params, (r,), table, order)
                     assert alone_terms == terms
                     assert np.array_equal(_bits(alone[:, 0]), _bits(whole[:, i, :width]))
 
@@ -570,11 +578,12 @@ def test_power_table_rejects_bad_points(points):
 
 
 @pytest.mark.parametrize("radii", [(), (1.5,), (0.5, -0.1), (math.nan,)])
-def test_ring_sums_reject_radii_outside_the_unit_interval(radii):
-    from janbessel.bessel import _PowerTable, _ring_sums
+def test_contract_rejects_radii_outside_the_unit_interval(radii):
+    from janbessel.bessel import _PowerTable, _contract, _series_rows
 
+    rows = _series_rows(1.5, 1.0, 0, DEFAULT_CONFIG.rel_tol, DEFAULT_CONFIG.max_terms)
     with pytest.raises(ValueError):
-        _ring_sums(BesselParams(0.0, 2.0, 1.0), radii, _PowerTable(np.array([1.0])))
+        _contract(rows, radii, _PowerTable(np.array([1.0])))
 
 
 # ------------------------------------------------------- zero-free radius

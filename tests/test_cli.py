@@ -198,6 +198,18 @@ def test_numeric_failures_exit_three(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("verb", ["verify", "radius"])
+def test_c_zero_exits_two_before_the_series_fails(capsys, verb):
+    # In 4 terms the series cannot converge at kappa = -50.5 (exit 3), but
+    # at c = 0 the normalized derivative is undefined first (exit 2).
+    argv = [verb, "--selector", "deriv-normalized", "--A", "0.5", "--B=-0.5",
+            "--p=-50.5", "--b=-1", "--max-terms", "4"]
+    assert run(argv + ["--c", "1"]) == 3
+    assert "no tail bound" in capsys.readouterr().err
+    assert run(argv + ["--c", "0"]) == 2
+    assert "c = 0" in capsys.readouterr().err
+
+
 def test_check_verdict_exit_codes(capsys):
     code, doc = run_json(
         capsys, ["check", "--theorem", "subordination", "--A", "0", "--B=-1", "--kappa", "2", "--c=-1"]

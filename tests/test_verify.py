@@ -109,6 +109,13 @@ def test_ring_is_mirror_exact(n):
     assert np.array_equal(_bits(rings[:, n - k]), _bits(np.conj(rings[:, k])))
 
 
+def _one_cell_values(selector, params, radii, table):
+    """verify._functional_values of one cell, 1-d: (w, degenerate_mask, reason)."""
+    rows = verify._kernel_rows(selector, params, DEFAULT_CONFIG)
+    w, mask, reason = verify._functional_values(selector, rows, [params], radii, table)
+    return w[0], mask[0], reason
+
+
 def _reference_margins(selector, pair, params, radii, units):
     """Margins at every radius * unit, radius-major (excluded ones +inf), and the hits.
 
@@ -117,7 +124,7 @@ def _reference_margins(selector, pair, params, radii, units):
     """
     table = _PowerTable(units)
     zs = (np.asarray(radii)[:, None] * table.points).ravel()
-    w, mask, reason = verify._functional_values(selector, params, radii, table, DEFAULT_CONFIG)
+    w, mask, reason = _one_cell_values(selector, params, radii, table)
     proof = (np.abs((1.0 + pair.B) * w - (1.0 + pair.A)) < verify.DEGENERACY_TOL) & ~mask
     margins = np.where(mask | proof, np.inf, region_margin_many(target_region(pair), w))
     hits = [(complex(z), reason) for z in zs[mask]]
@@ -224,7 +231,7 @@ def test_mirror_margins_are_bit_equal():
             margins, mask, proof, _ = verify._margins(
                 pair,
                 target_region(pair),
-                *verify._functional_values(selector, params, grid.radii, table, DEFAULT_CONFIG),
+                *_one_cell_values(selector, params, grid.radii, table),
             )
             where = (grid.angles, selector, pair, params)
             for values in (margins, mask, proof):
@@ -304,16 +311,17 @@ def test_verify_membership_mirrors_partial_degeneracies(monkeypatch):
 
 
 def test_one_series_call_per_sampled_cell(monkeypatch):
-    # Calls to the ring kernel as (rings, points per ring): a sampled cell is
-    # one call over its grid's closed upper half, whatever its witness.
+    # Kernel-plus-functional calls as (rings, points per ring): a sampled cell
+    # is one call over its grid's closed upper half, whatever its witness.
     calls = []
-    kernel = verify._ring_sums
+    kernel = verify._functional_values
 
-    def counted(params, radii, table, *args, **kwargs):
+    def counted(selector, rows, cells, radii, table):
+        assert len(cells) == 1
         calls.append((len(radii), len(table.points)))
-        return kernel(params, radii, table, *args, **kwargs)
+        return kernel(selector, rows, cells, radii, table)
 
-    monkeypatch.setattr(verify, "_ring_sums", counted)
+    monkeypatch.setattr(verify, "_functional_values", counted)
     report = verify_membership("u", HALF_PAIR, BesselParams(0.0, 2.0, -1.0))
     assert report.witness.imag == 0.0
     assert calls == [(24, 129)]
@@ -439,6 +447,19 @@ def test_convexity_selector_degenerates_wholesale_at_c_zero():
 def test_deriv_selector_rejects_c_zero():
     with pytest.raises(ZeroC):
         verify_membership("deriv-normalized", HALF_PAIR, BesselParams(0.0, 2.0, 0.0), SMALL_GRID)
+
+
+def test_c_zero_is_rejected_before_the_series_is_summed():
+    # In 4 terms the series cannot converge at kappa = -50.5, and c = 0
+    # voids the normalized derivative: its ZeroC comes first.
+    cfg = EvalConfig(max_terms=4)
+    with pytest.raises(NoConvergence):
+        verify_membership("deriv-normalized", HALF_PAIR, BesselParams(-50.5, -1.0, 1.0), SMALL_GRID, cfg)
+    params = BesselParams(-50.5, -1.0, 0.0)
+    with pytest.raises(ZeroC):
+        verify_membership("deriv-normalized", HALF_PAIR, params, SMALL_GRID, cfg)
+    with pytest.raises(ZeroC):
+        property_radius("deriv-normalized", HALF_PAIR, params, cfg=cfg)
 
 
 def test_unknown_selector_rejected():
@@ -647,16 +668,17 @@ def _bisection_steps(radius, cap, tol):
     ],
 )
 def test_property_radius_kernel_calls(monkeypatch, selector, pair, params, density, tol, table):
-    # Calls to the ring kernel as (circles, points per circle): 0.01 and the
-    # cap in one, then one per BISECT_LEVELS levels of the bisection tree.
+    # Kernel-plus-functional calls as (circles, points per circle): 0.01 and
+    # the cap in one, then one per BISECT_LEVELS levels of the bisection tree.
     calls = []
-    kernel = verify._ring_sums
+    kernel = verify._functional_values
 
-    def counted(params, radii, units, *args, **kwargs):
+    def counted(selector, rows, cells, radii, units):
+        assert len(cells) == 1
         calls.append((len(radii), len(units.points)))
-        return kernel(params, radii, units, *args, **kwargs)
+        return kernel(selector, rows, cells, radii, units)
 
-    monkeypatch.setattr(verify, "_ring_sums", counted)
+    monkeypatch.setattr(verify, "_functional_values", counted)
     r = property_radius(selector, pair, params, grid_density=density, tol=tol)
     assert calls[0] == (2, table)
     assert all(points == table for _, points in calls)
@@ -717,7 +739,7 @@ def test_real_axis_margin_is_the_least_over_the_dense_grid():
         assert report.method == "real-axis" and report.degeneracy_hits == []
         assert report.witness in (0.999, -0.999)
         margins, mask, proof, _ = verify._margins(
-            pair, target_region(pair), *verify._functional_values(selector, params, grid.radii, table, DEFAULT_CONFIG)
+            pair, target_region(pair), *_one_cell_values(selector, params, grid.radii, table)
         )
         least = float(np.min(margins[~(mask | proof)]))
         assert least >= report.min_margin - 1e-12 * max(1.0, abs(report.min_margin)), (
@@ -732,10 +754,8 @@ def test_real_axis_values_are_the_grid_values_at_angles_zero_and_pi(n):
     grid = SampleGrid(radii=tuple(np.geomspace(0.05, 0.999, 10)), angles=n)
     table = _PowerTable(verify._ring(n))
     for selector, pair, params in _certified_draws(62 + n, 12):
-        w_axis, _, _ = verify._functional_values(
-            selector, params, (0.999,), verify._AXIS_UNITS, DEFAULT_CONFIG
-        )
-        w_grid, _, _ = verify._functional_values(selector, params, grid.radii, table, DEFAULT_CONFIG)
+        w_axis, _, _ = _one_cell_values(selector, params, (0.999,), verify._AXIS_UNITS)
+        w_grid, _, _ = _one_cell_values(selector, params, grid.radii, table)
         ring = w_grid.reshape(len(grid.radii), n)[-1]
         assert np.array_equal(_bits(w_axis), _bits(ring[[0, n // 2]])), (selector, pair, params)
 
@@ -1238,6 +1258,18 @@ def test_region_scan_is_the_cell_by_cell_loop_on_degenerate_chunks(monkeypatch, 
         )
     assert hit_cells >= 50 and fallbacks >= 10
     assert (unmarked == hit_cells) == (tol == 10.0)
+
+
+def test_region_scan_cells_evaluate_the_series_at_the_grid_kappa():
+    # Every report's params carry the row's kappa to the bit, sampled,
+    # real-axis and fallback cells alike, where p = kappa - 1.5 with b = 2
+    # would miss it by an ulp on some rows.
+    missed = 0
+    for selector, pair, kappa_range, c_range in CHUNKED_SCANS + [("u", HALF_PAIR, (0.1, 3.0, 10), (-3.0, 3.0, 3))]:
+        for row in region_scan(selector, pair, kappa_range, c_range, SMALL_GRID):
+            assert row.report.params.kappa == row.kappa, (selector, row.kappa, row.report.params)
+            missed += (row.kappa - 1.5) + 1.5 != row.kappa
+    assert missed >= 10
 
 
 def test_region_scan_contracts_a_chunk_of_cells_per_kernel_call(monkeypatch):
