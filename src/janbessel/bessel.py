@@ -352,22 +352,18 @@ def eval_u_many(
     zs: np.ndarray,
     order: int = 0,
     cfg: EvalConfig = DEFAULT_CONFIG,
-    lowest: int = 0,
 ) -> tuple[np.ndarray, int]:
     """Vectorized eval_u over a 1-d array of disk points; (values, terms_used).
 
-    values has shape (order+1-lowest, len(zs)): row i holds the derivative of
-    order lowest+i, so rows below `lowest` are neither summed nor returned.
-    terms_used follows the a-priori rule of the module docstring for `order`,
-    whatever `lowest` is.  It is _contract of the rows of _series_rows on
-    radius 1.0 over a table of zs, so a value does not depend on the rest of
-    the batch nor on the other rows.
-    order and lowest are integers, or floats equal to one, with
-    0 <= lowest <= order <= 3; ValueError otherwise.
+    values has shape (order+1, len(zs)): row j holds the derivative of order
+    j.  terms_used follows the a-priori rule of the module docstring.  It is
+    _contract of the rows of _series_rows on radius 1.0 over a table of zs,
+    so a value does not depend on the rest of the batch nor on the other
+    rows.  order is an integer, or a float equal to one, in 0..3;
+    ValueError otherwise.
     """
     order = _count("order", order, MAX_ORDER)
-    lowest = _count("lowest", lowest, order)
-    rows = _series_rows(params.kappa, params.c, order, cfg.rel_tol, cfg.max_terms)[lowest:]
+    rows = _series_rows(params.kappa, params.c, order, cfg.rel_tol, cfg.max_terms)
     return _contract(rows, (1.0,), _PowerTable(zs))[:, 0, :], rows.shape[1]
 
 

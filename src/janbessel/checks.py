@@ -29,6 +29,8 @@ Condition families
   The starlike condition set equals the convexity set with kappa lowered by
   one, matching the identity z (z u_p)' / (z u_p) = 1 + z u''_{p-1} / u'_{p-1}.
 * check_corollary evaluates four ready-made half-plane specializations.
+* PROPERTIES maps each selector (SELECTORS: u, deriv-normalized, convexity,
+  starlike-zu) to its theorem (THEOREM_NAMES) and its corollaries.
 * mccarty_bounds evaluates three classical pointwise bounds for the modified
   spherical case (b = 2, c = -1).
 
@@ -66,16 +68,6 @@ MODE_CONSERVATIVE = "conservative"
 MODE_AS_PRINTED = "as-printed"
 MODES = (MODE_CONSERVATIVE, MODE_AS_PRINTED)
 
-THEOREM_NAMES = ("subordination", "derivative", "convexity", "starlike")
-
-# The property functionals the sampling verifier tests, one per theorem above
-# and in the same order (see `verify`).
-SELECTOR_U = "u"
-SELECTOR_DERIV = "deriv-normalized"
-SELECTOR_CONVEXITY = "convexity"
-SELECTOR_STARLIKE = "starlike-zu"
-SELECTORS = (SELECTOR_U, SELECTOR_DERIV, SELECTOR_CONVEXITY, SELECTOR_STARLIKE)
-
 PSI_SUBORDINATION = "subordination"
 PSI_CONVEXITY = "convexity"
 PSI_FORMS = (PSI_SUBORDINATION, PSI_CONVEXITY)
@@ -90,6 +82,22 @@ COROLLARY_IDS = (
     COROLLARY_CC_ORDER,
     COROLLARY_DERIV_RE_HALF,
 )
+
+# The property functionals the sampling verifier tests (see `verify`).
+SELECTOR_U = "u"
+SELECTOR_DERIV = "deriv-normalized"
+SELECTOR_CONVEXITY = "convexity"
+SELECTOR_STARLIKE = "starlike-zu"
+# Each selector's theorem, whose conclusion it samples, and the corollaries
+# that specialise that theorem to a half-plane, fixed-pair ones first.
+PROPERTIES = {
+    SELECTOR_U: ("subordination", (COROLLARY_RE_HALF, COROLLARY_HALFPLANE_C_RATIO)),
+    SELECTOR_DERIV: ("derivative", (COROLLARY_DERIV_RE_HALF, COROLLARY_CC_ORDER)),
+    SELECTOR_CONVEXITY: ("convexity", ()),
+    SELECTOR_STARLIKE: ("starlike", ()),
+}
+SELECTORS = tuple(PROPERTIES)
+THEOREM_NAMES = tuple(theorem for theorem, _ in PROPERTIES.values())
 
 
 class ZeroC(ValueError):
@@ -348,6 +356,14 @@ def check_theorem(
     raise ValueError(f"unknown theorem {name!r}; expected one of {THEOREM_NAMES}")
 
 
+def _half_plane(A: float, bound: float, c: float, notes: list[str]):
+    """(JanowskiPair(A, -1), bound), or (None, None) and a note where A rounds to -1."""
+    if A > -1.0:
+        return JanowskiPair(A=A, B=-1.0), bound
+    notes.append(f"implied half-plane undefined at c = {c}: its A rounds to -1")
+    return None, None
+
+
 def check_corollary(which: str, kappa: float, c: float) -> CheckOutcome:
     """Evaluate one of the four ready-made half-plane specializations.
 
@@ -360,7 +376,7 @@ def check_corollary(which: str, kappa: float, c: float) -> CheckOutcome:
     deriv-re-half:     c != 0 and kappa >= |c|/2  gives  Re (-4 kappa/c) u' > 1/2.
 
     The implied half-plane is reported as implied_pair / conclusion_bound
-    whenever it is well defined.
+    whenever it is well defined: not where the c-dependent A rounds to -1.
     """
     kappa, c = _finite_kappa_c(kappa, c)
     if which == COROLLARY_HALFPLANE_C_RATIO:
@@ -372,8 +388,7 @@ def check_corollary(which: str, kappa: float, c: float) -> CheckOutcome:
         if c == 1.0:
             notes.append("implied half-plane undefined at c = 1 (bound c/(c-1) degenerates)")
         elif c <= 0.0:
-            implied = JanowskiPair(A=-(c + 1.0) / (c - 1.0), B=-1.0)
-            bound = c / (c - 1.0)
+            implied, bound = _half_plane(-(c + 1.0) / (c - 1.0), c / (c - 1.0), c, notes)
         else:
             notes.append("implied half-plane reported only for c <= 0")
         return CheckOutcome(
@@ -417,13 +432,14 @@ def check_corollary(which: str, kappa: float, c: float) -> CheckOutcome:
             branch = "c<-1"
             threshold = max(c * (c + 1.0) / 2.0, c / (2.0 * (c + 1.0)))
         slacks = [("kappa-margin", kappa - threshold)]
+        implied, bound = _half_plane(-(c + 2.0) / c, (c + 1.0) / c, c, notes)
         return CheckOutcome(
             satisfied=slacks[0][1] >= 0.0,
             branch=branch,
             slacks=slacks,
             notes=notes,
-            implied_pair=JanowskiPair(A=-(c + 2.0) / c, B=-1.0),
-            conclusion_bound=(c + 1.0) / c,
+            implied_pair=implied,
+            conclusion_bound=bound,
         )
     if which == COROLLARY_DERIV_RE_HALF:
         if c == 0.0:
@@ -693,6 +709,8 @@ def admissibility_scan(
         rho = math.sqrt(t)
         sigma = -(1.0 + rho * rho) / 2.0  # from rho, as AdmissibilityProbe checks it
         x, y = direction(rho)
+        if max(abs(x), abs(y)) < 2.0**-900:  # x / hypot(x, y) is inexact where x, y are subnormal
+            x, y = x * 2.0**900, y * 2.0**900
         m = math.hypot(x, y)
         if not m < math.inf:
             raise ValueError(f"Re Psi is not finite at rho = {rho}")

@@ -2,7 +2,8 @@
 
 The checkers in `checks` assert sufficient conditions; this module tests the
 conclusions themselves by brute force.  Four property functionals of the
-series u are supported, all normalized to 1 at z = 0:
+series u are supported (checks.SELECTORS, in this order), all normalized
+to 1 at z = 0:
 
     u               the function itself,
     deriv-normalized  (-4 kappa / c) u',
@@ -42,14 +43,16 @@ Every report comes from one step, _cell_reports: a stack of cells' kernel
 rows goes through one contraction (bessel._contract), the functional and
 the margins, then row-wise flags and argmins.  verify_membership runs it on
 one cell's rows (bessel._series_rows).  region_scan sweeps a (kappa, c)
-rectangle and pairs the checker verdict, any applicable corollary verdict,
-and the sampled verdict cell by cell; one vectorized pass builds the series
-coefficients of all its cells (bessel._coefficient_matrix), and the step
-runs a chunk of cells at a time, on one gather from those coefficients
-zero-padded to one length.  Each coefficient is bit for bit the one-cell
-path's, a kernel value depends only on its row, radius and point, and the
-rest is elementwise or row-wise, so every report is bit for bit
-verify_membership's for its cell.
+rectangle and pairs the checker verdict, any matching corollary verdict,
+and the sampled verdict cell by cell.  Where B = -1 the row keeps the
+selector's first corollary in checks.PROPERTIES (fixed-pair ones first)
+whose check_corollary implied_pair has the pair's A to within 1e-12.  One
+vectorized pass builds the series coefficients of all its cells
+(bessel._coefficient_matrix), and the step runs a chunk of cells at a
+time, on one gather from those coefficients zero-padded to one length.
+Each coefficient is bit for bit the one-cell path's, a kernel value
+depends only on its row, radius and point, and the rest is elementwise or
+row-wise, so every report is bit for bit verify_membership's for its cell.
 
 Mirror symmetry: A, B, p, b and c are real, so u has real Taylor
 coefficients, every target region is symmetric about the real axis, and in
@@ -85,17 +88,13 @@ from .bessel import BesselParams, EvalConfig, DEFAULT_CONFIG, _count, _PowerTabl
 from .bessel import _coefficient_matrix, _contract, _falling_weights, _series_rows
 from .bessel import zero_free_radius
 from .checks import (
-    COROLLARY_CC_ORDER,
-    COROLLARY_DERIV_RE_HALF,
-    COROLLARY_HALFPLANE_C_RATIO,
-    COROLLARY_RE_HALF,
     MODE_CONSERVATIVE,
+    PROPERTIES,
     SELECTOR_CONVEXITY,
     SELECTOR_DERIV,
     SELECTOR_STARLIKE,
     SELECTOR_U,
     SELECTORS,
-    THEOREM_NAMES,
     CheckOutcome,
     ZeroC,
     admissibility_scan,  # defined in checks; also importable from here
@@ -104,19 +103,14 @@ from .checks import (
 )
 from .geometry import JanowskiPair, TargetRegion, region_margin_many, target_region
 
-# The theorem whose conclusion each selector samples: both tuples list the
-# same four properties in the same order.
-_SELECTOR_THEOREMS = dict(zip(SELECTORS, THEOREM_NAMES))
-
-# Selectors of the form 1 + z u^(k) / u^(k-1): (k, reason recorded where the
-# denominator u^(k-1) vanishes).
-_QUOTIENT_ORDERS = {
-    SELECTOR_CONVEXITY: (2, "zero-derivative"),
-    SELECTOR_STARLIKE: (1, "zero-value"),
-}
-# The kernel rows (order, lowest) each selector's functional reads.
-_KERNEL_ROWS = {SELECTOR_U: (0, 0), SELECTOR_DERIV: (1, 1)} | {
-    selector: (k, k - 1) for selector, (k, _) in _QUOTIENT_ORDERS.items()
+# The kernel rows (order, lowest) each selector's functional reads, and the
+# reason recorded where a quotient 1 + z u^(k) / u^(k-1)'s denominator
+# u^(k-1) vanishes ("" for the two selectors that are not quotients).
+_KERNEL_ROWS = {
+    SELECTOR_U: (0, 0, ""),
+    SELECTOR_DERIV: (1, 1, ""),
+    SELECTOR_CONVEXITY: (2, 1, "zero-derivative"),
+    SELECTOR_STARLIKE: (1, 0, "zero-value"),
 }
 
 VERDICT_HOLDS = "holds-on-grid"
@@ -221,9 +215,8 @@ _AXIS_UNITS = _PowerTable([1.0, -1.0])
 def _certified_radius(selector: str, params: BesselParams) -> float:
     """Radius below which a quotient selector's denominator u^(k-1), a multiple
     of 0F1(; kappa + k - 1; -c z / 4), has no zero; 0.0 for the other selectors."""
-    if selector not in _QUOTIENT_ORDERS:
-        return 0.0
-    return zero_free_radius(params.kappa + _QUOTIENT_ORDERS[selector][0] - 1.0, params.c)
+    _, lowest, reason = _KERNEL_ROWS[selector]
+    return zero_free_radius(params.kappa + lowest, params.c) if reason else 0.0
 
 
 @dataclass
@@ -263,7 +256,7 @@ def _kernel_rows(selector: str, params: BesselParams, cfg: EvalConfig) -> np.nda
     deriv-normalized at c = 0, before any series is summed.
     """
     try:
-        order, lowest = _KERNEL_ROWS[selector]
+        order, lowest, _ = _KERNEL_ROWS[selector]
     except KeyError:
         raise ValueError(f"unknown selector {selector!r}; expected one of {SELECTORS}") from None
     if selector == SELECTOR_DERIV:
@@ -287,18 +280,18 @@ def _functional_values(
     the caller.
     """
     sums = _contract(rows, radii, table).reshape(len(rows), -1)
-    if selector in _QUOTIENT_ORDERS:
+    reason = _KERNEL_ROWS[selector][2]
+    if reason:
         den, num = sums[0::2], sums[1::2]
         zs = _points(radii, table)
         mask = np.abs(den) < DEGENERACY_TOL
-        reason = _QUOTIENT_ORDERS[selector][1]
         if not mask.any():
             return 1.0 + zs * num / den, mask, reason
         safe = np.where(mask, 1.0, den)
         return np.where(mask, 1.0, 1.0 + zs * num / safe), mask, reason
     if selector == SELECTOR_DERIV:
         sums = np.array([_deriv_scale(params) for params in cells])[:, None] * sums
-    return sums, np.zeros(sums.shape, dtype=bool), ""
+    return sums, np.zeros(sums.shape, dtype=bool), reason
 
 
 def _margins(
@@ -344,18 +337,18 @@ def _cell_reports(
     )
     degenerate = (mask | proof_mask).any(axis=1).tolist()
     first = margins.argmin(axis=1)
-    least, idx = margins[np.arange(len(cells)), first].tolist(), first.tolist()
+    half = len(table.points)
+    least = margins[np.arange(len(cells)), first].tolist()
+    witnesses = (np.asarray(radii)[first // half] * table.points[first % half]).tolist()
     if table is _AXIS_UNITS:
-        ends = _points(radii, table).tolist()
         return [
             None if hit else VerificationReport(
                 selector, pair, params, VERDICT_COUNTEREXAMPLE if m < 0.0 else VERDICT_HOLDS,
-                m, ends[i], grid, [], METHOD_REAL_AXIS,
+                m, witness, grid, [], METHOD_REAL_AXIS,
             )
-            for params, hit, m, i in zip(cells, degenerate, least, idx)
+            for params, hit, m, witness in zip(cells, degenerate, least, witnesses)
         ]
     finite = np.isfinite(margins).any(axis=1).tolist()
-    n, half = grid.angles, len(table.points)
     reports = []
     for c, params in enumerate(cells):
         hits = []
@@ -364,12 +357,11 @@ def _cell_reports(
             full = grid.points()
             for flags, label in ((mask[c], reason), (proof_mask[c], "proof-map-pole")):
                 upper = flags.reshape(len(radii), half)
-                whole = np.concatenate([upper, _lower_twins(upper, n)], axis=1).ravel()
+                whole = np.concatenate([upper, _lower_twins(upper, grid.angles)], axis=1).ravel()
                 hits.extend((complex(z), label) for z in full[whole])
         min_margin, witness = math.nan, None
         if finite[c]:
-            i_radius, i_angle = divmod(idx[c], half)
-            min_margin, witness = least[c], complex(_points(radii[i_radius : i_radius + 1], table)[i_angle])
+            min_margin, witness = least[c], witnesses[c]
         verdict = VERDICT_COUNTEREXAMPLE if (witness is None or hits or min_margin < 0.0) else VERDICT_HOLDS
         reports.append(VerificationReport(selector, pair, params, verdict, min_margin, witness, grid, hits))
     return reports
@@ -510,27 +502,6 @@ def _params_for_kappa(kappa: float, c: float) -> BesselParams:
     return BesselParams(p=kappa, b=-1.0, c=c)
 
 
-def _matching_corollary(selector: str, pair: JanowskiPair, c: float) -> str | None:
-    """Corollary whose implied half-plane region coincides with the pair.
-
-    Fixed-pair corollaries (re-half family) take precedence over the
-    c-dependent ones when both would match.
-    """
-    if pair.B != -1.0:
-        return None
-    if selector == SELECTOR_U:
-        if abs(pair.A) < 1e-12:
-            return COROLLARY_RE_HALF
-        if c <= 0.0 and abs(pair.A - (-(c + 1.0) / (c - 1.0))) < 1e-12:
-            return COROLLARY_HALFPLANE_C_RATIO
-    elif selector == SELECTOR_DERIV:
-        if abs(pair.A) < 1e-12:
-            return COROLLARY_DERIV_RE_HALF
-        if c <= -1.0 and abs(pair.A - (-(c + 2.0) / c)) < 1e-12:
-            return COROLLARY_CC_ORDER
-    return None
-
-
 # region_scan contracts at most this many sample points (cells times points
 # per cell) in one kernel call: 24 cells of a 10 x 64 grid, 2 of the default
 # grid.  On the criterion-7 rectangles budgets of 2**12 to 2**15 points take
@@ -556,13 +527,12 @@ def _verify_cells(
     verify_membership raises cell by cell (for deriv-normalized cells given
     c != 0, which region_scan's checker enforces).
     """
-    quotient = selector in _QUOTIENT_ORDERS
+    order, lowest, quotient = _KERNEL_ROWS[selector]
     if quotient:
         radii, table = grid.radii[-1:], _AXIS_UNITS
     else:
         radii, table = grid.radii, _sampled_units(grid.angles)
     size = max(1, SCAN_CHUNK_POINTS // (len(radii) * len(table.points)))
-    order, lowest = _KERNEL_ROWS[selector]
     a, terms = _coefficient_matrix(
         [params.kappa for params in cells], [params.c for params in cells], order, cfg.rel_tol, cfg.max_terms
     )
@@ -594,9 +564,10 @@ def region_scan(
 ) -> list[ScanRow]:
     """Sweep a (kappa, c) rectangle; rows are row-major (kappa outer, c inner).
 
-    Each range is (lo, hi, steps) mapped to numpy.linspace.  The checkers
-    run cell by cell; the reports come from _verify_cells, a chunk of cells
-    per kernel call, bit for bit those of verify_membership cell by cell.
+    Each range is (lo, hi, steps) mapped to numpy.linspace.  The theorem
+    and any matching corollary (module docstring) are checked cell by cell;
+    the reports come from _verify_cells, a chunk of cells per kernel call,
+    bit for bit those of verify_membership cell by cell.
     A cell whose checker or parameters raise ends the scan with that
     exception after the cells before it are verified, so a rectangle raises
     what a cell-by-cell loop would raise first.
@@ -608,22 +579,23 @@ def region_scan(
     k_steps, c_steps = _count("kappa steps", k_steps), _count("c steps", c_steps)
     if k_steps < 2 or c_steps < 2:
         raise ValueError("ranges need at least two steps per axis")
-    if selector not in _SELECTOR_THEOREMS:
+    if selector not in PROPERTIES:
         raise ValueError(f"unknown selector {selector!r}; expected one of {SELECTORS}")
-    theorem = _SELECTOR_THEOREMS[selector]
+    theorem, corollaries = PROPERTIES[selector]
     kappas = np.linspace(float(k_lo), float(k_hi), k_steps)
     cs = np.linspace(float(c_lo), float(c_hi), c_steps)
     cells = [(float(k), float(c)) for k in kappas for c in cs]
     judged, failure = [], None
     try:
         for kappa, c in cells:
-            corollary_id = _matching_corollary(selector, pair, c)
-            judged.append((
-                check_theorem(theorem, pair, kappa, c, mode),
-                corollary_id,
-                check_corollary(corollary_id, kappa, c) if corollary_id is not None else None,
-                _params_for_kappa(kappa, c),
-            ))
+            checker = check_theorem(theorem, pair, kappa, c, mode)
+            corollary_id = corollary = None
+            for candidate in corollaries if pair.B == -1.0 else ():
+                outcome = check_corollary(candidate, kappa, c)
+                if outcome.implied_pair is not None and abs(pair.A - outcome.implied_pair.A) < 1e-12:
+                    corollary_id, corollary = candidate, outcome
+                    break
+            judged.append((checker, corollary_id, corollary, _params_for_kappa(kappa, c)))
     except Exception as exc:  # raised once the cells before it are verified
         failure = exc
     reports = _verify_cells(selector, pair, [params for *_, params in judged], grid, cfg)

@@ -382,6 +382,21 @@ def test_corollaries_reject_non_finite_kappa_and_c(which, bad):
         check_corollary(which, 2.0, bad)
 
 
+@pytest.mark.parametrize("c", [-1e16, -1e17, -1e300])
+@pytest.mark.parametrize("which", ["halfplane-c-ratio", "cc-order"])
+def test_c_dependent_corollary_at_large_negative_c_has_no_implied_pair_once_a_rounds_to_minus_one(which, c):
+    # halfplane-c-ratio's A = -(c+1)/(c-1) rounds to -1 from c = -1e16 on,
+    # cc-order's A = -(c+2)/c from c = -1e17 on; -1 is no Janowski A for B = -1.
+    out = check_corollary(which, 1e40, c)
+    if which == "cc-order" and c == -1e16:
+        assert -1.0 < out.implied_pair.A < -0.999 and out.implied_pair.B == -1.0
+        assert out.conclusion_bound == (c + 1.0) / c
+        return
+    assert out.implied_pair is None and out.conclusion_bound is None
+    assert any("rounds to -1" in note for note in out.notes)
+    assert out.satisfied == (c > -1e300)  # c^2 overflows at -1e300
+
+
 def test_unknown_corollary():
     with pytest.raises(UnknownCorollary):
         check_corollary("re-quarter", 1.0, 1.0)

@@ -246,6 +246,17 @@ def test_check_corollary_payload(capsys):
     assert outcome["conclusion_bound"] == 0.5
 
 
+@pytest.mark.parametrize("c", ["-1e16", "-1e17", "-1e300"])
+@pytest.mark.parametrize("which", ["halfplane-c-ratio", "cc-order"])
+def test_check_corollary_at_large_negative_c_reports_no_implied_pair(capsys, which, c):
+    code, doc = run_json(capsys, ["check", "--corollary", which, "--kappa", "1e40", f"--c={c}"])
+    outcome = doc["payload"]["outcome"]
+    assert code == (0 if outcome["satisfied"] else 1)
+    assert code == (1 if c == "-1e300" else 0)
+    rounded = not (which == "cc-order" and c == "-1e16")
+    assert (outcome["implied_pair"] is None) == rounded
+
+
 def test_check_convexity_mode_flag(capsys):
     base = ["check", "--theorem", "convexity", "--A", "0.5", "--B=-0.5", "--kappa", "0", "--c", "8"]
     code, _ = run_json(capsys, base)
@@ -339,6 +350,16 @@ def test_admissibility_unbounded_supremum_is_null_and_exits_one(capsys):
     probe = payload["argmax"]
     at = AdmissibilityProbe(probe["rho"], probe["sigma"], probe["mu"], probe["nu"], complex(*probe["z"]))
     assert eval_psi("subordination", JanowskiPair(0.0, -1.0), 0.5, -1.0, at).real > 0.0
+
+
+@pytest.mark.parametrize("which", ["subordination", "convexity"])
+@pytest.mark.parametrize("c", ["1e-310", "5e-324", "-5e-324"])
+def test_admissibility_verb_at_subnormal_c(capsys, which, c):
+    code, doc = run_json(
+        capsys, ["admissibility", "--which", which, "--A", "1", "--B", "0.5", "--kappa", "2", f"--c={c}"]
+    )
+    assert code == 0
+    assert abs(complex(*doc["payload"]["argmax"]["z"])) < 1.0
 
 
 @pytest.mark.parametrize(

@@ -1111,6 +1111,18 @@ def test_admissibility_scan_rejects_non_finite(which, kappa, c):
         admissibility_scan(which, HALF_PAIR, kappa, c)
 
 
+@pytest.mark.parametrize("which", ["subordination", "convexity"])
+@pytest.mark.parametrize("c", [1e-310, -1e-310, 5e-324, -5e-324, 2.0**-1022])
+@pytest.mark.parametrize("pair", [JanowskiPair(1.0, 0.5), JanowskiPair(0.5, -0.5)])
+def test_admissibility_scan_at_subnormal_c(which, c, pair):
+    # The z direction is subnormal there; normalising it unscaled gave |z| > 1.
+    value, probe = admissibility_scan(which, pair, 2.0, c)
+    assert abs(probe.z) < 1.0
+    assert value == eval_psi(which, pair, 2.0, c, probe).real
+    # The z part is below one ulp there: the supremum is c = 0's, up to where t lands.
+    assert abs(value - admissibility_scan(which, pair, 2.0, 0.0)[0]) <= 2.0**-52 * abs(value)
+
+
 def test_satisfied_tuples_are_admissible():
     # The proof route behind the membership checker: whenever the closed-form
     # condition holds, the Psi functional must stay strictly negative.
@@ -1166,6 +1178,28 @@ def test_region_scan_corollary_matching():
     assert all(r.corollary_id is None and r.corollary is None for r in rows2)
 
 
+@pytest.mark.parametrize(
+    "selector, c_range, corollary_id",
+    [("u", (-3.0, 0.0, 4), "halfplane-c-ratio"), ("deriv-normalized", (-4.0, -1.0, 4), "cc-order")],
+)
+def test_region_scan_matches_a_c_dependent_corollary_by_its_implied_pair(selector, c_range, corollary_id):
+    # A = -1/2 is the corollary's implied A at the range's first c only.
+    pair, kappa_range = JanowskiPair(-0.5, -1.0), (1.0, 3.0, 2)
+    rows = region_scan(selector, pair, kappa_range, c_range, SMALL_GRID)
+    _assert_rows_bit_equal(rows, _scan_cell_by_cell(selector, pair, kappa_range, c_range, SMALL_GRID))
+    assert [r.corollary_id for r in rows] == [corollary_id, None, None, None] * 2
+    for row in rows[::4]:
+        assert row.corollary == check_corollary(corollary_id, row.kappa, row.c)
+
+
+@pytest.mark.parametrize("selector", ["u", "deriv-normalized"])
+@pytest.mark.parametrize("A", [0.5, math.nextafter(-1.0, 0.0)])
+def test_region_scan_from_c_minus_1e17_raises_no_convergence(selector, A):
+    # Each c-dependent corollary is checked; none may raise for its A rounding to -1.
+    with pytest.raises(NoConvergence):
+        region_scan(selector, JanowskiPair(A, -1.0), (1.0, 2.0, 2), (-1e17, -1e16, 2), SMALL_GRID)
+
+
 def test_region_scan_validates_steps():
     with pytest.raises(ValueError):
         region_scan("u", HALF_PAIR, (1.0, 2.0, 1), (-1.0, 0.0, 2), SMALL_GRID)
@@ -1183,6 +1217,24 @@ def test_region_scan_validates_steps():
 ODD_GRID = SampleGrid(radii=tuple(np.geomspace(0.05, 0.999, 5)), angles=15)
 
 
+def _matching_corollary(selector, pair, c):
+    """The corollary whose implied half-plane is the pair, by the printed formulas;
+    the fixed-pair ones first."""
+    if pair.B != -1.0:
+        return None
+    if selector == "u":
+        if abs(pair.A) < 1e-12:
+            return "re-half"
+        if c <= 0.0 and abs(pair.A - (-(c + 1.0) / (c - 1.0))) < 1e-12:
+            return "halfplane-c-ratio"
+    elif selector == "deriv-normalized":
+        if abs(pair.A) < 1e-12:
+            return "deriv-re-half"
+        if c <= -1.0 and abs(pair.A - (-(c + 2.0) / c)) < 1e-12:
+            return "cc-order"
+    return None
+
+
 def _scan_cell_by_cell(selector, pair, kappa_range, c_range, grid, cfg=DEFAULT_CONFIG):
     """region_scan as a plain loop: checkers, then verify_membership, one cell at a time."""
     theorem = dict(zip(SELECTORS, THEOREM_NAMES))[selector]
@@ -1190,7 +1242,7 @@ def _scan_cell_by_cell(selector, pair, kappa_range, c_range, grid, cfg=DEFAULT_C
     for k in np.linspace(float(kappa_range[0]), float(kappa_range[1]), kappa_range[2]):
         for c in np.linspace(float(c_range[0]), float(c_range[1]), c_range[2]):
             kappa, c = float(k), float(c)
-            corollary_id = verify._matching_corollary(selector, pair, c)
+            corollary_id = _matching_corollary(selector, pair, c)
             checker = check_theorem(theorem, pair, kappa, c)
             corollary = check_corollary(corollary_id, kappa, c) if corollary_id is not None else None
             report = verify_membership(selector, pair, verify._params_for_kappa(kappa, c), grid, cfg)
