@@ -17,17 +17,11 @@ Condition families
   family with kappa in place of kappa - 1, absorbing the order shift that
   differentiation applies to the series.
 * Janowski convexity of u (check_convexity_theorem) and starlikeness of
-  z * u (check_starlike_theorem) share a product-versus-coupling condition.
-  Both accept a `mode`:
-
-  - "conservative" (default) demands  product >= envelope + |coupling|,
-    which is what the underlying quadratic-maximum argument needs;
-  - "as-printed" keeps the weaker literal variant of each condition
-    (a subtracted coupling term for convexity, an unsquared envelope
-    denominator for starlikeness) for comparison studies.
-
-  The starlike condition set equals the convexity set with kappa lowered by
-  one, matching the identity z (z u_p)' / (z u_p) = 1 + z u''_{p-1} / u'_{p-1}.
+  z * u (check_starlike_theorem) share one condition set, starlike at kappa - 1
+  (z (z u_p)' / (z u_p) = 1 + z u''_{p-1} / u'_{p-1}).  Both accept a `mode`:
+  "conservative" (default) is the admissibility lemma's exact condition, two
+  factor slacks; "as-printed" keeps the paper's literal product inequalities
+  for comparison studies, and sampling finds counterexamples to them.
 * check_corollary evaluates four ready-made half-plane specializations.
 * PROPERTIES maps each selector (SELECTORS: u, deriv-normalized, convexity,
   starlike-zu) to its theorem (THEOREM_NAMES) and its corollaries.
@@ -258,6 +252,35 @@ def _mode_guard(mode: str) -> None:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 
 
+def _convexity_conditions(
+    pair: JanowskiPair, kappa_eff: float, c: float, mode: str, starlike: bool = False
+) -> CheckOutcome:
+    """The convexity condition set at k = kappa_eff, shared by both quotient checkers.
+
+    X = 1 + A - B + k (1+B), x = (1+B)^2 |c| / (4 (A-B)), Y = 1 - A + B + k (1-B) and
+    y = (1-B)^2 |c| / (4 (A-B)).  "conservative" records X - x and Y - y: the convexity
+    Re Psi's supremum is that of g(t) = -(Y - y + (X - x) t) / 2 on t >= 0 (_convexity_g).
+    Both may be 0: for c != 0 the z-part c den(r)^2 / (8 (A-B)) never vanishes, so
+    Re Psi < g(t) <= 0 on |z| < 1; at c = 0 only starlike applies, and z u = z is starlike.
+    "as-printed" records X Y - (x y - |coupling|), starlike X Y - (x y (A-B) + |coupling|).
+    """
+    A, B = pair.A, pair.B
+    X = 1.0 + A - B + kappa_eff * (1.0 + B)
+    x = (1.0 + B) ** 2 * abs(c) / (4.0 * (A - B))
+    Y = 1.0 - A + B + kappa_eff * (1.0 - B)
+    y = (1.0 - B) ** 2 * abs(c) / (4.0 * (A - B))
+    if mode == MODE_CONSERVATIVE:
+        second = ("factor-positivity", Y - y)
+    else:
+        coupling = abs(
+            (B - (A - B) * (1.0 + B * B) + (1.0 - B * B) * B * kappa_eff) * c / (2.0 * (A - B))
+        )
+        rhs = x * y * (A - B) + coupling if starlike else x * y - coupling
+        second = ("product-domination", X * Y - rhs)
+    slacks = [("coefficient-positivity", X - x), second]
+    return CheckOutcome(satisfied=all(s >= 0.0 for _, s in slacks), branch=mode, slacks=slacks)
+
+
 def check_convexity_theorem(
     pair: JanowskiPair, kappa: float, c: float, mode: str = MODE_CONSERVATIVE
 ) -> CheckOutcome:
@@ -266,10 +289,9 @@ def check_convexity_theorem(
     Applies on pairs with -1 <= B <= 0 < A <= 1; other pairs report
     branch "out-of-regime" and are never satisfied.  At c = 0, u' vanishes
     identically and 1 + z u''/u' is undefined, so branch "c=0" is never
-    satisfied either.  The second inequality
-    compares the factor product against envelope +/- |coupling| depending on
-    mode; only "conservative" (envelope + |coupling|) is strong enough to
-    carry the geometric conclusion.
+    satisfied either.  Elsewhere the condition set is _convexity_conditions
+    at kappa: in "conservative" mode, the admissibility lemma's own
+    condition (supremum of the convexity Re Psi below 0).
     """
     _mode_guard(mode)
     kappa, c = _finite_kappa_c(kappa, c)
@@ -288,18 +310,7 @@ def check_convexity_theorem(
             slacks=[],
             notes=["u' vanishes identically at c = 0, so 1 + z u''/u' is undefined"],
         )
-    coeff_pos = kappa * (1.0 + B) - (
-        (1.0 + B) ** 2 * abs(c) / (4.0 * (A - B)) - (1.0 + A - B)
-    )
-    product = (1.0 + A - B + kappa * (1.0 + B)) * (1.0 - A + B + kappa * (1.0 - B))
-    envelope = (1.0 - B * B) ** 2 * c * c / (16.0 * (A - B) ** 2)
-    coupling = abs(
-        (B - (A - B) * (1.0 + B * B) + (1.0 - B * B) * B * kappa) * c / (2.0 * (A - B))
-    )
-    rhs = envelope - coupling if mode == MODE_AS_PRINTED else envelope + coupling
-    slacks = [("coefficient-positivity", coeff_pos), ("product-domination", product - rhs)]
-    satisfied = all(s >= 0.0 for _, s in slacks)
-    return CheckOutcome(satisfied=satisfied, branch=mode, slacks=slacks)
+    return _convexity_conditions(pair, kappa, c, mode)
 
 
 def check_starlike_theorem(
@@ -307,33 +318,14 @@ def check_starlike_theorem(
 ) -> CheckOutcome:
     """Sufficient condition for z * u to be Janowski starlike for the pair.
 
-    Equivalent to the convexity condition set with kappa lowered by one,
-    through z (z u_p)'/(z u_p) = 1 + z u''_{p-1}/u'_{p-1}; stated directly in
-    (A, B, kappa, c) and valid for every admissible pair.  In "as-printed"
-    mode the envelope term uses the weaker unsquared denominator 16(A - B);
-    "conservative" uses 16(A - B)^2, which is what the kappa-shift of the
-    convexity condition produces.
+    The convexity condition set at kappa - 1, through
+    z (z u_p)'/(z u_p) = 1 + z u''_{p-1}/u'_{p-1}, valid for every admissible
+    pair.  "as-printed" keeps the paper's literal variant: an added coupling
+    and the unsquared envelope denominator 16 (A - B).
     """
     _mode_guard(mode)
     kappa, c = _finite_kappa_c(kappa, c)
-    A, B = pair.A, pair.B
-    coeff_pos = kappa * (1.0 + B) - (
-        (1.0 + B) ** 2 * abs(c) / (4.0 * (A - B)) - (A - 2.0 * B)
-    )
-    product = (A - 2.0 * B + kappa * (1.0 + B)) * (2.0 * B - A + kappa * (1.0 - B))
-    denom = (A - B) if mode == MODE_AS_PRINTED else (A - B) ** 2
-    envelope = (1.0 - B * B) ** 2 * c * c / (16.0 * denom)
-    coupling = abs(
-        (B**3 - (A - B) * (1.0 + B * B) + (1.0 - B * B) * B * kappa)
-        * c
-        / (2.0 * (A - B))
-    )
-    slacks = [
-        ("coefficient-positivity", coeff_pos),
-        ("product-domination", product - (envelope + coupling)),
-    ]
-    satisfied = all(s >= 0.0 for _, s in slacks)
-    return CheckOutcome(satisfied=satisfied, branch=mode, slacks=slacks)
+    return _convexity_conditions(pair, kappa - 1.0, c, mode, starlike=True)
 
 
 def check_theorem(

@@ -32,9 +32,9 @@ timestamp field.
 
 `eval`, `check`, `bounds` and `admissibility` are pure Python: this module
 imports `verify`, and with it numpy, only inside the handlers of the
-sampling verbs, so the four scalar verbs start without either.  An
-unbounded admissibility supremum is written as "max_re": null, its argmax
-a probe at which Re Psi > 0.
+sampling verbs, so the four scalar verbs start without either.  A
+non-finite checker slack is written as null, and so is an unbounded
+admissibility supremum ("max_re"), its argmax a probe with Re Psi > 0.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ def _outcome_dict(outcome: CheckOutcome) -> dict:
     return {
         "satisfied": outcome.satisfied,
         "branch": outcome.branch,
-        "slacks": [[label, value] for label, value in outcome.slacks],
+        "slacks": [[label, value if math.isfinite(value) else None] for label, value in outcome.slacks],
         "notes": list(outcome.notes),
         "implied_pair": None if outcome.implied_pair is None else _pair_list(outcome.implied_pair),
         "conclusion_bound": outcome.conclusion_bound,
@@ -236,7 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     kappa_c.add_argument("--c", type=float, required=True)
     point.add_argument("--z", type=_parse_complex, required=True, help="point 're,im'")
     mode.add_argument("--mode", choices=MODES, default=MODE_CONSERVATIVE,
-                      help="condition variant for convexity/starlike")
+                      help="convexity/starlike conditions: conservative: the admissibility "
+                      "lemma's exact condition; as-printed: the paper's inequalities")
     # A parent's flags are copied when a parser is built from it, so the
     # grid parent comes after --max-radius exists.
     grid = argparse.ArgumentParser(add_help=False, parents=[radius_cap])

@@ -186,20 +186,20 @@ def test_convexity_literal_case_both_modes():
     cons = check_convexity_theorem(pair, 2.0, 1.0)
     prnt = check_convexity_theorem(pair, 2.0, 1.0, mode=MODE_AS_PRINTED)
     assert cons.satisfied and prnt.satisfied
-    assert slack_map(cons)["coefficient-positivity"] == 3.75
-    assert slack_map(cons)["product-domination"] == 7.4375
-    assert slack_map(prnt)["product-domination"] == 8.4375
+    # X = 4, x = 1/4, Y = 2, y = 1/4; the literal product 8 - (1/16 - 1/2).
+    assert cons.slacks == [("coefficient-positivity", 3.75), ("factor-positivity", 1.75)]
+    assert prnt.slacks == [("coefficient-positivity", 3.75), ("product-domination", 8.4375)]
 
 
 def test_convexity_modes_disagree_where_coupling_dominates():
-    # Here the coefficient condition holds (slack 1.5); the product condition
-    # decides, and its sign depends on the reading of the coupling term.
+    # Here the coefficient condition holds (slack 1.5); the second condition
+    # decides.  The factor Y - y = 0 - 9/2 fails, while the literal product
+    # 0 - (9/4 - 7) holds because it subtracts the coupling term.
     pair = JanowskiPair(0.5, -0.5)
     cons = check_convexity_theorem(pair, 0.0, 8.0)
     prnt = check_convexity_theorem(pair, 0.0, 8.0, mode=MODE_AS_PRINTED)
     assert not cons.satisfied and prnt.satisfied
-    assert slack_map(cons)["coefficient-positivity"] == 1.5
-    assert slack_map(cons)["product-domination"] == -9.25
+    assert cons.slacks == [("coefficient-positivity", 1.5), ("factor-positivity", -4.5)]
     assert slack_map(prnt)["product-domination"] == 4.75
 
 
@@ -217,19 +217,19 @@ def test_convexity_mode_validation():
 
 
 def test_starlike_c_zero_case():
+    # The convexity set at kappa - 1 = 1: X = 3 and Y = 1, with x = y = 0.
     out = check_starlike_theorem(JanowskiPair(1.0, -1.0), 2.0, 0.0)
     assert out.satisfied
-    s = slack_map(out)
-    assert s["coefficient-positivity"] == 3.0
-    assert s["product-domination"] == 3.0
+    assert out.slacks == [("coefficient-positivity", 3.0), ("factor-positivity", 1.0)]
 
 
 def test_starlike_literal_case():
+    # Y = y = 1: the factor slack is exactly 0, which is satisfied (c != 0).
     out = check_starlike_theorem(JanowskiPair(0.0, -1.0), 1.5, -1.0)
     assert out.satisfied
-    s = slack_map(out)
-    assert s["coefficient-positivity"] == 2.0
-    assert s["product-domination"] == 0.5
+    assert out.slacks == [("coefficient-positivity", 2.0), ("factor-positivity", 0.0)]
+    prnt = check_starlike_theorem(JanowskiPair(0.0, -1.0), 1.5, -1.0, mode=MODE_AS_PRINTED)
+    assert prnt.satisfied and slack_map(prnt)["product-domination"] == 0.5
 
 
 def test_starlike_failure_case():
@@ -239,27 +239,14 @@ def test_starlike_failure_case():
 
 
 def test_starlike_modes_use_different_envelopes():
+    # kappa - 1 = 2: X = 7/2, x = 1, Y = 5/2, y = 1.  The literal product
+    # 35/4 - (x y (A - B) + |coupling|) = 35/4 - (1/2 + 1).
     pair = JanowskiPair(0.5, 0.0)
     cons = check_starlike_theorem(pair, 3.0, 2.0)
     prnt = check_starlike_theorem(pair, 3.0, 2.0, mode=MODE_AS_PRINTED)
     assert cons.satisfied and prnt.satisfied
-    assert slack_map(cons)["product-domination"] == 6.75
+    assert cons.slacks == [("coefficient-positivity", 2.5), ("factor-positivity", 1.5)]
     assert slack_map(prnt)["product-domination"] == 7.25
-
-
-def test_starlike_conservative_at_least_as_strict():
-    rng = np.random.default_rng(79)
-    for _ in range(100):
-        pair = rand_pair(rng)
-        kappa = rng.uniform(0.0, 6.0)
-        c = rng.uniform(-4.0, 4.0)
-        cons = slack_map(check_starlike_theorem(pair, kappa, c))
-        prnt = slack_map(check_starlike_theorem(pair, kappa, c, mode=MODE_AS_PRINTED))
-        if pair.A - pair.B <= 1.0:
-            # Squaring a denominator <= 1 only grows the envelope.
-            assert (
-                cons["product-domination"] <= prnt["product-domination"] + 1e-12
-            )
 
 
 # ------------------------------------------------------------------ corollaries

@@ -576,6 +576,14 @@ def test_reports_without_a_witness_write_null_margins(capsys):
     assert capsys.readouterr().out == DEGENERATE_SCAN_CSV
 
 
+def test_non_finite_checker_slacks_are_written_as_null(capsys):
+    # kappa - c (c + 1) / 2 overflows to -inf here.
+    code = run(["check", "--corollary", "cc-order", "--kappa", "1e40", "--c=-1e300"])
+    outcome = _strict_json(capsys.readouterr().out)["payload"]["outcome"]
+    assert code == 1 and not outcome["satisfied"]
+    assert outcome["slacks"] == [["kappa-margin", None]]
+
+
 @pytest.mark.parametrize(
     "ranges, code, message",
     [

@@ -33,7 +33,7 @@ from janbessel import (
     target_region,
     verify_membership,
 )
-from janbessel import bessel, verify
+from janbessel import bessel, checks, verify
 from janbessel.bessel import EvalConfig, InvalidKappa, NoConvergence, _PowerTable, zero_free_radius
 from janbessel.checks import THEOREM_NAMES, check_theorem, _convexity_coefficients, _psi_formula, _subordination_coefficients
 
@@ -1086,17 +1086,98 @@ def test_admissibility_unbounded_cells(which, pair, kappa, c):
 
 
 def test_admissibility_convexity_discrepancy_cell():
-    # A documented cell where check_convexity_theorem, conservative mode, is
-    # satisfied, yet Re Psi is positive at the returned probe: the supremum
-    # 0.0974 sits at rho = 0, and the grid of the reference scan already read
-    # 0.0496.  The literal condition does not imply its own Psi hypothesis here.
+    # A cell where the product form of the convexity condition held, yet Re Psi
+    # is positive at the returned probe: the supremum 0.0974 sits at rho = 0,
+    # and the grid of the reference scan already read 0.0496.  The conservative
+    # checker records the lemma's factor slack Y - y = -2 sup and rejects it.
     pair, kappa, c = JanowskiPair(0.7081027212070302, -0.7882805508179479), 1.2386056314269736, -3.5812843519437134
-    assert check_convexity_theorem(pair, kappa, c).satisfied
+    out = check_convexity_theorem(pair, kappa, c)
+    assert not out.satisfied and dict(out.slacks)["factor-positivity"] < 0.0
     mx, probe = admissibility_scan("convexity", pair, kappa, c)
     assert abs(mx - 0.0974077731785743) < 1e-12
+    assert abs(mx + dict(out.slacks)["factor-positivity"] / 2.0) < 1e-12
     assert probe.rho == 0.0 and eval_psi("convexity", pair, kappa, c, probe).real > 0.0
     grid_mx, _, _ = _reference_admissibility_scan("convexity", pair, kappa, c)
     assert abs(grid_mx - 0.0496) < 1e-4 and 0.0 < grid_mx < mx
+
+
+SOUNDNESS_GRID = SampleGrid(radii=tuple(np.linspace(0.1, 0.999, 12)), angles=96)
+
+
+def _draw_cell(rng):
+    """A seeded (pair, kappa, c): A - B log-uniform down to 1e-3, which takes in
+    close pairs with A and B both negative, kappa in (-0.9, 12), |c| <= 30."""
+    B = rng.uniform(-1.0, 0.999)
+    A = min(1.0, B + 10.0 ** rng.uniform(-3.0, math.log10(1.0 - B)))
+    return JanowskiPair(A, B), rng.uniform(-0.9, 12.0), rng.uniform(-30.0, 30.0)
+
+
+def test_quotient_checkers_are_the_admissibility_lemma():
+    # Conservative convexity holds exactly where the convexity supremum is
+    # negative, and starlike exactly where it is at kappa - 1.
+    rng = np.random.default_rng(2027)
+    convexity_cells = 0
+    for _ in range(8000):
+        pair, kappa, c = _draw_cell(rng)
+        star = check_theorem("starlike", pair, kappa, c)
+        assert star.satisfied == (admissibility_scan("convexity", pair, kappa - 1.0, c)[0] < 0.0)
+        if pair.B <= 0.0 < pair.A:
+            convexity_cells += 1
+            conv = check_convexity_theorem(pair, kappa, c)
+            assert conv.satisfied == (admissibility_scan("convexity", pair, kappa, c)[0] < 0.0)
+    assert convexity_cells > 800
+
+
+def _mp_quotient_margin(selector, pair, kappa, c, z):
+    """The margin of 1 + z u''/u' (convexity) or 1 + z u'/u (starlike-zu) at z,
+    a disk pair's, with u from mpmath hyp0f1 at 40 digits."""
+    with mpmath.workdps(40):
+        A, B, k, x = mpmath.mpf(pair.A), mpmath.mpf(pair.B), mpmath.mpf(kappa), -mpmath.mpf(c) / 4
+        z = mpmath.mpc(z.real, z.imag)
+        if selector == "convexity":
+            k += 1
+        w = 1 + z * x / k * mpmath.hyp0f1(k + 1, x * z) / mpmath.hyp0f1(k, x * z)
+        return float((A - B) / (1 - B * B) - abs(w - (1 - A * B) / (1 - B * B)))
+
+
+@pytest.mark.parametrize(
+    "selector, pair, kappa, c, margin, witness",
+    [
+        ("convexity", JanowskiPair(0.1652216197650302, -0.9978360442676735),
+         9.903497815876946, 29.35779006396718, -0.1328, 0.999),
+        # A and B negative and close together.
+        ("starlike-zu", JanowskiPair(-0.7050613009284448, -0.7446264148020816),
+         2.117086198141246, -0.21223515150377992, -0.00256, -0.999),
+        # X = 3.16 much larger than x = 0.09, Y = 18.34 below y = 20.39.
+        ("convexity", JanowskiPair(0.0625, -0.875), 9.75, 21.75, -0.0289, 0.999),
+    ],
+)
+def test_quotient_checkers_reject_certified_counterexamples(selector, pair, kappa, c, margin, witness):
+    # The paper's product inequality (as-printed) holds on each cell; the
+    # lemma's factor slack fails, and the real axis gives the exact margin.
+    theorem = checks.PROPERTIES[selector][0]
+    out = check_theorem(theorem, pair, kappa, c)
+    assert not out.satisfied
+    assert dict(out.slacks)["coefficient-positivity"] > 0.0 > dict(out.slacks)["factor-positivity"]
+    assert check_theorem(theorem, pair, kappa, c, mode="as-printed").satisfied
+    report = verify_membership(selector, pair, verify._params_for_kappa(kappa, c))
+    assert report.verdict == "counterexample" and report.method == "real-axis"
+    assert report.witness == witness and abs(report.min_margin - margin) < 1e-4
+    assert abs(report.min_margin - _mp_quotient_margin(selector, pair, kappa, c, report.witness)) < 1e-13
+
+
+def test_default_mode_theorems_are_sound_on_seeded_draws():
+    # Every cell a default-mode theorem accepts must hold on the sampled disk.
+    rng = np.random.default_rng(2026)
+    verified = dict.fromkeys(SELECTORS, 0)
+    for _ in range(40000):
+        pair, kappa, c = _draw_cell(rng)
+        for selector, (theorem, _) in checks.PROPERTIES.items():
+            if check_theorem(theorem, pair, kappa, c).satisfied:
+                report = verify_membership(selector, pair, verify._params_for_kappa(kappa, c), SOUNDNESS_GRID)
+                assert report.verdict == "holds-on-grid", (selector, pair, kappa, c, report.min_margin)
+                verified[selector] += 1
+    assert min(verified.values()) > 1000
 
 
 def test_admissibility_scan_validation():
