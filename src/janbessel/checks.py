@@ -2,7 +2,9 @@
 
 Every checker here evaluates finitely many inequalities in (A, B, kappa, c)
 and reports a per-inequality slack (>= 0 means the inequality holds), the
-branch of the condition set that applied, and free-form notes.  Checkers are
+branch of the condition set that applied, and free-form notes.  The verdict
+is not stored: CheckOutcome.satisfied is derived from the slacks, True
+exactly when there is at least one and every one is >= 0.  Checkers are
 sufficient conditions: `satisfied` guarantees the geometric conclusion, while
 `not satisfied` is silent, and the sampling verifier is the ground truth on
 the other side.  Every checker raises ValueError for a non-finite kappa or c.
@@ -106,18 +108,25 @@ class UnknownCorollary(ValueError):
 class CheckOutcome:
     """Result of one condition checker.
 
-    satisfied is True exactly when every slack recorded for the taken branch
-    is >= 0.  branch names the condition branch that applied (for the
-    two-regime family, "<regime>/<endpoint|vertex>").  implied_pair and
+    branch names the condition branch that applied (for the two-regime
+    family, "<regime>/<endpoint|vertex>").  implied_pair and
     conclusion_bound are filled by corollaries that fix their own region.
+    The verdict `satisfied` is a read-only property of the slacks, not a
+    field: True exactly when the branch recorded at least one slack and
+    every slack is >= 0.  An empty list (a branch where the condition set
+    does not apply) is not satisfied, and neither is a NaN slack, since
+    NaN is not >= 0.
     """
 
-    satisfied: bool
     branch: str
     slacks: list[tuple[str, float]]
     notes: list[str] = field(default_factory=list)
     implied_pair: JanowskiPair | None = None
     conclusion_bound: float | None = None
+
+    @property
+    def satisfied(self) -> bool:
+        return bool(self.slacks) and all(s >= 0.0 for _, s in self.slacks)
 
 
 @dataclass(frozen=True)
@@ -164,16 +173,15 @@ def _finite_kappa_c(kappa: float, c: float) -> tuple[float, float]:
     return kappa, c
 
 
-def _two_regime_conditions(
-    A: float, B: float, kappa_eff: float, c: float
-) -> tuple[str, list[tuple[str, float]], list[str]]:
+def _two_regime_conditions(pair: JanowskiPair, kappa_eff: float, c: float) -> CheckOutcome:
     """Shared inequality family behind the membership checkers.
 
     kappa_eff is kappa - 1 for membership of u and kappa for the normalized
-    derivative.  Returns (branch, slacks, notes); the guard slack is always
-    >= 0 by construction (it measures distance to the branch boundary), so
-    satisfaction rests on the base and main slacks.
+    derivative.  The slacks are base, guard and main; the guard slack is
+    >= 0 by construction (it measures distance to the branch boundary)
+    unless it is NaN, as where both sides of the guard overflow.
     """
+    A, B = pair.A, pair.B
     notes: list[str] = []
     base = kappa_eff - max(0.0, (1.0 + B) * (1.0 + A) * abs(c) / (4.0 * (A - B)))
     if B <= REGIME_SPLIT_B:
@@ -213,15 +221,7 @@ def _two_regime_conditions(
         guard_slack = guard_rhs - guard_lhs
         main = 0.25 * c * c * (quad - (1.0 - A * B) ** 2 * c * c / (16.0 * (A - B) ** 2)) - mixed * mixed
     slacks = [("base", base), ("guard", guard_slack), ("main", main)]
-    return f"{regime}/{branch}", slacks, notes
-
-
-def _outcome_from_two_regime(
-    pair: JanowskiPair, kappa_eff: float, c: float
-) -> CheckOutcome:
-    branch, slacks, notes = _two_regime_conditions(pair.A, pair.B, kappa_eff, c)
-    satisfied = slacks[0][1] >= 0.0 and slacks[2][1] >= 0.0
-    return CheckOutcome(satisfied=satisfied, branch=branch, slacks=slacks, notes=notes)
+    return CheckOutcome(branch=f"{regime}/{branch}", slacks=slacks, notes=notes)
 
 
 def check_subordination_theorem(
@@ -229,7 +229,7 @@ def check_subordination_theorem(
 ) -> CheckOutcome:
     """Sufficient condition for u itself to map the disk into the pair's region."""
     kappa, c = _finite_kappa_c(kappa, c)
-    return _outcome_from_two_regime(pair, kappa - 1.0, c)
+    return _two_regime_conditions(pair, kappa - 1.0, c)
 
 
 def check_derivative_theorem(
@@ -244,7 +244,7 @@ def check_derivative_theorem(
     kappa, c = _finite_kappa_c(kappa, c)
     if c == 0.0:
         raise ZeroC("the normalized derivative (-4 kappa / c) u' is undefined at c = 0")
-    return _outcome_from_two_regime(pair, kappa, c)
+    return _two_regime_conditions(pair, kappa, c)
 
 
 def _mode_guard(mode: str) -> None:
@@ -260,8 +260,8 @@ def _convexity_conditions(
     X = 1 + A - B + k (1+B), x = (1+B)^2 |c| / (4 (A-B)), Y = 1 - A + B + k (1-B) and
     y = (1-B)^2 |c| / (4 (A-B)).  "conservative" records X - x and Y - y: the convexity
     Re Psi's supremum is that of g(t) = -(Y - y + (X - x) t) / 2 on t >= 0 (_convexity_g).
-    Both may be 0: for c != 0 the z-part c den(r)^2 / (8 (A-B)) never vanishes, so
-    Re Psi < g(t) <= 0 on |z| < 1; at c = 0 only starlike applies, and z u = z is starlike.
+    Both may be 0: the checkers call this only at c != 0, where the z-part
+    c den(r)^2 / (8 (A-B)) never vanishes, so Re Psi < g(t) <= 0 on |z| < 1.
     "as-printed" records X Y - (x y - |coupling|), starlike X Y - (x y (A-B) + |coupling|).
     """
     A, B = pair.A, pair.B
@@ -277,8 +277,7 @@ def _convexity_conditions(
         )
         rhs = x * y * (A - B) + coupling if starlike else x * y - coupling
         second = ("product-domination", X * Y - rhs)
-    slacks = [("coefficient-positivity", X - x), second]
-    return CheckOutcome(satisfied=all(s >= 0.0 for _, s in slacks), branch=mode, slacks=slacks)
+    return CheckOutcome(branch=mode, slacks=[("coefficient-positivity", X - x), second])
 
 
 def check_convexity_theorem(
@@ -297,19 +296,11 @@ def check_convexity_theorem(
     kappa, c = _finite_kappa_c(kappa, c)
     A, B = pair.A, pair.B
     if not (B <= 0.0 < A):
-        return CheckOutcome(
-            satisfied=False,
-            branch="out-of-regime",
-            slacks=[],
-            notes=[f"condition set requires -1 <= B <= 0 < A <= 1, got A={A}, B={B}"],
-        )
+        notes = [f"condition set requires -1 <= B <= 0 < A <= 1, got A={A}, B={B}"]
+        return CheckOutcome(branch="out-of-regime", slacks=[], notes=notes)
     if c == 0.0:
-        return CheckOutcome(
-            satisfied=False,
-            branch="c=0",
-            slacks=[],
-            notes=["u' vanishes identically at c = 0, so 1 + z u''/u' is undefined"],
-        )
+        notes = ["u' vanishes identically at c = 0, so 1 + z u''/u' is undefined"]
+        return CheckOutcome(branch="c=0", slacks=[], notes=notes)
     return _convexity_conditions(pair, kappa, c, mode)
 
 
@@ -321,10 +312,16 @@ def check_starlike_theorem(
     The convexity condition set at kappa - 1, through
     z (z u_p)'/(z u_p) = 1 + z u''_{p-1}/u'_{p-1}, valid for every admissible
     pair.  "as-printed" keeps the paper's literal variant: an added coupling
-    and the unsquared envelope denominator 16 (A - B).
+    and the unsquared envelope denominator 16 (A - B).  At c = 0, in both
+    modes, z u = z and the functional is the constant 1: branch "c=0" records
+    the exact margin of 1 in the pair's region, (A - B) / (1 + |B|), which
+    is positive for every admissible pair.
     """
     _mode_guard(mode)
     kappa, c = _finite_kappa_c(kappa, c)
+    if c == 0.0:
+        margin = (pair.A - pair.B) / (1.0 + abs(pair.B))
+        return CheckOutcome(branch="c=0", slacks=[("identity-margin", margin)])
     return _convexity_conditions(pair, kappa - 1.0, c, mode, starlike=True)
 
 
@@ -371,49 +368,30 @@ def check_corollary(which: str, kappa: float, c: float) -> CheckOutcome:
     whenever it is well defined: not where the c-dependent A rounds to -1.
     """
     kappa, c = _finite_kappa_c(kappa, c)
+    notes: list[str] = []
+    implied, bound = JanowskiPair(A=0.0, B=-1.0), 0.5
     if which == COROLLARY_HALFPLANE_C_RATIO:
+        branch = "direct"
         slacks = [("c-sign", -c), ("kappa-margin", 2.0 * kappa - (2.0 + c * c))]
-        satisfied = all(s >= 0.0 for _, s in slacks)
-        notes: list[str] = []
-        implied = None
-        bound = None
+        implied, bound = None, None
         if c == 1.0:
             notes.append("implied half-plane undefined at c = 1 (bound c/(c-1) degenerates)")
         elif c <= 0.0:
             implied, bound = _half_plane(-(c + 1.0) / (c - 1.0), c / (c - 1.0), c, notes)
         else:
             notes.append("implied half-plane reported only for c <= 0")
-        return CheckOutcome(
-            satisfied=satisfied,
-            branch="direct",
-            slacks=slacks,
-            notes=notes,
-            implied_pair=implied,
-            conclusion_bound=bound,
-        )
-    if which == COROLLARY_RE_HALF:
+    elif which == COROLLARY_RE_HALF:
         if c <= 0.0:
             branch = "c<=0"
             slacks = [("kappa-margin", kappa - 1.0)]
         else:
             branch = "c>=0"
             slacks = [("kappa-margin", kappa - (1.0 + c / 2.0))]
-        return CheckOutcome(
-            satisfied=slacks[0][1] >= 0.0,
-            branch=branch,
-            slacks=slacks,
-            implied_pair=JanowskiPair(A=0.0, B=-1.0),
-            conclusion_bound=0.5,
-        )
-    if which == COROLLARY_CC_ORDER:
+    elif which == COROLLARY_CC_ORDER:
         if c > -1.0:
             return CheckOutcome(
-                satisfied=False,
-                branch="out-of-range",
-                slacks=[("c-range", -1.0 - c)],
-                notes=["requires c <= -1"],
+                branch="out-of-range", slacks=[("c-range", -1.0 - c)], notes=["requires c <= -1"]
             )
-        notes = []
         if c == -1.0:
             branch = "c=-1"
             threshold = c * (c + 1.0) / 2.0
@@ -425,30 +403,16 @@ def check_corollary(which: str, kappa: float, c: float) -> CheckOutcome:
             threshold = max(c * (c + 1.0) / 2.0, c / (2.0 * (c + 1.0)))
         slacks = [("kappa-margin", kappa - threshold)]
         implied, bound = _half_plane(-(c + 2.0) / c, (c + 1.0) / c, c, notes)
-        return CheckOutcome(
-            satisfied=slacks[0][1] >= 0.0,
-            branch=branch,
-            slacks=slacks,
-            notes=notes,
-            implied_pair=implied,
-            conclusion_bound=bound,
-        )
-    if which == COROLLARY_DERIV_RE_HALF:
+    elif which == COROLLARY_DERIV_RE_HALF:
         if c == 0.0:
-            return CheckOutcome(
-                satisfied=False,
-                branch="out-of-range",
-                slacks=[],
-                notes=["requires c != 0"],
-            )
-        return CheckOutcome(
-            satisfied=kappa - abs(c) / 2.0 >= 0.0,
-            branch="direct",
-            slacks=[("kappa-margin", kappa - abs(c) / 2.0)],
-            implied_pair=JanowskiPair(A=0.0, B=-1.0),
-            conclusion_bound=0.5,
-        )
-    raise UnknownCorollary(f"unknown corollary {which!r}; expected one of {COROLLARY_IDS}")
+            return CheckOutcome(branch="out-of-range", slacks=[], notes=["requires c != 0"])
+        branch = "direct"
+        slacks = [("kappa-margin", kappa - abs(c) / 2.0)]
+    else:
+        raise UnknownCorollary(f"unknown corollary {which!r}; expected one of {COROLLARY_IDS}")
+    return CheckOutcome(
+        branch=branch, slacks=slacks, notes=notes, implied_pair=implied, conclusion_bound=bound
+    )
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ import pytest
 from janbessel import (
     DEFAULT_CONFIG,
     AdmissibilityProbe,
+    CheckOutcome,
     DegenerateDenominator,
     JanowskiPair,
     MODE_AS_PRINTED,
@@ -127,6 +128,28 @@ def test_derivative_rejects_c_zero():
         check_derivative_theorem(JanowskiPair(0.0, -1.0), 2.0, 0.0)
 
 
+# Both sides of the two-regime guard overflow to +inf here, so the guard
+# slack is inf - inf = NaN while base and main are positive.
+OVERFLOW_PAIR = JanowskiPair(1.0, -0.9907585133468555)
+
+
+@pytest.mark.parametrize("checker", [check_subordination_theorem, check_derivative_theorem])
+def test_nan_guard_slack_is_not_satisfied(checker):
+    out = checker(OVERFLOW_PAIR, 1e155, 1e155)
+    s = slack_map(out)
+    assert math.isnan(s["guard"]) and s["base"] > 0.0 and s["main"] > 0.0
+    assert not out.satisfied
+
+
+def test_outcome_verdict_follows_from_slacks():
+    assert CheckOutcome(branch="b", slacks=[("x", 0.0), ("y", 2.0)]).satisfied
+    assert not CheckOutcome(branch="b", slacks=[("x", 0.0), ("y", -1e-300)]).satisfied
+    assert not CheckOutcome(branch="b", slacks=[("x", 1.0), ("y", math.nan)]).satisfied
+    assert not CheckOutcome(branch="b", slacks=[]).satisfied
+    with pytest.raises(TypeError):
+        CheckOutcome(satisfied=True, branch="b", slacks=[])
+
+
 def test_branch_exclusivity_property():
     rng = np.random.default_rng(71)
     labels = {"low-B/endpoint", "low-B/vertex", "high-B/endpoint", "high-B/vertex"}
@@ -217,10 +240,17 @@ def test_convexity_mode_validation():
 
 
 def test_starlike_c_zero_case():
-    # The convexity set at kappa - 1 = 1: X = 3 and Y = 1, with x = y = 0.
-    out = check_starlike_theorem(JanowskiPair(1.0, -1.0), 2.0, 0.0)
-    assert out.satisfied
-    assert out.slacks == [("coefficient-positivity", 3.0), ("factor-positivity", 1.0)]
+    # z u = z at c = 0: the functional is 1, whose margin in the pair's
+    # region is (A - B) / (1 + |B|), for a half-plane and a disk alike.
+    for mode in MODES:
+        out = check_starlike_theorem(JanowskiPair(1.0, -1.0), 2.0, 0.0, mode=mode)
+        assert out.satisfied and out.branch == "c=0"
+        assert out.slacks == [("identity-margin", 1.0)]
+        # Y = kappa - 1 + 1 - A + B = -0.3 < 0 here, which the c != 0 set rejects.
+        out = check_starlike_theorem(JanowskiPair(0.5, 0.0), 0.2, 0.0, mode=mode)
+        assert out.satisfied and out.slacks == [("identity-margin", 0.5)]
+        out = check_starlike_theorem(JanowskiPair(0.5, -0.5), -0.5, -0.0, mode=mode)
+        assert out.satisfied and out.slacks == [("identity-margin", 1.0 / 1.5)]
 
 
 def test_starlike_literal_case():

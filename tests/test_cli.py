@@ -230,6 +230,17 @@ def test_check_verdict_exit_codes(capsys):
     assert doc["payload"]["outcome"]["satisfied"] is False
 
 
+@pytest.mark.parametrize("theorem", ["subordination", "derivative"])
+@pytest.mark.parametrize("mode", ["conservative", "as-printed"])
+def test_check_nan_guard_slack_exits_one(capsys, theorem, mode):
+    # The guard slack is inf - inf = NaN here, written as null: not satisfied.
+    code = run(["check", "--theorem", theorem, "--A", "1", "--B=-0.9907585133468555",
+                "--kappa", "1e155", "--c", "1e155", "--mode", mode])
+    outcome = _strict_json(capsys.readouterr().out)["payload"]["outcome"]
+    assert code == 1 and outcome["satisfied"] is False
+    assert dict(outcome["slacks"])["guard"] is None
+
+
 def test_scan_rejects_nonpositive_workers(capsys):
     argv = ["scan", "--selector", "u", "--A", "0", "--B=-1", "--kappa-range", "1:2:2",
             "--c-range=-2:-1:2", "--radii", "2", "--angles", "8", "--workers", "0"]
@@ -504,14 +515,15 @@ QUOTIENT_SCAN_ARGS = [
 ]
 
 # The CSV of QUOTIENT_SCAN_ARGS as it was before reports recorded their
-# method: the real-axis cells (kappa 3, c = -4 and 4) keep every byte.
+# method: the real-axis cells (kappa 3, c = -4 and 4) keep every byte.  At
+# c = 0 the checker takes its exact "c=0" branch, satisfied at every kappa.
 QUOTIENT_SCAN_CSV = """\
 kappa,c,checker,branch,corollary,numeric,min_margin,witness_re,witness_im
 0.5,-4,false,conservative,n/a,counterexample,-7.5764598503243965,-0.54884080347572806,0
-0.5,0,false,conservative,n/a,holds-on-grid,0.71428571428571419,0.050000000000000003,0
+0.5,0,true,c=0,n/a,holds-on-grid,0.71428571428571419,0.050000000000000003,0
 0.5,4,false,conservative,n/a,counterexample,-7.5764598503243965,0.54884080347572806,0
 3,-4,true,conservative,n/a,holds-on-grid,0.34923817238861143,-0.999,0
-3,0,true,conservative,n/a,holds-on-grid,0.71428571428571419,0.050000000000000003,0
+3,0,true,c=0,n/a,holds-on-grid,0.71428571428571419,0.050000000000000003,0
 3,4,true,conservative,n/a,holds-on-grid,0.34923817238861143,0.999,0
 """
 

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -24,6 +25,7 @@ from janbessel import (
     admissibility_scan,
     check_convexity_theorem,
     check_corollary,
+    check_starlike_theorem,
     check_subordination_theorem,
     eval_psi,
     property_radius,
@@ -1180,6 +1182,54 @@ def test_default_mode_theorems_are_sound_on_seeded_draws():
     assert min(verified.values()) > 1000
 
 
+def test_corollaries_are_sound_on_seeded_draws():
+    # Every satisfied corollary with an implied pair must hold on the sampled
+    # disk for its selector.  re-half is literal by design
+    # (test_corollary_conclusion_fails_at_strongly_negative_c): it is checked
+    # too, and its misses must all lie on its c <= 0 branch.
+    rng = np.random.default_rng(2026)
+    verified, misses = {}, {}
+    for i in range(5000):
+        c = rng.uniform(-30.0, 30.0)
+        kappa = rng.uniform(-0.9, 12.0 if i % 2 else 500.0)  # cc-order needs kappa >= c (c+1) / 2
+        params = verify._params_for_kappa(kappa, c)
+        for selector, (_, corollaries) in checks.PROPERTIES.items():
+            for which in corollaries:
+                out = check_corollary(which, kappa, c)
+                if out.satisfied and out.implied_pair is not None:
+                    verified[which] = verified.get(which, 0) + 1
+                    report = verify_membership(selector, out.implied_pair, params, SOUNDNESS_GRID)
+                    if report.verdict != "holds-on-grid":
+                        misses.setdefault(which, []).append((kappa, c, out.branch))
+    assert set(misses) <= {"re-half"}, {k: v[:3] for k, v in misses.items()}
+    assert {branch for _, _, branch in misses.get("re-half", [])} <= {"c<=0"}
+    assert sorted(verified) == sorted(checks.COROLLARY_IDS) and min(verified.values()) > 500
+
+
+def test_starlike_at_c_zero_is_the_exact_margin():
+    # z u = z at c = 0, so the functional is 1: the checker's one slack is the
+    # exact margin of 1 in the pair's region, in both modes.
+    rng = np.random.default_rng(2028)
+    for _ in range(300):
+        B = rng.uniform(-1.0, 0.8)
+        A = rng.uniform(B + 0.05, 1.0)
+        pair, kappa = JanowskiPair(A, B), rng.uniform(-0.9, 12.0)
+        outs = [check_theorem("starlike", pair, kappa, 0.0, mode=mode) for mode in checks.MODES]
+        assert outs[0] == outs[1] and outs[0].satisfied
+        (label, slack), = outs[0].slacks
+        report = verify_membership("starlike-zu", pair, verify._params_for_kappa(kappa, 0.0))
+        assert label == "identity-margin" and report.verdict == "holds-on-grid"
+        assert abs(slack - report.min_margin) <= 1e-12 * report.min_margin
+    # On close pairs near B = -1 the sampled margin, radius - |1 - center|,
+    # loses digits to cancellation (the radius grows as 1 / (1 - B^2)), so
+    # there the slack is compared with the exact rational margin instead.
+    for _ in range(2000):
+        pair, _, _ = _draw_cell(rng)
+        (_, slack), = check_starlike_theorem(pair, 1.0, 0.0).slacks
+        exact = (Fraction(pair.A) - Fraction(pair.B)) / (1 + abs(Fraction(pair.B)))
+        assert abs(Fraction(slack) - exact) <= 2.0**-51 * exact
+
+
 def test_admissibility_scan_validation():
     with pytest.raises(ValueError):
         admissibility_scan("psi", HALF_PAIR, 2.0, -1.0)
@@ -1483,7 +1533,7 @@ def test_scan_conflicts_flags_satisfied_counterexamples():
     fake = ScanRow(
         kappa=1.0,
         c=-3.0,
-        checker=CheckOutcome(satisfied=True, branch="synthetic", slacks=[]),
+        checker=CheckOutcome(branch="synthetic", slacks=[("synthetic", 0.0)]),
         corollary_id=None,
         corollary=None,
         report=next(r for r in rows if r.c == -3.0 and r.kappa == 1.0).report,

@@ -29,10 +29,12 @@ seed and workload:
 
 Every change is listed after the counts, except mirror and real-axis
 witness moves, last-bit or mirror probe moves and scalar results that moved
-by at most 1e-12 relative, which are only counted.  Where `tools/output_digest.py`
-says whether two checkouts' outputs are identical, this says how they
-differ.  The script only reads the two checkouts; it changes nothing in
-them.
+by at most 1e-12 relative, which are only counted.  Pointwise ops are keyed
+by their arguments and keyword arguments (a checker's `mode`, an `eval_u`
+`order`).  The exit status is 0 when every item of every seed and workload
+is bit-identical, 1 when any item differs (last-bit moves included) and 2
+on a usage error.  The script only reads the two checkouts; it changes
+nothing in them.
 """
 
 from __future__ import annotations
@@ -86,8 +88,8 @@ def _pointwise_records(workload, out):
     from janbessel.checks import CheckOutcome, McCartyBounds
 
     records = []
-    for index, ((kind, _, args, _), result) in enumerate(zip(workload.ops, out)):
-        record = {"key": f"op {index} {kind}{args!r}"}
+    for index, ((kind, _, args, kwargs), result) in enumerate(zip(workload.ops, out)):
+        record = {"key": f"op {index} {kind}{args!r}" + (f" {kwargs!r}" if kwargs else "")}
         if isinstance(result, Exception):
             record["rest"] = repr(result)
         elif isinstance(result, EvalResult):
@@ -232,9 +234,9 @@ def _probe_move(old, new):
 
 
 def compare(parent, change):
-    """Report lines for one seed and workload."""
+    """Report lines for one seed and workload, and whether any item differs."""
     if [r["key"] for r in parent] != [r["key"] for r in change]:
-        return ["  the two checkouts ran different items; nothing compared"]
+        return ["  the two checkouts ran different items; nothing compared"], True
     n = dict.fromkeys(("verdicts", "margins", "margins equal", "values", "values equal",
                        "witnesses", "mirror", "real-axis", "radii", "radii changed", "maxima",
                        "maxima changed", "maxima unbounded", "maxima sign flipped", "probes moved",
@@ -304,6 +306,9 @@ def compare(parent, change):
         if p.get("rest") != c.get("rest"):
             n["other fields"] += 1
             details.append(f"  other {key}: {p.get('rest')} -> {c.get('rest')}")
+    differs = bool(n["verdicts"] or n["witnesses"] or n["radii changed"] or n["maxima changed"]
+                   or n["probes moved"] or n["other fields"] or n["margins"] != n["margins equal"]
+                   or n["values"] != n["values equal"])
     return [
         f"  verdicts changed {n['verdicts']}",
         f"  min_margin bit-equal {n['margins equal']}/{n['margins']}, "
@@ -319,7 +324,7 @@ def compare(parent, change):
         f"(last-bit {n['probe last-bit']}, mirror {n['probe mirror']}, other "
         f"{n['probes moved'] - n['probe last-bit'] - n['probe mirror']})",
         f"  other fields changed {n['other fields']}",
-    ] + details
+    ] + details, differs
 
 
 def run(checkout, seed):
@@ -342,13 +347,17 @@ def main(argv: list[str]) -> int:
         if not (side / "bench" / "workloads.py").is_file():
             print(f"no bench/workloads.py under {side}", file=sys.stderr)
             return 2
+    status = 0
     for seed in (int(arg) for arg in argv[2:]):
         before, after = run(parent, seed), run(change, seed)
         for name in NAMES:
             print(f"{seed} {name}: {len(before[name])} items", flush=True)
-            for line in compare(before[name], after[name]):
+            lines, differs = compare(before[name], after[name])
+            for line in lines:
                 print(line, flush=True)
-    return 0
+            status |= differs
+    print("outputs differ" if status else "all outputs bit-identical", flush=True)
+    return status
 
 
 if __name__ == "__main__":
