@@ -239,11 +239,20 @@ def _series_rows(kappa: float, c: float, order: int, rel_tol: float, max_terms: 
     import numpy as np
 
     a, _ = _coefficients(kappa, c, order, rel_tol, max_terms)
-    n = len(a)
-    index, weights = _falling_weights(order, n)
-    rows = np.array(a + [0.0] * order)[index] * weights
+    rows = _kernel_layout(np.array(a + [0.0] * order), order, len(a))
     rows.flags.writeable = False
     return rows
+
+
+def _kernel_layout(a, order: int, n: int, lowest: int = 0):
+    """Kernel rows lowest..order from coefficients a, whose last axis has at least n + order entries.
+
+    Entry [..., j - lowest, m] is the one rounding of float(perm(m+j, j)) *
+    a[..., m+j], the coefficient of z^m in u^(j).  _series_rows lays out one
+    cell's rows this way, and region scans a chunk's from _coefficient_matrix.
+    """
+    index, weights = _falling_weights(order, n)
+    return a[..., index[lowest:]] * weights[lowest:]
 
 
 def _coefficient_matrix(kappas, cs, order: int, rel_tol: float, max_terms: int):
@@ -252,9 +261,9 @@ def _coefficient_matrix(kappas, cs, order: int, rel_tol: float, max_terms: int):
     The recurrence and the stopping rule run over every cell at once, one k
     at a time, with _coefficients' IEEE operations in its order, so each
     entry is bit for bit its own.  a has max(terms) + order columns, +0.0
-    past each cell's terms: a[:, index] * weights, with _falling_weights(order, n)
-    for n up to max(terms), gathers the _series_rows of every cell, zero-padded
-    to n.  NoConvergence names the first cell that no k below max_terms stops.
+    past each cell's terms: _kernel_layout(a, order, n), for n up to
+    max(terms), gathers the _series_rows of every cell, zero-padded to n.
+    NoConvergence names the first cell that no k below max_terms stops.
     """
     import numpy as np
 

@@ -567,12 +567,15 @@ def eval_psi(
 _INSIDE = 1.0 - 2.0**-50
 
 
-def _root(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
+def _root(f, lo: float, hi: float, f_lo: float, f_hi: float, width: float = 0.0) -> float:
     """A root of f in [lo, hi], given f(lo) > 0 >= f(hi): an exact zero if one is met,
-    else lo once the bracket is one ulp wide.  Illinois steps; one that would leave
-    the open bracket, or a NaN one, bisects instead."""
+    else lo once the bracket is at most width, or one ulp, wide.  Illinois steps; one
+    that would leave the open bracket, or a NaN one, bisects instead.  f(t) > 0 moves
+    lo to t and anything else, NaN included, moves hi."""
     side = 0
     for _ in range(200):
+        if hi - lo <= width:
+            break
         t = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
         if not lo < t < hi:
             t = 0.5 * (lo + hi)

@@ -5,7 +5,7 @@ Verbs
     eval           series values and derivatives at one disk point
     check          one sufficient-condition checker (theorem or corollary)
     verify         sampled membership test of a property functional
-    radius         bisected property radius for a functional
+    radius         property radius for a functional, a root of its margin
     scan           (kappa, c) region sweep; JSON or CSV output
     admissibility  supremum of Re Psi over the admissible set
     bounds         the three pointwise bounds for i_p at a disk point
@@ -271,11 +271,12 @@ def build_parser() -> argparse.ArgumentParser:
                               parents=[selector, pair, params, grid, eval_config, output])
     p_verify.set_defaults(handler=_cmd_verify)
 
-    p_radius = sub.add_parser("radius", help="bisected property radius",
+    p_radius = sub.add_parser("radius", help="property radius",
                               parents=[selector, pair, params, radius_cap, eval_config, output])
     p_radius.add_argument("--grid-density", type=int, default=256,
                           help="angles per tested circle")
-    p_radius.add_argument("--tol", type=float, default=1e-4, help="bisection tolerance")
+    p_radius.add_argument("--tol", type=float, default=1e-4,
+                          help="an infeasible radius is tested at most this far above the result")
     p_radius.set_defaults(handler=_cmd_radius)
 
     p_scan = sub.add_parser("scan", help="sweep a (kappa, c) rectangle",

@@ -32,12 +32,13 @@ certificate covers the disk asked about, verify_membership and
 property_radius use this rule, so the zero-free precondition below is
 checked for these selectors when kappa > 0 (convexity: kappa > -1).
 
-property_radius otherwise bisects for the largest sampled radius on which
-membership holds, judging each radius by its circle alone, several circles
-to a kernel call.  That suffices only when the functional's denominator has
-no zero inside the circle: w is then analytic on the closed sub-disk, where
-Re w is harmonic and |w - center| subharmonic, so the margin's minimum lies
-on the circle.  This precondition is not checked there (a known defect).
+property_radius otherwise searches for a sampled radius on which
+membership holds, judging each radius by its circle alone, one circle to a
+kernel call after the first.  That suffices only when the functional's
+denominator has no zero inside the circle: w is then analytic on the closed
+sub-disk, where Re w is harmonic and |w - center| subharmonic, so the
+margin's minimum lies on the circle.  This precondition is not checked
+there (a known defect).
 
 Every report comes from one step, _cell_reports: a stack of cells' kernel
 rows goes through one contraction (bessel._contract), the functional and
@@ -85,7 +86,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bessel import BesselParams, EvalConfig, DEFAULT_CONFIG, _count, _PowerTable
-from .bessel import _coefficient_matrix, _contract, _falling_weights, _series_rows
+from .bessel import _coefficient_matrix, _contract, _kernel_layout, _series_rows
 from .bessel import zero_free_radius
 from .checks import (
     MODE_CONSERVATIVE,
@@ -97,6 +98,7 @@ from .checks import (
     SELECTORS,
     CheckOutcome,
     ZeroC,
+    _root,
     admissibility_scan,  # defined in checks; also importable from here
     check_corollary,
     check_theorem,
@@ -199,7 +201,7 @@ def _sampled_units(n: int) -> _PowerTable:
     return _PowerTable(_ring(n)[: n // 2 + 1])
 
 
-# A property_radius bisection adds ~5 radius tuples; 64 slots keep the grid's points.
+# A property_radius search adds one radius tuple per circle; 64 slots keep the grid's points.
 @functools.lru_cache(maxsize=64)
 def _points(radii: tuple[float, ...], table: _PowerTable) -> np.ndarray:
     """radius * unit for every radius and every table point, radius-major (1-d); read-only."""
@@ -401,13 +403,6 @@ def verify_membership(
     return _cell_reports(selector, pair, grid, [params], rows, grid.radii, _sampled_units(grid.angles))[0]
 
 
-# property_radius evaluates this many levels of its bisection tree, up to
-# 2**BISECT_LEVELS - 1 circles, in one kernel call.  A deeper round saves
-# calls but evaluates more circles the walk never visits: at 256 angles, 2
-# to 6 levels take about the same time, 7 nearly twice as long.
-BISECT_LEVELS = 4
-
-
 def property_radius(
     selector: str,
     pair: JanowskiPair,
@@ -417,8 +412,9 @@ def property_radius(
     max_radius: float = 0.999,
     cfg: EvalConfig = DEFAULT_CONFIG,
 ) -> float:
-    """Largest radius (within tol, or one ulp where tol is finer) on which
-    membership holds, bisected from 0.01.
+    """Radius on which membership holds: a radius from 0.01 up tested
+    feasible, with one tested infeasible at most tol above it (one ulp above
+    where tol is finer).
 
     Returns 0.0 when even r = 0.01 fails and the cap when the cap is feasible.
     Where a quotient selector's cap min(max_radius, _certified_radius) is
@@ -433,11 +429,13 @@ def property_radius(
     Precondition, not checked there: the functional's denominator has no
     zero inside the circles tested; past one the radius can be unsound.
 
-    One kernel call tests 0.01 and the cap together; each later one tests
-    every node of the next BISECT_LEVELS levels of the bisection tree under
-    the walk's (lo, hi).  A value depends only on its radius, point and row
-    (bessel._contract), so each circle's verdict, and the radius, are bit
-    for bit those of testing one circle per call, monotone in r or not.
+    One kernel call tests 0.01 and the cap together.  Between them
+    checks._root narrows (lo, hi), one circle a call, on the circle's least
+    margin m read as m / (1 + |m|): the sign is kept, and a huge margin near
+    a pole of w pulls the Illinois steps no further than a margin of 1.  A
+    degenerate circle, or one whose least margin is 0 or NaN, reads -1, so
+    membership stays strict.  Where feasibility is not monotone in r, the
+    radius ends one sign change, not necessarily the first.
     """
     grid_density = _count("grid_density", grid_density)
     if grid_density < 8:
@@ -451,38 +449,21 @@ def property_radius(
     table, cap = (_AXIS_UNITS, cap) if cap > 0.01 else (_sampled_units(grid_density), max_radius)
     rows = _kernel_rows(selector, params, cfg)
 
-    def feasible(radii: tuple[float, ...]) -> dict[float, bool]:
+    def least(*radii: float) -> list[float]:
         margins, mask, proof_mask, _ = _margins(
             pair, region, *_functional_values(selector, rows, [params], radii, table)
         )
         shape = (len(radii), -1)
-        ok = ~(mask | proof_mask).reshape(shape).any(axis=1) & (margins.reshape(shape).min(axis=1) > 0.0)
-        return dict(zip(radii, ok.tolist()))
+        hits = (mask | proof_mask).reshape(shape).any(axis=1).tolist()
+        lows = margins.reshape(shape).min(axis=1).tolist()
+        return [m / (1.0 + abs(m)) if abs(m) > 0.0 and not hit else -1.0 for hit, m in zip(hits, lows)]
 
-    known = feasible((0.01, cap))
-    if not known[0.01]:
+    f_lo, f_hi = least(0.01, cap)
+    if not f_lo > 0.0:
         return 0.0
-    if known[cap]:
+    if f_hi > 0.0:
         return cap
-    lo, hi = 0.01, cap
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:  # lo and hi are adjacent floats: tol is below their spacing
-            break
-        if mid not in known:
-            # Every node the walk can reach in the next BISECT_LEVELS steps.
-            nodes, spans = [], [(lo, hi)]
-            for _ in range(BISECT_LEVELS):
-                spans = [(a, b) for a, b in spans if b - a > tol]
-                mids = [0.5 * (a + b) for a, b in spans]
-                nodes += mids
-                spans = [half for (a, b), m in zip(spans, mids) for half in ((a, m), (m, b))]
-            known = feasible(tuple(nodes))
-        if known[mid]:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return _root(lambda r: least(r)[0], 0.01, cap, f_lo, f_hi, tol)
 
 
 @dataclass
@@ -518,8 +499,9 @@ def _verify_cells(
     cells whose disk lies below _certified_radius take the real-axis rule on
     w(r) and w(-r), a chunk of cells per kernel call.  One
     bessel._coefficient_matrix pass builds every cell's coefficients; a
-    chunk's kernel rows are one gather from it, zero-padded to the chunk's
-    longest cell, and _cell_reports turns them into the chunk's reports.
+    chunk's kernel rows are one gather from it (bessel._kernel_layout),
+    zero-padded to the chunk's longest cell, and _cell_reports turns them
+    into the chunk's reports.
     Every other cell, and every real-axis cell with w(r) or w(-r)
     degenerate, calls verify_membership.
     The pass covers every cell in order, fallbacks too, so it raises the
@@ -545,8 +527,8 @@ def _verify_cells(
             chunked.append(i)
     for start in range(0, len(chunked), size):
         chunk = chunked[start : start + size]
-        index, weights = _falling_weights(order, int(terms[chunk].max()))
-        rows = (a[chunk][:, index[lowest:]] * weights[lowest:]).reshape(-1, index.shape[1])
+        n = int(terms[chunk].max())
+        rows = _kernel_layout(a[chunk], order, n, lowest).reshape(-1, n)
         found = _cell_reports(selector, pair, grid, [cells[i] for i in chunk], rows, radii, table)
         for i, report in zip(chunk, found):
             reports[i] = verify_membership(selector, pair, cells[i], grid, cfg) if report is None else report

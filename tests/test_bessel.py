@@ -338,7 +338,7 @@ def test_series_rows_are_the_rounded_term_products():
     # the same rows from one coefficient matrix for all cells: c = 0 with
     # kappa in (-3, 0) keeps signed zeros up to the delayed stop, and of two
     # cells that fail, the first is named.
-    from janbessel.bessel import _coefficient_matrix, _coefficients, _falling_weights, _series_rows
+    from janbessel.bessel import _coefficient_matrix, _coefficients, _kernel_layout, _series_rows
 
     cells = ((1.5, 0.0), (-2.7, 3.5), (0.2, -150.0), (40.0, 60.0), (-2.5, 0.0), (-0.4, 0.0), (3.0, 150.0))
     for order in range(4):
@@ -346,7 +346,6 @@ def test_series_rows_are_the_rounded_term_products():
         n = max(terms)
         assert matrix.shape == (len(cells), n + order) and matrix.dtype == float
         assert np.signbit(matrix[matrix == 0.0]).any()
-        index, weights = _falling_weights(order, n)
         for (kappa, c), coefs, count in zip(cells, matrix, terms):
             a, _ = _coefficients(kappa, c, order, 1e-14, 300)
             rows = _series_rows(kappa, c, order, 1e-14, 300)
@@ -363,7 +362,14 @@ def test_series_rows_are_the_rounded_term_products():
             assert not coefs[count:].view(np.uint64).any()  # +0.0 exactly
             padded = np.zeros((order + 1, n))
             padded[:, : len(a)] = rows
-            assert np.array_equal((coefs[index] * weights).view(np.uint64), padded.view(np.uint64))
+            for lowest in range(order + 1):
+                gathered = _kernel_layout(coefs, order, n, lowest)
+                assert np.array_equal(gathered.view(np.uint64), padded[lowest:].view(np.uint64))
+        # A chunk's rows, gathered at once as region scans do, are each cell's to the bit.
+        lowest = min(order, 1)
+        stacked = _kernel_layout(matrix, order, n, lowest)
+        cellwise = np.stack([_kernel_layout(coefs, order, n, lowest) for coefs in matrix])
+        assert np.array_equal(stacked.view(np.uint64), cellwise.view(np.uint64))
         # Cells 1 and 4 stop within 20 terms, 2 and 3 need 26-29; the last
         # overflows to inf, silently as in Python floats.
         failing = ((5.0, 1.0), (-0.5, 90.0), (0.7, 100.0), (2.0, -3.0), (2.0, 1e200))

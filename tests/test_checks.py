@@ -25,7 +25,7 @@ from janbessel import (
     eval_psi,
     mccarty_bounds,
 )
-from janbessel.checks import MODES, THEOREM_NAMES, check_theorem
+from janbessel.checks import MODES, THEOREM_NAMES, _root, check_theorem
 
 
 def slack_map(outcome):
@@ -548,3 +548,35 @@ def test_probe_invariants_enforced():
         probe(z=complex(math.nan, 0.0))
     # Boundary values are allowed.
     probe(rho=1.0, sigma=-1.0, mu=1.0)
+
+
+def test_root_stops_once_the_bracket_is_width_wide():
+    # f falls through 0 at 0.2^(1/3).  With width 0 the steps run to an exact
+    # zero or a one-ulp bracket; with width w they stop at the first bracket
+    # at most w wide, whose ends were both evaluated (or given).
+    root = 0.2 ** (1.0 / 3.0)
+
+    def run(width):
+        seen = []
+
+        def f(t):
+            seen.append(t)
+            return 0.2 - t**3
+
+        return _root(f, 0.0, 1.0, 0.2, -0.8, width), seen
+
+    exact, steps = run(0.0)
+    assert exact == _root(lambda t: 0.2 - t**3, 0.0, 1.0, 0.2, -0.8)
+    assert abs(exact - root) <= 2.0 * math.ulp(root)
+    for width in (1e-2, 1e-6, 1e-12):
+        lo, seen = run(width)
+        assert lo in seen and 0.2 - lo**3 > 0.0
+        hi = min(t for t in seen + [1.0] if t > lo)
+        assert hi - lo <= width and 0.2 - hi**3 <= 0.0, width
+        assert len(seen) <= len(steps)
+    assert len(run(1e-2)[1]) < len(steps)
+    assert run(1.0) == (0.0, [])  # the bracket is already that narrow
+    # An exact zero ends the search whatever the width; a NaN moves hi.
+    assert _root(lambda t: 0.5 - t, 0.0, 1.0, 0.5, -0.5, 1e-3) == 0.5
+    lo = _root(lambda t: 0.2 - t**3 if t < 0.7 else math.nan, 0.0, 1.0, 0.2, math.nan, 1e-9)
+    assert root - 1e-9 <= lo < root

@@ -3,6 +3,7 @@
 import argparse
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -321,9 +322,9 @@ def test_radius_verb(capsys):
 
 
 def test_radius_tol_below_float_spacing_returns():
-    # Below the float spacing near the radius, the bisection's midpoint
-    # rounds to an end; the walk must stop there instead of spinning.  Run
-    # in a child process so that a hang fails the test instead of stalling it.
+    # Below the float spacing near the radius, the search's midpoint rounds
+    # to an end; it must stop there instead of spinning.  Run in a child
+    # process so that a hang fails the test instead of stalling it.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     argv = ["radius", "--selector", "u", "--A", "0.1", "--B=-1", "--p=-0.5", "--b", "2", "--c", "6",
@@ -332,8 +333,8 @@ def test_radius_tol_below_float_spacing_returns():
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     radius = json.loads(result.stdout)["payload"]["radius"]
-    # The default tol of 1e-4 gives 0.4317012939453125.
-    assert 0.4317012939453125 <= radius <= 0.4317012939453125 + 1e-4
+    # u = 0F1(; 1; -1.5 z) meets the edge 0.45 at r = 0.431733090440526 (mpmath).
+    assert abs(radius - 0.431733090440526) <= math.ulp(0.431733090440526)
 
 
 def test_admissibility_verb(capsys):

@@ -48,7 +48,9 @@ SMALL_GRID = SampleGrid(radii=tuple(np.geomspace(0.05, 0.999, 6)), angles=16)
 I0_MIN_MARGIN = 0.3416215769019355
 CEX_MIN_MARGIN = -0.47324007523440137
 CEX_WITNESS = 0.9485786524124437 + 0.3133680586584926j
-RADIUS_FIXTURE = 0.4317012939453125
+# u = 0F1(; 1; -1.5 z) meets the edge Re w = 0.45 of the pair (0.1, -1) first at
+# z = r = RADIUS_ROOT: mpmath findroot at 40 digits, rounded to a float.
+RADIUS_ROOT = 0.431733090440526
 GAP_CELL_MARGIN = 0.26541772621418214
 UNSOUND_CELL_MARGIN = -0.12005867698433714
 
@@ -503,9 +505,11 @@ def test_verify_membership_is_deterministic():
 
 
 def test_property_radius_interior_fixture():
+    with mpmath.workdps(40):
+        root = mpmath.findroot(lambda t: mpmath.hyp0f1(1, -1.5 * t) - mpmath.mpf(0.45), 0.43)
+    assert float(root) == RADIUS_ROOT
     r = property_radius("u", JanowskiPair(0.1, -1.0), BesselParams(-0.5, 2.0, 6.0), tol=1e-4)
-    assert abs(r - RADIUS_FIXTURE) < 1e-12
-    assert 0.1 < r < 0.9
+    assert RADIUS_ROOT - 1e-4 <= r < RADIUS_ROOT
     again = property_radius("u", JanowskiPair(0.1, -1.0), BesselParams(-0.5, 2.0, 6.0), tol=1e-4)
     assert again == r
 
@@ -531,17 +535,18 @@ print(repr(property_radius("u", JanowskiPair(0.1, -1.0), BesselParams(-0.5, 2.0,
 
 def test_property_radius_tol_below_float_spacing_returns():
     # Near r = 0.43 the float spacing is 5.6e-17: once the bracket is one ulp
-    # wide, its midpoint rounds to an end and the walk must stop.  Run in a
-    # child process so that a hang fails the test instead of stalling it.
+    # wide, its midpoint rounds to an end and the search must stop, at the
+    # root to within an ulp.  Run in a child process so that a hang fails the
+    # test instead of stalling it.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     result = subprocess.run([sys.executable, "-c", PROPERTY_RADIUS_CHILD], env=env,
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     radius = float(result.stdout)
-    assert RADIUS_FIXTURE <= radius <= RADIUS_FIXTURE + 1e-4
+    assert abs(radius - RADIUS_ROOT) <= math.ulp(RADIUS_ROOT)
     pair, params = JanowskiPair(0.1, -1.0), BesselParams(-0.5, 2.0, 6.0)
-    assert property_radius("u", pair, params) == RADIUS_FIXTURE
+    assert property_radius("u", pair, params) == property_radius("u", pair, params, tol=1e-4)
     assert verify_membership("u", pair, params, grid=SampleGrid(radii=(radius,), angles=256)).min_margin > 0.0
 
 
@@ -562,50 +567,73 @@ def test_property_radius_rejects_non_integer_density():
     )
 
 
-def _reference_property_radius(selector, pair, params, grid_density, tol, max_radius=0.999, rule=True):
-    # The bisection of property_radius.  With the rule, a quotient selector
-    # certified zero-free beyond 0.01 is bisected below that radius on the
-    # real-axis rule; otherwise on every point of each circle.
+def _reference_feasible(selector, pair, params, grid_density, r, max_radius=0.999, rule=True):
+    # Feasibility as property_radius defines it.  With the rule, a quotient
+    # selector certified zero-free beyond 0.01 is judged below that radius
+    # by the real-axis rule; otherwise on every point of the circle.
     cap = min(max_radius, _zero_free(selector, params)) if rule else 0.0
     if cap > 0.01:
-        def feasible(r):
-            axis = _reference_real_axis(selector, pair, params, r)
-            return axis is not None and axis[0] > 0.0
+        axis = _reference_real_axis(selector, pair, params, r)
+        return axis is not None and axis[0] > 0.0
+    margins, hits = _reference_margins(selector, pair, params, (r,), verify._ring(grid_density))
+    return not hits and float(np.min(margins)) > 0.0
+
+
+def _radius_search(monkeypatch, selector, pair, params, density, tol):
+    """property_radius's radius and its kernel calls as (radii, points per circle)."""
+    calls = []
+    kernel = verify._functional_values
+
+    def counted(selector, rows, cells, radii, units):
+        assert len(cells) == 1
+        calls.append((radii, len(units.points)))
+        return kernel(selector, rows, cells, radii, units)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "_functional_values", counted)
+        r = property_radius(selector, pair, params, grid_density=density, tol=tol)
+    return r, calls
+
+
+def _assert_radius_contract(selector, pair, params, density, tol, r, calls):
+    # The first call tests 0.01 and the cap, every later one a circle.  By the
+    # reference, each radius tested (only 0.01 where r is 0.0) is feasible
+    # exactly when it is at most r; 0.0 and the cap take one call, and
+    # otherwise an infeasible radius was tested at most tol above r (or one
+    # ulp above, where tol is finer).
+    cap = min(0.999, _zero_free(selector, params))
+    points = 2 if cap > 0.01 else density // 2 + 1
+    cap = cap if cap > 0.01 else 0.999
+    where = (selector, pair, params, density, tol, r)
+    assert calls[0] == ((0.01, cap), points), where
+    assert all(len(radii) == 1 and n == points for radii, n in calls[1:]), where
+    tested = [t for radii, _ in calls for t in radii] if r > 0.0 else [0.01]
+    for t in tested:
+        assert _reference_feasible(selector, pair, params, density, t) == (0.0 < t <= r), (where, t)
+    if r in (0.0, cap):
+        assert len(calls) == 1, where
     else:
-        cap, ring = max_radius, verify._ring(grid_density)
-
-        def feasible(r):
-            margins, hits = _reference_margins(selector, pair, params, (r,), ring)
-            return not hits and float(np.min(margins)) > 0.0
-
-    if not feasible(0.01):
-        return 0.0
-    if feasible(cap):
-        return cap
-    lo, hi = 0.01, cap
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if feasible(mid) else (lo, mid)
-    return lo
+        above = min(t for t in tested if t > r)
+        assert above - r <= tol or above == np.nextafter(r, 1.0), (where, above)
 
 
-def test_property_radius_equals_full_ring_bisection():
+def test_property_radius_holds_under_the_full_ring_reference(monkeypatch):
     draws = [("u", JanowskiPair(0.1, -1.0), BesselParams(-0.5, 2.0, 6.0))] + _mirror_draws(911, 40)
     moved = []
     for k, (selector, pair, params) in enumerate(draws):
         density = (8, 9, 17, 64, 256)[k % 5]
-        r = property_radius(selector, pair, params, grid_density=density, tol=1e-3)
-        ref = _reference_property_radius(selector, pair, params, density, 1e-3)
-        where = (selector, pair, params, density)
-        assert np.float64(r).view(np.uint64) == np.float64(ref).view(np.uint64), where
-        sampled = _reference_property_radius(selector, pair, params, density, 1e-3, rule=False)
+        r, calls = _radius_search(monkeypatch, selector, pair, params, density, 1e-3)
+        _assert_radius_contract(selector, pair, params, density, 1e-3, r, calls)
+        with monkeypatch.context() as patch:  # the sampled circles alone
+            patch.setattr(verify, "_certified_radius", lambda selector, params: 0.0)
+            sampled = property_radius(selector, pair, params, grid_density=density, tol=1e-3)
         if r != sampled:
             moved.append(k)
             # Only where the zero-free cap binds, or on an odd circle (no -r).
-            assert _zero_free(selector, params) < 0.999 or density % 2 == 1, where
+            assert _zero_free(selector, params) < 0.999 or density % 2 == 1, (k, r)
     # Draw 4: u has a zero near 0.676, inside the sampled radius 0.999; the
-    # radius is now 0.118.  Draw 12: 17 angles, 0.0824 -> 0.0815.
-    assert moved == [4, 12]
+    # radius is 0.118.  Draw 12: 17 angles, 0.0827 sampled against 0.0821.
+    assert moved == [4, 12], moved
 
 
 # Draws whose circle feasibility changes more than once on [0.01, 0.999]
@@ -627,9 +655,7 @@ NON_MONOTONE_DRAWS = [
 
 @pytest.mark.parametrize("selector,pair,params", NON_MONOTONE_DRAWS)
 @pytest.mark.parametrize("density", [17, 64, 256])
-def test_property_radius_equals_bisection_where_feasibility_is_not_monotone(
-    selector, pair, params, density
-):
+def test_property_radius_where_feasibility_is_not_monotone(monkeypatch, selector, pair, params, density):
     assert _zero_free(selector, params) == 0.0
     radii = tuple(np.linspace(0.01, 0.999, 200))
     margins, hits = _reference_margins(selector, pair, params, radii, verify._ring(density))
@@ -637,64 +663,48 @@ def test_property_radius_equals_bisection_where_feasibility_is_not_monotone(
     feasible = margins.reshape(len(radii), -1).min(axis=1) > 0.0
     assert np.count_nonzero(np.diff(feasible)) >= 2
     for tol in (1e-4, 1e-6):
-        r = property_radius(selector, pair, params, grid_density=density, tol=tol)
-        ref = _reference_property_radius(selector, pair, params, density, tol)
-        assert np.float64(r).view(np.uint64) == np.float64(ref).view(np.uint64), (tol, r, ref)
-
-
-def _bisection_steps(radius, cap, tol):
-    # The midpoints the sequential bisection visits: the walk ends at its
-    # last feasible midpoint, so a midpoint is feasible exactly when it is at
-    # most the returned radius.
-    steps, lo, hi = 0, 0.01, cap
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if mid <= radius else (lo, mid)
-        steps += 1
-    return steps
+        r, calls = _radius_search(monkeypatch, selector, pair, params, density, tol)
+        _assert_radius_contract(selector, pair, params, density, tol, r, calls)
 
 
 @pytest.mark.parametrize(
-    "selector,pair,params,density,tol,table",
+    "selector,pair,params,density,tol,count",
     [
-        # Bisections: sampled circles, then the two-point real-axis table.
-        ("u", JanowskiPair(0.1, -1.0), BesselParams(-0.5, 2.0, 6.0), 256, 1e-4, 129),
-        ("u", JanowskiPair(0.1, -1.0), BesselParams(-0.5, 2.0, 6.0), 9, 1e-6, 5),
-        (*NON_MONOTONE_DRAWS[0], 64, 1e-6, 33),
-        ("starlike-zu", JanowskiPair(0.6, -0.4), BesselParams(-1.3, 2.0, -4.0), 256, 1e-4, 2),
-        ("convexity", JanowskiPair(0.5, -1.0), BesselParams(-0.5, 2.0, 20.0), 256, 1e-6, 2),
+        # Searches: sampled circles, then the two-point real-axis table.
+        ("u", JanowskiPair(0.1, -1.0), BesselParams(-0.5, 2.0, 6.0), 256, 1e-4, 6),
+        ("u", JanowskiPair(0.1, -1.0), BesselParams(-0.5, 2.0, 6.0), 256, 1e-6, 7),
+        ("u", JanowskiPair(0.1, -1.0), BesselParams(-0.5, 2.0, 6.0), 256, 1e-17, 11),
+        ("u", JanowskiPair(0.1, -1.0), BesselParams(-0.5, 2.0, 6.0), 9, 1e-6, 7),
+        (*NON_MONOTONE_DRAWS[0], 64, 1e-6, 9),
+        ("starlike-zu", JanowskiPair(0.6, -0.4), BesselParams(-1.3, 2.0, -4.0), 256, 1e-4, 6),
+        ("starlike-zu", JanowskiPair(0.6, -0.4), BesselParams(-1.3, 2.0, -4.0), 256, 1e-17, 10),
+        ("convexity", JanowskiPair(0.5, -1.0), BesselParams(-0.5, 2.0, 20.0), 256, 1e-6, 7),
         # 0.0 and the cap, on each table.
-        ("convexity", JanowskiPair(1.0, -1.0), BesselParams(0.5, 2.0, 0.0), 64, 1e-3, 33),
-        ("u", HALF_PAIR, BesselParams(0.0, 2.0, -1.0), 256, 1e-4, 129),
-        ("convexity", HALF_PAIR, BesselParams(0.5, 2.0, -1.0), 256, 1e-4, 2),
+        ("convexity", JanowskiPair(1.0, -1.0), BesselParams(0.5, 2.0, 0.0), 64, 1e-3, 1),
+        ("u", HALF_PAIR, BesselParams(0.0, 2.0, -1.0), 256, 1e-4, 1),
+        ("convexity", HALF_PAIR, BesselParams(0.5, 2.0, -1.0), 256, 1e-4, 1),
     ],
 )
-def test_property_radius_kernel_calls(monkeypatch, selector, pair, params, density, tol, table):
-    # Kernel-plus-functional calls as (circles, points per circle): 0.01 and
-    # the cap in one, then one per BISECT_LEVELS levels of the bisection tree.
-    calls = []
-    kernel = verify._functional_values
+def test_property_radius_kernel_calls(monkeypatch, selector, pair, params, density, tol, count):
+    # Kernel-plus-functional calls: 0.01 and the cap in one, then one circle
+    # per call while checks._root narrows the bracket.
+    r, calls = _radius_search(monkeypatch, selector, pair, params, density, tol)
+    _assert_radius_contract(selector, pair, params, density, tol, r, calls)
+    assert len(calls) == count, (r, calls)
 
-    def counted(selector, rows, cells, radii, units):
-        assert len(cells) == 1
-        calls.append((len(radii), len(units.points)))
-        return kernel(selector, rows, cells, radii, units)
 
-    monkeypatch.setattr(verify, "_functional_values", counted)
-    r = property_radius(selector, pair, params, grid_density=density, tol=tol)
-    assert calls[0] == (2, table)
-    assert all(points == table for _, points in calls)
-    assert all(circles < 2**verify.BISECT_LEVELS for circles, _ in calls)
-    cap = min(0.999, verify._certified_radius(selector, params))
-    cap = cap if cap > 0.01 else 0.999
-    if r in (0.0, cap):
-        assert len(calls) == 1
-    else:
-        steps = _bisection_steps(r, cap, tol)
-        assert steps > verify.BISECT_LEVELS
-        assert len(calls) <= 1 + math.ceil(steps / verify.BISECT_LEVELS), (steps, calls)
-        ref = _reference_property_radius(selector, pair, params, density, tol)
-        assert np.float64(r).view(np.uint64) == np.float64(ref).view(np.uint64)
+def test_property_radius_zero_margin_is_infeasible(monkeypatch):
+    # Membership is strict.  On a functional whose least margin is exactly 0
+    # from r = 0.5 on, the radius stays below 0.5, although checks._root
+    # returns any point where its function is exactly 0.
+    def values(selector, rows, cells, radii, table):
+        w = np.repeat([0.5 + max(0.5 - r, 0.0) for r in radii], len(table.points))[None, :]
+        return w.astype(complex), np.zeros(w.shape, dtype=bool), ""
+
+    monkeypatch.setattr(verify, "_functional_values", values)
+    for tol in (1e-4, 1e-17):
+        r = property_radius("u", HALF_PAIR, BesselParams(0.0, 2.0, -1.0), tol=tol)
+        assert 0.5 - max(tol, math.ulp(0.5)) <= r < 0.5, tol
 
 
 def test_property_radius_holds_on_its_disk_despite_interior_zero():

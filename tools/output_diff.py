@@ -17,9 +17,10 @@ seed and workload:
   * witnesses that moved, each marked "mirror" (to within 1e-15 of the
     conj of the old witness), "real-axis" (within 1e-15 of the old witness,
     with one of the two exactly real) or "other";
-  * property radii and admissibility maxima that changed (maxima that
-    became unbounded, +inf or null, and maxima whose sign flipped are
-    counted apart and left out of the largest |change|), and
+  * property radii that changed, with the largest |change| (to read
+    against the search's `tol`), and admissibility maxima that changed
+    (maxima that became unbounded, +inf or null, and maxima whose sign
+    flipped are counted apart and left out of the largest |change|), and
     admissibility probes that moved, marked "last-bit" (every coordinate
     within 1e-12 relative and z within 1e-15), "mirror" (rho to -rho and z
     to within 1e-15 of conj z, the rest as for last-bit) or "other";
@@ -241,7 +242,7 @@ def compare(parent, change):
                        "witnesses", "mirror", "real-axis", "radii", "radii changed", "maxima",
                        "maxima changed", "maxima unbounded", "maxima sign flipped", "probes moved",
                        "probe last-bit", "probe mirror", "other fields"), 0)
-    margin_delta = value_delta = max_delta = 0.0
+    margin_delta = value_delta = max_delta = radius_delta = 0.0
     details = []
     for p, c in zip(parent, change):
         key = p["key"]
@@ -279,6 +280,7 @@ def compare(parent, change):
             n["radii"] += 1
             if _bits(p["radius"]) != _bits(c["radius"]):
                 n["radii changed"] += 1
+                radius_delta = max(radius_delta, abs(p["radius"] - c["radius"]))
                 details.append(f"  radius {key}: {p['radius']!r} -> {c['radius']!r}")
         if "max_re" in p:
             n["maxima"] += 1
@@ -317,7 +319,7 @@ def compare(parent, change):
         f"largest |change| {value_delta:.3g}",
         f"  witnesses moved {n['witnesses']} (mirror {n['mirror']}, real-axis {n['real-axis']}, "
         f"other {n['witnesses'] - n['mirror'] - n['real-axis']})",
-        f"  radii changed {n['radii changed']}/{n['radii']}",
+        f"  radii changed {n['radii changed']}/{n['radii']}, largest |change| {radius_delta:.3g}",
         f"  admissibility maxima changed {n['maxima changed']}/{n['maxima']} (became +inf or "
         f"null {n['maxima unbounded']}, sign flipped {n['maxima sign flipped']}), largest "
         f"|change| of the rest {max_delta:.3g}; probes moved {n['probes moved']} "
