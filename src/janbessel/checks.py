@@ -94,6 +94,8 @@ PROPERTIES = {
 }
 SELECTORS = tuple(PROPERTIES)
 THEOREM_NAMES = tuple(theorem for theorem, _ in PROPERTIES.values())
+# The theorems whose checkers read `mode`; the others accept it and ignore it.
+MODE_THEOREMS = ("convexity", "starlike")
 
 
 class ZeroC(ValueError):
@@ -183,6 +185,11 @@ def _two_regime_conditions(pair: JanowskiPair, kappa_eff: float, c: float) -> Ch
     """
     A, B = pair.A, pair.B
     notes: list[str] = []
+    # 16 (A-B)^2 underflows to 0 below A - B ~ 1.5e-162.  A term over it is
+    # then its limit: 0 where its numerator is (c = 0), else +inf, which
+    # leaves the main slack -inf or NaN, never satisfied.
+    square = 16.0 * (A - B) ** 2
+    limit = 0.0 if c == 0.0 else math.inf
     base = kappa_eff - max(0.0, (1.0 + B) * (1.0 + A) * abs(c) / (4.0 * (A - B)))
     if B <= REGIME_SPLIT_B:
         regime = "low-B"
@@ -211,7 +218,7 @@ def _two_regime_conditions(pair: JanowskiPair, kappa_eff: float, c: float) -> Ch
             + 4.0 * B * (1.0 - B * B) * (1.0 + A) * c / ((1.0 + B) ** 3 * (A - B))
         )
         quad = kappa_eff * kappa_eff + 16.0 * kappa_eff * B * (1.0 - B) / (1.0 + B) ** 3
-    envelope = (1.0 - A * A) * (1.0 - B * B) * c * c / (16.0 * (A - B) ** 2)
+    envelope = (1.0 - A * A) * (1.0 - B * B) * c * c / square if square else limit
     if guard_lhs >= guard_rhs:
         branch = "endpoint"
         guard_slack = guard_lhs - guard_rhs
@@ -219,7 +226,8 @@ def _two_regime_conditions(pair: JanowskiPair, kappa_eff: float, c: float) -> Ch
     else:
         branch = "vertex"
         guard_slack = guard_rhs - guard_lhs
-        main = 0.25 * c * c * (quad - (1.0 - A * B) ** 2 * c * c / (16.0 * (A - B) ** 2)) - mixed * mixed
+        vertex = (1.0 - A * B) ** 2 * c * c / square if square else limit
+        main = 0.25 * c * c * (quad - vertex) - mixed * mixed
     slacks = [("base", base), ("guard", guard_slack), ("main", main)]
     return CheckOutcome(branch=f"{regime}/{branch}", slacks=slacks, notes=notes)
 
@@ -330,8 +338,8 @@ def check_theorem(
 ) -> CheckOutcome:
     """Run the theorem checker `name` (one of THEOREM_NAMES).
 
-    mode must be one of MODES for every theorem; only the convexity and
-    starlike checkers read it.
+    mode must be one of MODES for every theorem; only those in
+    MODE_THEOREMS read it.
     """
     _mode_guard(mode)
     if name == "subordination":

@@ -59,6 +59,7 @@ from .bessel import (
 from .checks import (
     COROLLARY_IDS,
     MODE_CONSERVATIVE,
+    MODE_THEOREMS,
     MODES,
     SELECTORS,
     THEOREM_NAMES,
@@ -236,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     kappa_c.add_argument("--c", type=float, required=True)
     point.add_argument("--z", type=_parse_complex, required=True, help="point 're,im'")
     mode.add_argument("--mode", choices=MODES, default=MODE_CONSERVATIVE,
-                      help="convexity/starlike conditions: conservative: the admissibility "
+                      help=f"{'/'.join(MODE_THEOREMS)} conditions: conservative: the admissibility "
                       "lemma's exact condition; as-printed: the paper's inequalities")
     # A parent's flags are copied when a parser is built from it, so the
     # grid parent comes after --max-radius exists.
@@ -339,7 +340,7 @@ def _cmd_check(ns: argparse.Namespace) -> tuple[dict, int]:
         "pair": _pair_list(pair),
         "kappa": ns.kappa,
         "c": ns.c,
-        "mode": ns.mode if ns.theorem in ("convexity", "starlike") else None,
+        "mode": ns.mode if ns.theorem in MODE_THEOREMS else None,
         "outcome": _outcome_dict(outcome),
     }
     return payload, 0 if outcome.satisfied else 1

@@ -41,13 +41,16 @@ margin's minimum lies on the circle.  This precondition is not checked
 there (a known defect).
 
 Every report comes from one step, _cell_reports: a stack of cells' kernel
-rows goes through one contraction (bessel._contract), the functional and
-the margins, then row-wise flags and argmins.  verify_membership runs it on
-one cell's rows (bessel._series_rows).  region_scan sweeps a (kappa, c)
-rectangle and pairs the checker verdict, any matching corollary verdict,
-and the sampled verdict cell by cell.  Where B = -1 the row keeps the
-selector's first corollary in checks.PROPERTIES (fixed-pair ones first)
-whose check_corollary implied_pair has the pair's A to within 1e-12.  One
+rows goes through one contraction (bessel._contract) and the functional,
+and _least_margins, the one reduction of samples (property_radius's too,
+a circle a row), gives each cell's least margin, first sample attaining
+it and exclusion flag.  The step re-runs on the grid a real-axis cell whose
+w(r) or w(-r) is excluded.  verify_membership is the step on one cell's
+rows (bessel._series_rows).  region_scan sweeps a (kappa, c) rectangle
+and pairs the checker verdict, any matching corollary verdict, and the
+sampled verdict cell by cell.  Where B = -1 the row keeps the selector's
+first corollary in checks.PROPERTIES (fixed-pair ones first) whose
+check_corollary implied_pair has the pair's A to within 1e-12.  One
 vectorized pass builds the series coefficients of all its cells
 (bessel._coefficient_matrix), and the step runs a chunk of cells at a
 time, on one gather from those coefficients zero-padded to one length.
@@ -178,18 +181,14 @@ class SampleGrid:
         """The shared 24 x 256 grid on radii geomspace(0.05, 0.999, 24)."""
         return _DEFAULT_GRID
 
-    # Cached by value, not stored on the grid: every report keeps its grid.
-    @functools.lru_cache(maxsize=8)
     def points(self) -> np.ndarray:
-        """All grid points, radius-major (all angles of radii[0] first); read-only.
+        """All grid points, radius-major (all angles of radii[0] first).
 
         Each ring is radius * _ring(angles): it starts at angle 0, its points
         at angles 0 and pi are real, and each point below the real axis is the
         exact conj of its upper twin.
         """
-        points = (np.asarray(self.radii)[:, None] * _ring(self.angles)[None, :]).ravel()
-        points.flags.writeable = False
-        return points
+        return (np.asarray(self.radii)[:, None] * _ring(self.angles)[None, :]).ravel()
 
 
 _DEFAULT_GRID = SampleGrid(radii=tuple(np.geomspace(0.05, 0.999, 24)), angles=256)
@@ -199,15 +198,6 @@ _DEFAULT_GRID = SampleGrid(radii=tuple(np.geomspace(0.05, 0.999, 24)), angles=25
 def _sampled_units(n: int) -> _PowerTable:
     """The closed upper half of _ring(n): the unit points sampled on each ring."""
     return _PowerTable(_ring(n)[: n // 2 + 1])
-
-
-# A property_radius search adds one radius tuple per circle; 64 slots keep the grid's points.
-@functools.lru_cache(maxsize=64)
-def _points(radii: tuple[float, ...], table: _PowerTable) -> np.ndarray:
-    """radius * unit for every radius and every table point, radius-major (1-d); read-only."""
-    points = (np.asarray(radii, dtype=float)[:, None] * table.points[None, :]).ravel()
-    points.flags.writeable = False
-    return points
 
 
 # The two real unit points 1 and -1: the grid's angles 0 and pi.
@@ -225,10 +215,11 @@ def _certified_radius(selector: str, params: BesselParams) -> float:
 class VerificationReport:
     """Outcome of one membership test.
 
-    verdict is "counterexample" exactly when min_margin < 0 or any
-    degeneracy was hit; otherwise "holds-on-grid".  witness is the sample
-    attaining min_margin (None only if every sample was degenerate): a grid
-    point, or r or -r under the real-axis rule.
+    verdict is "holds-on-grid" exactly when no degeneracy was hit and
+    min_margin >= 0; a negative or NaN min_margin is a "counterexample".
+    witness is the sample attaining min_margin (None, with min_margin NaN,
+    only if no sample has a margin below +inf, as where every sample was
+    degenerate): a grid point, or r or -r under the real-axis rule.
     method is "real-axis" when min_margin is the exact least margin of the
     closed disk, taken at r or -r, and "sampled" when it is the grid's.
     """
@@ -272,47 +263,52 @@ def _functional_values(
     cells: list[BesselParams],
     radii: tuple[float, ...],
     table: _PowerTable,
-) -> tuple[np.ndarray, np.ndarray, str]:
-    """Map the samples _points(radii, table) through the selected functional, a row per cell.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Map the samples radius * unit through the selected functional, a row per cell.
 
     rows stacks the cells' _KERNEL_ROWS in turn, one row a cell or a
     quotient's two, and one _contract sums them all.  Returns (w,
-    degenerate_mask, reason), shape (cells, samples), radius-major.
-    Degenerate entries of w carry the placeholder 1 and must be ignored by
-    the caller.
+    degenerate_mask), shape (cells, samples), radius-major over radii and
+    table.points.  Degenerate entries of w carry the placeholder 1 and must
+    be ignored by the caller.
     """
     sums = _contract(rows, radii, table).reshape(len(rows), -1)
-    reason = _KERNEL_ROWS[selector][2]
-    if reason:
+    if _KERNEL_ROWS[selector][2]:
         den, num = sums[0::2], sums[1::2]
-        zs = _points(radii, table)
+        zs = (np.asarray(radii)[:, None] * table.points).ravel()
         mask = np.abs(den) < DEGENERACY_TOL
         if not mask.any():
-            return 1.0 + zs * num / den, mask, reason
+            return 1.0 + zs * num / den, mask
         safe = np.where(mask, 1.0, den)
-        return np.where(mask, 1.0, 1.0 + zs * num / safe), mask, reason
+        return np.where(mask, 1.0, 1.0 + zs * num / safe), mask
     if selector == SELECTOR_DERIV:
         sums = np.array([_deriv_scale(params) for params in cells])[:, None] * sums
-    return sums, np.zeros(sums.shape, dtype=bool), reason
+    return sums, np.zeros(sums.shape, dtype=bool)
 
 
-def _margins(
-    pair: JanowskiPair, region: TargetRegion, w: np.ndarray, mask: np.ndarray, reason: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, str]:
-    """(margins, mask, proof_mask, reason) of _functional_values' (w, mask, reason); excluded samples get +inf.
+def _least_margins(
+    pair: JanowskiPair, region: TargetRegion, w: np.ndarray, mask: np.ndarray
+) -> tuple[list[float], np.ndarray, list[bool], np.ndarray]:
+    """Each row's least margin, the first sample attaining it, and whether any sample is excluded.
 
-    mask marks zero functional denominators (reason says which), proof_mask
-    the remaining zeros of the proof-side denominator.  Elementwise, so w
-    may be one cell's or a chunk's.
+    w and mask are (rows, samples), as _functional_values returns them: a
+    row is a cell, or one circle where the caller reshapes.  A sample is
+    excluded where mask marks a zero functional denominator, or where the
+    proof-side denominator (1+B) w - (1+A) falls below DEGENERACY_TOL: a
+    zero there would void the nondegeneracy hypothesis behind the checkers.
+    An excluded sample's margin reads +inf, so a row whose least margin is
+    +inf has no usable sample.  Returns (least, first, excluded, proof):
+    the first three per row, proof the (rows, samples) proof-side flags
+    outside mask.
     """
-    # Denominator of the proof-side transformed function; a zero would void
-    # the nondegeneracy hypothesis behind the checkers.
-    proof_mask = (np.abs((1.0 + pair.B) * w - (1.0 + pair.A)) < DEGENERACY_TOL) & ~mask
+    proof = (np.abs((1.0 + pair.B) * w - (1.0 + pair.A)) < DEGENERACY_TOL) & ~mask
     margins = region_margin_many(region, w)
-    excluded = mask | proof_mask
+    excluded = mask | proof
     if excluded.any():
         margins = np.where(excluded, np.inf, margins)
-    return margins, mask, proof_mask, reason
+    first = margins.argmin(axis=1)
+    least = margins[np.arange(len(margins)), first].tolist()
+    return least, first, excluded.any(axis=1).tolist(), proof
 
 
 def _cell_reports(
@@ -321,51 +317,45 @@ def _cell_reports(
     grid: SampleGrid,
     cells: list[BesselParams],
     rows: np.ndarray,
-    radii: tuple[float, ...],
-    table: _PowerTable,
-) -> list[VerificationReport | None]:
+    axis: bool,
+) -> list[VerificationReport]:
     """Each cell's report on the grid from its stacked kernel rows, as _functional_values takes them.
 
-    On _AXIS_UNITS over the grid's outer radius r: the real-axis report from
-    the margins of w(r) and w(-r), witness r or -r (r on a tie), or None
-    where either is degenerate.  On _sampled_units(grid.angles) over the
-    grid's radii: the sampled report from its closed upper half, hits
-    mirrored onto the full grid, witness the first least-margin sample
-    (none when no margin is finite).  Flags and argmins are taken row-wise,
-    once for all the cells.
+    With axis, the real-axis report from the margins of w(r) and w(-r) at
+    the grid's outer radius r (_AXIS_UNITS), witness r or -r (r on a tie);
+    a cell where either is excluded is re-run alone, from its own rows,
+    without axis.  Without: the sampled report from the closed upper half
+    of the grid (_sampled_units), hits mirrored onto the full grid, witness
+    the first least-margin sample.  Either way the verdict is
+    "holds-on-grid" exactly when nothing is excluded and the least margin
+    is >= 0, which NaN is not; a cell with no usable sample reports
+    min_margin NaN and no witness.  _least_margins reduces all the cells at
+    once.
     """
-    margins, mask, proof_mask, reason = _margins(
-        pair, target_region(pair), *_functional_values(selector, rows, cells, radii, table)
-    )
-    degenerate = (mask | proof_mask).any(axis=1).tolist()
-    first = margins.argmin(axis=1)
+    radii, table = (grid.radii[-1:], _AXIS_UNITS) if axis else (grid.radii, _sampled_units(grid.angles))
+    w, mask = _functional_values(selector, rows, cells, radii, table)
+    least, first, excluded, proof = _least_margins(pair, target_region(pair), w, mask)
     half = len(table.points)
-    least = margins[np.arange(len(cells)), first].tolist()
     witnesses = (np.asarray(radii)[first // half] * table.points[first % half]).tolist()
-    if table is _AXIS_UNITS:
-        return [
-            None if hit else VerificationReport(
-                selector, pair, params, VERDICT_COUNTEREXAMPLE if m < 0.0 else VERDICT_HOLDS,
-                m, witness, grid, [], METHOD_REAL_AXIS,
-            )
-            for params, hit, m, witness in zip(cells, degenerate, least, witnesses)
-        ]
-    finite = np.isfinite(margins).any(axis=1).tolist()
+    method = METHOD_REAL_AXIS if axis else METHOD_SAMPLED
+    k = len(rows) // len(cells)
     reports = []
     for c, params in enumerate(cells):
+        if axis and excluded[c]:
+            reports += _cell_reports(selector, pair, grid, [params], rows[c * k : (c + 1) * k], False)
+            continue
         hits = []
-        if degenerate[c]:
-            # Mirror the masks onto the full grid, radius-major.
+        if excluded[c]:
+            # Mirror the flags onto the full grid, radius-major.
             full = grid.points()
-            for flags, label in ((mask[c], reason), (proof_mask[c], "proof-map-pole")):
+            for flags, label in ((mask[c], _KERNEL_ROWS[selector][2]), (proof[c], "proof-map-pole")):
                 upper = flags.reshape(len(radii), half)
                 whole = np.concatenate([upper, _lower_twins(upper, grid.angles)], axis=1).ravel()
                 hits.extend((complex(z), label) for z in full[whole])
-        min_margin, witness = math.nan, None
-        if finite[c]:
-            min_margin, witness = least[c], witnesses[c]
-        verdict = VERDICT_COUNTEREXAMPLE if (witness is None or hits or min_margin < 0.0) else VERDICT_HOLDS
-        reports.append(VerificationReport(selector, pair, params, verdict, min_margin, witness, grid, hits))
+        min_margin, witness = (math.nan, None) if least[c] == math.inf else (least[c], witnesses[c])
+        verdict = VERDICT_HOLDS if min_margin >= 0.0 and not hits else VERDICT_COUNTEREXAMPLE
+        report = VerificationReport(selector, pair, params, verdict, min_margin, witness, grid, hits, method)
+        reports.append(report)
     return reports
 
 
@@ -379,7 +369,7 @@ def verify_membership(
     """Test the functional's region membership on the disk |z| <= grid.radii[-1].
 
     Convexity and starlike-zu cells with r = radii[-1] below _certified_radius
-    and w(r), w(-r) not degenerate take the module's real-axis rule (method
+    and w(r), w(-r) not excluded take the module's real-axis rule (method
     "real-axis"): the exact least margin on |z| <= r, witness r or -r (r on
     a tie), no hits.  These are the outer ring's values at angles 0 and pi,
     to the bit; an odd grid has no -r, so sampling it could miss this margin.
@@ -391,16 +381,14 @@ def verify_membership(
     The margin at conj z is bit-equal to the margin at z, so only the closed
     upper half of the grid (angles 0..angles//2) is evaluated, in one series
     call.  The report is bit-equal to evaluating every grid point through the
-    same kernel (bessel._contract).
+    same kernel (bessel._contract).  It is one _cell_reports call, which also
+    re-runs a real-axis cell on the grid where w(r) or w(-r) is excluded.
     """
     if grid is None:
         grid = _DEFAULT_GRID
     rows = _kernel_rows(selector, params, cfg)
-    if grid.radii[-1] < _certified_radius(selector, params):
-        report = _cell_reports(selector, pair, grid, [params], rows, grid.radii[-1:], _AXIS_UNITS)[0]
-        if report is not None:
-            return report
-    return _cell_reports(selector, pair, grid, [params], rows, grid.radii, _sampled_units(grid.angles))[0]
+    axis = grid.radii[-1] < _certified_radius(selector, params)
+    return _cell_reports(selector, pair, grid, [params], rows, axis)[0]
 
 
 def property_radius(
@@ -450,12 +438,9 @@ def property_radius(
     rows = _kernel_rows(selector, params, cfg)
 
     def least(*radii: float) -> list[float]:
-        margins, mask, proof_mask, _ = _margins(
-            pair, region, *_functional_values(selector, rows, [params], radii, table)
-        )
+        w, mask = _functional_values(selector, rows, [params], radii, table)
         shape = (len(radii), -1)
-        hits = (mask | proof_mask).reshape(shape).any(axis=1).tolist()
-        lows = margins.reshape(shape).min(axis=1).tolist()
+        lows, _, hits, _ = _least_margins(pair, region, w.reshape(shape), mask.reshape(shape))
         return [m / (1.0 + abs(m)) if abs(m) > 0.0 and not hit else -1.0 for hit, m in zip(hits, lows)]
 
     f_lo, f_hi = least(0.01, cap)
@@ -502,26 +487,25 @@ def _verify_cells(
     chunk's kernel rows are one gather from it (bessel._kernel_layout),
     zero-padded to the chunk's longest cell, and _cell_reports turns them
     into the chunk's reports.
-    Every other cell, and every real-axis cell with w(r) or w(-r)
-    degenerate, calls verify_membership.
+    A convexity or starlike-zu cell not certified on its disk calls
+    verify_membership; _cell_reports itself re-runs a real-axis cell whose
+    w(r) or w(-r) is excluded on the grid, from its gathered rows.
     The pass covers every cell in order, fallbacks too, so it raises the
     NoConvergence of the first cell whose series fails: the first exception
     verify_membership raises cell by cell (for deriv-normalized cells given
     c != 0, which region_scan's checker enforces).
     """
     order, lowest, quotient = _KERNEL_ROWS[selector]
-    if quotient:
-        radii, table = grid.radii[-1:], _AXIS_UNITS
-    else:
-        radii, table = grid.radii, _sampled_units(grid.angles)
-    size = max(1, SCAN_CHUNK_POINTS // (len(radii) * len(table.points)))
+    axis = bool(quotient)
+    points = len(_AXIS_UNITS.points) if axis else len(grid.radii) * len(_sampled_units(grid.angles).points)
+    size = max(1, SCAN_CHUNK_POINTS // points)
     a, terms = _coefficient_matrix(
         [params.kappa for params in cells], [params.c for params in cells], order, cfg.rel_tol, cfg.max_terms
     )
-    reports: list[VerificationReport | None] = [None] * len(cells)
+    reports: dict[int, VerificationReport] = {}
     chunked = []
     for i, params in enumerate(cells):
-        if quotient and not radii[0] < _certified_radius(selector, params):
+        if axis and not grid.radii[-1] < _certified_radius(selector, params):
             reports[i] = verify_membership(selector, pair, params, grid, cfg)
         else:
             chunked.append(i)
@@ -529,10 +513,9 @@ def _verify_cells(
         chunk = chunked[start : start + size]
         n = int(terms[chunk].max())
         rows = _kernel_layout(a[chunk], order, n, lowest).reshape(-1, n)
-        found = _cell_reports(selector, pair, grid, [cells[i] for i in chunk], rows, radii, table)
-        for i, report in zip(chunk, found):
-            reports[i] = verify_membership(selector, pair, cells[i], grid, cfg) if report is None else report
-    return reports
+        found = _cell_reports(selector, pair, grid, [cells[i] for i in chunk], rows, axis)
+        reports.update(zip(chunk, found))
+    return [reports[i] for i in range(len(cells))]
 
 
 def region_scan(

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import pytest
 
+from janbessel import verify
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
 import tracer  # noqa: E402
@@ -30,3 +32,18 @@ def test_the_tracer_finds_every_layer():
     restore, absent = tracer.patch(tracer.TARGETS, lambda name, fn, count: fn)
     restore()
     assert absent == []
+
+
+def test_a_seed_141_sweep_batch_calls_verify_membership_18_times(monkeypatch):
+    # The sweep meter times its cells through verify_membership's returns,
+    # so the count of those calls per batch is part of what it measures.
+    calls = []
+    inner = verify.verify_membership
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "verify_membership", counted)
+    workloads.Sweep(141).run_batch(None)
+    assert len(calls) == 18

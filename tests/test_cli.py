@@ -242,6 +242,31 @@ def test_check_nan_guard_slack_exits_one(capsys, theorem, mode):
     assert dict(outcome["slacks"])["guard"] is None
 
 
+@pytest.mark.parametrize(
+    "theorem, c, expected",
+    [("subordination", "0", 0), ("subordination", "-1", 1), ("derivative", "-1", 1), ("derivative", "1e-300", 1)],
+)
+def test_check_with_a_minus_b_below_1e_162_exits_cleanly(capsys, theorem, c, expected):
+    # 16 (A - B)^2 underflows to 0: the envelope and vertex terms are 0 at
+    # c = 0 and +inf elsewhere, where main is written as null.
+    code = run(["check", "--theorem", theorem, "--A", "1e-300", "--B", "0", "--kappa", "2", f"--c={c}"])
+    out = capsys.readouterr()
+    outcome = _strict_json(out.out)["payload"]["outcome"]
+    assert code == expected and out.err == ""
+    assert outcome["satisfied"] is (expected == 0)
+    assert (dict(outcome["slacks"])["main"] is None) is (c != "0")
+
+
+@pytest.mark.parametrize("selector", ["u", "deriv-normalized"])
+def test_scan_with_a_minus_b_below_1e_162_exits_cleanly(capsys, selector):
+    code = run(["scan", "--selector", selector, "--A", "5e-324", "--B", "0", "--kappa-range", "1:2:2",
+                "--c-range=-1:-0.5:2", "--radii", "2", "--angles", "8"])
+    out = capsys.readouterr()
+    assert code in (0, 1) and out.err == ""
+    rows = _strict_json(out.out)["payload"]["rows"]
+    assert [row["checker"]["satisfied"] for row in rows] == [False] * 4
+
+
 def test_scan_rejects_nonpositive_workers(capsys):
     argv = ["scan", "--selector", "u", "--A", "0", "--B=-1", "--kappa-range", "1:2:2",
             "--c-range=-2:-1:2", "--radii", "2", "--angles", "8", "--workers", "0"]
@@ -275,6 +300,17 @@ def test_check_convexity_mode_flag(capsys):
     assert code == 1
     code, _ = run_json(capsys, base + ["--mode", "as-printed"])
     assert code == 0
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_check_payload_echoes_mode_for_the_theorems_that_read_it(capsys, mode):
+    from janbessel.checks import MODE_THEOREMS, THEOREM_NAMES
+
+    assert MODE_THEOREMS == ("convexity", "starlike")
+    for theorem in THEOREM_NAMES:
+        _, doc = run_json(capsys, ["check", "--theorem", theorem, "--A", "0.5", "--B=-0.5", "--kappa", "2",
+                                   "--c", "1", "--mode", mode])
+        assert doc["payload"]["mode"] == (mode if theorem in MODE_THEOREMS else None), theorem
 
 
 def test_verify_verdict_exit_codes(capsys):

@@ -113,11 +113,15 @@ def test_ring_is_mirror_exact(n):
     assert np.array_equal(_bits(rings[:, n - k]), _bits(np.conj(rings[:, k])))
 
 
+# The hit label of a zero functional denominator, per quotient selector.
+DENOMINATOR_LABEL = {"convexity": "zero-derivative", "starlike-zu": "zero-value"}
+
+
 def _one_cell_values(selector, params, radii, table):
-    """verify._functional_values of one cell, 1-d: (w, degenerate_mask, reason)."""
+    """verify._functional_values of one cell, 1-d: (w, degenerate_mask)."""
     rows = verify._kernel_rows(selector, params, DEFAULT_CONFIG)
-    w, mask, reason = verify._functional_values(selector, rows, [params], radii, table)
-    return w[0], mask[0], reason
+    w, mask = verify._functional_values(selector, rows, [params], radii, table)
+    return w[0], mask[0]
 
 
 def _reference_margins(selector, pair, params, radii, units):
@@ -128,10 +132,10 @@ def _reference_margins(selector, pair, params, radii, units):
     """
     table = _PowerTable(units)
     zs = (np.asarray(radii)[:, None] * table.points).ravel()
-    w, mask, reason = _one_cell_values(selector, params, radii, table)
+    w, mask = _one_cell_values(selector, params, radii, table)
     proof = (np.abs((1.0 + pair.B) * w - (1.0 + pair.A)) < verify.DEGENERACY_TOL) & ~mask
     margins = np.where(mask | proof, np.inf, region_margin_many(target_region(pair), w))
-    hits = [(complex(z), reason) for z in zs[mask]]
+    hits = [(complex(z), DENOMINATOR_LABEL.get(selector)) for z in zs[mask]]
     hits.extend((complex(z), "proof-map-pole") for z in zs[proof])
     return margins, hits
 
@@ -232,11 +236,10 @@ def test_mirror_margins_are_bit_equal():
         k = np.arange(1, (n + 1) // 2)
         for selector, pair, params in _mirror_draws(300 + g, 24):
             table = _PowerTable(verify._ring(n))
-            margins, mask, proof, _ = verify._margins(
-                pair,
-                target_region(pair),
-                *_one_cell_values(selector, params, grid.radii, table),
-            )
+            w, mask = _one_cell_values(selector, params, grid.radii, table)
+            # Each sample its own row: its least margin is its margin.
+            margins, _, _, proof = verify._least_margins(pair, target_region(pair), w[:, None], mask[:, None])
+            margins, proof = np.array(margins), proof[:, 0]
             where = (grid.angles, selector, pair, params)
             for values in (margins, mask, proof):
                 values = values.reshape(rings, n)
@@ -357,6 +360,28 @@ def test_one_series_call_per_sampled_cell(monkeypatch):
                 sampled += 1
                 odd += grid.angles % 2
     assert sampled >= 60 and odd >= 20
+
+
+@pytest.mark.parametrize("selector, params", [
+    ("u", BesselParams(0.0, 2.0, -1.0)),
+    ("starlike-zu", BesselParams(0.5, 2.0, -1.0)),  # certified: the real-axis rule
+])
+def test_a_nan_least_margin_is_a_counterexample(monkeypatch, selector, params):
+    # A NaN sample is no evidence of membership: argmin stops at it, and the
+    # report keeps it as the least margin at its own point, a counterexample.
+    kernel = verify._functional_values
+
+    def values(selector, rows, cells, radii, table):
+        w, mask = kernel(selector, rows, cells, radii, table)
+        w = w.copy()
+        w[:, 1] = complex(math.nan, 0.0)
+        return w, mask
+
+    monkeypatch.setattr(verify, "_functional_values", values)
+    report = verify_membership(selector, HALF_PAIR, params, SMALL_GRID)
+    assert report.method == ("sampled" if selector == "u" else "real-axis")
+    assert math.isnan(report.min_margin) and report.verdict == "counterexample"
+    assert report.witness == (SMALL_GRID.points()[1] if selector == "u" else -0.999)
 
 
 def test_modified_spherical_base_case_holds():
@@ -699,7 +724,7 @@ def test_property_radius_zero_margin_is_infeasible(monkeypatch):
     # returns any point where its function is exactly 0.
     def values(selector, rows, cells, radii, table):
         w = np.repeat([0.5 + max(0.5 - r, 0.0) for r in radii], len(table.points))[None, :]
-        return w.astype(complex), np.zeros(w.shape, dtype=bool), ""
+        return w.astype(complex), np.zeros(w.shape, dtype=bool)
 
     monkeypatch.setattr(verify, "_functional_values", values)
     for tol in (1e-4, 1e-17):
@@ -741,7 +766,7 @@ def _certified_draws(seed, count, max_radius=0.999):
 
 
 def test_real_axis_margin_is_the_least_over_the_dense_grid():
-    # The 24 x 256 grid through _margins never lies below the two-point
+    # The 24 x 256 grid through _least_margins never lies below the two-point
     # margin by more than rounding: the rule's margin is the disk's least.
     grid = SampleGrid.default()
     table = _PowerTable(verify._ring(grid.angles))
@@ -750,10 +775,8 @@ def test_real_axis_margin_is_the_least_over_the_dense_grid():
         report = verify_membership(selector, pair, params, grid)
         assert report.method == "real-axis" and report.degeneracy_hits == []
         assert report.witness in (0.999, -0.999)
-        margins, mask, proof, _ = verify._margins(
-            pair, target_region(pair), *_one_cell_values(selector, params, grid.radii, table)
-        )
-        least = float(np.min(margins[~(mask | proof)]))
+        w, mask = _one_cell_values(selector, params, grid.radii, table)
+        (least,), _, _, _ = verify._least_margins(pair, target_region(pair), w[None, :], mask[None, :])
         assert least >= report.min_margin - 1e-12 * max(1.0, abs(report.min_margin)), (
             selector, pair, params, least, report.min_margin,
         )
@@ -766,8 +789,8 @@ def test_real_axis_values_are_the_grid_values_at_angles_zero_and_pi(n):
     grid = SampleGrid(radii=tuple(np.geomspace(0.05, 0.999, 10)), angles=n)
     table = _PowerTable(verify._ring(n))
     for selector, pair, params in _certified_draws(62 + n, 12):
-        w_axis, _, _ = _one_cell_values(selector, params, (0.999,), verify._AXIS_UNITS)
-        w_grid, _, _ = _one_cell_values(selector, params, grid.radii, table)
+        w_axis, _ = _one_cell_values(selector, params, (0.999,), verify._AXIS_UNITS)
+        w_grid, _ = _one_cell_values(selector, params, grid.radii, table)
         ring = w_grid.reshape(len(grid.radii), n)[-1]
         assert np.array_equal(_bits(w_axis), _bits(ring[[0, n // 2]])), (selector, pair, params)
 
@@ -1451,6 +1474,70 @@ def test_region_scan_is_the_cell_by_cell_loop_on_degenerate_chunks(monkeypatch, 
         )
     assert hit_cells >= 50 and fallbacks >= 10
     assert (unmarked == hit_cells) == (tol == 10.0)
+
+
+def _counted_verify_membership(monkeypatch):
+    """Patch verify.verify_membership to record each call's params; returns the list."""
+    calls = []
+    inner = verify.verify_membership
+
+    def counted(selector, pair, params, grid=None, cfg=DEFAULT_CONFIG):
+        calls.append(params)
+        return inner(selector, pair, params, grid, cfg)
+
+    monkeypatch.setattr(verify, "verify_membership", counted)
+    return calls
+
+
+# The criterion-7 rectangles, on the 10 x 64 grid of their scans.
+CRITERION_7_GRID = SampleGrid(radii=tuple(np.geomspace(0.05, 0.999, 10)), angles=64)
+CRITERION_7_SCANS = [
+    ("u", JanowskiPair(0.5, -0.5), (1.0, 6.0, 25), (-3.0, 3.0, 21)),
+    ("u", JanowskiPair(0.8, 0.3), (1.0, 6.0, 25), (-3.0, 3.0, 21)),
+    ("deriv-normalized", JanowskiPair(0.5, -0.5), (0.5, 6.0, 25), (-3.0, -0.25, 21)),
+    ("deriv-normalized", JanowskiPair(0.8, 0.3), (0.5, 6.0, 25), (0.25, 3.0, 21)),
+    ("convexity", JanowskiPair(0.7, -0.3), (0.2, 6.0, 25), (-4.0, 4.0, 20)),
+    ("starlike-zu", JanowskiPair(0.6, -0.4), (0.2, 6.0, 25), (-4.0, 4.0, 20)),
+]
+
+
+def test_region_scan_calls_verify_membership_once_per_uncertified_quotient_cell(monkeypatch):
+    # Exactly the convexity and starlike-zu cells whose disk the zero-free
+    # radius does not certify go through verify_membership, once each and in
+    # order; no other cell does.
+    calls = _counted_verify_membership(monkeypatch)
+    scans = [(CRITERION_7_GRID,) + scan for scan in CRITERION_7_SCANS]
+    scans += [(SMALL_GRID,) + scan for scan in CHUNKED_SCANS]
+    per_scan = []
+    for grid, selector, pair, kappa_range, c_range in scans:
+        calls.clear()
+        rows = region_scan(selector, pair, kappa_range, c_range, grid)
+        expected = [
+            row.report.params for row in rows
+            if selector in DENOMINATOR_SHIFT and not grid.radii[-1] < _zero_free(selector, row.report.params)
+        ]
+        assert calls == expected, (selector, pair, kappa_range, c_range)
+        per_scan.append(len(calls))
+    # Criterion 7: only starlike-zu's lowest kappa rows are uncertified.
+    assert per_scan == [0, 0, 0, 0, 0, 28] + [0, 0, 0, 9, 4, 25]
+
+
+def test_a_degenerate_real_axis_cell_makes_no_verify_membership_call(monkeypatch):
+    # Widened as in the chunk test, the tolerance excludes w(r) or w(-r) of
+    # some certified cells; each is re-run on the grid inside the scan's own
+    # step, bit for bit the cell-by-cell loop's report, with no call of its own.
+    monkeypatch.setattr(verify, "DEGENERACY_TOL", 0.3)
+    monkeypatch.setattr(verify, "SCAN_CHUNK_POINTS", 3 * 6 * 9)
+    calls = _counted_verify_membership(monkeypatch)
+    rerun = 0
+    for selector, pair, kappa_range, c_range in CHUNKED_SCANS[3:]:
+        expected = _scan_cell_by_cell(selector, pair, kappa_range, c_range, SMALL_GRID)
+        calls.clear()
+        _assert_rows_bit_equal(region_scan(selector, pair, kappa_range, c_range, SMALL_GRID), expected)
+        certified = [SMALL_GRID.radii[-1] < _zero_free(selector, row.report.params) for row in expected]
+        assert calls == [row.report.params for row, ok in zip(expected, certified) if not ok]
+        rerun += sum(ok and row.report.method == "sampled" for row, ok in zip(expected, certified))
+    assert rerun >= 10
 
 
 def test_region_scan_cells_evaluate_the_series_at_the_grid_kappa():
