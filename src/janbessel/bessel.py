@@ -24,8 +24,8 @@ so triples with equal (kappa, c) define the same function.
 Derivatives up to third order come from term-wise differentiation.  Only
 scalar eval_u uses Horner's rule; the array path (_contract, under
 verify's sample circles and eval_u_many on radius 1) contracts coefficient
-rows, scaled by r^m per ring radius r, against a table of point powers,
-summing only the rows lowest..order that its caller reads.  Both share one term count, fixed a priori: on
+rows 0..order, scaled by r^m per ring radius r, against a table of point
+powers.  Both share one term count, fixed a priori: on
 |z| <= R = 1 + DISK_SLACK the j-th derivative's term k is at most
 |a_k| k!/(k-j)! R^(k-j), and once kappa + k > 0
 later terms shrink by at most rho = |c| R / (4 (kappa+k)(k+1-order)) per step.
@@ -244,15 +244,15 @@ def _series_rows(kappa: float, c: float, order: int, rel_tol: float, max_terms: 
     return rows
 
 
-def _kernel_layout(a, order: int, n: int, lowest: int = 0):
-    """Kernel rows lowest..order from coefficients a, whose last axis has at least n + order entries.
+def _kernel_layout(a, order: int, n: int):
+    """Kernel rows 0..order from coefficients a, whose last axis has at least n + order entries.
 
-    Entry [..., j - lowest, m] is the one rounding of float(perm(m+j, j)) *
+    Entry [..., j, m] is the one rounding of float(perm(m+j, j)) *
     a[..., m+j], the coefficient of z^m in u^(j).  _series_rows lays out one
     cell's rows this way, and region scans a chunk's from _coefficient_matrix.
     """
     index, weights = _falling_weights(order, n)
-    return a[..., index[lowest:]] * weights[lowest:]
+    return a[..., index] * weights
 
 
 def _coefficient_matrix(kappas, cs, order: int, rel_tol: float, max_terms: int):

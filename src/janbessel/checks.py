@@ -190,7 +190,7 @@ def _two_regime_conditions(pair: JanowskiPair, kappa_eff: float, c: float) -> Ch
     # leaves the main slack -inf or NaN, never satisfied.
     square = 16.0 * (A - B) ** 2
     limit = 0.0 if c == 0.0 else math.inf
-    base = kappa_eff - max(0.0, (1.0 + B) * (1.0 + A) * abs(c) / (4.0 * (A - B)))
+    base = kappa_eff - (1.0 + B) * (1.0 + A) * abs(c) / (4.0 * (A - B))
     if B <= REGIME_SPLIT_B:
         regime = "low-B"
         if B == REGIME_SPLIT_B:

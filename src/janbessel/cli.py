@@ -322,25 +322,18 @@ def _cmd_check(ns: argparse.Namespace) -> tuple[dict, int]:
     if ns.corollary is not None:
         if ns.A is not None or ns.B is not None:
             raise ValueError("corollaries fix their own pair; drop --A/--B")
-        outcome = check_corollary(ns.corollary, ns.kappa, ns.c)
-        payload = {
-            "check": ns.corollary,
-            "pair": None,
-            "kappa": ns.kappa,
-            "c": ns.c,
-            "outcome": _outcome_dict(outcome),
-        }
-        return payload, 0 if outcome.satisfied else 1
-    if ns.A is None or ns.B is None:
-        raise ValueError("theorem checks need --A and --B")
-    pair = JanowskiPair(A=ns.A, B=ns.B)
-    outcome = check_theorem(ns.theorem, pair, ns.kappa, ns.c, ns.mode)
+        check, pair, outcome = ns.corollary, None, check_corollary(ns.corollary, ns.kappa, ns.c)
+    else:
+        if ns.A is None or ns.B is None:
+            raise ValueError("theorem checks need --A and --B")
+        pair = JanowskiPair(A=ns.A, B=ns.B)
+        check, outcome = ns.theorem, check_theorem(ns.theorem, pair, ns.kappa, ns.c, ns.mode)
     payload = {
-        "check": ns.theorem,
-        "pair": _pair_list(pair),
+        "check": check,
+        "pair": None if pair is None else _pair_list(pair),
         "kappa": ns.kappa,
         "c": ns.c,
-        "mode": ns.mode if ns.theorem in MODE_THEOREMS else None,
+        "mode": ns.mode if check in MODE_THEOREMS else None,
         "outcome": _outcome_dict(outcome),
     }
     return payload, 0 if outcome.satisfied else 1

@@ -10,16 +10,22 @@ to 1 at z = 0:
     convexity       1 + z u'' / u',
     starlike-zu     z (z u)' / (z u) = 1 + z u' / u.
 
+By the order-shift identity 4 kappa u_p' = -c u_{p+1}, (-4 kappa / c) u' is
+the series at kappa + 1 and 1 + z u'' / u' is 1 + z u' / u there.  So each
+functional is one series D = 0F1(; k; -c z / 4), k = kappa + shift
+(_KERNEL_ROWS), or 1 + z D' / D, and none scales u' or divides by it, which
+overflows or degenerates at small |c|.  At c = 0 deriv-normalized raises
+ZeroC and, u' vanishing identically, every convexity sample is a hit.
+
 verify_membership samples a polar grid of the unit disk, maps every sample
 through the functional, and reports the minimum signed margin against the
 pair's target region together with the witness point attaining it.  Points
-where a functional denominator (u' for convexity, u for starlike-zu) falls
-below DEGENERACY_TOL, or where the proof-side denominator (1+B) w - (1+A)
-does, are recorded as degeneracy hits and excluded from the margin; any hit
-makes the verdict "counterexample" because a nondegeneracy hypothesis failed.
+where a quotient's denominator D falls below DEGENERACY_TOL, or where the
+proof-side denominator (1+B) w - (1+A) does, are recorded as degeneracy
+hits and excluded from the margin; any hit makes the verdict
+"counterexample" because a nondegeneracy hypothesis failed.
 
-Real-axis rule: convexity and starlike-zu are w = 1 + z D'/D, with D = u'
-or u a multiple of 0F1(; k; -c z / 4), k = kappa + 1 or kappa.  For k > 0
+Real-axis rule: convexity and starlike-zu are w = 1 + z D'/D.  For k > 0
 the zeros z_j of D are real, of the sign of c, and none lies in |z| <= r
 for r below bessel.zero_free_radius.  There w = 1 - sum_j z / (z_j - z)
 (Hadamard's product), and each term maps the disk onto a disk centred on
@@ -52,7 +58,8 @@ sampled verdict cell by cell.  Where B = -1 the row keeps the selector's
 first corollary in checks.PROPERTIES (fixed-pair ones first) whose
 check_corollary implied_pair has the pair's A to within 1e-12.  One
 vectorized pass builds the series coefficients of all its cells
-(bessel._coefficient_matrix), and the step runs a chunk of cells at a
+(bessel._coefficient_matrix, at the same float kappa + shift as the
+one-cell path), and the step runs a chunk of cells at a
 time, on one gather from those coefficients zero-padded to one length.
 Each coefficient is bit for bit the one-cell path's, a kernel value
 depends only on its row, radius and point, and the rest is elementwise or
@@ -108,13 +115,13 @@ from .checks import (
 )
 from .geometry import JanowskiPair, TargetRegion, region_margin_many, target_region
 
-# The kernel rows (order, lowest) each selector's functional reads, and the
-# reason recorded where a quotient 1 + z u^(k) / u^(k-1)'s denominator
-# u^(k-1) vanishes ("" for the two selectors that are not quotients).
+# (order, shift, label): each selector's functional reads rows 0..order of
+# the series at kappa + shift, and label is the hit recorded where a
+# quotient's denominator vanishes ("" for the two that are not quotients).
 _KERNEL_ROWS = {
     SELECTOR_U: (0, 0, ""),
-    SELECTOR_DERIV: (1, 1, ""),
-    SELECTOR_CONVEXITY: (2, 1, "zero-derivative"),
+    SELECTOR_DERIV: (0, 1, ""),
+    SELECTOR_CONVEXITY: (1, 1, "zero-derivative"),
     SELECTOR_STARLIKE: (1, 0, "zero-value"),
 }
 
@@ -205,10 +212,10 @@ _AXIS_UNITS = _PowerTable([1.0, -1.0])
 
 
 def _certified_radius(selector: str, params: BesselParams) -> float:
-    """Radius below which a quotient selector's denominator u^(k-1), a multiple
-    of 0F1(; kappa + k - 1; -c z / 4), has no zero; 0.0 for the other selectors."""
-    _, lowest, reason = _KERNEL_ROWS[selector]
-    return zero_free_radius(params.kappa + lowest, params.c) if reason else 0.0
+    """Radius below which a quotient selector's denominator, the series at
+    kappa + shift, has no zero; 0.0 for the other selectors."""
+    _, shift, reason = _KERNEL_ROWS[selector]
+    return zero_free_radius(params.kappa + shift, params.c) if reason else 0.0
 
 
 @dataclass
@@ -216,7 +223,8 @@ class VerificationReport:
     """Outcome of one membership test.
 
     verdict is "holds-on-grid" exactly when no degeneracy was hit and
-    min_margin >= 0; a negative or NaN min_margin is a "counterexample".
+    min_margin > 0, as membership of the target region is strict; a zero,
+    negative or NaN min_margin is a "counterexample".
     witness is the sample attaining min_margin (None, with min_margin NaN,
     only if no sample has a margin below +inf, as where every sample was
     degenerate): a grid point, or r or -r under the real-axis rule.
@@ -235,26 +243,19 @@ class VerificationReport:
     method: str = METHOD_SAMPLED
 
 
-def _deriv_scale(params: BesselParams) -> float:
-    """The factor -4 kappa / c of the deriv-normalized functional; ZeroC at c = 0."""
-    if params.c == 0.0:
-        raise ZeroC("the deriv-normalized functional is undefined at c = 0")
-    return -4.0 * params.kappa / params.c
-
-
 def _kernel_rows(selector: str, params: BesselParams, cfg: EvalConfig) -> np.ndarray:
-    """The selector's _KERNEL_ROWS of params' series, lowest first: one cell's stacked rows.
+    """Rows 0..order of the selector's series, at params.kappa + shift: one cell's stacked rows.
 
     Raises ValueError for an unknown selector, then ZeroC for
     deriv-normalized at c = 0, before any series is summed.
     """
     try:
-        order, lowest, _ = _KERNEL_ROWS[selector]
+        order, shift, _ = _KERNEL_ROWS[selector]
     except KeyError:
         raise ValueError(f"unknown selector {selector!r}; expected one of {SELECTORS}") from None
-    if selector == SELECTOR_DERIV:
-        _deriv_scale(params)
-    return _series_rows(params.kappa, params.c, order, cfg.rel_tol, cfg.max_terms)[lowest:]
+    if selector == SELECTOR_DERIV and params.c == 0.0:
+        raise ZeroC("the deriv-normalized functional is undefined at c = 0")
+    return _series_rows(params.kappa + shift, params.c, order, cfg.rel_tol, cfg.max_terms)
 
 
 def _functional_values(
@@ -273,17 +274,17 @@ def _functional_values(
     be ignored by the caller.
     """
     sums = _contract(rows, radii, table).reshape(len(rows), -1)
-    if _KERNEL_ROWS[selector][2]:
-        den, num = sums[0::2], sums[1::2]
-        zs = (np.asarray(radii)[:, None] * table.points).ravel()
-        mask = np.abs(den) < DEGENERACY_TOL
-        if not mask.any():
-            return 1.0 + zs * num / den, mask
-        safe = np.where(mask, 1.0, den)
-        return np.where(mask, 1.0, 1.0 + zs * num / safe), mask
-    if selector == SELECTOR_DERIV:
-        sums = np.array([_deriv_scale(params) for params in cells])[:, None] * sums
-    return sums, np.zeros(sums.shape, dtype=bool)
+    if not _KERNEL_ROWS[selector][2]:
+        return sums, np.zeros(sums.shape, dtype=bool)
+    den, num = sums[0::2], sums[1::2]
+    zs = (np.asarray(radii)[:, None] * table.points).ravel()
+    mask = np.abs(den) < DEGENERACY_TOL
+    if selector == SELECTOR_CONVEXITY:  # u' = -c u_{p+1} / (4 kappa) vanishes identically at c = 0
+        mask |= np.array([params.c == 0.0 for params in cells])[:, None]
+    if not mask.any():
+        return 1.0 + zs * num / den, mask
+    safe = np.where(mask, 1.0, den)
+    return np.where(mask, 1.0, 1.0 + zs * num / safe), mask
 
 
 def _least_margins(
@@ -328,7 +329,7 @@ def _cell_reports(
     of the grid (_sampled_units), hits mirrored onto the full grid, witness
     the first least-margin sample.  Either way the verdict is
     "holds-on-grid" exactly when nothing is excluded and the least margin
-    is >= 0, which NaN is not; a cell with no usable sample reports
+    is > 0, which NaN is not; a cell with no usable sample reports
     min_margin NaN and no witness.  _least_margins reduces all the cells at
     once.
     """
@@ -353,7 +354,7 @@ def _cell_reports(
                 whole = np.concatenate([upper, _lower_twins(upper, grid.angles)], axis=1).ravel()
                 hits.extend((complex(z), label) for z in full[whole])
         min_margin, witness = (math.nan, None) if least[c] == math.inf else (least[c], witnesses[c])
-        verdict = VERDICT_HOLDS if min_margin >= 0.0 and not hits else VERDICT_COUNTEREXAMPLE
+        verdict = VERDICT_HOLDS if min_margin > 0.0 and not hits else VERDICT_COUNTEREXAMPLE
         report = VerificationReport(selector, pair, params, verdict, min_margin, witness, grid, hits, method)
         reports.append(report)
     return reports
@@ -495,12 +496,12 @@ def _verify_cells(
     verify_membership raises cell by cell (for deriv-normalized cells given
     c != 0, which region_scan's checker enforces).
     """
-    order, lowest, quotient = _KERNEL_ROWS[selector]
+    order, shift, quotient = _KERNEL_ROWS[selector]
     axis = bool(quotient)
     points = len(_AXIS_UNITS.points) if axis else len(grid.radii) * len(_sampled_units(grid.angles).points)
     size = max(1, SCAN_CHUNK_POINTS // points)
     a, terms = _coefficient_matrix(
-        [params.kappa for params in cells], [params.c for params in cells], order, cfg.rel_tol, cfg.max_terms
+        [params.kappa + shift for params in cells], [params.c for params in cells], order, cfg.rel_tol, cfg.max_terms
     )
     reports: dict[int, VerificationReport] = {}
     chunked = []
@@ -512,7 +513,7 @@ def _verify_cells(
     for start in range(0, len(chunked), size):
         chunk = chunked[start : start + size]
         n = int(terms[chunk].max())
-        rows = _kernel_layout(a[chunk], order, n, lowest).reshape(-1, n)
+        rows = _kernel_layout(a[chunk], order, n).reshape(-1, n)
         found = _cell_reports(selector, pair, grid, [cells[i] for i in chunk], rows, axis)
         reports.update(zip(chunk, found))
     return [reports[i] for i in range(len(cells))]

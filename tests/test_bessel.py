@@ -294,9 +294,9 @@ def test_batch_values_do_not_depend_on_the_batch():
 def test_batch_rows_from_lowest_are_the_full_rows(size):
     # Each row is contracted on its own, so rows lowest..order are the same
     # to the bit, signed zeros included, whether or not the lower rows are
-    # summed too, as verify sums only the rows its functional reads.  numpy
-    # rounds complex products differently on some array shapes, hence the
-    # sizes: one point, two, and the grids verify uses.
+    # summed too: a kernel value depends only on its row, radius and point.
+    # numpy rounds complex products differently on some array shapes, hence
+    # the sizes: one point, two, and the grids verify uses.
     from janbessel.bessel import _PowerTable, _contract, _series_rows
 
     rng = np.random.default_rng(size)
@@ -362,13 +362,11 @@ def test_series_rows_are_the_rounded_term_products():
             assert not coefs[count:].view(np.uint64).any()  # +0.0 exactly
             padded = np.zeros((order + 1, n))
             padded[:, : len(a)] = rows
-            for lowest in range(order + 1):
-                gathered = _kernel_layout(coefs, order, n, lowest)
-                assert np.array_equal(gathered.view(np.uint64), padded[lowest:].view(np.uint64))
+            gathered = _kernel_layout(coefs, order, n)
+            assert np.array_equal(gathered.view(np.uint64), padded.view(np.uint64))
         # A chunk's rows, gathered at once as region scans do, are each cell's to the bit.
-        lowest = min(order, 1)
-        stacked = _kernel_layout(matrix, order, n, lowest)
-        cellwise = np.stack([_kernel_layout(coefs, order, n, lowest) for coefs in matrix])
+        stacked = _kernel_layout(matrix, order, n)
+        cellwise = np.stack([_kernel_layout(coefs, order, n) for coefs in matrix])
         assert np.array_equal(stacked.view(np.uint64), cellwise.view(np.uint64))
         # Cells 1 and 4 stop within 20 terms, 2 and 3 need 26-29; the last
         # overflows to inf, silently as in Python floats.

@@ -625,6 +625,39 @@ def test_reports_without_a_witness_write_null_margins(capsys):
     assert capsys.readouterr().out == DEGENERATE_SCAN_CSV
 
 
+def test_small_c_reports_hold_where_u_prime_underflows(capsys):
+    # -4 kappa / c overflows at c = -1e-308, and |u'| = |c / (4 kappa)| |u_{p+1}|
+    # falls below the degeneracy tolerance at c = 1e-14; read one order up,
+    # both functionals hold with a finite margin and the scan has no conflict.
+    code = run(["verify", "--selector", "deriv-normalized", "--A", "0", "--B=-1", "--p", "1", "--b=-1",
+                "--c=-1e-308"])
+    payload = _strict_json(capsys.readouterr().out)["payload"]
+    assert code == 0 and payload["verdict"] == "holds-on-grid" and payload["min_margin"] == 0.5
+    code = run(["verify", "--selector", "convexity", "--A", "0.7", "--B=-0.3", "--p", "2", "--b=-1",
+                "--c=1e-14"])
+    payload = _strict_json(capsys.readouterr().out)["payload"]
+    assert code == 0 and payload["method"] == "real-axis" and payload["degeneracy_hits"] == []
+    assert abs(payload["min_margin"] - 10.0 / 13.0) < 1e-12
+    code = run(["scan", "--selector", "convexity", "--A", "0.7", "--B=-0.3", "--kappa-range", "1:3:3",
+                "--c-range=1e-14:2e-14:2", "--radii", "4", "--angles", "16"])
+    payload = _strict_json(capsys.readouterr().out)["payload"]
+    assert code == 0 and payload["conflicts"] == 0
+    assert {row["numeric"] for row in payload["rows"]} == {"holds-on-grid"}
+
+
+def test_check_payloads_have_one_shape(capsys):
+    # Theorems and corollaries write the same keys; mode is null wherever the
+    # check does not read it, as for a corollary.
+    _, theorem = run_json(capsys, ["check", "--theorem", "subordination", "--A", "0", "--B=-1", "--kappa", "2",
+                                   "--c=-1"])
+    _, corollary = run_json(capsys, ["check", "--corollary", "re-half", "--kappa", "1", "--c=-1", "--mode",
+                                     "as-printed"])
+    assert list(theorem["payload"]) == list(corollary["payload"]) == [
+        "check", "pair", "kappa", "c", "mode", "outcome"
+    ]
+    assert corollary["payload"]["pair"] is None and corollary["payload"]["mode"] is None
+
+
 def test_non_finite_checker_slacks_are_written_as_null(capsys):
     # kappa - c (c + 1) / 2 overflows to -inf here.
     code = run(["check", "--corollary", "cc-order", "--kappa", "1e40", "--c=-1e300"])
