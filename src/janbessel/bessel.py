@@ -126,6 +126,20 @@ class BesselParams:
         """Same (b, c) with p moved by delta; revalidates the new kappa."""
         return BesselParams(self.p + delta, self.b, self.c)
 
+    def _with_c(self, c: float) -> "BesselParams":
+        """Same (p, b) with c, a finite float the caller has checked.
+
+        kappa depends on p and b alone, and both passed __post_init__ when
+        self was built, so none of its checks is repeated.  Set field by
+        field, as __post_init__ does: a bulk __dict__ update would give
+        each instance its own dict, twice the memory.
+        """
+        params = object.__new__(BesselParams)
+        object.__setattr__(params, "p", self.p)
+        object.__setattr__(params, "b", self.b)
+        object.__setattr__(params, "c", c)
+        return params
+
 
 @dataclass(frozen=True)
 class EvalConfig:

@@ -26,9 +26,24 @@ Condition families
   for comparison studies, and sampling finds counterexamples to them.
 * check_corollary evaluates four ready-made half-plane specializations.
 * PROPERTIES maps each selector (SELECTORS: u, deriv-normalized, convexity,
-  starlike-zu) to its theorem (THEOREM_NAMES) and its corollaries.
+  starlike-zu) to its theorem (THEOREM_NAMES), its corollaries, its Psi form
+  and its series shift: the one table of which condition set a theorem
+  applies at which kappa (kappa + shift - 1), read by the checkers and by
+  `verify`'s kernel rows alike.
 * mccarty_bounds evaluates three classical pointwise bounds for the modified
   spherical case (b = 2, c = -1).
+
+Cells and columns
+-----------------
+The two condition sets (_two_regime_conditions, _convexity_conditions) are
+written once with plain operators, as _psi_formula is, and choose their
+branches through a `where` argument: a scalar checker passes Python floats
+and _pick, and a region scan passes numpy columns of kappa and c and
+numpy.where (_check_columns).  The elementwise IEEE operations are the same
+in the same order, so a column cell's slacks are the scalar checker's bits.
+Where a theorem's condition set does not apply (_off_set: c = 0, or
+convexity's regime gate) the scalar checker alone decides.  numpy is
+imported only by _check_columns, when first called.
 
 The admissibility functional
 ----------------------------
@@ -42,8 +57,10 @@ supremum of Re Psi over the whole set, or +inf, in closed form.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .bessel import BesselParams, EvalConfig, DEFAULT_CONFIG, eval_u
 from .geometry import DegenerateDenominator, JanowskiPair
@@ -84,16 +101,34 @@ SELECTOR_U = "u"
 SELECTOR_DERIV = "deriv-normalized"
 SELECTOR_CONVEXITY = "convexity"
 SELECTOR_STARLIKE = "starlike-zu"
-# Each selector's theorem, whose conclusion it samples, and the corollaries
-# that specialise that theorem to a half-plane, fixed-pair ones first.
+
+
+class Property(NamedTuple):
+    """A selector's theorem, its half-plane corollaries (fixed-pair ones first),
+    its Psi form and its series shift.  The selector samples the form's
+    functional of the series at kappa + shift (`verify`), and the theorem is
+    the form's condition set one order down, at kappa + shift - 1.
+    """
+
+    theorem: str
+    corollaries: tuple[str, ...]
+    form: str
+    shift: int
+
+
 PROPERTIES = {
-    SELECTOR_U: ("subordination", (COROLLARY_RE_HALF, COROLLARY_HALFPLANE_C_RATIO)),
-    SELECTOR_DERIV: ("derivative", (COROLLARY_DERIV_RE_HALF, COROLLARY_CC_ORDER)),
-    SELECTOR_CONVEXITY: ("convexity", ()),
-    SELECTOR_STARLIKE: ("starlike", ()),
+    SELECTOR_U: Property(
+        "subordination", (COROLLARY_RE_HALF, COROLLARY_HALFPLANE_C_RATIO), PSI_SUBORDINATION, 0
+    ),
+    SELECTOR_DERIV: Property(
+        "derivative", (COROLLARY_DERIV_RE_HALF, COROLLARY_CC_ORDER), PSI_SUBORDINATION, 1
+    ),
+    SELECTOR_CONVEXITY: Property("convexity", (), PSI_CONVEXITY, 1),
+    SELECTOR_STARLIKE: Property("starlike", (), PSI_CONVEXITY, 0),
 }
 SELECTORS = tuple(PROPERTIES)
-THEOREM_NAMES = tuple(theorem for theorem, _ in PROPERTIES.values())
+_THEOREMS = {prop.theorem: prop for prop in PROPERTIES.values()}
+THEOREM_NAMES = tuple(_THEOREMS)
 # The theorems whose checkers read `mode`; the others accept it and ignore it.
 MODE_THEOREMS = ("convexity", "starlike")
 
@@ -175,69 +210,131 @@ def _finite_kappa_c(kappa: float, c: float) -> tuple[float, float]:
     return kappa, c
 
 
-def _two_regime_conditions(pair: JanowskiPair, kappa_eff: float, c: float) -> CheckOutcome:
-    """Shared inequality family behind the membership checkers.
+def _pick(cond, a, b):
+    """numpy.where for one cell."""
+    return a if cond else b
+
+
+def _two_regime_conditions(A: float, B: float, k, c, where):
+    """Shared inequality family behind the membership checkers, at k = kappa_eff.
 
     kappa_eff is kappa - 1 for membership of u and kappa for the normalized
-    derivative.  The slacks are base, guard and main; the guard slack is
-    >= 0 by construction (it measures distance to the branch boundary)
-    unless it is NaN, as where both sides of the guard overflow.
+    derivative.  Returns (branch, slacks, notes); the slacks are base, guard
+    and main.  The guard slack is |guard_lhs - guard_rhs|, the distance to
+    the branch boundary: >= 0 unless it is NaN, as where both sides of the
+    guard overflow.
     """
-    A, B = pair.A, pair.B
     notes: list[str] = []
-    # 16 (A-B)^2 underflows to 0 below A - B ~ 1.5e-162.  A term over it is
-    # then its limit: 0 where its numerator is (c = 0), else +inf, which
-    # leaves the main slack -inf or NaN, never satisfied.
-    square = 16.0 * (A - B) ** 2
-    limit = 0.0 if c == 0.0 else math.inf
-    base = kappa_eff - (1.0 + B) * (1.0 + A) * abs(c) / (4.0 * (A - B))
+    # The pair's recurring factors, each computed once.
+    gap, plus_a, plus_b, minus_b = A - B, 1.0 + A, 1.0 + B, 1.0 - B
+    square = 16.0 * gap ** 2
+    base = k - plus_b * plus_a * abs(c) / (4.0 * gap)
     if B <= REGIME_SPLIT_B:
         regime = "low-B"
         if B == REGIME_SPLIT_B:
             notes.append(
                 "B sits exactly on the regime split; the low-B condition set is applied"
             )
-        guard_lhs = abs(
-            2.0 * kappa_eff * (1.0 - B) * (A + B) * c + (1.0 + B) ** 2 * (1.0 + A) * c
-        )
-        guard_rhs = 0.5 * (A - B) * (1.0 - B) * c * c
-        mixed = (
-            kappa_eff * (A + B) * c / (2.0 * (A - B))
-            + (1.0 + B) ** 2 * (1.0 + A) * c / (4.0 * (1.0 - B) * (A - B))
-        )
-        quad = kappa_eff * kappa_eff + kappa_eff * (1.0 + B) / (1.0 - B)
+        square_b = plus_b ** 2
+        guard_lhs = abs(2.0 * k * minus_b * (A + B) * c + square_b * plus_a * c)
+        guard_rhs = 0.5 * gap * minus_b * c * c
+        mixed = k * (A + B) * c / (2.0 * gap) + square_b * plus_a * c / (4.0 * minus_b * gap)
+        quad = k * k + k * plus_b / minus_b
     else:
         regime = "high-B"
-        guard_lhs = abs(
-            kappa_eff * (1.0 + B) ** 3 * (A + B) * c
-            + 8.0 * B * (1.0 - B * B) * (1.0 + A) * c
-        )
-        guard_rhs = 0.25 * c * c * (A - B) * (1.0 + B) ** 3
-        mixed = (
-            kappa_eff * (A + B) * c / (2.0 * (A - B))
-            + 4.0 * B * (1.0 - B * B) * (1.0 + A) * c / ((1.0 + B) ** 3 * (A - B))
-        )
-        quad = kappa_eff * kappa_eff + 16.0 * kappa_eff * B * (1.0 - B) / (1.0 + B) ** 3
-    envelope = (1.0 - A * A) * (1.0 - B * B) * c * c / square if square else limit
-    if guard_lhs >= guard_rhs:
-        branch = "endpoint"
-        guard_slack = guard_lhs - guard_rhs
-        main = quad - abs(mixed) - envelope
+        cube_b = plus_b ** 3
+        guard_lhs = abs(k * cube_b * (A + B) * c + 8.0 * B * (1.0 - B * B) * plus_a * c)
+        guard_rhs = 0.25 * c * c * gap * cube_b
+        mixed = k * (A + B) * c / (2.0 * gap) + 4.0 * B * (1.0 - B * B) * plus_a * c / (cube_b * gap)
+        quad = k * k + 16.0 * k * B * minus_b / cube_b
+    if square:
+        envelope = (1.0 - A * A) * (1.0 - B * B) * c * c / square
+        vertex = (1.0 - A * B) ** 2 * c * c / square
     else:
-        branch = "vertex"
-        guard_slack = guard_rhs - guard_lhs
-        vertex = (1.0 - A * B) ** 2 * c * c / square if square else limit
-        main = 0.25 * c * c * (quad - vertex) - mixed * mixed
-    slacks = [("base", base), ("guard", guard_slack), ("main", main)]
-    return CheckOutcome(branch=f"{regime}/{branch}", slacks=slacks, notes=notes)
+        # 16 (A-B)^2 underflows to 0 below A - B ~ 1.5e-162.  A term over it
+        # is then its limit: 0 where its numerator is (c = 0), else +inf,
+        # which leaves the main slack -inf or NaN, never satisfied.
+        envelope = vertex = where(c == 0.0, 0.0, math.inf)
+    endpoint = guard_lhs >= guard_rhs
+    branch = where(endpoint, f"{regime}/endpoint", f"{regime}/vertex")
+    main = where(endpoint, quad - abs(mixed) - envelope, 0.25 * c * c * (quad - vertex) - mixed * mixed)
+    return branch, [("base", base), ("guard", abs(guard_lhs - guard_rhs)), ("main", main)], notes
+
+
+def _convexity_conditions(A: float, B: float, k, c, mode: str, starlike: bool):
+    """The convexity condition set at k = kappa_eff, shared by both quotient checkers.
+
+    X = 1 + A - B + k (1+B), x = (1+B)^2 |c| / (4 (A-B)), Y = 1 - A + B + k (1-B) and
+    y = (1-B)^2 |c| / (4 (A-B)).  "conservative" records X - x and Y - y: the convexity
+    Re Psi's supremum is that of g(t) = -(Y - y + (X - x) t) / 2 on t >= 0 (_convexity_g).
+    Both may be 0: the checkers apply this only at c != 0, where the z-part
+    c den(r)^2 / (8 (A-B)) never vanishes, so Re Psi < g(t) <= 0 on |z| < 1.
+    "as-printed" records X Y - (x y - |coupling|), starlike X Y - (x y (A-B) + |coupling|).
+    Returns (branch, slacks, notes) as _two_regime_conditions does.
+    """
+    X = 1.0 + A - B + k * (1.0 + B)
+    x = (1.0 + B) ** 2 * abs(c) / (4.0 * (A - B))
+    Y = 1.0 - A + B + k * (1.0 - B)
+    y = (1.0 - B) ** 2 * abs(c) / (4.0 * (A - B))
+    if mode == MODE_CONSERVATIVE:
+        second = ("factor-positivity", Y - y)
+    else:
+        coupling = abs(
+            (B - (A - B) * (1.0 + B * B) + (1.0 - B * B) * B * k) * c / (2.0 * (A - B))
+        )
+        rhs = x * y * (A - B) + coupling if starlike else x * y - coupling
+        second = ("product-domination", X * Y - rhs)
+    return mode, [("coefficient-positivity", X - x), second], []
+
+
+def _conditions(theorem: str, pair: JanowskiPair, kappa, c, mode: str, where):
+    """(branch, slacks, notes) of the theorem's condition set at (kappa, c).
+
+    The set is the one of the theorem's Psi form (PROPERTIES), at kappa_eff =
+    kappa + shift - 1, written kappa - (1 - shift) so that kappa = -0.0 stays
+    -0.0.  Written with plain operators only: kappa and c are Python floats
+    with where = _pick, or numpy arrays that broadcast together with where =
+    numpy.where, whose branch and slacks are then arrays of the cells'.
+    """
+    prop = _THEOREMS[theorem]
+    k = kappa - (1 - prop.shift)
+    if prop.form == PSI_SUBORDINATION:
+        return _two_regime_conditions(pair.A, pair.B, k, c, where)
+    return _convexity_conditions(pair.A, pair.B, k, c, mode, theorem == "starlike")
+
+
+def _off_set(theorem: str, pair: JanowskiPair, c: float) -> CheckOutcome | None:
+    """The theorem's outcome where its condition set does not apply, else None.
+
+    The derivative raises ZeroC at c = 0; convexity reports "out-of-regime"
+    off -1 <= B <= 0 < A and "c=0" at c = 0, both never satisfied; starlike
+    at c = 0 records its exact margin.
+    """
+    if theorem == "convexity" and not (pair.B <= 0.0 < pair.A):
+        notes = [f"condition set requires -1 <= B <= 0 < A <= 1, got A={pair.A}, B={pair.B}"]
+        return CheckOutcome(branch="out-of-regime", slacks=[], notes=notes)
+    if c != 0.0 or theorem == "subordination":
+        return None
+    if theorem == "derivative":
+        raise ZeroC("the normalized derivative (-4 kappa / c) u' is undefined at c = 0")
+    if theorem == "convexity":
+        notes = ["u' vanishes identically at c = 0, so 1 + z u''/u' is undefined"]
+        return CheckOutcome(branch="c=0", slacks=[], notes=notes)
+    margin = (pair.A - pair.B) / (1.0 + abs(pair.B))
+    return CheckOutcome(branch="c=0", slacks=[("identity-margin", margin)])
+
+
+def _check(theorem: str, pair: JanowskiPair, kappa: float, c: float, mode: str) -> CheckOutcome:
+    """One cell: _off_set's outcome where the condition set does not apply, else the set's."""
+    kappa, c = _finite_kappa_c(kappa, c)
+    return _off_set(theorem, pair, c) or CheckOutcome(*_conditions(theorem, pair, kappa, c, mode, _pick))
 
 
 def check_subordination_theorem(
     pair: JanowskiPair, kappa: float, c: float
 ) -> CheckOutcome:
     """Sufficient condition for u itself to map the disk into the pair's region."""
-    kappa, c = _finite_kappa_c(kappa, c)
-    return _two_regime_conditions(pair, kappa - 1.0, c)
+    return _check("subordination", pair, kappa, c, MODE_CONSERVATIVE)
 
 
 def check_derivative_theorem(
@@ -248,44 +345,14 @@ def check_derivative_theorem(
     Same condition family as check_subordination_theorem with kappa in place
     of kappa - 1: the normalized derivative is itself a series of the same
     family with order raised by one, which shifts kappa up accordingly.
+    Raises ZeroC at c = 0.
     """
-    kappa, c = _finite_kappa_c(kappa, c)
-    if c == 0.0:
-        raise ZeroC("the normalized derivative (-4 kappa / c) u' is undefined at c = 0")
-    return _two_regime_conditions(pair, kappa, c)
+    return _check("derivative", pair, kappa, c, MODE_CONSERVATIVE)
 
 
 def _mode_guard(mode: str) -> None:
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-
-
-def _convexity_conditions(
-    pair: JanowskiPair, kappa_eff: float, c: float, mode: str, starlike: bool = False
-) -> CheckOutcome:
-    """The convexity condition set at k = kappa_eff, shared by both quotient checkers.
-
-    X = 1 + A - B + k (1+B), x = (1+B)^2 |c| / (4 (A-B)), Y = 1 - A + B + k (1-B) and
-    y = (1-B)^2 |c| / (4 (A-B)).  "conservative" records X - x and Y - y: the convexity
-    Re Psi's supremum is that of g(t) = -(Y - y + (X - x) t) / 2 on t >= 0 (_convexity_g).
-    Both may be 0: the checkers call this only at c != 0, where the z-part
-    c den(r)^2 / (8 (A-B)) never vanishes, so Re Psi < g(t) <= 0 on |z| < 1.
-    "as-printed" records X Y - (x y - |coupling|), starlike X Y - (x y (A-B) + |coupling|).
-    """
-    A, B = pair.A, pair.B
-    X = 1.0 + A - B + kappa_eff * (1.0 + B)
-    x = (1.0 + B) ** 2 * abs(c) / (4.0 * (A - B))
-    Y = 1.0 - A + B + kappa_eff * (1.0 - B)
-    y = (1.0 - B) ** 2 * abs(c) / (4.0 * (A - B))
-    if mode == MODE_CONSERVATIVE:
-        second = ("factor-positivity", Y - y)
-    else:
-        coupling = abs(
-            (B - (A - B) * (1.0 + B * B) + (1.0 - B * B) * B * kappa_eff) * c / (2.0 * (A - B))
-        )
-        rhs = x * y * (A - B) + coupling if starlike else x * y - coupling
-        second = ("product-domination", X * Y - rhs)
-    return CheckOutcome(branch=mode, slacks=[("coefficient-positivity", X - x), second])
 
 
 def check_convexity_theorem(
@@ -301,15 +368,7 @@ def check_convexity_theorem(
     condition (supremum of the convexity Re Psi below 0).
     """
     _mode_guard(mode)
-    kappa, c = _finite_kappa_c(kappa, c)
-    A, B = pair.A, pair.B
-    if not (B <= 0.0 < A):
-        notes = [f"condition set requires -1 <= B <= 0 < A <= 1, got A={A}, B={B}"]
-        return CheckOutcome(branch="out-of-regime", slacks=[], notes=notes)
-    if c == 0.0:
-        notes = ["u' vanishes identically at c = 0, so 1 + z u''/u' is undefined"]
-        return CheckOutcome(branch="c=0", slacks=[], notes=notes)
-    return _convexity_conditions(pair, kappa, c, mode)
+    return _check("convexity", pair, kappa, c, mode)
 
 
 def check_starlike_theorem(
@@ -326,11 +385,7 @@ def check_starlike_theorem(
     is positive for every admissible pair.
     """
     _mode_guard(mode)
-    kappa, c = _finite_kappa_c(kappa, c)
-    if c == 0.0:
-        margin = (pair.A - pair.B) / (1.0 + abs(pair.B))
-        return CheckOutcome(branch="c=0", slacks=[("identity-margin", margin)])
-    return _convexity_conditions(pair, kappa - 1.0, c, mode, starlike=True)
+    return _check("starlike", pair, kappa, c, mode)
 
 
 def check_theorem(
@@ -342,15 +397,44 @@ def check_theorem(
     MODE_THEOREMS read it.
     """
     _mode_guard(mode)
-    if name == "subordination":
-        return check_subordination_theorem(pair, kappa, c)
-    if name == "derivative":
-        return check_derivative_theorem(pair, kappa, c)
-    if name == "convexity":
-        return check_convexity_theorem(pair, kappa, c, mode=mode)
-    if name == "starlike":
-        return check_starlike_theorem(pair, kappa, c, mode=mode)
-    raise ValueError(f"unknown theorem {name!r}; expected one of {THEOREM_NAMES}")
+    if name not in _THEOREMS:
+        raise ValueError(f"unknown theorem {name!r}; expected one of {THEOREM_NAMES}")
+    return _check(name, pair, kappa, c, mode)
+
+
+def _check_columns(
+    theorem: str, pair: JanowskiPair, kappas: list[float], cs: list[float], mode: str
+) -> list[CheckOutcome | None]:
+    """check_theorem over the rectangle kappas x cs of finite floats, row-major (kappa outer).
+
+    One _conditions call evaluates every cell as numpy columns, under
+    errstate, as Python floats overflow silently; each cell's outcome is
+    built from .tolist() values, so its slacks are the scalar path's bits,
+    and gets its own notes list.  A cell where the condition set does not
+    apply (_off_set) is None: check_theorem gives its outcome or raises.
+    Raises check_theorem's ValueError for an unknown mode.
+    """
+    import numpy as np
+
+    _mode_guard(mode)
+    applies = []
+    for c in cs:
+        try:
+            applies.append(_off_set(theorem, pair, c) is None)
+        except ZeroC:
+            applies.append(False)
+    shape = (len(kappas), len(cs))
+    with np.errstate(all="ignore"):
+        branch, slacks, notes = _conditions(
+            theorem, pair, np.array(kappas)[:, None], np.array(cs), mode, np.where
+        )
+    values = [branch] + [value for _, value in slacks]
+    branches, *columns = (np.broadcast_to(v, shape).ravel().tolist() for v in values)
+    labelled = (zip(itertools.repeat(label), column) for (label, _), column in zip(slacks, columns))
+    return [
+        CheckOutcome(b, cell, notes[:]) if ok else None
+        for b, cell, ok in zip(branches, map(list, zip(*labelled)), itertools.cycle(applies))
+    ]
 
 
 def _half_plane(A: float, bound: float, c: float, notes: list[str]):

@@ -13,9 +13,10 @@ to 1 at z = 0:
 By the order-shift identity 4 kappa u_p' = -c u_{p+1}, (-4 kappa / c) u' is
 the series at kappa + 1 and 1 + z u'' / u' is 1 + z u' / u there.  So each
 functional is one series D = 0F1(; k; -c z / 4), k = kappa + shift
-(_KERNEL_ROWS), or 1 + z D' / D, and none scales u' or divides by it, which
-overflows or degenerates at small |c|.  At c = 0 deriv-normalized raises
-ZeroC and, u' vanishing identically, every convexity sample is a hit.
+(checks.PROPERTIES, read into _KERNEL_ROWS), or 1 + z D' / D, and none
+scales u' or divides by it, which overflows or degenerates at small |c|.
+At c = 0 deriv-normalized raises ZeroC and, u' vanishing identically,
+every convexity sample is a hit.
 
 verify_membership samples a polar grid of the unit disk, maps every sample
 through the functional, and reports the minimum signed margin against the
@@ -53,14 +54,17 @@ a circle a row), gives each cell's least margin, first sample attaining
 it and exclusion flag.  The step re-runs on the grid a real-axis cell whose
 w(r) or w(-r) is excluded.  verify_membership is the step on one cell's
 rows (bessel._series_rows).  region_scan sweeps a (kappa, c) rectangle
-and pairs the checker verdict, any matching corollary verdict, and the
-sampled verdict cell by cell.  Where B = -1 the row keeps the selector's
-first corollary in checks.PROPERTIES (fixed-pair ones first) whose
-check_corollary implied_pair has the pair's A to within 1e-12.  One
-vectorized pass builds the series coefficients of all its cells
-(bessel._coefficient_matrix, at the same float kappa + shift as the
-one-cell path), and the step runs a chunk of cells at a
-time, on one gather from those coefficients zero-padded to one length.
+and pairs, for each cell, the checker verdict, any matching corollary
+verdict and the sampled verdict.  One checks._check_columns pass
+evaluates the theorem over the whole rectangle as numpy columns, bit for
+bit check_theorem's outcomes, and each kappa row's parameters are
+validated once.  Where B = -1 the row keeps the selector's first corollary
+in checks.PROPERTIES (fixed-pair ones first) whose check_corollary
+implied_pair has the pair's A to within 1e-12.  One vectorized pass builds
+the series coefficients of all its cells (bessel._coefficient_matrix, at
+the same float kappa + shift as the one-cell path), and the step runs a
+chunk of cells at a time, on one gather from those coefficients
+zero-padded to one length.
 Each coefficient is bit for bit the one-cell path's, a kernel value
 depends only on its row, radius and point, and the rest is elementwise or
 row-wise, so every report is bit for bit verify_membership's for its cell.
@@ -101,13 +105,14 @@ from .bessel import zero_free_radius
 from .checks import (
     MODE_CONSERVATIVE,
     PROPERTIES,
+    PSI_CONVEXITY,
     SELECTOR_CONVEXITY,
     SELECTOR_DERIV,
     SELECTOR_STARLIKE,
-    SELECTOR_U,
     SELECTORS,
     CheckOutcome,
     ZeroC,
+    _check_columns,
     _root,
     admissibility_scan,  # defined in checks; also importable from here
     check_corollary,
@@ -116,13 +121,14 @@ from .checks import (
 from .geometry import JanowskiPair, TargetRegion, region_margin_many, target_region
 
 # (order, shift, label): each selector's functional reads rows 0..order of
-# the series at kappa + shift, and label is the hit recorded where a
-# quotient's denominator vanishes ("" for the two that are not quotients).
+# the series at kappa + shift (checks.PROPERTIES), one row for the
+# subordination form and two for the convexity form's quotient, and label is
+# the hit recorded where the quotient's denominator vanishes ("" for the two
+# that are not quotients).
+_QUOTIENT_LABELS = {SELECTOR_CONVEXITY: "zero-derivative", SELECTOR_STARLIKE: "zero-value"}
 _KERNEL_ROWS = {
-    SELECTOR_U: (0, 0, ""),
-    SELECTOR_DERIV: (0, 1, ""),
-    SELECTOR_CONVEXITY: (1, 1, "zero-derivative"),
-    SELECTOR_STARLIKE: (1, 0, "zero-value"),
+    selector: (int(prop.form == PSI_CONVEXITY), prop.shift, _QUOTIENT_LABELS.get(selector, ""))
+    for selector, prop in PROPERTIES.items()
 }
 
 VERDICT_HOLDS = "holds-on-grid"
@@ -519,6 +525,14 @@ def _verify_cells(
     return [reports[i] for i in range(len(cells))]
 
 
+def _axis(name: str, lo: float, hi: float, steps: int) -> list[float]:
+    """numpy.linspace(lo, hi, steps) as floats; ValueError unless lo, hi and hi - lo are finite."""
+    lo, hi = float(lo), float(hi)
+    if not math.isfinite(hi - lo):  # NaN or inf wherever an endpoint is, inf where the span overflows
+        raise ValueError(f"{name} range {lo!r}:{hi!r} needs finite endpoints and a finite span")
+    return np.linspace(lo, hi, steps).tolist()
+
+
 def region_scan(
     selector: str,
     pair: JanowskiPair,
@@ -530,13 +544,19 @@ def region_scan(
 ) -> list[ScanRow]:
     """Sweep a (kappa, c) rectangle; rows are row-major (kappa outer, c inner).
 
-    Each range is (lo, hi, steps) mapped to numpy.linspace.  The theorem
-    and any matching corollary (module docstring) are checked cell by cell;
-    the reports come from _verify_cells, a chunk of cells per kernel call,
-    bit for bit those of verify_membership cell by cell.
-    A cell whose checker or parameters raise ends the scan with that
-    exception after the cells before it are verified, so a rectangle raises
-    what a cell-by-cell loop would raise first.
+    Each range is (lo, hi, steps) mapped to numpy.linspace; ValueError
+    names a range whose endpoints or span are not finite.  One
+    checks._check_columns pass gives every cell's theorem outcome, bit for
+    bit check_theorem's, which itself decides the cells where the condition
+    set does not apply.  Any matching corollary (module docstring) is
+    checked cell by cell.  Parameters are validated once per kappa row,
+    InvalidKappa depending on kappa alone, and the row's other cells share
+    them (BesselParams._with_c).  The reports come from _verify_cells, a
+    chunk of cells per kernel call, bit for bit those of verify_membership
+    cell by cell.
+    A cell whose checker, corollary or parameters raise, in that order, ends
+    the scan with that exception after the cells before it are verified, so
+    a rectangle raises what a cell-by-cell loop would raise first.
     """
     if grid is None:
         grid = _DEFAULT_GRID
@@ -547,30 +567,31 @@ def region_scan(
         raise ValueError("ranges need at least two steps per axis")
     if selector not in PROPERTIES:
         raise ValueError(f"unknown selector {selector!r}; expected one of {SELECTORS}")
-    theorem, corollaries = PROPERTIES[selector]
-    kappas = np.linspace(float(k_lo), float(k_hi), k_steps)
-    cs = np.linspace(float(c_lo), float(c_hi), c_steps)
-    cells = [(float(k), float(c)) for k in kappas for c in cs]
-    judged, failure = [], None
+    theorem = PROPERTIES[selector].theorem
+    corollaries = PROPERTIES[selector].corollaries if pair.B == -1.0 else ()
+    kappas, cs = _axis("kappa", k_lo, k_hi, k_steps), _axis("c", c_lo, c_hi, c_steps)
+    outcomes = iter(_check_columns(theorem, pair, kappas, cs, mode))
+    judged, cells, failure = [], [], None
     try:
-        for kappa, c in cells:
-            checker = check_theorem(theorem, pair, kappa, c, mode)
-            corollary_id = corollary = None
-            for candidate in corollaries if pair.B == -1.0 else ():
-                outcome = check_corollary(candidate, kappa, c)
-                if outcome.implied_pair is not None and abs(pair.A - outcome.implied_pair.A) < 1e-12:
-                    corollary_id, corollary = candidate, outcome
-                    break
-            judged.append((checker, corollary_id, corollary, _params_for_kappa(kappa, c)))
+        for kappa in kappas:
+            for j, c in enumerate(cs):
+                checker = next(outcomes) or check_theorem(theorem, pair, kappa, c, mode)
+                corollary_id = corollary = None
+                for candidate in corollaries:
+                    outcome = check_corollary(candidate, kappa, c)
+                    if outcome.implied_pair is not None and abs(pair.A - outcome.implied_pair.A) < 1e-12:
+                        corollary_id, corollary = candidate, outcome
+                        break
+                if j == 0:  # InvalidKappa depends on kappa alone: one check a row
+                    row = _params_for_kappa(kappa, c)
+                judged.append((kappa, c, checker, corollary_id, corollary))
+                cells.append(row._with_c(c) if j else row)
     except Exception as exc:  # raised once the cells before it are verified
         failure = exc
-    reports = _verify_cells(selector, pair, [params for *_, params in judged], grid, cfg)
+    reports = _verify_cells(selector, pair, cells, grid, cfg)
     if failure is not None:
         raise failure
-    return [
-        ScanRow(kappa, c, checker, corollary_id, corollary, report)
-        for (kappa, c), (checker, corollary_id, corollary, _), report in zip(cells, judged, reports)
-    ]
+    return [ScanRow(*cell, report) for cell, report in zip(judged, reports)]
 
 
 def scan_conflicts(rows: list[ScanRow]) -> list[ScanRow]:

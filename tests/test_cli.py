@@ -267,6 +267,30 @@ def test_scan_with_a_minus_b_below_1e_162_exits_cleanly(capsys, selector):
     assert [row["checker"]["satisfied"] for row in rows] == [False] * 4
 
 
+@pytest.mark.parametrize(
+    "ranges, message",
+    [
+        (["--kappa-range=-1e308:1e308:3", "--c-range=-1:1:2"],
+         "kappa range -1e+308:1e+308 needs finite endpoints and a finite span"),
+        (["--kappa-range=1:2:2", "--c-range=-1e308:1e308:2"],
+         "c range -1e+308:1e+308 needs finite endpoints and a finite span"),
+        (["--kappa-range=1:inf:3", "--c-range=-1:1:2"], "kappa range 1.0:inf needs finite endpoints and a finite span"),
+        (["--kappa-range=1:2:2", "--c-range=nan:1:2"], "c range nan:1.0 needs finite endpoints and a finite span"),
+    ],
+    ids=["kappa-span-overflows", "c-span-overflows", "kappa-inf", "c-nan"],
+)
+def test_scan_rejects_a_range_without_a_finite_span(ranges, message):
+    # numpy.linspace turns such a range into NaN cells, with RuntimeWarnings
+    # on stderr: the range itself is named instead, on one line.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    argv = ["scan", "--selector", "u", "--A", "0.5", "--B=-0.5", *ranges, "--radii", "2", "--angles", "8"]
+    result = subprocess.run([sys.executable, "-m", "janbessel.cli", *argv], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.splitlines() == [f"error: {message}"]
+
+
 def test_scan_rejects_nonpositive_workers(capsys):
     argv = ["scan", "--selector", "u", "--A", "0", "--B=-1", "--kappa-range", "1:2:2",
             "--c-range=-2:-1:2", "--radii", "2", "--angles", "8", "--workers", "0"]

@@ -1269,7 +1269,7 @@ def test_default_mode_theorems_are_sound_on_seeded_draws():
     verified = dict.fromkeys(SELECTORS, 0)
     for _ in range(40000):
         pair, kappa, c = _draw_cell(rng)
-        for selector, (theorem, _) in checks.PROPERTIES.items():
+        for selector, (theorem, *_) in checks.PROPERTIES.items():
             if check_theorem(theorem, pair, kappa, c).satisfied:
                 report = verify_membership(selector, pair, verify._params_for_kappa(kappa, c), SOUNDNESS_GRID)
                 assert report.verdict == "holds-on-grid", (selector, pair, kappa, c, report.min_margin)
@@ -1288,7 +1288,7 @@ def test_corollaries_are_sound_on_seeded_draws():
         c = rng.uniform(-30.0, 30.0)
         kappa = rng.uniform(-0.9, 12.0 if i % 2 else 500.0)  # cc-order needs kappa >= c (c+1) / 2
         params = verify._params_for_kappa(kappa, c)
-        for selector, (_, corollaries) in checks.PROPERTIES.items():
+        for selector, (_, corollaries, *_) in checks.PROPERTIES.items():
             for which in corollaries:
                 out = check_corollary(which, kappa, c)
                 if out.satisfied and out.implied_pair is not None:
@@ -1320,8 +1320,8 @@ def _steered_cells(draw, kappa_hi):
 
 
 # Every default-mode theorem and every corollary, with the selector it claims.
-STEERED_CHECKS = [(selector, theorem, None) for selector, (theorem, _) in checks.PROPERTIES.items()] + [
-    (selector, None, which) for selector, (_, corollaries) in checks.PROPERTIES.items() for which in corollaries
+STEERED_CHECKS = [(selector, theorem, None) for selector, (theorem, *_) in checks.PROPERTIES.items()] + [
+    (selector, None, which) for selector, (_, corollaries, *_) in checks.PROPERTIES.items() for which in corollaries
 ]
 
 
@@ -1568,12 +1568,23 @@ def _scan_cell_by_cell(selector, pair, kappa_range, c_range, grid, cfg=DEFAULT_C
     return rows
 
 
+def _outcome_bits(outcome):
+    """Every field of a CheckOutcome, each slack by repr, which tells nan,
+    -0.0 and 0.0 apart where == does not."""
+    if outcome is None:
+        return None
+    slacks = [(label, repr(value)) for label, value in outcome.slacks]
+    return outcome.branch, slacks, outcome.notes, outcome.implied_pair, repr(outcome.conclusion_bound)
+
+
 def _assert_rows_bit_equal(rows, expected):
     assert len(rows) == len(expected)
+    assert len({id(row.checker.notes) for row in rows}) == len(rows)  # no row shares another's notes
     for row, ref in zip(rows, expected):
         assert (row.kappa, row.c) == (ref.kappa, ref.c)
-        assert row.checker == ref.checker
-        assert (row.corollary_id, row.corollary) == (ref.corollary_id, ref.corollary)
+        assert _outcome_bits(row.checker) == _outcome_bits(ref.checker), (row.kappa, row.c)
+        assert row.corollary_id == ref.corollary_id
+        assert _outcome_bits(row.corollary) == _outcome_bits(ref.corollary), (row.kappa, row.c)
         got, want = row.report, ref.report
         # repr round-trips a float exactly and tells nan, -0.0 and 0.0 apart.
         assert repr(got.min_margin) == repr(want.min_margin), (row.kappa, row.c)
@@ -1706,6 +1717,25 @@ def test_region_scan_cells_evaluate_the_series_at_the_grid_kappa():
     assert missed >= 10
 
 
+def test_region_scan_checks_each_kappa_row_once(monkeypatch):
+    # InvalidKappa depends on kappa alone: one validated BesselParams a row,
+    # which the row's other cells share; each cell's params still equal
+    # BesselParams(kappa, -1, c) (_assert_rows_bit_equal compares them).
+    args = ("starlike-zu", HALF_PAIR, (-1.7, 2.0, 5), (-30.0, 30.0, 5), SMALL_GRID)
+    expected = _scan_cell_by_cell(*args)
+    built = []
+    inner = verify._params_for_kappa
+
+    def counted(kappa, c):
+        built.append((kappa, c))
+        return inner(kappa, c)
+
+    monkeypatch.setattr(verify, "_params_for_kappa", counted)
+    rows = region_scan(*args)
+    assert built == [(row.kappa, row.c) for row in rows[::5]]
+    _assert_rows_bit_equal(rows, expected)
+
+
 def test_region_scan_contracts_a_chunk_of_cells_per_kernel_call(monkeypatch):
     args = ("u", HALF_PAIR, (1.0, 6.0, 20), (-3.0, 3.0, 10), SMALL_GRID)
     expected = _scan_cell_by_cell(*args)
@@ -1766,6 +1796,16 @@ def test_region_scan_raises_what_the_cell_by_cell_loop_raises_first(
     args = (selector, HALF_PAIR, kappa_range, c_range, SMALL_GRID)
     assert _raised(lambda: _scan_cell_by_cell(*args, cfg=cfg)) == expected
     assert _raised(lambda: region_scan(*args, cfg=cfg)) == expected
+
+
+@pytest.mark.parametrize("kappa_range", [(0.0, 1.0, 2), (1.0, 0.0, 2)])
+def test_region_scan_raises_a_cells_theorem_error_before_its_kappa_error(kappa_range):
+    # Kappa is validated once a row, at the row's first cell, and after that
+    # cell's checker: where kappa = 0 meets c = 0, ZeroC comes first.
+    args = ("deriv-normalized", HALF_PAIR, kappa_range, (0.0, 1.0, 2), SMALL_GRID)
+    expected = (ZeroC, "the normalized derivative (-4 kappa / c) u' is undefined at c = 0")
+    assert _raised(lambda: _scan_cell_by_cell(*args)) == expected
+    assert _raised(lambda: region_scan(*args)) == expected
 
 
 @pytest.mark.parametrize("selector", SELECTORS)

@@ -11,9 +11,9 @@ seed and workload:
     checker outcomes and whether all pointwise bounds hold);
   * how many `min_margin` values are bit-equal, and the largest |change|;
   * how many scalar results (series values, residuals, Psi values, checker
-    slacks, pointwise bounds and observed sides) are bit-equal, and the
-    largest |change|; a result that moved by more than 1e-12 relative is
-    listed;
+    slacks, each scan cell's checker and corollary slacks, pointwise bounds
+    and observed sides) are bit-equal, and the largest |change|; a result
+    that moved by more than 1e-12 relative is listed;
   * witnesses that moved, each marked "mirror" (to within 1e-15 of the
     conj of the old witness), "real-axis" (within 1e-15 of the old witness,
     with one of the two exactly real) or "other";
@@ -26,7 +26,8 @@ seed and workload:
     to within 1e-15 of conj z, the rest as for last-bit) or "other";
   * any other output field that changed (checker outcomes, degeneracy
     counts, exit codes, the rest of each CLI payload, term counts and
-    truncation estimates, checker branches and notes).
+    truncation estimates, checker and scan-cell branches, slack labels and
+    notes).
 
 Every change is listed after the counts, except mirror and real-axis
 witness moves, last-bit or mirror probe moves and scalar results that moved
@@ -69,13 +70,17 @@ def _sweep_records(workload, out):
             records.append({"key": f"scan {s}", "rest": repr(rows)})
             continue
         for i, r in enumerate(rows):
+            outcomes = [r.checker] if r.corollary is None else [r.checker, r.corollary]
             records.append({
                 "key": f"scan {s} ({workload.scans[s][0]}) kappa={r.kappa!r} c={r.c!r}",
                 "verdict": r.report.verdict,
                 "min_margin": r.report.min_margin,
                 "witness": _complex(r.report.witness),
-                "rest": repr((r.checker.satisfied, r.checker.branch, r.corollary_id,
-                              None if r.corollary is None else r.corollary.satisfied)),
+                "values": [value for outcome in outcomes for _, value in outcome.slacks],
+                "rest": repr([r.corollary_id] + [
+                    (o.satisfied, o.branch, [label for label, _ in o.slacks], o.notes,
+                     o.implied_pair, o.conclusion_bound) for o in outcomes
+                ]),
             })
     return records
 
