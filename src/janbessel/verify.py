@@ -49,13 +49,16 @@ there (a known defect).
 
 Every report comes from one step, _cell_reports: a stack of cells' kernel
 rows goes through one contraction (bessel._contract) and the functional,
-and _least_margins, the one reduction of samples (property_radius's too,
-a circle a row), gives each cell's least margin, first sample attaining
-it and exclusion flag.  The step re-runs on the grid a real-axis cell whose
-w(r) or w(-r) is excluded.  verify_membership is the step on one cell's
-rows (bessel._series_rows).  region_scan sweeps a (kappa, c) rectangle
-and pairs, for each cell, the checker verdict, any matching corollary
-verdict and the sampled verdict.  One checks._check_columns pass
+and _least_margins, the one reduction of samples (property_radius's too, a
+circle a row), gives each cell's least margin, first sample attaining it
+and exclusion flag, testing the proof-side pole only where a hit can be
+(near the disk's edge point m(1); 1 + A < DEGENERACY_TOL on a half-plane).
+One pass builds the reports from its columns; a cell with an excluded
+sample then has its hits mirrored onto the full grid, or, on the real
+axis, is re-run on the grid from its rows.  verify_membership is the step
+on one cell's rows (bessel._series_rows).  region_scan sweeps a (kappa, c)
+rectangle and pairs, for each cell, the checker verdict, any matching
+corollary verdict and the sampled verdict.  One checks._check_columns pass
 evaluates the theorem over the whole rectangle as numpy columns, bit for
 bit check_theorem's outcomes, and each kappa row's parameters are
 validated once.  Where B = -1 the row keeps the selector's first corollary
@@ -307,12 +310,32 @@ def _least_margins(
     +inf has no usable sample.  Returns (least, first, excluded, proof):
     the first three per row, proof the (rows, samples) proof-side flags
     outside mask.
+
+    A disk pair (B > -1) runs the proof-side test only if some |margin|
+    (masked samples' too) is below bound.  m1 = (1+A)/(1+B) lies on the
+    exact disk's edge and margins are 1-Lipschitz, so at a hit (w finite)
+        |margin(w)| <= |margin(m1)| + |(1+B) w - (1+A)| / (1+B) < |margin(m1)| + TOL / (1+B).
+    Computed, margin(m1) is about 0.5 from 0 at B = -1 + 1e-8 (1 - B^2
+    rounds), doubling TOL / (1+B) covers the test's relative rounding, and
+    8 ulps of R + |C| + m1 the absolute rounding of both margins, of m1 and
+    of (1+B) w: bound = 2 TOL / (1+B) + |margin(m1)| + 8 ulp(R + |C| + m1).
+    A half-plane (B = -1) runs it only if 1 + A < TOL: there (1+B) w - (1+A)
+    is -(1+A) at every finite w, and NaN elsewhere.  Otherwise the flags
+    are all False.
     """
-    proof = (np.abs((1.0 + pair.B) * w - (1.0 + pair.A)) < DEGENERACY_TOL) & ~mask
     margins = region_margin_many(region, w)
-    excluded = mask | proof
+    if pair.B == -1.0:
+        near = 1.0 + pair.A < DEGENERACY_TOL
+    else:
+        m1 = (1.0 + pair.A) / (1.0 + pair.B)
+        bound = 2.0 * DEGENERACY_TOL / (1.0 + pair.B) + abs(region.radius - abs(m1 - region.center))
+        near = (np.abs(margins) < bound + 8.0 * math.ulp(region.radius + abs(region.center) + m1)).any()
+    proof, excluded = np.zeros(w.shape, bool), mask
+    if near:
+        proof = (np.abs((1.0 + pair.B) * w - (1.0 + pair.A)) < DEGENERACY_TOL) & ~mask
+        excluded = mask | proof
     if excluded.any():
-        margins = np.where(excluded, np.inf, margins)
+        np.copyto(margins, np.inf, where=excluded)
     first = margins.argmin(axis=1)
     least = margins[np.arange(len(margins)), first].tolist()
     return least, first, excluded.any(axis=1).tolist(), proof
@@ -337,32 +360,33 @@ def _cell_reports(
     "holds-on-grid" exactly when nothing is excluded and the least margin
     is > 0, which NaN is not; a cell with no usable sample reports
     min_margin NaN and no witness.  _least_margins reduces all the cells at
-    once.
+    once; only a cell with an excluded sample runs Python of its own.
     """
     radii, table = (grid.radii[-1:], _AXIS_UNITS) if axis else (grid.radii, _sampled_units(grid.angles))
     w, mask = _functional_values(selector, rows, cells, radii, table)
     least, first, excluded, proof = _least_margins(pair, target_region(pair), w, mask)
     half = len(table.points)
     witnesses = (np.asarray(radii)[first // half] * table.points[first % half]).tolist()
-    method = METHOD_REAL_AXIS if axis else METHOD_SAMPLED
+    method, inf = METHOD_REAL_AXIS if axis else METHOD_SAMPLED, math.inf
+    reports = [
+        VerificationReport(
+            selector, pair, params, VERDICT_HOLDS if 0.0 < m < inf and not x else VERDICT_COUNTEREXAMPLE,
+            m if m != inf else math.nan, z if m != inf else None, grid, [], method,
+        )
+        for params, m, x, z in zip(cells, least, excluded, witnesses)
+    ]
+    hit_cells = [c for c, x in enumerate(excluded) if x]
     k = len(rows) // len(cells)
-    reports = []
-    for c, params in enumerate(cells):
-        if axis and excluded[c]:
-            reports += _cell_reports(selector, pair, grid, [params], rows[c * k : (c + 1) * k], False)
+    full = grid.points() if hit_cells and not axis else None
+    for c in hit_cells:
+        if axis:
+            reports[c] = _cell_reports(selector, pair, grid, cells[c : c + 1], rows[c * k : (c + 1) * k], False)[0]
             continue
-        hits = []
-        if excluded[c]:
-            # Mirror the flags onto the full grid, radius-major.
-            full = grid.points()
-            for flags, label in ((mask[c], _KERNEL_ROWS[selector][2]), (proof[c], "proof-map-pole")):
-                upper = flags.reshape(len(radii), half)
-                whole = np.concatenate([upper, _lower_twins(upper, grid.angles)], axis=1).ravel()
-                hits.extend((complex(z), label) for z in full[whole])
-        min_margin, witness = (math.nan, None) if least[c] == math.inf else (least[c], witnesses[c])
-        verdict = VERDICT_HOLDS if min_margin > 0.0 and not hits else VERDICT_COUNTEREXAMPLE
-        report = VerificationReport(selector, pair, params, verdict, min_margin, witness, grid, hits, method)
-        reports.append(report)
+        # Mirror the flags onto the full grid, radius-major.
+        for flags, label in ((mask[c], _KERNEL_ROWS[selector][2]), (proof[c], "proof-map-pole")):
+            upper = flags.reshape(len(radii), half)
+            whole = np.concatenate([upper, _lower_twins(upper, grid.angles)], axis=1).ravel()
+            reports[c].degeneracy_hits.extend((complex(z), label) for z in full[whole])
     return reports
 
 
@@ -509,13 +533,9 @@ def _verify_cells(
     a, terms = _coefficient_matrix(
         [params.kappa + shift for params in cells], [params.c for params in cells], order, cfg.rel_tol, cfg.max_terms
     )
-    reports: dict[int, VerificationReport] = {}
-    chunked = []
-    for i, params in enumerate(cells):
-        if axis and not grid.radii[-1] < _certified_radius(selector, params):
-            reports[i] = verify_membership(selector, pair, params, grid, cfg)
-        else:
-            chunked.append(i)
+    certified = [not axis or grid.radii[-1] < zero_free_radius(params.kappa + shift, params.c) for params in cells]
+    reports = {i: verify_membership(selector, pair, cells[i], grid, cfg) for i, ok in enumerate(certified) if not ok}
+    chunked = [i for i, ok in enumerate(certified) if ok]
     for start in range(0, len(chunked), size):
         chunk = chunked[start : start + size]
         n = int(terms[chunk].max())

@@ -257,6 +257,80 @@ def _assert_witness_on_grid(report, where):
     assert (points == _bits(report.witness)).all(axis=1).any(), where
 
 
+def _full_least_margins(pair, w, mask):
+    """verify._least_margins with the proof-side test at every sample: the reference."""
+    proof = (np.abs((1.0 + pair.B) * w - (1.0 + pair.A)) < verify.DEGENERACY_TOL) & ~mask
+    excluded = mask | proof
+    margins = np.where(excluded, np.inf, region_margin_many(target_region(pair), w))
+    first = margins.argmin(axis=1)
+    return margins[np.arange(len(margins)), first].tolist(), first, excluded.any(axis=1).tolist(), proof
+
+
+# Pairs about the proof-side pole: B from 1e-15 (snapped to -1) to 1e-8 above
+# -1, A - B down to 1e-14, and half-planes with 1 + A above and below the
+# default tolerance.  At the first two (found by a seeded search), one ulp
+# off m(1) is still a hit at the tolerance 1e-20, and lies farther from the
+# edge than m(1) by about half an ulp of R + |C| + m(1).
+POLE_PAIRS = [
+    JanowskiPair(0.6257814420367299, -0.17068336778364268),
+    JanowskiPair(-0.4446400999927922, -0.9999999999978423),
+    JanowskiPair(0.5, -1.0 + 1e-15),
+    JanowskiPair(0.5, -1.0 + 2e-12),
+    JanowskiPair(-0.3, -1.0 + 1e-10),
+    JanowskiPair(0.9, -1.0 + 1e-8),
+    JanowskiPair(-1.0 + 3e-8, -1.0 + 1e-8),
+    JanowskiPair(0.3 + 1e-14, 0.3),
+    JanowskiPair(-0.5 + 1e-13, -0.5),
+    JanowskiPair(0.8, 0.3),
+    JanowskiPair(0.0, -1.0),
+    JanowskiPair(-1.0 + 1e-14, -1.0),
+]
+
+
+def _pole_samples(pair, rng):
+    """150 samples: about m(1) = (1+A)/(1+B) (a half-plane's edge where B = -1), then non-finite ones."""
+    if pair.B == -1.0:
+        m1, reach = (1.0 - pair.A) / 2.0, verify.DEGENERACY_TOL
+    else:
+        m1, reach = (1.0 + pair.A) / (1.0 + pair.B), verify.DEGENERACY_TOL / (1.0 + pair.B)
+    offsets = reach * np.geomspace(1e-3, 2.0, 60) * np.exp(2j * np.pi * rng.random(60))
+    steps = np.arange(-20, 21) * math.ulp(m1)
+    odd = [math.nan, math.inf, -math.inf, complex(math.inf, math.nan), complex(1.0, math.inf), 1.0]
+    return np.concatenate([m1 + offsets, m1 * (1.0 + np.array([-1e-15, 1e-15])), m1 + steps, m1 + 1j * steps, odd])
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # the non-finite samples
+def test_least_margins_is_the_full_proof_side_test(monkeypatch):
+    # _least_margins runs the proof-side test only where a margin lies near
+    # the edge; the skip never drops a hit.  Each sample goes alone, so a
+    # hit must bring its own test, and then all of them as rows of 6, some
+    # masked.  Some hits lie past 2 TOL/(1+B) + 1e-12 (1 + R + |C|) of the
+    # edge (the computed disk misses m(1)), and some past 2 TOL/(1+B) +
+    # |margin(m(1))| (by rounding alone, at the tiny tolerance).
+    rng = np.random.default_rng(27)
+    hits = off_edge = past_rounding = 0
+    for tol in (verify.DEGENERACY_TOL, 0.9, 1e-20):
+        monkeypatch.setattr(verify, "DEGENERACY_TOL", tol)
+        for pair in POLE_PAIRS:
+            region = target_region(pair)
+            w = _pole_samples(pair, rng)
+            mask = rng.random(len(w)) < 0.1
+            blocks = [(w[i : i + 1, None], mask[i : i + 1, None]) for i in range(len(w))]
+            for ws, ms in blocks + [(w.reshape(-1, 6), mask.reshape(-1, 6))]:
+                got, want = verify._least_margins(pair, region, ws, ms), _full_least_margins(pair, ws, ms)
+                assert np.array(got[0]).tobytes() == np.array(want[0]).tobytes(), (tol, pair, ws)
+                assert np.array_equal(got[1], want[1]) and got[2] == want[2], (tol, pair, ws)
+                assert np.array_equal(got[3], want[3]), (tol, pair, ws)
+            hit = np.abs(region_margin_many(region, w[want[3].ravel()]))
+            hits += len(hit)
+            if pair.B > -1.0:
+                m1 = (1.0 + pair.A) / (1.0 + pair.B)
+                reach = 2.0 * tol / (1.0 + pair.B)
+                off_edge += np.sum(hit >= reach + 1e-12 * (1.0 + region.radius + abs(region.center)))
+                past_rounding += np.sum(hit > reach + abs(region_margin_many(region, m1)))
+    assert hits >= 1000 and off_edge >= 100 and past_rounding >= 2, (hits, off_edge, past_rounding)
+
+
 def test_verify_membership_equals_full_grid_reference():
     cases = [
         # Off-axis witness.
@@ -1639,6 +1713,37 @@ def test_region_scan_is_the_cell_by_cell_loop_on_degenerate_chunks(monkeypatch, 
         )
     assert hit_cells >= 50 and fallbacks >= 10
     assert (unmarked == hit_cells) == (tol == 10.0)
+
+
+@pytest.mark.parametrize("selector, pair, kappa_range, c_range", [CHUNKED_SCANS[1], CHUNKED_SCANS[4]])
+def test_a_pole_sample_in_a_chunk_is_the_one_cells_hit(monkeypatch, selector, pair, kappa_range, c_range):
+    # One cell's sample 3 reads m(1) = (1+A)/(1+B), the proof-side pole, on
+    # every kernel call for that cell.  Its report carries the hits of
+    # verify_membership (sample 3 of the inner ring and its mirror twin; a
+    # real-axis cell is re-run on the grid first), and the rest of its chunk,
+    # whose margins lie far from the edge, stays bit-equal to the cell-by-cell loop.
+    kernel = verify._functional_values
+    kappa, c = float(np.linspace(*kappa_range)[2]), float(np.linspace(*c_range)[1])
+    pole = (1.0 + pair.A) / (1.0 + pair.B)
+
+    def values(selector, rows, cells, radii, table):
+        w, mask = kernel(selector, rows, cells, radii, table)
+        w = w.copy()
+        for i, params in enumerate(cells):
+            if (params.kappa, params.c) == (kappa, c):
+                w[i, 3 % w.shape[1]] = pole
+        return w, mask
+
+    monkeypatch.setattr(verify, "_functional_values", values)
+    monkeypatch.setattr(verify, "SCAN_CHUNK_POINTS", 8 * len(SMALL_GRID.radii) * 9)
+    expected = _scan_cell_by_cell(selector, pair, kappa_range, c_range, SMALL_GRID)
+    rows = region_scan(selector, pair, kappa_range, c_range, SMALL_GRID)
+    _assert_rows_bit_equal(rows, expected)
+    inner = SMALL_GRID.points()[:16]
+    hit = [row for row in rows if row.report.degeneracy_hits]
+    assert [(row.kappa, row.c) for row in hit] == [(kappa, c)]
+    assert hit[0].report.degeneracy_hits == [(complex(inner[3]), "proof-map-pole"), (complex(inner[13]), "proof-map-pole")]
+    assert hit[0].report.verdict == "counterexample" and hit[0].report.method == "sampled"
 
 
 def _counted_verify_membership(monkeypatch):
