@@ -21,9 +21,9 @@ Condition families
 * Janowski convexity of u (check_convexity_theorem) and starlikeness of
   z * u (check_starlike_theorem) share one condition set, starlike at kappa - 1
   (z (z u_p)' / (z u_p) = 1 + z u''_{p-1} / u'_{p-1}).  Both accept a `mode`:
-  "conservative" (default) is the admissibility lemma's exact condition, two
-  factor slacks; "as-printed" keeps the paper's literal product inequalities
-  for comparison studies, and sampling finds counterexamples to them.
+  "conservative" (default) is the admissibility lemma's exact condition on every
+  pair, two factor slacks; "as-printed" keeps the paper's statement, product
+  inequalities and convexity's gate -1 <= B <= 0 < A, which sampling refutes.
 * check_corollary evaluates four ready-made half-plane specializations.
 * PROPERTIES maps each selector (SELECTORS: u, deriv-normalized, convexity,
   starlike-zu) to its theorem (THEOREM_NAMES), its corollaries, its Psi form
@@ -41,8 +41,8 @@ branches through a `where` argument: a scalar checker passes Python floats
 and _pick, and a region scan passes numpy columns of kappa and c and
 numpy.where (_check_columns).  The elementwise IEEE operations are the same
 in the same order, so a column cell's slacks are the scalar checker's bits.
-Where a theorem's condition set does not apply (_off_set: c = 0, or
-convexity's regime gate) the scalar checker alone decides.  numpy is
+Where a theorem's condition set does not apply (_off_set: c = 0, or the
+as-printed convexity gate) the scalar checker alone decides.  numpy is
 imported only by _check_columns, when first called.
 
 The admissibility functional
@@ -129,8 +129,8 @@ PROPERTIES = {
 SELECTORS = tuple(PROPERTIES)
 _THEOREMS = {prop.theorem: prop for prop in PROPERTIES.values()}
 THEOREM_NAMES = tuple(_THEOREMS)
-# The theorems whose checkers read `mode`; the others accept it and ignore it.
-MODE_THEOREMS = ("convexity", "starlike")
+# The theorems whose checkers read `mode`, the convexity form's; the others ignore it.
+MODE_THEOREMS = tuple(name for name, prop in _THEOREMS.items() if prop.form == PSI_CONVEXITY)
 
 
 class ZeroC(ValueError):
@@ -303,14 +303,14 @@ def _conditions(theorem: str, pair: JanowskiPair, kappa, c, mode: str, where):
     return _convexity_conditions(pair.A, pair.B, k, c, mode, theorem == "starlike")
 
 
-def _off_set(theorem: str, pair: JanowskiPair, c: float) -> CheckOutcome | None:
+def _off_set(theorem: str, pair: JanowskiPair, c: float, mode: str) -> CheckOutcome | None:
     """The theorem's outcome where its condition set does not apply, else None.
 
-    The derivative raises ZeroC at c = 0; convexity reports "out-of-regime"
-    off -1 <= B <= 0 < A and "c=0" at c = 0, both never satisfied; starlike
-    at c = 0 records its exact margin.
+    The derivative raises ZeroC at c = 0; convexity reports "c=0" at c = 0
+    and, as printed, "out-of-regime" off -1 <= B <= 0 < A, both never
+    satisfied; starlike at c = 0 records its exact margin.
     """
-    if theorem == "convexity" and not (pair.B <= 0.0 < pair.A):
+    if theorem == "convexity" and mode == MODE_AS_PRINTED and not (pair.B <= 0.0 < pair.A):
         notes = [f"condition set requires -1 <= B <= 0 < A <= 1, got A={pair.A}, B={pair.B}"]
         return CheckOutcome(branch="out-of-regime", slacks=[], notes=notes)
     if c != 0.0 or theorem == "subordination":
@@ -324,10 +324,16 @@ def _off_set(theorem: str, pair: JanowskiPair, c: float) -> CheckOutcome | None:
     return CheckOutcome(branch="c=0", slacks=[("identity-margin", margin)])
 
 
+def _mode_guard(mode: str) -> None:
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+
+
 def _check(theorem: str, pair: JanowskiPair, kappa: float, c: float, mode: str) -> CheckOutcome:
     """One cell: _off_set's outcome where the condition set does not apply, else the set's."""
+    _mode_guard(mode)
     kappa, c = _finite_kappa_c(kappa, c)
-    return _off_set(theorem, pair, c) or CheckOutcome(*_conditions(theorem, pair, kappa, c, mode, _pick))
+    return _off_set(theorem, pair, c, mode) or CheckOutcome(*_conditions(theorem, pair, kappa, c, mode, _pick))
 
 
 def check_subordination_theorem(
@@ -350,24 +356,18 @@ def check_derivative_theorem(
     return _check("derivative", pair, kappa, c, MODE_CONSERVATIVE)
 
 
-def _mode_guard(mode: str) -> None:
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-
-
 def check_convexity_theorem(
     pair: JanowskiPair, kappa: float, c: float, mode: str = MODE_CONSERVATIVE
 ) -> CheckOutcome:
     """Sufficient condition for 1 + z u''/u' to map the disk into the region.
 
-    Applies on pairs with -1 <= B <= 0 < A <= 1; other pairs report
-    branch "out-of-regime" and are never satisfied.  At c = 0, u' vanishes
-    identically and 1 + z u''/u' is undefined, so branch "c=0" is never
-    satisfied either.  Elsewhere the condition set is _convexity_conditions
-    at kappa: in "conservative" mode, the admissibility lemma's own
-    condition (supremum of the convexity Re Psi below 0).
+    At c = 0, u' vanishes identically and 1 + z u''/u' is undefined, so
+    branch "c=0" is never satisfied.  Elsewhere the condition set is
+    _convexity_conditions at kappa: in "conservative" mode, on every pair,
+    the admissibility lemma's own condition (supremum of the convexity
+    Re Psi below 0).  "as-printed" keeps the paper's -1 <= B <= 0 < A:
+    other pairs report branch "out-of-regime", never satisfied.
     """
-    _mode_guard(mode)
     return _check("convexity", pair, kappa, c, mode)
 
 
@@ -384,7 +384,6 @@ def check_starlike_theorem(
     the exact margin of 1 in the pair's region, (A - B) / (1 + |B|), which
     is positive for every admissible pair.
     """
-    _mode_guard(mode)
     return _check("starlike", pair, kappa, c, mode)
 
 
@@ -396,7 +395,6 @@ def check_theorem(
     mode must be one of MODES for every theorem; only those in
     MODE_THEOREMS read it.
     """
-    _mode_guard(mode)
     if name not in _THEOREMS:
         raise ValueError(f"unknown theorem {name!r}; expected one of {THEOREM_NAMES}")
     return _check(name, pair, kappa, c, mode)
@@ -420,7 +418,7 @@ def _check_columns(
     applies = []
     for c in cs:
         try:
-            applies.append(_off_set(theorem, pair, c) is None)
+            applies.append(_off_set(theorem, pair, c, mode) is None)
         except ZeroC:
             applies.append(False)
     shape = (len(kappas), len(cs))
@@ -641,10 +639,11 @@ def eval_psi(
         F3 = (A-B)/2 - kappa (1-B)/2 + c z (1-B)^2 / (8 (A-B)),
 
     at r = i rho, s = sigma (mu and nu unused).  Membership conclusions rest
-    on Re Psi < 0 across the whole admissible set.
+    on Re Psi < 0 across the whole admissible set.  kappa and c must be finite.
     """
     if which not in PSI_FORMS:
         raise ValueError(f"unknown functional {which!r}; expected one of {PSI_FORMS}")
+    kappa, c = _finite_kappa_c(kappa, c)
     A, B = pair.A, pair.B
     r = 1j * probe.rho
     if which == PSI_SUBORDINATION and abs((1.0 - B) + (1.0 + B) * r) < 1e-14:
@@ -652,7 +651,7 @@ def eval_psi(
             f"subordination form has a pole at rho = {probe.rho} for B = {B}"
         )
     t = probe.mu + 1j * probe.nu
-    return _psi_formula(which, A, B, float(kappa), float(c), r, probe.sigma, t, probe.z)
+    return _psi_formula(which, A, B, kappa, c, r, probe.sigma, t, probe.z)
 
 
 # Re Psi is linear in z, so its sup over the disk lies on the circle: probes sit this far inside.

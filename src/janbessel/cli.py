@@ -238,7 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     point.add_argument("--z", type=_parse_complex, required=True, help="point 're,im'")
     mode.add_argument("--mode", choices=MODES, default=MODE_CONSERVATIVE,
                       help=f"{'/'.join(MODE_THEOREMS)} conditions: conservative: the admissibility "
-                      "lemma's exact condition; as-printed: the paper's inequalities")
+                      "lemma's exact condition, on every pair; as-printed: the paper's inequalities, "
+                      "convexity only on -1 <= B <= 0 < A")
     # A parent's flags are copied when a parser is built from it, so the
     # grid parent comes after --max-radius exists.
     grid = argparse.ArgumentParser(add_help=False, parents=[radius_cap])

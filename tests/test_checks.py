@@ -25,7 +25,7 @@ from janbessel import (
     eval_psi,
     mccarty_bounds,
 )
-from janbessel.checks import MODES, THEOREM_NAMES, _root, check_theorem
+from janbessel.checks import MODES, PSI_FORMS, THEOREM_NAMES, _root, check_theorem
 
 
 def slack_map(outcome):
@@ -200,8 +200,10 @@ def test_convexity_c_zero_case():
         assert not out.satisfied
         assert out.branch == "c=0" and out.slacks == []
         assert out.notes == ["u' vanishes identically at c = 0, so 1 + z u''/u' is undefined"]
-    # Out of regime takes precedence.
-    assert check_convexity_theorem(JanowskiPair(0.5, 0.2), 3.0, 0.0).branch == "out-of-regime"
+    # As printed, out of regime takes precedence; conservative mode has no gate.
+    pair = JanowskiPair(0.5, 0.2)
+    assert check_convexity_theorem(pair, 3.0, 0.0, mode=MODE_AS_PRINTED).branch == "out-of-regime"
+    assert check_convexity_theorem(pair, 3.0, 0.0).branch == "c=0"
 
 
 def test_convexity_literal_case_both_modes():
@@ -227,11 +229,20 @@ def test_convexity_modes_disagree_where_coupling_dominates():
 
 
 def test_convexity_out_of_regime():
-    out = check_convexity_theorem(JanowskiPair(0.5, 0.2), 5.0, 1.0)
-    assert not out.satisfied and out.branch == "out-of-regime"
-    assert out.notes
-    out2 = check_convexity_theorem(JanowskiPair(-0.1, -0.5), 5.0, 1.0)
-    assert not out2.satisfied and out2.branch == "out-of-regime"
+    # The paper states convexity for -1 <= B <= 0 < A only, and as-printed
+    # keeps that gate.  The admissibility lemma needs no gate: conservative
+    # mode applies the same two factor slacks as on any other pair.
+    cells = {
+        JanowskiPair(0.5, 0.2): [("coefficient-positivity", 6.1), ("factor-positivity", 25.0 / 6.0)],
+        JanowskiPair(-0.1, -0.5): [("coefficient-positivity", 3.74375), ("factor-positivity", 6.69375)],
+    }
+    for pair, slacks in cells.items():
+        out = check_convexity_theorem(pair, 5.0, 1.0, mode=MODE_AS_PRINTED)
+        assert not out.satisfied and out.branch == "out-of-regime" and out.slacks == []
+        assert out.notes == [f"condition set requires -1 <= B <= 0 < A <= 1, got A={pair.A}, B={pair.B}"]
+        out = check_convexity_theorem(pair, 5.0, 1.0)
+        assert out.satisfied and out.branch == MODE_CONSERVATIVE and out.notes == []
+        assert out.slacks == slacks
 
 
 def test_convexity_mode_validation():
@@ -530,6 +541,16 @@ def test_psi_degenerate_denominator():
     pair = JanowskiPair(1.0, 1.0 - 1e-15)
     with pytest.raises(DegenerateDenominator):
         eval_psi("subordination", pair, 2.0, 1.0, probe())
+
+
+@pytest.mark.parametrize("form", PSI_FORMS)
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_psi_rejects_non_finite_kappa_and_c(form, bad):
+    # As the checkers and admissibility_scan do: no silent NaN or -inf.
+    pair = JanowskiPair(0.5, -0.5)
+    for kappa, c in ((bad, 1.0), (bad, 0.0), (2.0, bad)):
+        with pytest.raises(ValueError, match="must be finite"):
+            eval_psi(form, pair, kappa, c, probe())
 
 
 def test_psi_unknown_form():

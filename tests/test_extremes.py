@@ -20,6 +20,7 @@ import pytest
 from janbessel.bessel import NoConvergence
 from janbessel.checks import (
     COROLLARY_IDS,
+    MODE_AS_PRINTED,
     MODES,
     PSI_FORMS,
     REGIME_SPLIT_B,
@@ -91,11 +92,13 @@ def _bits(outcome):
     return outcome.branch, slacks, outcome.notes, outcome.implied_pair, outcome.conclusion_bound
 
 
-# Each theorem's branches, and ZeroC, that the column test must meet.
+# Each theorem's branches, and ZeroC, that the column test must meet; the
+# quotient theorems also meet their mode's branch, and only as-printed
+# convexity keeps the -1 <= B <= 0 < A gate ("out-of-regime").
 COLUMN_BRANCHES = {
     "subordination": {"low-B/endpoint", "low-B/vertex", "high-B/endpoint", "high-B/vertex"},
     "derivative": {"low-B/endpoint", "low-B/vertex", "high-B/endpoint", "high-B/vertex", "ZeroC"},
-    "convexity": {"out-of-regime", "c=0"},
+    "convexity": {"c=0"},
     "starlike": {"c=0"},
 }
 
@@ -106,9 +109,10 @@ def test_column_outcomes_are_the_scalar_checkers_bit_for_bit(theorem, mode):
     # The rectangle MAGNITUDES x MAGNITUDES (with kappa = -0.0, whose sign
     # kappa - (1 - shift) keeps) on every pair: overflow at 1e300, subnormal
     # c, 16 (A - B)^2 underflowing to 0 on the first four pairs, B exactly
-    # at the regime split (a note) and pairs outside convexity's regime.
-    # Each cell is None where check_theorem leaves the condition set
-    # (out-of-regime, c=0, ZeroC), and otherwise every field of its outcome.
+    # at the regime split (a note) and pairs outside convexity's printed
+    # regime.  Each cell is None where check_theorem leaves the condition set
+    # (as-printed out-of-regime, c=0, ZeroC), and otherwise every field of its
+    # outcome.
     kappas = MAGNITUDES + [-0.0, 0.5, 3.0]
     cs = MAGNITUDES + [-0.0, -2.0, 2.0]
     seen, split_notes, non_finite = set(), 0, 0
@@ -134,6 +138,7 @@ def test_column_outcomes_are_the_scalar_checkers_bit_for_bit(theorem, mode):
         outcomes = [outcome for outcome in column if outcome is not None]
         assert len({id(outcome.notes) for outcome in outcomes}) == len(outcomes)
     assert COLUMN_BRANCHES[theorem] | ({mode} if theorem in ("convexity", "starlike") else set()) <= seen
+    assert ("out-of-regime" in seen) == (theorem == "convexity" and mode == MODE_AS_PRINTED)
     assert non_finite > 0
     assert (split_notes > 0) == (theorem in ("subordination", "derivative"))
 

@@ -1278,18 +1278,53 @@ def _draw_cell(rng):
 
 def test_quotient_checkers_are_the_admissibility_lemma():
     # Conservative convexity holds exactly where the convexity supremum is
-    # negative, and starlike exactly where it is at kappa - 1.
+    # negative, and starlike exactly where it is at kappa - 1, on every pair:
+    # the lemma has no -1 <= B <= 0 < A gate.  The satisfied cells outside
+    # that gate hold under sampling too.
     rng = np.random.default_rng(2027)
-    convexity_cells = 0
+    out_of_gate = []
     for _ in range(8000):
         pair, kappa, c = _draw_cell(rng)
         star = check_theorem("starlike", pair, kappa, c)
         assert star.satisfied == (admissibility_scan("convexity", pair, kappa - 1.0, c)[0] < 0.0)
-        if pair.B <= 0.0 < pair.A:
-            convexity_cells += 1
-            conv = check_convexity_theorem(pair, kappa, c)
-            assert conv.satisfied == (admissibility_scan("convexity", pair, kappa, c)[0] < 0.0)
-    assert convexity_cells > 800
+        conv = check_convexity_theorem(pair, kappa, c)
+        assert conv.satisfied == (admissibility_scan("convexity", pair, kappa, c)[0] < 0.0)
+        if conv.satisfied and not pair.B <= 0.0 < pair.A:
+            out_of_gate.append((pair, kappa, c))
+    assert len(out_of_gate) == 328
+    for pair, kappa, c in out_of_gate:
+        report = verify_membership("convexity", pair, verify._params_for_kappa(kappa, c))
+        assert report.verdict != "counterexample", (pair, kappa, c, report)
+
+
+def test_out_of_gate_convexity_cells_hold_where_satisfied(monkeypatch):
+    # A seeded pair with 0 < B, outside the paper's -1 <= B <= 0 < A: as
+    # printed every cell is out of regime; conservative cells come from the
+    # column pass alone (no c = 0 cell, so no scalar fallback), some are
+    # satisfied, and sampling contradicts none.  So do the two cells of
+    # test_checks.py::test_convexity_out_of_regime, on the real axis, which
+    # is exact for them.
+    rng = np.random.default_rng(2028)
+    B = rng.uniform(0.0, 0.8)
+    pair = JanowskiPair(rng.uniform(B + 0.1, 1.0), B)
+    kappa_range, c_range = (0.05, 8.05, 17), (-12.0, 12.0, 12)
+    printed = region_scan("convexity", pair, kappa_range, c_range, mode="as-printed")
+    assert {row.checker.branch for row in printed} == {"out-of-regime"}
+
+    def scalar(*args):
+        raise AssertionError(f"scalar checker called for {args}")
+
+    monkeypatch.setattr(verify, "check_theorem", scalar)
+    rows = region_scan("convexity", pair, kappa_range, c_range)
+    assert sum(row.checker.satisfied for row in rows) > 0
+    assert scan_conflicts(rows) == []
+    for row in rows:
+        assert row.checker == check_convexity_theorem(pair, row.kappa, row.c)
+    for pair, margin in ((JanowskiPair(0.5, 0.2), 0.2086), (JanowskiPair(-0.1, -0.5), 0.2248)):
+        assert check_convexity_theorem(pair, 5.0, 1.0).satisfied
+        report = verify_membership("convexity", pair, verify._params_for_kappa(5.0, 1.0))
+        assert report.verdict == "holds-on-grid" and report.method == "real-axis"
+        assert abs(report.min_margin - margin) < 1e-4
 
 
 def _mp_selector_margin(selector, pair, kappa, c, z):
