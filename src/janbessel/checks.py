@@ -13,11 +13,11 @@ Condition families
 ------------------
 * Membership of u itself (check_subordination_theorem) and of the normalized
   derivative (-4 kappa / c) u' (check_derivative_theorem) share one condition
-  family.  It splits into two regimes at B = 3 - 2*sqrt(2) (low-B / high-B),
-  and inside each regime a guard inequality selects between an endpoint and a
-  vertex bound for the same quadratic minimum.  The derivative version is the
-  family with kappa in place of kappa - 1, absorbing the order shift that
-  differentiation applies to the series.
+  set, the derivative's at kappa in place of kappa - 1 (the order shift of
+  differentiation).  The paper prints it as two regimes split at
+  B* = 3 - 2*sqrt(2); they differ in one coefficient r(B), continuous at B*,
+  and in the positive scale of the guard that picks an endpoint or a vertex
+  bound for the same quadratic minimum (_two_regime_conditions).
 * Janowski convexity of u (check_convexity_theorem) and starlikeness of
   z * u (check_starlike_theorem) share one condition set, starlike at kappa - 1
   (z (z u_p)' / (z u_p) = 1 + z u''_{p-1} / u'_{p-1}).  Both accept a `mode`:
@@ -216,13 +216,16 @@ def _pick(cond, a, b):
 
 
 def _two_regime_conditions(A: float, B: float, k, c, where):
-    """Shared inequality family behind the membership checkers, at k = kappa_eff.
+    """The subordination condition set at k = kappa_eff: kappa - 1 for u, kappa for the derivative.
 
-    kappa_eff is kappa - 1 for membership of u and kappa for the normalized
-    derivative.  Returns (branch, slacks, notes); the slacks are base, guard
-    and main.  The guard slack is |guard_lhs - guard_rhs|, the distance to
-    the branch boundary: >= 0 unless it is NaN, as where both sides of the
-    guard overflow.
+    The paper's low-B (B <= B* = REGIME_SPLIT_B) and high-B regimes differ in one
+    coefficient r of quad = k^2 + r k: (1+B)/(1-B) and 16 B (1-B)/(1+B)^3, both
+    sqrt(2) at B*.  With mixed = (k (A+B)/2 + r (1+B)(1+A)/4) c / (A-B), the guard
+    |mixed| >= c^2/8 picks the endpoint over the vertex bound of one quadratic
+    minimum; its sides keep the regime's printed positive scale, 4 (1-B) or
+    2 (1+B)^3, times A - B.  Returns (branch, slacks, notes); the slacks are base,
+    guard and main.  The guard slack is |guard_lhs - guard_rhs|, the distance to
+    the branch boundary: >= 0 unless it is NaN, as where both sides overflow.
     """
     notes: list[str] = []
     # The pair's recurring factors, each computed once.
@@ -230,23 +233,16 @@ def _two_regime_conditions(A: float, B: float, k, c, where):
     square = 16.0 * gap ** 2
     base = k - plus_b * plus_a * abs(c) / (4.0 * gap)
     if B <= REGIME_SPLIT_B:
-        regime = "low-B"
+        regime, r, scale = "low-B", plus_b / minus_b, 4.0 * minus_b
         if B == REGIME_SPLIT_B:
-            notes.append(
-                "B sits exactly on the regime split; the low-B condition set is applied"
-            )
-        square_b = plus_b ** 2
-        guard_lhs = abs(2.0 * k * minus_b * (A + B) * c + square_b * plus_a * c)
-        guard_rhs = 0.5 * gap * minus_b * c * c
-        mixed = k * (A + B) * c / (2.0 * gap) + square_b * plus_a * c / (4.0 * minus_b * gap)
-        quad = k * k + k * plus_b / minus_b
+            notes.append("B sits exactly on the regime split; the low-B condition set is applied")
     else:
-        regime = "high-B"
-        cube_b = plus_b ** 3
-        guard_lhs = abs(k * cube_b * (A + B) * c + 8.0 * B * (1.0 - B * B) * plus_a * c)
-        guard_rhs = 0.25 * c * c * gap * cube_b
-        mixed = k * (A + B) * c / (2.0 * gap) + 4.0 * B * (1.0 - B * B) * plus_a * c / (cube_b * gap)
-        quad = k * k + 16.0 * k * B * minus_b / cube_b
+        regime, r, scale = "high-B", 16.0 * B * minus_b / plus_b ** 3, 2.0 * plus_b ** 3
+    # (A - B) mixed, so that the guard's sides need no division by A - B.
+    lead = (k * (A + B) / 2.0 + r * plus_b * plus_a / 4.0) * c
+    mixed = lead / gap
+    quad = k * k + k * r
+    guard_lhs, guard_rhs = scale * abs(lead), scale * gap * c * c / 8.0
     if square:
         envelope = (1.0 - A * A) * (1.0 - B * B) * c * c / square
         vertex = (1.0 - A * B) ** 2 * c * c / square

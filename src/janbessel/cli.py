@@ -61,6 +61,7 @@ from .checks import (
     MODE_CONSERVATIVE,
     MODE_THEOREMS,
     MODES,
+    PSI_FORMS,
     SELECTORS,
     THEOREM_NAMES,
     CheckOutcome,
@@ -294,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_adm = sub.add_parser("admissibility", help="supremum of Re Psi",
                            parents=[pair, kappa_c, output])
-    p_adm.add_argument("--which", choices=("subordination", "convexity"), required=True)
+    p_adm.add_argument("--which", choices=PSI_FORMS, required=True)
     p_adm.set_defaults(handler=_cmd_admissibility)
 
     p_bounds = sub.add_parser("bounds", help="pointwise bounds for i_p",
@@ -341,14 +342,14 @@ def _cmd_check(ns: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _cmd_verify(ns: argparse.Namespace) -> tuple[dict, int]:
-    from .verify import verify_membership
+    from .verify import VERDICT_HOLDS, verify_membership
 
     pair = JanowskiPair(A=ns.A, B=ns.B)
     params = BesselParams(ns.p, ns.b, ns.c)
     report = verify_membership(
         ns.selector, pair, params, grid=_grid_from_flags(ns), cfg=_eval_config(ns)
     )
-    return _report_dict(report), 0 if report.verdict == "holds-on-grid" else 1
+    return _report_dict(report), 0 if report.verdict == VERDICT_HOLDS else 1
 
 
 def _cmd_radius(ns: argparse.Namespace) -> tuple[dict, int]:

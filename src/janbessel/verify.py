@@ -533,7 +533,7 @@ def _verify_cells(
     a, terms = _coefficient_matrix(
         [params.kappa + shift for params in cells], [params.c for params in cells], order, cfg.rel_tol, cfg.max_terms
     )
-    certified = [not axis or grid.radii[-1] < zero_free_radius(params.kappa + shift, params.c) for params in cells]
+    certified = [not axis or grid.radii[-1] < _certified_radius(selector, params) for params in cells]
     reports = {i: verify_membership(selector, pair, cells[i], grid, cfg) for i, ok in enumerate(certified) if not ok}
     chunked = [i for i, ok in enumerate(certified) if ok]
     for start in range(0, len(chunked), size):

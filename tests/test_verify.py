@@ -1,5 +1,6 @@
 """Disk-sampling verifier tests: membership, radii, admissibility, scans."""
 
+import contextlib
 import dataclasses
 import math
 import os
@@ -7,12 +8,14 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, target
 from hypothesis import strategies as st
+from hypothesis.internal.conjecture import providers
 
 from janbessel import (
     BesselParams,
@@ -1434,6 +1437,24 @@ STEERED_CHECKS = [(selector, theorem, None) for selector, (theorem, *_) in check
 ]
 
 
+@contextlib.contextmanager
+def _own_draws_only():
+    """Hypothesis draws from its fixed constant pool only, inside the block.
+
+    It otherwise mixes the literals of every loaded local non-test module into
+    its draws (providers._get_local_constants), so a derandomized search would
+    draw different cells alone, in the whole suite, and after any literal in
+    the package changes.  The cache of permitted constants is cleared on entry
+    and on exit, so the tests outside the block keep their usual pool.
+    """
+    with mock.patch.object(providers, "_get_local_constants", providers.Constants):
+        providers.CONSTANTS_CACHE.cache.clear()
+        try:
+            yield
+        finally:
+            providers.CONSTANTS_CACHE.cache.clear()
+
+
 def _steered_search(selector, theorem, corollary, examples):
     """A hypothesis search for counterexamples to one check, steered by target(-min_margin).
 
@@ -1443,10 +1464,8 @@ def _steered_search(selector, theorem, corollary, examples):
     real-axis report, which is exact, or when mpmath re-evaluates its sampled
     witness as negative.  Returns (verified, certified, unconfirmed): the
     count of verified draws and the counterexamples of each kind, as
-    (pair, kappa, c, branch, min_margin).  derandomize fixes the search for
-    a given set of loaded modules only: Hypothesis also draws constants
-    from their source, so this file alone and the whole suite search
-    different cells.
+    (pair, kappa, c, branch, min_margin).  derandomize and _own_draws_only
+    fix the cells searched: the same for this file alone and the whole suite.
     """
     verified, certified, unconfirmed = [0], [], []
 
@@ -1476,7 +1495,8 @@ def _steered_search(selector, theorem, corollary, examples):
             else:
                 unconfirmed.append(found)
 
-    search()
+    with _own_draws_only():
+        search()
     return verified[0], certified, unconfirmed
 
 
@@ -1726,6 +1746,18 @@ def test_region_scan_is_the_cell_by_cell_loop_bit_for_bit(
     points = len(grid.radii) * (grid.angles // 2 + 1)
     monkeypatch.setattr(verify, "SCAN_CHUNK_POINTS", 4 * (points if selector in ("u", "deriv-normalized") else 2))
     _assert_rows_bit_equal(region_scan(selector, pair, kappa_range, c_range, grid), expected)
+
+
+@pytest.mark.parametrize("selector, pair, kappa_range, c_range", CHUNKED_SCANS[3:5])
+def test_region_scan_takes_the_route_of_verify_membership(monkeypatch, selector, pair, kappa_range, c_range):
+    # With _certified_radius patched to 0, verify_membership samples every
+    # quotient cell.  The scan asks the same function for the real-axis rule,
+    # so its rows are still the cell-by-cell loop's, every one sampled.
+    monkeypatch.setattr(verify, "_certified_radius", lambda selector, params: 0.0)
+    expected = _scan_cell_by_cell(selector, pair, kappa_range, c_range, SMALL_GRID)
+    rows = region_scan(selector, pair, kappa_range, c_range, SMALL_GRID)
+    _assert_rows_bit_equal(rows, expected)
+    assert {row.report.method for row in rows} == {"sampled"}
 
 
 @pytest.mark.parametrize("tol", [0.9, 10.0])
