@@ -33,11 +33,11 @@ The sum runs through the first such k with rho < 1/2 and max_j |a_k| k!/(k-j)!
 R^(k-j) / (1-rho) <= rel_tol, so the omitted tail is below rel_tol / 2
 absolutely at every point, or raises NoConvergence at max_terms.
 
-One cell's coefficients come from _coefficients, a Python loop that
-eval_u and the array path both use.  Region scans build those of a whole
-column of (kappa, c) cells in one numpy pass instead (_coefficient_matrix):
-the same IEEE operations in the same order, so the same bits, term counts
-and NoConvergence, without a per-cell Python loop.
+One cell's coefficients come from _coefficients, a Python loop under eval_u
+and the array path; region scans build a column of (kappa, c) cells in one
+numpy pass (_coefficient_matrix) with the same IEEE operations in the same
+order, so the same bits, term counts and NoConvergence.  Every weight,
+float(perm(k, j)) or R^k, comes from one table grown on demand (_weights).
 
 Only the array path imports numpy, and it does so when first called: the
 scalar functions (eval_u, the residuals, zero_free_radius) run on the
@@ -61,6 +61,8 @@ KAPPA_EXCLUSION_TOL = 1e-9
 DISK_SLACK = 1e-9
 
 MAX_ORDER = 3
+_RADIUS = 1.0 + DISK_SLACK  # R of the stopping rule
+_PERMS, _POWERS = tuple([] for _ in range(MAX_ORDER + 1)), []  # _weights' tables
 
 # Relative shrink of zero_free_radius: its twelve roundings and one pow move
 # it by under 4 epsilon (the fourth root quarters the error under it).
@@ -182,9 +184,17 @@ class EvalResult:
 def _check_disk(z: complex) -> complex:
     z = complex(z)
     # Written so that a NaN modulus fails the test too.
-    if not abs(z) <= 1.0 + DISK_SLACK:
+    if not abs(z) <= _RADIUS:
         raise ValueError(f"evaluation is restricted to |z| <= 1, got |z| = {abs(z)}")
     return z
+
+
+def _weights(n: int) -> None:
+    """Grow _PERMS[j][k] = float(perm(k, j)), then _POWERS[k] = R^k, to k < n; a rerun rewrites equal values."""
+    for k in range(len(_POWERS), n):
+        for j, row in enumerate(_PERMS):
+            row[k : k + 1] = [float(math.perm(k, j))]
+        _POWERS[k : k + 1] = [_RADIUS**k]
 
 
 def _coefficients(kappa: float, c: float, order: int, rel_tol: float, max_terms: int):
@@ -192,16 +202,21 @@ def _coefficients(kappa: float, c: float, order: int, rel_tol: float, max_terms:
 
     n and tail follow the a-priori rule of the module docstring.
     """
-    radius = 1.0 + DISK_SLACK
-    coefs = [1.0]
+    perms, step, spread = _PERMS[order], -c / 4.0, abs(c) / 4.0 * _RADIUS
+    a, coefs = 1.0, [1.0]
     for k in range(1, max_terms):
-        coefs.append(coefs[-1] * (-c / 4.0 / ((kappa + k - 1.0) * k)))
-        if kappa + k > 0.0 and k >= order:
-            rho = abs(c) / 4.0 * radius / ((kappa + k) * (k + 1 - order))
-            # perm(k, order) R^k bounds k!/(k-j)! R^(k-j) for every j <= order.
-            bound = abs(coefs[-1]) * math.perm(k, order) * radius**k
-            if rho < 0.5 and bound <= rel_tol * (1.0 - rho):
-                return coefs, bound * rho / (1.0 - rho)
+        shifted = kappa + k
+        a = a * (step / ((shifted - 1.0) * k))
+        coefs.append(a)
+        if shifted > 0.0 and k >= order:
+            rho = spread / (shifted * (k + 1 - order))
+            if rho < 0.5:
+                if k >= len(_POWERS):
+                    _weights(k + 1)
+                # perm(k, order) R^k bounds k!/(k-j)! R^(k-j) for every j <= order.
+                bound = abs(a) * perms[k] * _POWERS[k]
+                if bound <= rel_tol * (1.0 - rho):
+                    return coefs, bound * rho / (1.0 - rho)
     raise NoConvergence(f"no tail bound within {max_terms} terms (kappa={kappa}, c={c})")
 
 
@@ -224,9 +239,9 @@ def eval_u(
     a, tail = _coefficients(params.kappa, params.c, order, cfg.rel_tol, cfg.max_terms)
     values = []
     for j in range(order + 1):
-        s = 0j
+        s, weights = 0j, _PERMS[j]  # weights[k] * a_k is the one rounding of perm(k, j) * a_k
         for k in range(len(a) - 1, j - 1, -1):
-            s = s * z + math.perm(k, j) * a[k]
+            s = s * z + weights[k] * a[k]
         values.append(s)
     return EvalResult(values=values, terms_used=len(a), truncation_estimate=tail)
 
@@ -236,8 +251,9 @@ def _falling_weights(order: int, n: int):
     """Read-only (index, weights), shape (order+1, n): m + j and the float of perm(m+j, j)."""
     import numpy as np
 
+    _weights(n + order)
     index = np.arange(order + 1)[:, None] + np.arange(n)[None, :]
-    weights = np.array([[float(math.perm(m + j, j)) for m in range(n)] for j in range(order + 1)])
+    weights = np.array([_PERMS[j][j : j + n] for j in range(order + 1)])
     index.flags.writeable = weights.flags.writeable = False
     return index, weights
 
@@ -282,8 +298,7 @@ def _coefficient_matrix(kappas, cs, order: int, rel_tol: float, max_terms: int):
     import numpy as np
 
     kappas, cs = np.asarray(kappas, dtype=float), np.asarray(cs, dtype=float)
-    radius = 1.0 + DISK_SLACK
-    step, spread = -cs / 4.0, np.abs(cs) / 4.0 * radius
+    step, spread = -cs / 4.0, np.abs(cs) / 4.0 * _RADIUS
     live = np.ones(len(cs))
     columns, terms = [live], np.zeros(len(cs), dtype=int)  # 0 until the cell stops
     with np.errstate(over="ignore"):  # as Python floats overflow silently
@@ -294,7 +309,8 @@ def _coefficient_matrix(kappas, cs, order: int, rel_tol: float, max_terms: int):
             columns.append(np.where(terms > 0, 0.0, live))
             if k >= order:
                 rho = spread / ((kappas + k) * (k + 1 - order))
-                bound = np.abs(live) * float(math.perm(k, order)) * radius**k
+                _weights(k + 1)
+                bound = np.abs(live) * _PERMS[order][k] * _POWERS[k]
                 stops = (terms == 0) & (kappas + k > 0.0) & (rho < 0.5) & (bound <= rel_tol * (1.0 - rho))
                 terms[stops] = k + 1
     if not terms.all():
@@ -320,7 +336,7 @@ class _PowerTable:
         if points.ndim != 1 or points.size == 0:
             raise ValueError("zs must be a non-empty 1-d array")
         # Written so that a NaN modulus fails the test too.
-        if not np.abs(points).max() <= 1.0 + DISK_SLACK:
+        if not np.abs(points).max() <= _RADIUS:
             raise ValueError("evaluation is restricted to |z| <= 1")
         points.flags.writeable = False
         self.points = points

@@ -20,7 +20,7 @@ from janbessel import (
     ode_residual,
     recurrence_residual,
 )
-from janbessel.bessel import zero_free_radius
+from janbessel.bessel import DISK_SLACK, zero_free_radius
 
 SIN_AT_ONE = 0.841470984807897
 SINH_AT_ONE = 1.175201193643801
@@ -377,6 +377,125 @@ def test_series_rows_are_the_rounded_term_products():
         with pytest.raises(NoConvergence) as want:
             _coefficients(-0.5, 90.0, order, 1e-14, 20)
         assert str(got.value) == str(want.value) == "no tail bound within 20 terms (kappa=-0.5, c=90.0)"
+
+
+def _reference_eval_u(kappa, c, z, order, cfg):
+    """(values, terms, tail) by the per-term loop with every constant recomputed each term.
+
+    The coefficient recurrence reads coefs[-1] * (-c / 4.0 / ...), the
+    stopping rule calls math.perm and radius**k per k, and Horner's rule
+    multiplies by math.perm(k, j) per term per order.
+    """
+    radius = 1.0 + DISK_SLACK
+    coefs = [1.0]
+    for k in range(1, cfg.max_terms):
+        coefs.append(coefs[-1] * (-c / 4.0 / ((kappa + k - 1.0) * k)))
+        if kappa + k > 0.0 and k >= order:
+            rho = abs(c) / 4.0 * radius / ((kappa + k) * (k + 1 - order))
+            bound = abs(coefs[-1]) * math.perm(k, order) * radius**k
+            if rho < 0.5 and bound <= cfg.rel_tol * (1.0 - rho):
+                break
+    else:
+        raise NoConvergence(f"no tail bound within {cfg.max_terms} terms (kappa={kappa}, c={c})")
+    values = []
+    for j in range(order + 1):
+        s = 0j
+        for k in range(len(coefs) - 1, j - 1, -1):
+            s = s * z + math.perm(k, j) * coefs[k]
+        values.append(s)
+    return values, len(coefs), bound * rho / (1.0 - rho)
+
+
+def _hexed(fn):
+    """fn() with every float as float.hex, or the exception's type and text.
+
+    fn returns a complex or a (values, terms, tail) triple.
+    """
+    try:
+        got = fn()
+    except (NoConvergence, InvalidKappa) as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(got, complex):
+        return got.real.hex(), got.imag.hex()
+    values, terms, tail = got
+    return [(v.real.hex(), v.imag.hex()) for v in values], terms, tail.hex()
+
+
+def _triple(result):
+    return result.values, result.terms_used, result.truncation_estimate
+
+
+def test_scalar_series_matches_the_reference_loop_bit_for_bit():
+    # eval_u reads its weights from the shared table and hoists the loop
+    # invariants; values, term counts, tail bounds, both residuals and
+    # NoConvergence must equal the reference loop's to the bit, including
+    # c = +-0.0, |c| = 1e-300 and 150, kappa just above an excluded pole,
+    # |z| = 1 + DISK_SLACK, signed-zero z and budgets of 4, 8 and 20 terms.
+    rng = np.random.default_rng(20261020)
+    radius = 1.0 + DISK_SLACK
+    configs = [DEFAULT_CONFIG] + [EvalConfig(rel_tol=1e-10, max_terms=m) for m in (4, 8, 20)]
+    configs += [EvalConfig(rel_tol=1e-3), EvalConfig(max_terms=1000)]
+    ran_out = 0
+    for draw in range(3000):
+        kappa = float(rng.uniform(-3.0, 12.0))
+        if draw % 5 == 0:
+            kappa = float(rng.integers(-2, 1)) + float(rng.choice([1.01e-9, 2e-9, 1e-6, 1e-3]))
+        c = float(rng.choice([1, -1]) * 10 ** rng.uniform(-3.0, math.log10(150.0)))
+        if draw % 7 == 0:
+            c = float(rng.choice([0.0, -0.0, 1e-300, -1e-300, 150.0, -150.0]))
+        z = cmath.rect(float(rng.uniform(0.0, 1.0)), float(rng.uniform(-math.pi, math.pi)))
+        if draw % 3 == 0:
+            edge = (complex(radius), complex(-radius, -0.0), complex(0.0, radius), complex(-0.0, -radius))
+            z = edge[rng.integers(4)]
+        if draw % 11 == 0:
+            z = complex(float(rng.choice([0.0, -0.0])), float(rng.choice([0.0, -0.0])))
+        if draw % 13 == 0 and rng.uniform() < 0.5:
+            kappa = float(rng.uniform(-3.0, -1e-3))  # hit the excluded band or not
+        try:
+            params = BesselParams(kappa, -1.0, c)  # kappa = p
+        except InvalidKappa:
+            continue
+        kappa, cfg, order = params.kappa, configs[rng.integers(len(configs))], int(rng.integers(4))
+        got = _hexed(lambda: _triple(eval_u(params, z, order, cfg)))
+        assert got == _hexed(lambda: _reference_eval_u(kappa, c, z, order, cfg)), (kappa, c, z, order, cfg)
+        ran_out += got[0] == "NoConvergence"
+
+        def ode():
+            u0, u1, u2 = _reference_eval_u(kappa, c, z, 2, cfg)[0]
+            return 4.0 * z * z * u2 + 4.0 * kappa * z * u1 + c * z * u0
+
+        def recurrence():
+            shifted = params.shifted(1.0)
+            du = _reference_eval_u(kappa, c, z, 1, cfg)[0][1]
+            return 4.0 * kappa * du + c * _reference_eval_u(shifted.kappa, c, z, 0, cfg)[0][0]
+
+        assert _hexed(lambda: ode_residual(params, z, cfg)) == _hexed(ode)
+        assert _hexed(lambda: recurrence_residual(params, z, cfg)) == _hexed(recurrence)
+    assert ran_out > 100  # the small budgets do run out
+
+
+def test_weight_table_grows_only_to_the_terms_reached(monkeypatch):
+    # The table starts empty and a budget of a million terms costs nothing up
+    # front: a cell that stops within 20 terms grows it to the terms reached.
+    from janbessel import bessel
+
+    monkeypatch.setattr(bessel, "_PERMS", tuple([] for _ in range(bessel.MAX_ORDER + 1)))
+    monkeypatch.setattr(bessel, "_POWERS", [])
+    params, z = BesselParams(0.0, 2.0, 1.0), complex(0.6, -0.7)
+    huge = eval_u(params, z, order=3, cfg=EvalConfig(max_terms=10**6))
+    assert huge.terms_used <= 20
+    assert 0 < len(bessel._POWERS) <= huge.terms_used
+    assert all(len(row) == len(bessel._POWERS) for row in bessel._PERMS)
+    default = eval_u(params, z, order=3)
+    assert _hexed(lambda: _triple(huge)) == _hexed(lambda: _triple(default))
+    # Growing again, in pieces or past the end, rewrites nothing and matches the definition.
+    reached = len(bessel._POWERS)
+    bessel._weights(3)
+    bessel._weights(reached + 5)
+    assert len(bessel._POWERS) == reached + 5
+    for k, power in enumerate(bessel._POWERS):
+        assert power == (1.0 + DISK_SLACK) ** k
+        assert [row[k] for row in bessel._PERMS] == [float(math.perm(k, j)) for j in range(4)]
 
 
 def _abs_term_sum(kappa, c, r, j):
