@@ -31,7 +31,9 @@ powers.  Both share one term count, fixed a priori: on
 later terms shrink by at most rho = |c| R / (4 (kappa+k)(k+1-order)) per step.
 The sum runs through the first such k with rho < 1/2 and max_j |a_k| k!/(k-j)!
 R^(k-j) / (1-rho) <= rel_tol, so the omitted tail is below rel_tol / 2
-absolutely at every point, or raises NoConvergence at max_terms.
+absolutely at every point, or raises NoConvergence at max_terms or at the
+first non-finite a_k.  The rule is tested only once |a_k| <= rel_tol: until
+then the rounded bound, at least |a_k|, exceeds rel_tol (1 - rho).
 
 One cell's coefficients come from _coefficients, a Python loop under eval_u
 and the array path; region scans build a column of (kappa, c) cells in one
@@ -200,7 +202,9 @@ def _weights(n: int) -> None:
 def _coefficients(kappa: float, c: float, order: int, rel_tol: float, max_terms: int):
     """(a, tail): Taylor coefficients a_0..a_{n-1} of u and the omitted tail's bound.
 
-    n and tail follow the a-priori rule of the module docstring.
+    n and tail follow the a-priori rule of the module docstring, tested only
+    at terms with |a_k| <= rel_tol: the rounded bound is at least |a_k| and
+    rel_tol (1 - rho) at most rel_tol.  A non-finite a_k ends the sum.
     """
     perms, step, spread = _PERMS[order], -c / 4.0, abs(c) / 4.0 * _RADIUS
     a, coefs = 1.0, [1.0]
@@ -208,6 +212,10 @@ def _coefficients(kappa: float, c: float, order: int, rel_tol: float, max_terms:
         shifted = kappa + k
         a = a * (step / ((shifted - 1.0) * k))
         coefs.append(a)
+        if rel_tol < abs(a) < math.inf:
+            continue
+        if not abs(a) <= rel_tol:  # inf or NaN, and so is every later a_k
+            break
         if shifted > 0.0 and k >= order:
             rho = spread / (shifted * (k + 1 - order))
             if rho < 0.5:
@@ -293,7 +301,9 @@ def _coefficient_matrix(kappas, cs, order: int, rel_tol: float, max_terms: int):
     entry is bit for bit its own.  a has max(terms) + order columns, +0.0
     past each cell's terms: _kernel_layout(a, order, n), for n up to
     max(terms), gathers the _series_rows of every cell, zero-padded to n.
-    NoConvergence names the first cell that no k below max_terms stops.
+    NoConvergence names the first cell that no k below max_terms stops; the
+    pass ends early, at k = 1, 2, 4, 8, ..., once every running cell's a_k
+    is non-finite, as no later term of such a cell is finite.
     """
     import numpy as np
 
@@ -305,13 +315,15 @@ def _coefficient_matrix(kappas, cs, order: int, rel_tol: float, max_terms: int):
         for k in range(1, max_terms):
             if terms.all():
                 break
-            live = live * (step / ((kappas + k - 1.0) * k))
-            columns.append(np.where(terms > 0, 0.0, live))
+            live, running = live * (step / ((kappas + k - 1.0) * k)), terms == 0
+            if k & (k - 1) == 0 and not np.isfinite(live[running]).any():
+                break
+            columns.append(np.where(running, live, 0.0))
             if k >= order:
                 rho = spread / ((kappas + k) * (k + 1 - order))
                 _weights(k + 1)
                 bound = np.abs(live) * _PERMS[order][k] * _POWERS[k]
-                stops = (terms == 0) & (kappas + k > 0.0) & (rho < 0.5) & (bound <= rel_tol * (1.0 - rho))
+                stops = running & (kappas + k > 0.0) & (rho < 0.5) & (bound <= rel_tol * (1.0 - rho))
                 terms[stops] = k + 1
     if not terms.all():
         i = int(np.argmin(terms))

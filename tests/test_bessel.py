@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -379,12 +380,11 @@ def test_series_rows_are_the_rounded_term_products():
         assert str(got.value) == str(want.value) == "no tail bound within 20 terms (kappa=-0.5, c=90.0)"
 
 
-def _reference_eval_u(kappa, c, z, order, cfg):
-    """(values, terms, tail) by the per-term loop with every constant recomputed each term.
+def _reference_coefficients(kappa, c, order, cfg):
+    """(coefs, tail) by the per-term loop that tests the stopping rule at every k.
 
-    The coefficient recurrence reads coefs[-1] * (-c / 4.0 / ...), the
-    stopping rule calls math.perm and radius**k per k, and Horner's rule
-    multiplies by math.perm(k, j) per term per order.
+    The coefficient recurrence reads coefs[-1] * (-c / 4.0 / ...) and the
+    stopping rule calls math.perm and radius**k per k.
     """
     radius = 1.0 + DISK_SLACK
     coefs = [1.0]
@@ -394,16 +394,21 @@ def _reference_eval_u(kappa, c, z, order, cfg):
             rho = abs(c) / 4.0 * radius / ((kappa + k) * (k + 1 - order))
             bound = abs(coefs[-1]) * math.perm(k, order) * radius**k
             if rho < 0.5 and bound <= cfg.rel_tol * (1.0 - rho):
-                break
-    else:
-        raise NoConvergence(f"no tail bound within {cfg.max_terms} terms (kappa={kappa}, c={c})")
+                return coefs, bound * rho / (1.0 - rho)
+    raise NoConvergence(f"no tail bound within {cfg.max_terms} terms (kappa={kappa}, c={c})")
+
+
+def _reference_eval_u(kappa, c, z, order, cfg):
+    """(values, terms, tail) from _reference_coefficients; Horner's rule
+    multiplies by math.perm(k, j) per term per order."""
+    coefs, tail = _reference_coefficients(kappa, c, order, cfg)
     values = []
     for j in range(order + 1):
         s = 0j
         for k in range(len(coefs) - 1, j - 1, -1):
             s = s * z + math.perm(k, j) * coefs[k]
         values.append(s)
-    return values, len(coefs), bound * rho / (1.0 - rho)
+    return values, len(coefs), tail
 
 
 def _hexed(fn):
@@ -474,13 +479,109 @@ def test_scalar_series_matches_the_reference_loop_bit_for_bit():
     assert ran_out > 100  # the small budgets do run out
 
 
-def test_weight_table_grows_only_to_the_terms_reached(monkeypatch):
-    # The table starts empty and a budget of a million terms costs nothing up
-    # front: a cell that stops within 20 terms grows it to the terms reached.
+def test_the_stop_falls_on_the_first_term_within_rel_tol_bit_for_bit():
+    # The stopping rule is tested only at terms with |a_k| <= rel_tol.  In
+    # these draws the reference loop stops at the first such term, for every
+    # order, three tolerances and both signs of a_k, and some of those terms
+    # lie within a factor 4 of rel_tol: a guard that skipped any of them
+    # would move the stop.
+    rng = np.random.default_rng(31)
+    tols, per_class, found, near = (1e-14, 1e-10, 1e-3), 5, {}, 0
+    for draw in range(10000):
+        order, rel_tol = draw % 4, tols[draw // 4 % 3]
+        kappa = float(rng.uniform(-2.9, 12.0))
+        c = float(rng.choice([1, -1]) * 10 ** rng.uniform(-4.0, math.log10(150.0)))
+        z = cmath.rect(float(rng.uniform(0.0, 1.0 + DISK_SLACK)), float(rng.uniform(-math.pi, math.pi)))
+        params, cfg = BesselParams(kappa, -1.0, c), EvalConfig(rel_tol=rel_tol)
+        try:
+            coefs, _ = _reference_coefficients(params.kappa, c, order, cfg)
+        except NoConvergence:
+            continue
+        key = (order, rel_tol, coefs[-1] > 0.0)
+        first = next(k for k, a in enumerate(coefs) if abs(a) <= rel_tol)
+        if first < len(coefs) - 1 or found.get(key, 0) == per_class:
+            continue
+        found[key] = found.get(key, 0) + 1
+        near += abs(coefs[-1]) > rel_tol / 4
+        got = _hexed(lambda: _triple(eval_u(params, z, order, cfg)))
+        assert got == _hexed(lambda: _reference_eval_u(params.kappa, c, z, order, cfg)), (kappa, c, z, order, cfg)
+        if len(found) == 24 and min(found.values()) == per_class:
+            break
+    assert len(found) == 24 and min(found.values()) == per_class, found
+    assert near >= 10
+
+
+def _empty_weight_table(monkeypatch):
+    """The bessel module, its weight table emptied for this test."""
     from janbessel import bessel
 
     monkeypatch.setattr(bessel, "_PERMS", tuple([] for _ in range(bessel.MAX_ORDER + 1)))
     monkeypatch.setattr(bessel, "_POWERS", [])
+    return bessel
+
+
+def _first_non_finite(kappa, c):
+    """The first k whose coefficient a_k, by the recurrence, is inf or NaN."""
+    a, k = 1.0, 0
+    while math.isfinite(a):
+        k += 1
+        a *= -c / 4.0 / ((kappa + k - 1.0) * k)
+    return k
+
+
+def _traced(fn):
+    """(_hexed(fn), the peak of the memory traced while fn ran)."""
+    tracemalloc.start()
+    try:
+        return _hexed(fn), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_non_finite_coefficient_ends_the_scalar_sum(monkeypatch):
+    # At kappa 1, c = 1e7 overflows to inf from k = 94 on.  The sum ends
+    # there with the reference loop's NoConvergence text and grows no table,
+    # where the loop once ran to max_terms and grew the table with it (a list
+    # of 200,000 coefficients alone takes over 6 MB).  A NaN coefficient
+    # (c = NaN reaches the private loop unchecked) ends it too.
+    bessel = _empty_weight_table(monkeypatch)
+    params, cfg = BesselParams(0.0, 1.0, 1e7), EvalConfig(max_terms=200_000)
+    assert _first_non_finite(params.kappa, params.c) == 94
+    for order in (0, 3):
+        got, peak = _traced(lambda: _triple(eval_u(params, 0.5, order, cfg)))
+        assert got == _hexed(lambda: _reference_eval_u(params.kappa, params.c, 0.5, order, cfg))
+        assert got == ("NoConvergence", "no tail bound within 200000 terms (kappa=1.0, c=10000000.0)")
+        assert peak < 100_000 and bessel._POWERS == []
+    got, peak = _traced(lambda: bessel._coefficients(1.0, math.nan, 0, 1e-14, 10**6))
+    assert got == ("NoConvergence", "no tail bound within 1000000 terms (kappa=1.0, c=nan)")
+    assert peak < 100_000 and bessel._POWERS == []
+
+
+def test_non_finite_cells_end_the_column_pass(monkeypatch):
+    # Mixed with finite cells, cells whose coefficients overflow end the pass
+    # at the first power of two k where no running cell is finite: the table
+    # grows to at most twice the last of their first non-finite terms, and
+    # the NoConvergence is the cell-by-cell loop's first.
+    bessel = _empty_weight_table(monkeypatch)
+    cells = ((2.0, 150.0), (3.0, 1e7), (0.5, -3.0), (1.0, -2e7), (1.0, 1e7))
+    last = max(_first_non_finite(kappa, c) for kappa, c in cells[1::2])
+    assert 94 <= last < 128
+    for order in range(4):
+        with pytest.raises(NoConvergence) as want:
+            for kappa, c in cells:
+                bessel._coefficients(kappa, c, order, 1e-14, 200_000)
+        with pytest.raises(NoConvergence) as got:
+            bessel._coefficient_matrix(*zip(*cells), order, 1e-14, 200_000)
+        assert str(got.value) == str(want.value) == "no tail bound within 200000 terms (kappa=3.0, c=10000000.0)"
+        assert len(bessel._POWERS) <= 2 * last
+    with pytest.raises(NoConvergence, match=r"^no tail bound within 1000000 terms \(kappa=1.0, c=nan\)$"):
+        bessel._coefficient_matrix([1.0, 2.0], [math.nan, 1.0], 0, 1e-14, 10**6)
+
+
+def test_weight_table_grows_only_to_the_terms_reached(monkeypatch):
+    # The table starts empty and a budget of a million terms costs nothing up
+    # front: a cell that stops within 20 terms grows it to the terms reached.
+    bessel = _empty_weight_table(monkeypatch)
     params, z = BesselParams(0.0, 2.0, 1.0), complex(0.6, -0.7)
     huge = eval_u(params, z, order=3, cfg=EvalConfig(max_terms=10**6))
     assert huge.terms_used <= 20

@@ -1,9 +1,11 @@
-"""Symbolic and reference checks of the subordination condition set.
+"""Symbolic and reference checks of the subordination condition set and the series.
 
 checks._two_regime_conditions writes the paper's two printed regimes as one
 set that differs only in the coefficient r(B) and the guard's scale.  These
 tests hold it to the regimes as the paper prints them: exactly, with sympy
-symbols for A, k and c, and numerically at extreme magnitudes.
+symbols for A, k and c, and numerically at extreme magnitudes.  The
+order-shift identity 4 kappa u_p' = -c u_{p+1} is checked coefficient by
+coefficient: exactly in sympy, and on the coefficients bessel sums.
 """
 
 import math
@@ -13,6 +15,7 @@ import pytest
 import sympy as sp
 
 from janbessel import JanowskiPair
+from janbessel.bessel import _coefficients
 from janbessel.checks import REGIME_SPLIT_B, _two_regime_conditions, check_theorem
 
 A, K, C = sp.symbols("A k c", real=True)
@@ -139,3 +142,33 @@ def test_checkers_match_the_printed_regimes_at_extreme_magnitudes():
                     assert abs(got - want) <= 1e-9 * max(abs(got), abs(want)), (a, b, kappa, c, label)
             compared += 1
     assert compared > 10000
+
+
+def _coefficient(m, kappa, c):
+    """a_m(kappa) = (-c/4)^m / ((kappa)_m m!), the coefficient of z^m in u."""
+    return (-c / 4) ** m / (sp.rf(kappa, m) * sp.factorial(m))
+
+
+@pytest.mark.parametrize("m", range(9))
+def test_the_order_shift_identity_holds_coefficient_by_coefficient(m):
+    # The coefficient of z^m in 4 kappa u_p' = -c u_{p+1}, where u_{p+1} is
+    # the series at kappa + 1.
+    lhs = 4 * K * (m + 1) * _coefficient(m + 1, K, C)
+    assert sp.simplify(lhs + C * _coefficient(m, K + 1, C)) == 0
+
+
+def test_summed_coefficients_satisfy_the_order_shift_identity():
+    rng = np.random.default_rng(31)
+    compared = 0
+    for _ in range(40):
+        kappa = float(rng.uniform(0.1, 12.0))
+        if rng.uniform() < 0.3:  # negative kappa, at least 0.1 from the poles
+            kappa = -float(rng.integers(3)) - float(rng.uniform(0.1, 0.9))
+        c = float(rng.choice([1.0, -1.0]) * 10.0 ** rng.uniform(-3.0, math.log10(150.0)))
+        a, _ = _coefficients(kappa, c, 1, 1e-14, 300)
+        shifted, _ = _coefficients(kappa + 1.0, c, 0, 1e-14, 300)
+        for m in range(min(len(a) - 1, len(shifted))):
+            lhs, rhs = 4.0 * kappa * (m + 1) * a[m + 1], -c * shifted[m]
+            assert abs(lhs - rhs) <= 1e-13 * abs(rhs), (kappa, c, m)
+            compared += 1
+    assert compared > 300
