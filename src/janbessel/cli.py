@@ -12,7 +12,7 @@ Verbs
 
 Every verb prints a JSON envelope {schema_version, command, timestamp,
 payload} to stdout (or --output PATH); `scan --format csv` prints bare CSV
-instead.  Complex values are written as "re,im"; ranges as "lo:hi:steps".
+instead.  Complex flag values are written as "re,im"; ranges as "lo:hi:steps".
 Values starting with a dash need the --flag=value form.
 
 Exit codes: 0 success with a holding/satisfied verdict (or no verdict);
@@ -32,14 +32,22 @@ timestamp field.
 
 `eval`, `check`, `bounds` and `admissibility` are pure Python: this module
 imports `verify`, and with it numpy, only inside the handlers of the
-sampling verbs, so the four scalar verbs start without either.  A
-non-finite checker slack is written as null, and so is an unbounded
-admissibility supremum ("max_re"), its argmax a probe with Re Psi > 0.
+sampling verbs, so the four scalar verbs start without either.
+
+Payloads hold the library's objects, and one json.dumps default (_encode)
+writes them: each dataclass field by field, in field order; a complex
+number as [re, im]; a pair as [A, B]; params with kappa after p, b, c; a
+checker outcome with its derived `satisfied` first and a non-finite slack
+as null.  A report without a witness writes its NaN min_margin as null,
+in `verify` and in each scan row, a flat row that gives the report's
+verdict as "numeric".  An unbounded admissibility supremum ("max_re") is
+null too, its argmax a probe with Re Psi > 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
 import json
 import math
@@ -97,59 +105,42 @@ def _parse_range(text: str) -> tuple[float, float, int]:
         raise argparse.ArgumentTypeError(f"ranges use the form 'lo:hi:steps', got {text!r}") from None
 
 
-def _complex_list(z: complex) -> list[float]:
-    return [z.real, z.imag]
+def _fields(obj) -> dict:
+    """A dataclass's fields in field order; unlike dataclasses.asdict, nested dataclasses stay for _encode."""
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
 
 
-def _pair_list(pair: JanowskiPair) -> list[float]:
-    return [pair.A, pair.B]
+def _encode(obj):
+    """json.dumps default: each library type in its payload form."""
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    if isinstance(obj, JanowskiPair):
+        return [obj.A, obj.B]
+    if isinstance(obj, BesselParams):
+        return {**_fields(obj), "kappa": obj.kappa}
+    if isinstance(obj, CheckOutcome):
+        slacks = [[label, value if math.isfinite(value) else None] for label, value in obj.slacks]
+        return {"satisfied": obj.satisfied, **_fields(obj), "slacks": slacks}
+    if dataclasses.is_dataclass(obj):
+        return _fields(obj)
+    raise TypeError(f"{type(obj).__name__} has no payload form")
 
 
-def _params_dict(params: BesselParams) -> dict:
-    return {"p": params.p, "b": params.b, "c": params.c, "kappa": params.kappa}
-
-
-def _outcome_dict(outcome: CheckOutcome) -> dict:
-    return {
-        "satisfied": outcome.satisfied,
-        "branch": outcome.branch,
-        "slacks": [[label, value if math.isfinite(value) else None] for label, value in outcome.slacks],
-        "notes": list(outcome.notes),
-        "implied_pair": None if outcome.implied_pair is None else _pair_list(outcome.implied_pair),
-        "conclusion_bound": outcome.conclusion_bound,
-    }
-
-
-def _report_dict(report: VerificationReport) -> dict:
-    return {
-        "selector": report.selector,
-        "pair": _pair_list(report.pair),
-        "params": _params_dict(report.params),
-        "verdict": report.verdict,
-        "min_margin": None if report.witness is None else report.min_margin,
-        "witness": None if report.witness is None else _complex_list(report.witness),
-        "grid": {
-            "radii": list(report.grid.radii),
-            "angles": report.grid.angles,
-            "max_radius": report.grid.max_radius,
-        },
-        "degeneracy_hits": [
-            [_complex_list(z), reason] for z, reason in report.degeneracy_hits
-        ],
-        "method": report.method,
-    }
+def _min_margin(report: VerificationReport) -> float | None:
+    """A report with no witness has a NaN min_margin, written as null."""
+    return None if report.witness is None else report.min_margin
 
 
 def _row_dict(row: ScanRow) -> dict:
     return {
         "kappa": row.kappa,
         "c": row.c,
-        "checker": _outcome_dict(row.checker),
+        "checker": row.checker,
         "corollary_id": row.corollary_id,
-        "corollary": None if row.corollary is None else _outcome_dict(row.corollary),
+        "corollary": row.corollary,
         "numeric": row.report.verdict,
-        "min_margin": None if row.report.witness is None else row.report.min_margin,
-        "witness": None if row.report.witness is None else _complex_list(row.report.witness),
+        "min_margin": _min_margin(row.report),
+        "witness": row.report.witness,
         "method": row.report.method,
     }
 
@@ -309,15 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_eval(ns: argparse.Namespace) -> tuple[dict, int]:
     params = BesselParams(ns.p, ns.b, ns.c)
     result = eval_u(params, ns.z, order=ns.order, cfg=_eval_config(ns))
-    payload = {
-        "params": _params_dict(params),
-        "z": _complex_list(ns.z),
-        "order": ns.order,
-        "values": [_complex_list(v) for v in result.values],
-        "terms_used": result.terms_used,
-        "truncation_estimate": result.truncation_estimate,
-    }
-    return payload, 0
+    return {"params": params, "z": ns.z, "order": ns.order, **_fields(result)}, 0
 
 
 def _cmd_check(ns: argparse.Namespace) -> tuple[dict, int]:
@@ -332,11 +315,11 @@ def _cmd_check(ns: argparse.Namespace) -> tuple[dict, int]:
         check, outcome = ns.theorem, check_theorem(ns.theorem, pair, ns.kappa, ns.c, ns.mode)
     payload = {
         "check": check,
-        "pair": None if pair is None else _pair_list(pair),
+        "pair": pair,
         "kappa": ns.kappa,
         "c": ns.c,
         "mode": ns.mode if check in MODE_THEOREMS else None,
-        "outcome": _outcome_dict(outcome),
+        "outcome": outcome,
     }
     return payload, 0 if outcome.satisfied else 1
 
@@ -349,7 +332,8 @@ def _cmd_verify(ns: argparse.Namespace) -> tuple[dict, int]:
     report = verify_membership(
         ns.selector, pair, params, grid=_grid_from_flags(ns), cfg=_eval_config(ns)
     )
-    return _report_dict(report), 0 if report.verdict == VERDICT_HOLDS else 1
+    payload = {**_fields(report), "min_margin": _min_margin(report)}
+    return payload, 0 if report.verdict == VERDICT_HOLDS else 1
 
 
 def _cmd_radius(ns: argparse.Namespace) -> tuple[dict, int]:
@@ -368,8 +352,8 @@ def _cmd_radius(ns: argparse.Namespace) -> tuple[dict, int]:
     )
     payload = {
         "selector": ns.selector,
-        "pair": _pair_list(pair),
-        "params": _params_dict(params),
+        "pair": pair,
+        "params": params,
         "radius": radius,
         "tol": ns.tol,
         "grid_density": ns.grid_density,
@@ -401,10 +385,10 @@ def _cmd_scan(ns: argparse.Namespace) -> tuple[dict | str, int]:
         return sink.getvalue(), code
     payload = {
         "selector": ns.selector,
-        "pair": _pair_list(pair),
+        "pair": pair,
         "mode": ns.mode,
-        "kappa_range": list(ns.kappa_range),
-        "c_range": list(ns.c_range),
+        "kappa_range": ns.kappa_range,
+        "c_range": ns.c_range,
         "workers": ns.workers,
         "conflicts": len(conflicts),
         "rows": [_row_dict(row) for row in rows],
@@ -417,31 +401,22 @@ def _cmd_admissibility(ns: argparse.Namespace) -> tuple[dict, int]:
     max_re, probe = admissibility_scan(ns.which, pair, ns.kappa, ns.c)
     payload = {
         "which": ns.which,
-        "pair": _pair_list(pair),
+        "pair": pair,
         "kappa": ns.kappa,
         "c": ns.c,
         "max_re": max_re if math.isfinite(max_re) else None,
-        "argmax": {**vars(probe), "z": _complex_list(probe.z)},  # rho, sigma, mu, nu, z
+        "argmax": probe,
     }
     return payload, 0 if max_re < 0.0 else 1
 
 
 def _cmd_bounds(ns: argparse.Namespace) -> tuple[dict, int]:
     bounds = mccarty_bounds(ns.p, ns.z, cfg=_eval_config(ns))
-    rows = [bounds.modulus, bounds.real_part, bounds.derivative]
     payload = {
         "p": ns.p,
-        "z": _complex_list(ns.z),
-        "checks": [
-            {
-                "label": row.label,
-                "bound": row.bound,
-                "observed": row.observed,
-                "holds": row.holds,
-            }
-            for row in rows
-        ],
-        "notes": list(bounds.notes),
+        "z": ns.z,
+        "checks": [bounds.modulus, bounds.real_part, bounds.derivative],
+        "notes": bounds.notes,
         "all_hold": bounds.all_hold(),
     }
     return payload, 0 if bounds.all_hold() else 1
@@ -462,7 +437,7 @@ def run(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     # InvalidKappa is a ValueError too, so this clause must come second.  It
-    # also takes ZeroC, UnknownCorollary, OrderOutOfRange and bad flag values.
+    # also takes ZeroC, invalid pairs and grids, and bad flag values.
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -476,7 +451,7 @@ def run(argv: list[str] | None = None) -> int:
             "timestamp": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
             "payload": result,
         }
-        text = json.dumps(envelope, indent=2) + "\n"
+        text = json.dumps(envelope, indent=2, default=_encode) + "\n"
 
     if ns.output is None:
         sys.stdout.write(text)

@@ -216,10 +216,6 @@ def _sampled_units(n: int) -> _PowerTable:
     return _PowerTable(_ring(n)[: n // 2 + 1])
 
 
-# The two real unit points 1 and -1: the grid's angles 0 and pi.
-_AXIS_UNITS = _PowerTable([1.0, -1.0])
-
-
 def _certified_radius(selector: str, params: BesselParams) -> float:
     """Radius below which a quotient selector's denominator, the series at
     kappa + shift, has no zero; 0.0 for the other selectors."""
@@ -352,17 +348,17 @@ def _cell_reports(
     """Each cell's report on the grid from its stacked kernel rows, as _functional_values takes them.
 
     With axis, the real-axis report from the margins of w(r) and w(-r) at
-    the grid's outer radius r (_AXIS_UNITS), witness r or -r (r on a tie);
-    a cell where either is excluded is re-run alone, from its own rows,
-    without axis.  Without: the sampled report from the closed upper half
-    of the grid (_sampled_units), hits mirrored onto the full grid, witness
-    the first least-margin sample.  Either way the verdict is
+    the grid's outer radius r (_sampled_units(2), angles 0 and pi), witness
+    r or -r (r on a tie); a cell where either is excluded is re-run alone,
+    from its own rows, without axis.  Without: the sampled report from the
+    closed upper half of the grid (_sampled_units), hits mirrored onto the
+    full grid, witness the first least-margin sample.  Either way the verdict is
     "holds-on-grid" exactly when nothing is excluded and the least margin
     is > 0, which NaN is not; a cell with no usable sample reports
     min_margin NaN and no witness.  _least_margins reduces all the cells at
     once; only a cell with an excluded sample runs Python of its own.
     """
-    radii, table = (grid.radii[-1:], _AXIS_UNITS) if axis else (grid.radii, _sampled_units(grid.angles))
+    radii, table = (grid.radii[-1:], _sampled_units(2)) if axis else (grid.radii, _sampled_units(grid.angles))
     w, mask = _functional_values(selector, rows, cells, radii, table)
     least, first, excluded, proof = _least_margins(pair, target_region(pair), w, mask)
     half = len(table.points)
@@ -465,7 +461,7 @@ def property_radius(
         raise ValueError(f"max_radius must lie in (0.01, 1), got {max_radius}")
     region = target_region(pair)
     cap = min(max_radius, _certified_radius(selector, params))
-    table, cap = (_AXIS_UNITS, cap) if cap > 0.01 else (_sampled_units(grid_density), max_radius)
+    table, cap = (_sampled_units(2), cap) if cap > 0.01 else (_sampled_units(grid_density), max_radius)
     rows = _kernel_rows(selector, params, cfg)
 
     def least(*radii: float) -> list[float]:
@@ -528,7 +524,7 @@ def _verify_cells(
     """
     order, shift, quotient = _KERNEL_ROWS[selector]
     axis = bool(quotient)
-    points = len(_AXIS_UNITS.points) if axis else len(grid.radii) * len(_sampled_units(grid.angles).points)
+    points = len(_sampled_units(2).points) if axis else len(grid.radii) * len(_sampled_units(grid.angles).points)
     size = max(1, SCAN_CHUNK_POINTS // points)
     a, terms = _coefficient_matrix(
         [params.kappa + shift for params in cells], [params.c for params in cells], order, cfg.rel_tol, cfg.max_terms

@@ -567,6 +567,10 @@ def test_probe_invariants_enforced():
         probe(z=1.0 + 0j)  # |z| >= 1
     with pytest.raises(ValueError):
         probe(z=complex(math.nan, 0.0))
+    for name in ("rho", "sigma", "mu", "nu"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"^probe field {name} must be finite$"):
+                probe(**{name: value})
     # Boundary values are allowed.
     probe(rho=1.0, sigma=-1.0, mu=1.0)
 

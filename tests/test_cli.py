@@ -291,6 +291,25 @@ def test_scan_rejects_a_range_without_a_finite_span(ranges, message):
     assert result.stderr.splitlines() == [f"error: {message}"]
 
 
+VERIFY_ARGS = ["verify", "--selector", "u", "--A", "0", "--B=-1", "--p", "0", "--b", "2", "--c=-1"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([*VERIFY_ARGS, "--radii", "0"], "--radii must be >= 1, got 0"),
+        ([*VERIFY_ARGS, "--min-radius", "0.6", "--max-radius", "0.5"],
+         "need 0 < --min-radius <= --max-radius < 1, got 0.6, 0.5"),
+        (["check", "--theorem", "subordination", "--kappa", "2", "--c=-1"], "theorem checks need --A and --B"),
+        (["check", "--theorem", "subordination", "--A", "0", "--kappa", "2", "--c=-1"],
+         "theorem checks need --A and --B"),
+    ],
+)
+def test_flag_checks_print_their_message(capsys, argv, message):
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_scan_rejects_nonpositive_workers(capsys):
     argv = ["scan", "--selector", "u", "--A", "0", "--B=-1", "--kappa-range", "1:2:2",
             "--c-range=-2:-1:2", "--radii", "2", "--angles", "8", "--workers", "0"]
@@ -680,6 +699,62 @@ def test_check_payloads_have_one_shape(capsys):
         "check", "pair", "kappa", "c", "mode", "outcome"
     ]
     assert corollary["payload"]["pair"] is None and corollary["payload"]["mode"] is None
+
+
+OUTCOME_KEYS = ["satisfied", "branch", "slacks", "notes", "implied_pair", "conclusion_bound"]
+PARAMS_KEYS = ["p", "b", "c", "kappa"]
+
+# Each verb's payload keys, and those of the objects nested in it, in the
+# order written: library objects follow their dataclass field order.
+PAYLOAD_KEYS = [
+    (["eval", "--p", "0", "--b", "2", "--c", "1", "--z", "1,0"], {
+        (): ["params", "z", "order", "values", "terms_used", "truncation_estimate"],
+        ("params",): PARAMS_KEYS,
+    }),
+    (["check", "--theorem", "subordination", "--A", "0", "--B=-1", "--kappa", "2", "--c=-1"], {
+        (): ["check", "pair", "kappa", "c", "mode", "outcome"],
+        ("outcome",): OUTCOME_KEYS,
+    }),
+    (["verify", "--selector", "u", "--A", "0", "--B=-1", "--p", "0", "--b", "2", "--c=-1",
+      "--radii", "2", "--angles", "8"], {
+        (): ["selector", "pair", "params", "verdict", "min_margin", "witness", "grid", "degeneracy_hits",
+             "method"],
+        ("params",): PARAMS_KEYS,
+        ("grid",): ["radii", "angles", "max_radius"],
+    }),
+    (["radius", "--selector", "u", "--A", "0.1", "--B=-1", "--p=-0.5", "--b", "2", "--c", "6"], {
+        (): ["selector", "pair", "params", "radius", "tol", "grid_density", "max_radius"],
+        ("params",): PARAMS_KEYS,
+    }),
+    (["scan", "--selector", "u", "--A", "0", "--B=-1", "--kappa-range", "1:2:2", "--c-range=-2:-1:2",
+      "--radii", "2", "--angles", "8"], {
+        (): ["selector", "pair", "mode", "kappa_range", "c_range", "workers", "conflicts", "rows"],
+        ("rows", 0): ["kappa", "c", "checker", "corollary_id", "corollary", "numeric", "min_margin", "witness",
+                      "method"],
+        ("rows", 0, "checker"): OUTCOME_KEYS,
+        ("rows", 0, "corollary"): OUTCOME_KEYS,
+    }),
+    (["admissibility", "--which", "subordination", "--A", "0", "--B=-1", "--kappa", "2", "--c=-1"], {
+        (): ["which", "pair", "kappa", "c", "max_re", "argmax"],
+        ("argmax",): ["rho", "sigma", "mu", "nu", "z"],
+    }),
+    (["bounds", "--p", "1", "--z", "0.5,0"], {
+        (): ["p", "z", "checks", "notes", "all_hold"],
+        ("checks", 0): ["label", "bound", "observed", "holds"],
+        ("checks", 2): ["label", "bound", "observed", "holds"],
+    }),
+]
+
+
+@pytest.mark.parametrize("argv, keys", PAYLOAD_KEYS, ids=[argv[0] for argv, _ in PAYLOAD_KEYS])
+def test_payload_key_order(capsys, argv, keys):
+    _, doc = run_json(capsys, argv)
+    assert list(doc) == ["schema_version", "command", "timestamp", "payload"]
+    for path, expected in keys.items():
+        node = doc["payload"]
+        for step in path:
+            node = node[step]
+        assert list(node) == expected, path
 
 
 def test_non_finite_checker_slacks_are_written_as_null(capsys):

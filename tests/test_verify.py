@@ -589,6 +589,8 @@ def test_c_zero_is_rejected_before_the_series_is_summed():
 def test_unknown_selector_rejected():
     with pytest.raises(ValueError):
         verify_membership("tangent", HALF_PAIR, BesselParams(0.0, 2.0, -1.0), SMALL_GRID)
+    with pytest.raises(ValueError, match="unknown selector 'tangent'"):
+        region_scan("tangent", HALF_PAIR, (1.0, 2.0, 2), (-1.0, 0.0, 2), SMALL_GRID)
 
 
 def test_all_selectors_on_a_well_behaved_tuple():
@@ -722,6 +724,28 @@ def test_property_radius_rejects_non_integer_density():
     assert property_radius(*args, grid_density=64.0, tol=1e-2) == property_radius(
         *args, grid_density=64, tol=1e-2
     )
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"grid_density": 7}, "need at least 8 angles per circle, got 7"),
+        ({"grid_density": 4}, "need at least 8 angles per circle, got 4"),
+        ({"tol": 0.0}, r"tol must lie in \(0, 1\), got 0.0"),
+        ({"tol": 1.0}, r"tol must lie in \(0, 1\), got 1.0"),
+        ({"tol": math.nan}, r"tol must lie in \(0, 1\), got nan"),
+        ({"max_radius": 0.01}, r"max_radius must lie in \(0.01, 1\), got 0.01"),
+        ({"max_radius": 0.005}, r"max_radius must lie in \(0.01, 1\), got 0.005"),
+        ({"max_radius": 1.0}, r"max_radius must lie in \(0.01, 1\), got 1.0"),
+    ],
+)
+def test_property_radius_rejects_out_of_range_arguments(kwargs, message):
+    # At these parameters the radius is the cap, found without a search, so
+    # each value would return a radius if its check were gone.
+    args = ("u", HALF_PAIR, BesselParams(0.0, 2.0, -1.0))
+    assert property_radius(*args) == 0.999
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        property_radius(*args, **kwargs)
 
 
 def _reference_feasible(selector, pair, params, grid_density, r, max_radius=0.999, rule=True):
@@ -920,8 +944,10 @@ def test_real_axis_margin_is_the_least_over_the_dense_grid():
 def test_real_axis_values_are_the_grid_values_at_angles_zero_and_pi(n):
     grid = SampleGrid(radii=tuple(np.geomspace(0.05, 0.999, 10)), angles=n)
     table = _PowerTable(verify._ring(n))
+    axis = verify._sampled_units(2)
+    assert np.array_equal(_bits(axis.points), _bits([1.0, -1.0]))
     for selector, pair, params in _certified_draws(62 + n, 12):
-        w_axis, _ = _one_cell_values(selector, params, (0.999,), verify._AXIS_UNITS)
+        w_axis, _ = _one_cell_values(selector, params, (0.999,), axis)
         w_grid, _ = _one_cell_values(selector, params, grid.radii, table)
         ring = w_grid.reshape(len(grid.radii), n)[-1]
         assert np.array_equal(_bits(w_axis), _bits(ring[[0, n // 2]])), (selector, pair, params)
