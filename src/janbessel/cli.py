@@ -25,7 +25,7 @@ series non-convergence).
 
 The sampling grid of `verify` and `scan` has --radii circles spaced
 geometrically from --min-radius to --max-radius; `--radii 1` samples the
---max-radius circle alone.
+--max-radius circle alone, which is all that u and deriv-normalized read.
 
 The payload for fixed flags is deterministic: reruns differ only in the
 timestamp field.
@@ -236,7 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     # grid parent comes after --max-radius exists.
     grid = argparse.ArgumentParser(add_help=False, parents=[radius_cap])
     grid.add_argument("--radii", type=int, default=24,
-                      help="number of geometrically spaced sample radii; 1 samples --max-radius")
+                      help="number of geometrically spaced sample radii; 1 samples --max-radius, "
+                      "the one circle u and deriv-normalized read")
     grid.add_argument("--angles", type=int, default=256, help="angles per sampled circle")
     grid.add_argument("--min-radius", type=float, default=0.05, help="innermost sample radius")
 

@@ -20,11 +20,13 @@ every convexity sample is a hit.
 
 verify_membership samples a polar grid of the unit disk, maps every sample
 through the functional, and reports the minimum signed margin against the
-pair's target region together with the witness point attaining it.  Points
-where a quotient's denominator D falls below DEGENERACY_TOL, or where the
-proof-side denominator (1+B) w - (1+A) does, are recorded as degeneracy
-hits and excluded from the margin; any hit makes the verdict
-"counterexample" because a nondegeneracy hypothesis failed.
+pair's target region together with the witness point attaining it.  u and
+deriv-normalized are entire: their margin, superharmonic (disk target) or
+harmonic (half-plane), is least over |z| <= r on |z| = r, so they sample the
+grid's outer circle alone.  Points where a quotient's denominator D falls
+below DEGENERACY_TOL, or where the proof-side denominator (1+B) w - (1+A)
+does, are recorded as degeneracy hits and excluded from the margin; any hit
+makes the verdict "counterexample" because a nondegeneracy hypothesis failed.
 
 Real-axis rule: convexity and starlike-zu are w = 1 + z D'/D.  For k > 0
 the zeros z_j of D are real, of the sign of c, and none lies in |z| <= r
@@ -54,7 +56,7 @@ circle a row), gives each cell's least margin, first sample attaining it
 and exclusion flag, testing the proof-side pole only where a hit can be
 (near the disk's edge point m(1); 1 + A < DEGENERACY_TOL on a half-plane).
 One pass builds the reports from its columns; a cell with an excluded
-sample then has its hits mirrored onto the full grid, or, on the real
+sample then has its hits mirrored onto its sampled rings, or, on the real
 axis, is re-run on the grid from its rows.  verify_membership is the step
 on one cell's rows (bessel._series_rows).  region_scan sweeps a (kappa, c)
 rectangle and pairs, for each cell, the checker verdict, any matching
@@ -90,8 +92,8 @@ angle count has one cached power table of its upper-half unit points
 (_sampled_units).
 
 Determinism: grids are fixed by their parameters, so identical inputs give
-bit-identical results.  Exact ties go to the first grid point in
-radius-major order, which is never a point below the real axis.
+bit-identical results.  Exact ties go to the first sample in radius-major
+order, which is never a point below the real axis.
 """
 
 from __future__ import annotations
@@ -234,7 +236,8 @@ class VerificationReport:
     only if no sample has a margin below +inf, as where every sample was
     degenerate): a grid point, or r or -r under the real-axis rule.
     method is "real-axis" when min_margin is the exact least margin of the
-    closed disk, taken at r or -r, and "sampled" when it is the grid's.
+    closed disk, taken at r or -r, and "sampled" when it is the grid's (the
+    outer circle's for u and deriv-normalized, a tie going to its first point).
     """
 
     selector: str
@@ -347,18 +350,20 @@ def _cell_reports(
 ) -> list[VerificationReport]:
     """Each cell's report on the grid from its stacked kernel rows, as _functional_values takes them.
 
-    With axis, the real-axis report from the margins of w(r) and w(-r) at
-    the grid's outer radius r (_sampled_units(2), angles 0 and pi), witness
-    r or -r (r on a tie); a cell where either is excluded is re-run alone,
-    from its own rows, without axis.  Without: the sampled report from the
-    closed upper half of the grid (_sampled_units), hits mirrored onto the
-    full grid, witness the first least-margin sample.  Either way the verdict is
-    "holds-on-grid" exactly when nothing is excluded and the least margin
-    is > 0, which NaN is not; a cell with no usable sample reports
-    min_margin NaN and no witness.  _least_margins reduces all the cells at
-    once; only a cell with an excluded sample runs Python of its own.
+    With axis, the real-axis report from the margins of w(r) and w(-r) at the
+    grid's outer radius r (_sampled_units(2), angles 0 and pi), witness r or
+    -r (r on a tie); a cell where either is excluded is re-run alone, from its
+    own rows, without axis.  Without: the sampled report from the closed upper
+    half of the grid (_sampled_units; its outer circle's alone for an entire
+    functional), hits mirrored onto the full circles, witness the first
+    least-margin sample.  Either way the verdict is "holds-on-grid" exactly
+    when nothing is excluded and the least margin is > 0, which NaN is not; a
+    cell with no usable sample reports min_margin NaN and no witness.
+    _least_margins reduces all the cells at once; only a cell with an excluded
+    sample runs Python of its own.
     """
-    radii, table = (grid.radii[-1:], _sampled_units(2)) if axis else (grid.radii, _sampled_units(grid.angles))
+    radii = grid.radii[-1:] if axis or not _KERNEL_ROWS[selector][2] else grid.radii
+    table = _sampled_units(2 if axis else grid.angles)
     w, mask = _functional_values(selector, rows, cells, radii, table)
     least, first, excluded, proof = _least_margins(pair, target_region(pair), w, mask)
     half = len(table.points)
@@ -373,7 +378,7 @@ def _cell_reports(
     ]
     hit_cells = [c for c, x in enumerate(excluded) if x]
     k = len(rows) // len(cells)
-    full = grid.points() if hit_cells and not axis else None
+    full = grid.points()[-len(radii) * grid.angles :] if hit_cells and not axis else None
     for c in hit_cells:
         if axis:
             reports[c] = _cell_reports(selector, pair, grid, cells[c : c + 1], rows[c * k : (c + 1) * k], False)[0]
@@ -401,14 +406,14 @@ def verify_membership(
     a tie), no hits.  These are the outer ring's values at angles 0 and pi,
     to the bit; an odd grid has no -r, so sampling it could miss this margin.
 
-    Otherwise (method "sampled") min_margin is the grid's minimum margin and
-    the witness the first grid point attaining it, in radius-major order,
-    which is never below the real axis.
+    Otherwise (method "sampled") min_margin is the least margin of the grid,
+    of its outer circle for u and deriv-normalized, and the witness the first
+    point attaining it, in radius-major order, never below the real axis.
 
     The margin at conj z is bit-equal to the margin at z, so only the closed
-    upper half of the grid (angles 0..angles//2) is evaluated, in one series
-    call.  The report is bit-equal to evaluating every grid point through the
-    same kernel (bessel._contract).  It is one _cell_reports call, which also
+    upper half of each ring sampled (angles 0..angles//2) is evaluated, in one
+    series call: the report is the whole rings' through the same kernel
+    (bessel._contract), to the bit.  It is one _cell_reports call, which also
     re-runs a real-axis cell on the grid where w(r) or w(-r) is excluded.
     """
     if grid is None:
@@ -496,9 +501,9 @@ def _params_for_kappa(kappa: float, c: float) -> BesselParams:
 
 
 # region_scan contracts at most this many sample points (cells times points
-# per cell) in one kernel call: 24 cells of a 10 x 64 grid, 2 of the default
-# grid.  On the criterion-7 rectangles budgets of 2**12 to 2**15 points take
-# the same time, but 2**15 adds 1.3 MB of peak memory and 2**13 none.
+# per cell) in one kernel call: 248 u cells of a 10 x 64 grid (33 points of
+# its outer circle), 63 of the default grid.  On the criterion-7 rectangles
+# 2**12 to 2**15 take the same time; 2**15 adds about 1 MB of peak RSS.
 SCAN_CHUNK_POINTS = 1 << 13
 
 
@@ -524,7 +529,7 @@ def _verify_cells(
     """
     order, shift, quotient = _KERNEL_ROWS[selector]
     axis = bool(quotient)
-    points = len(_sampled_units(2).points) if axis else len(grid.radii) * len(_sampled_units(grid.angles).points)
+    points = len(_sampled_units(2 if axis else grid.angles).points)
     size = max(1, SCAN_CHUNK_POINTS // points)
     a, terms = _coefficient_matrix(
         [params.kappa + shift for params in cells], [params.c for params in cells], order, cfg.rel_tol, cfg.max_terms

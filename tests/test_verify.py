@@ -164,11 +164,18 @@ def _reference_real_axis(selector, pair, params, r):
     return float(margins[i]), complex((r, -r)[i])
 
 
-def _reference_verify_membership(selector, pair, params, grid, rule=True):
+# The two entire functionals: verify samples their grid's outer circle alone.
+ENTIRE = ("u", "deriv-normalized")
+
+
+def _reference_verify_membership(selector, pair, params, grid, rule=True, radii=None):
     # With the rule, a quotient cell whose denominator is certified zero-free
     # on the disk and whose points r and -r are non-degenerate is decided at
-    # those two points.  Otherwise, one pass over every grid point, first
-    # minimum.
+    # those two points.  Otherwise, one pass over every point of the given
+    # outermost radii of the grid, first minimum: by default the outer circle
+    # alone for an entire functional, and every radius for a quotient.
+    if radii is None:
+        radii = grid.radii[-1:] if selector in ENTIRE else grid.radii
     r = grid.radii[-1]
     axis = None
     if rule and r < _zero_free(selector, params):
@@ -179,14 +186,14 @@ def _reference_verify_membership(selector, pair, params, grid, rule=True):
         return verify.VerificationReport(
             selector, pair, params, verdict, margin, witness, grid, [], "real-axis"
         )
-    margins, hits = _reference_margins(selector, pair, params, grid.radii, verify._ring(grid.angles))
+    margins, hits = _reference_margins(selector, pair, params, radii, verify._ring(grid.angles))
     report = verify.VerificationReport(
         selector, pair, params, "counterexample", math.nan, None, grid, hits
     )
     if not np.isfinite(margins).any():
         return report
     idx = int(np.argmin(margins))
-    report.min_margin, report.witness = float(margins[idx]), complex(grid.points()[idx])
+    report.min_margin, report.witness = float(margins[idx]), complex(grid.points()[-len(margins) :][idx])
     if not hits and report.min_margin > 0.0:
         report.verdict = "holds-on-grid"
     return report
@@ -352,7 +359,7 @@ def test_verify_membership_equals_full_grid_reference():
     for g, grid in enumerate(MIRROR_GRIDS):
         draws = cases + _mirror_draws(500 + g, 40 if grid.angles < 256 else 12)
         pinned.extend((grid,) + draw for draw in draws)
-    real_axis = 0
+    real_axis = ties = 0
     for grid, selector, pair, params in pinned:
         report = verify_membership(selector, pair, params, grid)
         ref = _reference_verify_membership(selector, pair, params, grid)
@@ -363,7 +370,16 @@ def test_verify_membership_equals_full_grid_reference():
         if report.method == "real-axis":
             real_axis += 1
             _assert_rule_keeps_the_sampled_report(report, selector, pair, params, grid, where)
-    assert real_axis >= 30
+        if selector in ENTIRE:
+            # The outer circle decides as the whole grid does, to the bit; an
+            # exact tie goes to the circle's first point attaining it.
+            full = _reference_verify_membership(selector, pair, params, grid, radii=grid.radii)
+            assert report.verdict == full.verdict and repr(report.min_margin) == repr(full.min_margin), where
+            assert report.degeneracy_hits == full.degeneracy_hits == [], where
+            circle = grid.points()[-grid.angles :].tolist()
+            assert report.witness in circle, where
+            ties += full.witness not in circle
+    assert real_axis >= 30 and ties >= 5
 
 
 def _assert_rule_keeps_the_sampled_report(report, selector, pair, params, grid, where):
@@ -380,8 +396,10 @@ def _assert_rule_keeps_the_sampled_report(report, selector, pair, params, grid, 
 def test_verify_membership_mirrors_partial_degeneracies(monkeypatch):
     # A wide tolerance excludes some samples and keeps others, so the hits
     # rebuilt from the upper half must match the full grid's, in order.
+    # An entire functional's hits are those of its grid's outer circle: the
+    # full grid's hits on that circle, in the same order.
     monkeypatch.setattr(verify, "DEGENERACY_TOL", 0.6)
-    partial = real_axis = 0
+    partial = real_axis = entire = 0
     for g, grid in enumerate(MIRROR_GRIDS[1:]):
         for selector, pair, params in _mirror_draws(700 + g, 24):
             report = verify_membership(selector, pair, params, grid)
@@ -389,16 +407,76 @@ def test_verify_membership_mirrors_partial_degeneracies(monkeypatch):
             where = (grid.angles, selector, pair, params)
             _assert_same_report(report, ref, where)
             hits = len(ref.degeneracy_hits)
-            partial += 0 < hits < len(grid.radii) * grid.angles
+            rings = 1 if selector in ENTIRE else len(grid.radii)
+            partial += 0 < hits < rings * grid.angles
             if report.method == "real-axis":
                 real_axis += 1
                 _assert_rule_keeps_the_sampled_report(report, selector, pair, params, grid, where)
-    assert partial >= 10 and real_axis >= 3
+            if selector in ENTIRE:
+                full = _reference_verify_membership(selector, pair, params, grid, radii=grid.radii)
+                circle = grid.points()[-grid.angles :].tolist()
+                outer = [hit for hit in full.degeneracy_hits if hit[0] in circle]
+                assert report.degeneracy_hits == outer, where
+                entire += 0 < hits < grid.angles
+    assert partial >= 10 and real_axis >= 3 and entire >= 5
+
+
+def test_entire_functionals_take_their_least_sampled_margin_on_the_outer_circle():
+    # u and (-4 kappa / c) u' are entire, so a margin against a disk target is
+    # superharmonic and against a half-plane harmonic: its least value on
+    # |z| <= r lies on |z| = r.  On seeded cells, both grids, no inner-ring
+    # sample of the full grid's reduction (its closed upper half: every other
+    # margin is a twin's, to the bit) lies below the report's min_margin,
+    # the full grid's least margin is min_margin to the bit, and its verdict
+    # is the report's.
+    rng = np.random.default_rng(3303)
+    for grid in (SampleGrid.default(), CRITERION_7_GRID):
+        table = verify._sampled_units(grid.angles)
+        for k in range(1000):
+            selector = ENTIRE[k % 2]
+            pair, kappa, c = _draw_cell(rng)
+            params = verify._params_for_kappa(kappa, c)
+            report = verify_membership(selector, pair, params, grid)
+            w, mask = _one_cell_values(selector, params, grid.radii, table)
+            rings = (len(grid.radii), -1)
+            least, _, excluded, _ = verify._least_margins(pair, target_region(pair), w.reshape(rings), mask.reshape(rings))
+            where = (grid.angles, selector, pair, kappa, c)
+            assert min(least[:-1]) >= report.min_margin, where
+            assert repr(min(least)) == repr(report.min_margin), where
+            verdict = "holds-on-grid" if min(least) > 0.0 and not any(excluded) else "counterexample"
+            assert report.verdict == verdict, where
+
+
+# Two deriv-normalized cells (A, B, kappa, c) that hold on the 0.999 grid but
+# not on the open disk: on |z| = 1, at 256 points and at 30 digits, the least
+# margin is negative, at z = 1 and at z = -1 respectively.  A verdict on the
+# unit circle itself (ROADMAP item 2, step 4) makes both counterexamples.
+GRID_MISSES = [
+    ((0.4797066878720951, 0.47120510298350626, 7.034366389300467, -0.1853937362875584), 8.59e-7, -4.94e-6, 1.0),
+    ((-0.4921737999504618, -0.5827765132681078, 6.3720143229218325, -1.7321714587441797), 5.33e-5, -2.51e-6, -1.0),
+]
+
+
+@pytest.mark.parametrize("cell, grid_margin, circle_margin, at", GRID_MISSES)
+def test_the_grid_holds_two_cells_that_fail_on_the_unit_circle(cell, grid_margin, circle_margin, at):
+    A, B, kappa, c = cell
+    pair = JanowskiPair(A, B)
+    report = verify_membership("deriv-normalized", pair, verify._params_for_kappa(kappa, c))
+    assert report.verdict == "holds-on-grid" and report.degeneracy_hits == []
+    assert report.min_margin == pytest.approx(grid_margin, rel=1e-2)
+    # The functional is the series at kappa + 1 (the order-shift identity).
+    zs = verify._ring(256)
+    with mpmath.workdps(30):
+        w = np.array([complex(mpmath.hyp0f1(kappa + 1.0, -c * z / 4.0)) for z in zs])
+    margins = region_margin_many(target_region(pair), w)
+    i = int(np.argmin(margins))
+    assert margins[i] == pytest.approx(circle_margin, rel=1e-2) and zs[i] == at
 
 
 def test_one_series_call_per_sampled_cell(monkeypatch):
     # Kernel-plus-functional calls as (rings, points per ring): a sampled cell
-    # is one call over its grid's closed upper half, whatever its witness.
+    # is one call over its grid's closed upper half, whatever its witness, and
+    # an entire functional's over its grid's outer circle alone.
     calls = []
     kernel = verify._functional_values
 
@@ -410,11 +488,11 @@ def test_one_series_call_per_sampled_cell(monkeypatch):
     monkeypatch.setattr(verify, "_functional_values", counted)
     report = verify_membership("u", HALF_PAIR, BesselParams(0.0, 2.0, -1.0))
     assert report.witness.imag == 0.0
-    assert calls == [(24, 129)]
+    assert calls == [(1, 129)]
     calls.clear()
     report = verify_membership("u", JanowskiPair(0.1, -1.0), BesselParams(-0.5, 2.0, 6.0))
     assert report.witness.imag != 0.0
-    assert calls == [(24, 129)]
+    assert calls == [(1, 129)]
     # A quotient cell certified zero-free: the two points r and -r only.
     for selector in ("convexity", "starlike-zu"):
         calls.clear()
@@ -432,7 +510,8 @@ def test_one_series_call_per_sampled_cell(monkeypatch):
             if report.method != "sampled":
                 continue
             where = (grid.angles, selector, pair, params)
-            assert calls[-1] == (len(grid.radii), grid.angles // 2 + 1), where
+            rings = 1 if selector in ENTIRE else len(grid.radii)
+            assert calls[-1] == (rings, grid.angles // 2 + 1), where
             assert calls[:-1] in ([], [(1, 2)]), where
             if report.witness is not None:
                 _assert_witness_on_grid(report, where)
@@ -448,6 +527,7 @@ def test_one_series_call_per_sampled_cell(monkeypatch):
 def test_a_nan_least_margin_is_a_counterexample(monkeypatch, selector, params):
     # A NaN sample is no evidence of membership: argmin stops at it, and the
     # report keeps it as the least margin at its own point, a counterexample.
+    # Sample 1 is the second point of u's outer circle, and -r on the axis.
     kernel = verify._functional_values
 
     def values(selector, rows, cells, radii, table):
@@ -460,7 +540,7 @@ def test_a_nan_least_margin_is_a_counterexample(monkeypatch, selector, params):
     report = verify_membership(selector, HALF_PAIR, params, SMALL_GRID)
     assert report.method == ("sampled" if selector == "u" else "real-axis")
     assert math.isnan(report.min_margin) and report.verdict == "counterexample"
-    assert report.witness == (SMALL_GRID.points()[1] if selector == "u" else -0.999)
+    assert report.witness == (SMALL_GRID.points()[-16 + 1] if selector == "u" else -0.999)
 
 
 def test_a_zero_least_margin_is_a_counterexample(monkeypatch):
@@ -1769,8 +1849,8 @@ def test_region_scan_is_the_cell_by_cell_loop_bit_for_bit(
     monkeypatch, grid, selector, pair, kappa_range, c_range
 ):
     expected = _scan_cell_by_cell(selector, pair, kappa_range, c_range, grid)
-    points = len(grid.radii) * (grid.angles // 2 + 1)
-    monkeypatch.setattr(verify, "SCAN_CHUNK_POINTS", 4 * (points if selector in ("u", "deriv-normalized") else 2))
+    # 4 cells a chunk: an entire functional's outer circle, or w(r) and w(-r).
+    monkeypatch.setattr(verify, "SCAN_CHUNK_POINTS", 4 * (grid.angles // 2 + 1 if selector in ENTIRE else 2))
     _assert_rows_bit_equal(region_scan(selector, pair, kappa_range, c_range, grid), expected)
 
 
@@ -1792,9 +1872,10 @@ def test_region_scan_is_the_cell_by_cell_loop_on_degenerate_chunks(monkeypatch, 
     # sample of every cell (10.0), and w(r) or w(-r) of real-axis cells,
     # which then fall back to the grid.
     monkeypatch.setattr(verify, "DEGENERACY_TOL", tol)
-    monkeypatch.setattr(verify, "SCAN_CHUNK_POINTS", 3 * 6 * 9)
     hit_cells = fallbacks = unmarked = 0
     for selector, pair, kappa_range, c_range in CHUNKED_SCANS:
+        # 3 sampled cells a chunk: 9 points of an outer circle, or 6 * 9 of a grid.
+        monkeypatch.setattr(verify, "SCAN_CHUNK_POINTS", 3 * 9 * (1 if selector in ENTIRE else 6))
         expected = _scan_cell_by_cell(selector, pair, kappa_range, c_range, SMALL_GRID)
         _assert_rows_bit_equal(region_scan(selector, pair, kappa_range, c_range, SMALL_GRID), expected)
         hit_cells += sum(bool(row.report.degeneracy_hits) for row in expected)
@@ -1812,9 +1893,11 @@ def test_region_scan_is_the_cell_by_cell_loop_on_degenerate_chunks(monkeypatch, 
 def test_a_pole_sample_in_a_chunk_is_the_one_cells_hit(monkeypatch, selector, pair, kappa_range, c_range):
     # One cell's sample 3 reads m(1) = (1+A)/(1+B), the proof-side pole, on
     # every kernel call for that cell.  Its report carries the hits of
-    # verify_membership (sample 3 of the inner ring and its mirror twin; a
-    # real-axis cell is re-run on the grid first), and the rest of its chunk,
-    # whose margins lie far from the edge, stays bit-equal to the cell-by-cell loop.
+    # verify_membership (sample 3 of the first ring sampled and its mirror
+    # twin: an entire functional's outer circle, a quotient's inner ring, a
+    # real-axis cell being re-run on the grid first), and the rest of its
+    # chunk, whose margins lie far from the edge, stays bit-equal to the
+    # cell-by-cell loop.
     kernel = verify._functional_values
     kappa, c = float(np.linspace(*kappa_range)[2]), float(np.linspace(*c_range)[1])
     pole = (1.0 + pair.A) / (1.0 + pair.B)
@@ -1828,14 +1911,14 @@ def test_a_pole_sample_in_a_chunk_is_the_one_cells_hit(monkeypatch, selector, pa
         return w, mask
 
     monkeypatch.setattr(verify, "_functional_values", values)
-    monkeypatch.setattr(verify, "SCAN_CHUNK_POINTS", 8 * len(SMALL_GRID.radii) * 9)
+    monkeypatch.setattr(verify, "SCAN_CHUNK_POINTS", 8 * 9)
     expected = _scan_cell_by_cell(selector, pair, kappa_range, c_range, SMALL_GRID)
     rows = region_scan(selector, pair, kappa_range, c_range, SMALL_GRID)
     _assert_rows_bit_equal(rows, expected)
-    inner = SMALL_GRID.points()[:16]
+    ring = SMALL_GRID.points().reshape(6, 16)[-1 if selector in ENTIRE else 0]
     hit = [row for row in rows if row.report.degeneracy_hits]
     assert [(row.kappa, row.c) for row in hit] == [(kappa, c)]
-    assert hit[0].report.degeneracy_hits == [(complex(inner[3]), "proof-map-pole"), (complex(inner[13]), "proof-map-pole")]
+    assert hit[0].report.degeneracy_hits == [(complex(ring[3]), "proof-map-pole"), (complex(ring[13]), "proof-map-pole")]
     assert hit[0].report.verdict == "counterexample" and hit[0].report.method == "sampled"
 
 
@@ -1950,11 +2033,16 @@ def test_region_scan_contracts_a_chunk_of_cells_per_kernel_call(monkeypatch):
     # the one-cell cache property_radius relies on is neither filled nor evicted.
     series_rows_calls = bessel._series_rows.cache_info()[:2]
     rows = region_scan(*args)
-    # SMALL_GRID samples 6 * 9 points per cell: 8192 // 54 = 151 cells a call.
+    # u samples 9 points of SMALL_GRID's outer circle per cell: 8192 // 9 = 910
+    # cells a call, so the 200 cells take one.
     assert verify.SCAN_CHUNK_POINTS == 8192
-    assert len(rows) == 200 and cells_per_call == [151, 49] and one_cell_calls == []
+    assert len(rows) == 200 and cells_per_call == [200] and one_cell_calls == []
     assert bessel._series_rows.cache_info()[:2] == series_rows_calls
     _assert_rows_bit_equal(rows, expected)
+    # On the 10 x 64 grid, 33 points per cell: 8192 // 33 = 248 cells a call.
+    cells_per_call.clear()
+    rows = region_scan(*CRITERION_7_SCANS[0], CRITERION_7_GRID)
+    assert len(rows) == 525 and cells_per_call == [248, 248, 29] and one_cell_calls == []
 
 
 def _raised(call):

@@ -16,7 +16,9 @@ seed and workload:
     that moved by more than 1e-12 relative is listed;
   * witnesses that moved, each marked "mirror" (to within 1e-15 of the
     conj of the old witness), "real-axis" (within 1e-15 of the old witness,
-    with one of the two exactly real) or "other";
+    with one of the two exactly real), "tie" (any other move whose
+    `min_margin` is bit-equal: another sample attains the same least
+    margin) or "other";
   * property radii that changed, with the largest |change| (to read
     against the search's `tol`), and admissibility maxima that changed
     (maxima that became unbounded, +inf or null, and maxima whose sign
@@ -29,13 +31,13 @@ seed and workload:
     truncation estimates, checker and scan-cell branches, slack labels and
     notes).
 
-Every change is listed after the counts, except mirror and real-axis
-witness moves, last-bit or mirror probe moves and scalar results that moved
-by at most 1e-12 relative, which are only counted.  Pointwise ops are keyed
-by their arguments and keyword arguments (a checker's `mode`, an `eval_u`
-`order`).  The exit status is 0 when every item of every seed and workload
-is bit-identical, 1 when any item differs (last-bit moves included) and 2
-on a usage error.  The script only reads the two checkouts; it changes
+Every change is listed after the counts, tie moves included, except
+mirror and real-axis witness moves, last-bit or mirror probe moves and
+scalar results that moved by at most 1e-12 relative, which are only
+counted.  Pointwise ops are keyed by their arguments and keyword arguments
+(a checker's `mode`, an `eval_u` `order`).  The exit status is 0 when every
+item of every seed and workload is bit-identical, 1 when any item differs
+(last-bit and tie moves included) and 2 on a usage error.  The script only reads the two checkouts; it changes
 nothing in them.
 """
 
@@ -244,7 +246,7 @@ def compare(parent, change):
     if [r["key"] for r in parent] != [r["key"] for r in change]:
         return ["  the two checkouts ran different items; nothing compared"], True
     n = dict.fromkeys(("verdicts", "margins", "margins equal", "values", "values equal",
-                       "witnesses", "mirror", "real-axis", "radii", "radii changed", "maxima",
+                       "witnesses", "mirror", "real-axis", "tie", "radii", "radii changed", "maxima",
                        "maxima changed", "maxima unbounded", "maxima sign flipped", "probes moved",
                        "probe last-bit", "probe mirror", "other fields"), 0)
     margin_delta = value_delta = max_delta = radius_delta = 0.0
@@ -276,10 +278,12 @@ def compare(parent, change):
         if _point_bits(p.get("witness")) != _point_bits(c.get("witness")):
             n["witnesses"] += 1
             kind = _move(p.get("witness"), c.get("witness"))
-            if kind == "other":
-                details.append(f"  witness {key}: {p.get('witness')} -> {c.get('witness')} "
+            if kind == "other" and "min_margin" in p and _bits(p["min_margin"]) == _bits(c.get("min_margin")):
+                kind = "tie"
+            if kind in ("other", "tie"):
+                details.append(f"  witness {key} ({kind}): {p.get('witness')} -> {c.get('witness')} "
                                f"(min_margin {p.get('min_margin')!r} -> {c.get('min_margin')!r})")
-            else:
+            if kind != "other":
                 n[kind] += 1
         if "radius" in p:
             n["radii"] += 1
@@ -323,7 +327,7 @@ def compare(parent, change):
         f"  scalar results bit-equal {n['values equal']}/{n['values']}, "
         f"largest |change| {value_delta:.3g}",
         f"  witnesses moved {n['witnesses']} (mirror {n['mirror']}, real-axis {n['real-axis']}, "
-        f"other {n['witnesses'] - n['mirror'] - n['real-axis']})",
+        f"tie {n['tie']}, other {n['witnesses'] - n['mirror'] - n['real-axis'] - n['tie']})",
         f"  radii changed {n['radii changed']}/{n['radii']}, largest |change| {radius_delta:.3g}",
         f"  admissibility maxima changed {n['maxima changed']}/{n['maxima']} (became +inf or "
         f"null {n['maxima unbounded']}, sign flipped {n['maxima sign flipped']}), largest "
