@@ -63,7 +63,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .bessel import BesselParams, EvalConfig, DEFAULT_CONFIG, eval_u
-from .geometry import DegenerateDenominator, JanowskiPair
+from .geometry import DENOMINATOR_TOL, DegenerateDenominator, JanowskiPair
 
 # The two condition regimes meet here; the boundary itself is served by the
 # low-B branch (the high-B set covers it as well).
@@ -642,7 +642,7 @@ def eval_psi(
     kappa, c = _finite_kappa_c(kappa, c)
     A, B = pair.A, pair.B
     r = 1j * probe.rho
-    if which == PSI_SUBORDINATION and abs((1.0 - B) + (1.0 + B) * r) < 1e-14:
+    if which == PSI_SUBORDINATION and abs((1.0 - B) + (1.0 + B) * r) < DENOMINATOR_TOL:
         raise DegenerateDenominator(
             f"subordination form has a pole at rho = {probe.rho} for B = {B}"
         )

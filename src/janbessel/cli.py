@@ -24,8 +24,8 @@ kappa or c, admissibility inputs on which Re Psi is not finite and an
 series non-convergence).
 
 The sampling grid of `verify` and `scan` has --radii circles spaced
-geometrically from --min-radius to --max-radius; `--radii 1` samples the
---max-radius circle alone, which is all that u and deriv-normalized read.
+geometrically from --min-radius to --max-radius; only convexity and
+starlike-zu cells without a certified zero-free disk read the inner ones.
 
 The payload for fixed flags is deterministic: reruns differ only in the
 timestamp field.
@@ -235,11 +235,11 @@ def build_parser() -> argparse.ArgumentParser:
     # A parent's flags are copied when a parser is built from it, so the
     # grid parent comes after --max-radius exists.
     grid = argparse.ArgumentParser(add_help=False, parents=[radius_cap])
+    inner = "only convexity and starlike-zu cells without a certified zero-free disk read the inner circles"
     grid.add_argument("--radii", type=int, default=24,
-                      help="number of geometrically spaced sample radii; 1 samples --max-radius, "
-                      "the one circle u and deriv-normalized read")
+                      help=f"number of geometrically spaced sample radii, 1 for --max-radius alone; {inner}")
     grid.add_argument("--angles", type=int, default=256, help="angles per sampled circle")
-    grid.add_argument("--min-radius", type=float, default=0.05, help="innermost sample radius")
+    grid.add_argument("--min-radius", type=float, default=0.05, help=f"innermost sample radius; {inner}")
 
     parser = argparse.ArgumentParser(
         prog="janbessel",

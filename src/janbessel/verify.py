@@ -56,9 +56,9 @@ circle a row), gives each cell's least margin, first sample attaining it
 and exclusion flag, testing the proof-side pole only where a hit can be
 (near the disk's edge point m(1); 1 + A < DEGENERACY_TOL on a half-plane).
 One pass builds the reports from its columns; a cell with an excluded
-sample then has its hits mirrored onto its sampled rings, or, on the real
-axis, is re-run on the grid from its rows.  verify_membership is the step
-on one cell's rows (bessel._series_rows).  region_scan sweeps a (kappa, c)
+sample then has its hits mirrored onto its sampled rings, the real-axis
+route's two points r and -r included.  verify_membership is the step on
+one cell's rows (bessel._series_rows).  region_scan sweeps a (kappa, c)
 rectangle and pairs, for each cell, the checker verdict, any matching
 corollary verdict and the sampled verdict.  One checks._check_columns pass
 evaluates the theorem over the whole rectangle as numpy columns, bit for
@@ -238,6 +238,9 @@ class VerificationReport:
     method is "real-axis" when min_margin is the exact least margin of the
     closed disk, taken at r or -r, and "sampled" when it is the grid's (the
     outer circle's for u and deriv-normalized, a tie going to its first point).
+    An excluded w(r) or w(-r) is a hit, and a counterexample, at that point.
+    grid: only convexity and starlike-zu cells without a certified zero-free
+    disk read its inner circles.
     """
 
     selector: str
@@ -350,20 +353,21 @@ def _cell_reports(
 ) -> list[VerificationReport]:
     """Each cell's report on the grid from its stacked kernel rows, as _functional_values takes them.
 
-    With axis, the real-axis report from the margins of w(r) and w(-r) at the
-    grid's outer radius r (_sampled_units(2), angles 0 and pi), witness r or
-    -r (r on a tie); a cell where either is excluded is re-run alone, from its
-    own rows, without axis.  Without: the sampled report from the closed upper
-    half of the grid (_sampled_units; its outer circle's alone for an entire
-    functional), hits mirrored onto the full circles, witness the first
-    least-margin sample.  Either way the verdict is "holds-on-grid" exactly
-    when nothing is excluded and the least margin is > 0, which NaN is not; a
-    cell with no usable sample reports min_margin NaN and no witness.
-    _least_margins reduces all the cells at once; only a cell with an excluded
-    sample runs Python of its own.
+    With axis, the real-axis report: the grid's outer radius r at angles 0
+    and pi (_sampled_units(2)), w(r) and w(-r), witness r or -r (r on a
+    tie).  Without: the sampled report from the closed upper half of the
+    grid (_sampled_units; its outer circle's alone for an entire functional),
+    witness the first least-margin sample.  Either way excluded samples are
+    hits, mirrored onto the full circles (_ring(2) = [1, -1] has no lower
+    twins), and the verdict is "holds-on-grid" exactly when nothing is
+    excluded and the least margin is > 0, which NaN is not; a cell with no
+    usable sample reports min_margin NaN and no witness.  _least_margins
+    reduces all the cells at once; only a cell with an excluded sample runs
+    Python of its own.
     """
+    n = 2 if axis else grid.angles
     radii = grid.radii[-1:] if axis or not _KERNEL_ROWS[selector][2] else grid.radii
-    table = _sampled_units(2 if axis else grid.angles)
+    table = _sampled_units(n)
     w, mask = _functional_values(selector, rows, cells, radii, table)
     least, first, excluded, proof = _least_margins(pair, target_region(pair), w, mask)
     half = len(table.points)
@@ -377,16 +381,12 @@ def _cell_reports(
         for params, m, x, z in zip(cells, least, excluded, witnesses)
     ]
     hit_cells = [c for c, x in enumerate(excluded) if x]
-    k = len(rows) // len(cells)
-    full = grid.points()[-len(radii) * grid.angles :] if hit_cells and not axis else None
+    full = (np.asarray(radii)[:, None] * _ring(n)).ravel() if hit_cells else None
     for c in hit_cells:
-        if axis:
-            reports[c] = _cell_reports(selector, pair, grid, cells[c : c + 1], rows[c * k : (c + 1) * k], False)[0]
-            continue
-        # Mirror the flags onto the full grid, radius-major.
+        # Mirror the flags onto the full circles, radius-major.
         for flags, label in ((mask[c], _KERNEL_ROWS[selector][2]), (proof[c], "proof-map-pole")):
             upper = flags.reshape(len(radii), half)
-            whole = np.concatenate([upper, _lower_twins(upper, grid.angles)], axis=1).ravel()
+            whole = np.concatenate([upper, _lower_twins(upper, n)], axis=1).ravel()
             reports[c].degeneracy_hits.extend((complex(z), label) for z in full[whole])
     return reports
 
@@ -401,10 +401,12 @@ def verify_membership(
     """Test the functional's region membership on the disk |z| <= grid.radii[-1].
 
     Convexity and starlike-zu cells with r = radii[-1] below _certified_radius
-    and w(r), w(-r) not excluded take the module's real-axis rule (method
-    "real-axis"): the exact least margin on |z| <= r, witness r or -r (r on
-    a tie), no hits.  These are the outer ring's values at angles 0 and pi,
-    to the bit; an odd grid has no -r, so sampling it could miss this margin.
+    take the module's real-axis rule (method "real-axis"): the exact least
+    margin on |z| <= r, witness r or -r (r on a tie).  These are the outer
+    ring's values at angles 0 and pi, to the bit; an odd grid has no -r, so
+    sampling it could miss this margin.  An excluded w(r) or w(-r) is a hit
+    at that point and makes the cell a counterexample; min_margin and the
+    witness are then the other point's (NaN and None if both are excluded).
 
     Otherwise (method "sampled") min_margin is the least margin of the grid,
     of its outer circle for u and deriv-normalized, and the witness the first
@@ -413,8 +415,7 @@ def verify_membership(
     The margin at conj z is bit-equal to the margin at z, so only the closed
     upper half of each ring sampled (angles 0..angles//2) is evaluated, in one
     series call: the report is the whole rings' through the same kernel
-    (bessel._contract), to the bit.  It is one _cell_reports call, which also
-    re-runs a real-axis cell on the grid where w(r) or w(-r) is excluded.
+    (bessel._contract), to the bit.  It is one _cell_reports call.
     """
     if grid is None:
         grid = _DEFAULT_GRID
@@ -514,14 +515,12 @@ def _verify_cells(
 
     u and deriv-normalized cells are sampled, and convexity and starlike-zu
     cells whose disk lies below _certified_radius take the real-axis rule on
-    w(r) and w(-r), a chunk of cells per kernel call.  One
+    w(r) and w(-r), a chunk of cells per kernel call; the other convexity
+    and starlike-zu cells call verify_membership.  One
     bessel._coefficient_matrix pass builds every cell's coefficients; a
     chunk's kernel rows are one gather from it (bessel._kernel_layout),
     zero-padded to the chunk's longest cell, and _cell_reports turns them
     into the chunk's reports.
-    A convexity or starlike-zu cell not certified on its disk calls
-    verify_membership; _cell_reports itself re-runs a real-axis cell whose
-    w(r) or w(-r) is excluded on the grid, from its gathered rows.
     The pass covers every cell in order, fallbacks too, so it raises the
     NoConvergence of the first cell whose series fails: the first exception
     verify_membership raises cell by cell (for deriv-normalized cells given

@@ -156,12 +156,9 @@ def _zero_free(selector, params):
 
 
 def _reference_real_axis(selector, pair, params, r):
-    """(least margin, witness) over r and -r, r first; None if either is degenerate."""
+    """Margins at r and -r, r first (an excluded one +inf), the two points and the hits among them."""
     margins, hits = _reference_margins(selector, pair, params, (r,), np.array([1.0, -1.0]))
-    if hits:
-        return None
-    i = int(np.argmin(margins))
-    return float(margins[i]), complex((r, -r)[i])
+    return margins, np.array([r, -r], dtype=complex), hits
 
 
 # The two entire functionals: verify samples their grid's outer circle alone.
@@ -170,30 +167,27 @@ ENTIRE = ("u", "deriv-normalized")
 
 def _reference_verify_membership(selector, pair, params, grid, rule=True, radii=None):
     # With the rule, a quotient cell whose denominator is certified zero-free
-    # on the disk and whose points r and -r are non-degenerate is decided at
-    # those two points.  Otherwise, one pass over every point of the given
-    # outermost radii of the grid, first minimum: by default the outer circle
-    # alone for an entire functional, and every radius for a quotient.
+    # on the disk is decided at the two points r and -r: an excluded one is a
+    # hit there, and the other gives the margin.  Otherwise, one pass over
+    # every point of the given outermost radii of the grid, first minimum: by
+    # default the outer circle alone for an entire functional, and every
+    # radius for a quotient.
     if radii is None:
         radii = grid.radii[-1:] if selector in ENTIRE else grid.radii
     r = grid.radii[-1]
-    axis = None
     if rule and r < _zero_free(selector, params):
-        axis = _reference_real_axis(selector, pair, params, r)
-    if axis is not None:
-        margin, witness = axis
-        verdict = "holds-on-grid" if margin > 0.0 else "counterexample"
-        return verify.VerificationReport(
-            selector, pair, params, verdict, margin, witness, grid, [], "real-axis"
-        )
-    margins, hits = _reference_margins(selector, pair, params, radii, verify._ring(grid.angles))
+        margins, points, hits = _reference_real_axis(selector, pair, params, r)
+        method = "real-axis"
+    else:
+        margins, hits = _reference_margins(selector, pair, params, radii, verify._ring(grid.angles))
+        points, method = grid.points()[-len(margins) :], "sampled"
     report = verify.VerificationReport(
-        selector, pair, params, "counterexample", math.nan, None, grid, hits
+        selector, pair, params, "counterexample", math.nan, None, grid, hits, method
     )
     if not np.isfinite(margins).any():
         return report
     idx = int(np.argmin(margins))
-    report.min_margin, report.witness = float(margins[idx]), complex(grid.points()[-len(margins) :][idx])
+    report.min_margin, report.witness = float(margins[idx]), complex(points[idx])
     if not hits and report.min_margin > 0.0:
         report.verdict = "holds-on-grid"
     return report
@@ -383,11 +377,19 @@ def test_verify_membership_equals_full_grid_reference():
 
 
 def _assert_rule_keeps_the_sampled_report(report, selector, pair, params, grid, where):
-    # On an even grid the real-axis report is the sampled one, to the bit.
-    # An odd grid has no point at -r: there the rule's margin, exact for the
-    # disk, is at most the sampled one.
+    # On an even grid a real-axis report without hits is the sampled one, to
+    # the bit, and one with hits has the sampled report's hits at r and -r,
+    # in order.  An odd grid has no point at -r: there the rule's margin,
+    # exact for the disk, is at most the sampled one.
     sampled = _reference_verify_membership(selector, pair, params, grid, rule=False)
-    if grid.angles % 2 == 0:
+    r = grid.radii[-1]
+    if report.degeneracy_hits:
+        axis = [hit for hit in sampled.degeneracy_hits if hit[0] in (r, -r)]
+        if grid.angles % 2 == 0:
+            assert report.degeneracy_hits == axis, where
+        else:
+            assert [hit for hit in report.degeneracy_hits if hit[0] == r] == axis, where
+    elif grid.angles % 2 == 0:
         _assert_same_report(report, dataclasses.replace(sampled, method="real-axis"), where)
     else:
         assert report.min_margin <= sampled.min_margin + 1e-12 * max(1.0, abs(sampled.min_margin))
@@ -398,8 +400,10 @@ def test_verify_membership_mirrors_partial_degeneracies(monkeypatch):
     # rebuilt from the upper half must match the full grid's, in order.
     # An entire functional's hits are those of its grid's outer circle: the
     # full grid's hits on that circle, in the same order.
+    # A real-axis cell's hits are those among r and -r, and the report stays
+    # on those two points.
     monkeypatch.setattr(verify, "DEGENERACY_TOL", 0.6)
-    partial = real_axis = entire = 0
+    partial = real_axis = axis_hits = entire = 0
     for g, grid in enumerate(MIRROR_GRIDS[1:]):
         for selector, pair, params in _mirror_draws(700 + g, 24):
             report = verify_membership(selector, pair, params, grid)
@@ -412,13 +416,16 @@ def test_verify_membership_mirrors_partial_degeneracies(monkeypatch):
             if report.method == "real-axis":
                 real_axis += 1
                 _assert_rule_keeps_the_sampled_report(report, selector, pair, params, grid, where)
+                r = grid.radii[-1]
+                assert all(hit[0] in (r, -r) for hit in report.degeneracy_hits), where
+                axis_hits += bool(report.degeneracy_hits)
             if selector in ENTIRE:
                 full = _reference_verify_membership(selector, pair, params, grid, radii=grid.radii)
                 circle = grid.points()[-grid.angles :].tolist()
                 outer = [hit for hit in full.degeneracy_hits if hit[0] in circle]
                 assert report.degeneracy_hits == outer, where
                 entire += 0 < hits < grid.angles
-    assert partial >= 10 and real_axis >= 3 and entire >= 5
+    assert partial >= 10 and real_axis >= 3 and axis_hits >= 5 and entire >= 5
 
 
 def test_entire_functionals_take_their_least_sampled_margin_on_the_outer_circle():
@@ -499,9 +506,8 @@ def test_one_series_call_per_sampled_cell(monkeypatch):
         report = verify_membership(selector, HALF_PAIR, BesselParams(0.5, 2.0, -1.0))
         assert report.method == "real-axis"
         assert calls == [(1, 2)]
-    # Every seeded sampled cell, odd grids included: its last call is the
-    # grid's upper half (a degenerate real-axis attempt may precede it), and
-    # its witness is a grid point.
+    # Every seeded sampled cell, odd grids included: its one call is the
+    # grid's upper half, and its witness is a grid point.
     sampled = odd = 0
     for g, grid in enumerate(MIRROR_GRIDS):
         for selector, pair, params in _mirror_draws(900 + g, 24):
@@ -511,8 +517,7 @@ def test_one_series_call_per_sampled_cell(monkeypatch):
                 continue
             where = (grid.angles, selector, pair, params)
             rings = 1 if selector in ENTIRE else len(grid.radii)
-            assert calls[-1] == (rings, grid.angles // 2 + 1), where
-            assert calls[:-1] in ([], [(1, 2)]), where
+            assert calls == [(rings, grid.angles // 2 + 1)], where
             if report.witness is not None:
                 _assert_witness_on_grid(report, where)
                 sampled += 1
@@ -834,9 +839,9 @@ def _reference_feasible(selector, pair, params, grid_density, r, max_radius=0.99
     # by the real-axis rule; otherwise on every point of the circle.
     cap = min(max_radius, _zero_free(selector, params)) if rule else 0.0
     if cap > 0.01:
-        axis = _reference_real_axis(selector, pair, params, r)
-        return axis is not None and axis[0] > 0.0
-    margins, hits = _reference_margins(selector, pair, params, (r,), verify._ring(grid_density))
+        margins, _, hits = _reference_real_axis(selector, pair, params, r)
+    else:
+        margins, hits = _reference_margins(selector, pair, params, (r,), verify._ring(grid_density))
     return not hits and float(np.min(margins)) > 0.0
 
 
@@ -1031,6 +1036,52 @@ def test_real_axis_values_are_the_grid_values_at_angles_zero_and_pi(n):
         w_grid, _ = _one_cell_values(selector, params, grid.radii, table)
         ring = w_grid.reshape(len(grid.radii), n)[-1]
         assert np.array_equal(_bits(w_axis), _bits(ring[[0, n // 2]])), (selector, pair, params)
+
+
+def test_an_excluded_real_point_is_one_route_per_disk(monkeypatch):
+    # A certified cell whose w(-r) (or both w(r) and w(-r)) is excluded, by a
+    # zero denominator or, on a disk pair, by the proof-side pole m(1), is a
+    # real-axis counterexample at that point: the hits are the excluded
+    # points with their labels, min_margin and the witness are the other
+    # point's (NaN and None if both are excluded), and no call reads a
+    # radius below r.  property_radius reads the same circle as infeasible.
+    r = SampleGrid.default().radii[-1]
+    kernel = verify._functional_values
+    calls, routes = [], {"denominator": 0, "pole": 0, "both": 0}
+    for k, (selector, pair, params) in enumerate(_certified_draws(71, 24)):
+        margins, points, hits = _reference_real_axis(selector, pair, params, r)
+        assert hits == [] and np.isfinite(margins).all(), (selector, pair, params)
+        route = ("denominator", "pole", "both")[k // 3 % 3] if pair.B > -1.0 else ("denominator", "both")[k // 3 % 2]
+        routes[route] += 1
+        columns = [0, 1] if route == "both" else [1]
+
+        def values(selector, rows, cells, radii, table):
+            calls.append(len(radii))
+            w, mask = kernel(selector, rows, cells, radii, table)
+            if len(table.points) == 2 and radii[-1] == r:
+                w, mask = w.copy(), mask.copy()
+                for j in columns:
+                    if route == "pole":
+                        w[:, -2 + j] = (1.0 + pair.A) / (1.0 + pair.B)
+                    else:
+                        w[:, -2 + j], mask[:, -2 + j] = 1.0, True
+            return w, mask
+
+        monkeypatch.setattr(verify, "_functional_values", values)
+        calls.clear()
+        report = verify_membership(selector, pair, params)
+        where = (route, selector, pair, params)
+        assert report.method == "real-axis" and report.verdict == "counterexample", where
+        label = "proof-map-pole" if route == "pole" else DENOMINATOR_LABEL[selector]
+        assert report.degeneracy_hits == [(complex(points[j]), label) for j in columns], where
+        if route == "both":
+            assert math.isnan(report.min_margin) and report.witness is None, where
+        else:
+            assert repr(report.min_margin) == repr(float(margins[0])) and report.witness == r, where
+        assert calls == [1], where
+        assert property_radius(selector, pair, params) < r, where
+        monkeypatch.setattr(verify, "_functional_values", kernel)
+    assert min(routes.values()) >= 5, routes
 
 
 def _mp_margin(selector, pair, kappa, c, z):
@@ -1870,22 +1921,25 @@ def test_region_scan_takes_the_route_of_verify_membership(monkeypatch, selector,
 def test_region_scan_is_the_cell_by_cell_loop_on_degenerate_chunks(monkeypatch, tol):
     # Tolerances this wide mask some samples of many cells (0.9), or every
     # sample of every cell (10.0), and w(r) or w(-r) of real-axis cells,
-    # which then fall back to the grid.
+    # which stay on those two points with their hits there.
     monkeypatch.setattr(verify, "DEGENERACY_TOL", tol)
-    hit_cells = fallbacks = unmarked = 0
+    hit_cells = axis_hits = unmarked = 0
+    r = SMALL_GRID.radii[-1]
     for selector, pair, kappa_range, c_range in CHUNKED_SCANS:
-        # 3 sampled cells a chunk: 9 points of an outer circle, or 6 * 9 of a grid.
-        monkeypatch.setattr(verify, "SCAN_CHUNK_POINTS", 3 * 9 * (1 if selector in ENTIRE else 6))
+        # 3 cells a chunk: 9 points of an outer circle, or w(r) and w(-r).
+        monkeypatch.setattr(verify, "SCAN_CHUNK_POINTS", 3 * (9 if selector in ENTIRE else 2))
         expected = _scan_cell_by_cell(selector, pair, kappa_range, c_range, SMALL_GRID)
         _assert_rows_bit_equal(region_scan(selector, pair, kappa_range, c_range, SMALL_GRID), expected)
         hit_cells += sum(bool(row.report.degeneracy_hits) for row in expected)
         unmarked += sum(math.isnan(row.report.min_margin) for row in expected)
-        fallbacks += sum(
-            row.report.method == "sampled"
-            and SMALL_GRID.radii[-1] < verify._certified_radius(selector, row.report.params)
-            for row in expected
-        )
-    assert hit_cells >= 50 and fallbacks >= 10
+        for row in expected:
+            certified = r < verify._certified_radius(selector, row.report.params)
+            assert (row.report.method == "real-axis") == certified, (selector, row.kappa, row.c)
+            if certified and row.report.degeneracy_hits:
+                assert all(z in (r, -r) for z, _ in row.report.degeneracy_hits), (selector, row.kappa, row.c)
+                assert row.report.verdict == "counterexample", (selector, row.kappa, row.c)
+                axis_hits += 1
+    assert hit_cells >= 50 and axis_hits >= 10
     assert (unmarked == hit_cells) == (tol == 10.0)
 
 
@@ -1893,11 +1947,10 @@ def test_region_scan_is_the_cell_by_cell_loop_on_degenerate_chunks(monkeypatch, 
 def test_a_pole_sample_in_a_chunk_is_the_one_cells_hit(monkeypatch, selector, pair, kappa_range, c_range):
     # One cell's sample 3 reads m(1) = (1+A)/(1+B), the proof-side pole, on
     # every kernel call for that cell.  Its report carries the hits of
-    # verify_membership (sample 3 of the first ring sampled and its mirror
-    # twin: an entire functional's outer circle, a quotient's inner ring, a
-    # real-axis cell being re-run on the grid first), and the rest of its
-    # chunk, whose margins lie far from the edge, stays bit-equal to the
-    # cell-by-cell loop.
+    # verify_membership (an entire functional: sample 3 of its outer circle
+    # and its mirror twin; a real-axis cell, whose two samples are r and -r:
+    # -r alone), and the rest of its chunk, whose margins lie far from the
+    # edge, stays bit-equal to the cell-by-cell loop.
     kernel = verify._functional_values
     kappa, c = float(np.linspace(*kappa_range)[2]), float(np.linspace(*c_range)[1])
     pole = (1.0 + pair.A) / (1.0 + pair.B)
@@ -1915,11 +1968,20 @@ def test_a_pole_sample_in_a_chunk_is_the_one_cells_hit(monkeypatch, selector, pa
     expected = _scan_cell_by_cell(selector, pair, kappa_range, c_range, SMALL_GRID)
     rows = region_scan(selector, pair, kappa_range, c_range, SMALL_GRID)
     _assert_rows_bit_equal(rows, expected)
-    ring = SMALL_GRID.points().reshape(6, 16)[-1 if selector in ENTIRE else 0]
     hit = [row for row in rows if row.report.degeneracy_hits]
     assert [(row.kappa, row.c) for row in hit] == [(kappa, c)]
-    assert hit[0].report.degeneracy_hits == [(complex(ring[3]), "proof-map-pole"), (complex(ring[13]), "proof-map-pole")]
-    assert hit[0].report.verdict == "counterexample" and hit[0].report.method == "sampled"
+    report = hit[0].report
+    assert report.verdict == "counterexample"
+    if selector in ENTIRE:
+        ring = SMALL_GRID.points().reshape(6, 16)[-1]
+        assert report.degeneracy_hits == [(complex(ring[3]), "proof-map-pole"), (complex(ring[13]), "proof-map-pole")]
+        assert report.method == "sampled"
+    else:
+        r = SMALL_GRID.radii[-1]
+        assert report.degeneracy_hits == [(complex(-r), "proof-map-pole")]
+        assert report.method == "real-axis" and report.witness == r
+        margins, _, _ = _reference_real_axis(selector, pair, report.params, r)
+        assert repr(report.min_margin) == repr(float(margins[0]))
 
 
 def _counted_verify_membership(monkeypatch):
@@ -1970,20 +2032,24 @@ def test_region_scan_calls_verify_membership_once_per_uncertified_quotient_cell(
 
 def test_a_degenerate_real_axis_cell_makes_no_verify_membership_call(monkeypatch):
     # Widened as in the chunk test, the tolerance excludes w(r) or w(-r) of
-    # some certified cells; each is re-run on the grid inside the scan's own
-    # step, bit for bit the cell-by-cell loop's report, with no call of its own.
+    # some certified cells; each stays a real-axis report with its hits there,
+    # inside the scan's own step, bit for bit the cell-by-cell loop's report,
+    # with no call of its own.
     monkeypatch.setattr(verify, "DEGENERACY_TOL", 0.9)
-    monkeypatch.setattr(verify, "SCAN_CHUNK_POINTS", 3 * 6 * 9)
+    monkeypatch.setattr(verify, "SCAN_CHUNK_POINTS", 3 * 2)
     calls = _counted_verify_membership(monkeypatch)
-    rerun = 0
+    axis_hits = 0
     for selector, pair, kappa_range, c_range in CHUNKED_SCANS[3:]:
         expected = _scan_cell_by_cell(selector, pair, kappa_range, c_range, SMALL_GRID)
         calls.clear()
         _assert_rows_bit_equal(region_scan(selector, pair, kappa_range, c_range, SMALL_GRID), expected)
         certified = [SMALL_GRID.radii[-1] < _zero_free(selector, row.report.params) for row in expected]
         assert calls == [row.report.params for row, ok in zip(expected, certified) if not ok]
-        rerun += sum(ok and row.report.method == "sampled" for row, ok in zip(expected, certified))
-    assert rerun >= 10
+        axis_hits += sum(
+            ok and row.report.method == "real-axis" and bool(row.report.degeneracy_hits)
+            for row, ok in zip(expected, certified)
+        )
+    assert axis_hits >= 10
 
 
 def test_region_scan_cells_evaluate_the_series_at_the_grid_kappa():
